@@ -3,8 +3,11 @@
 Modules:
   numerics      tensors, counter-based Gaussian streams, grouped reductions
   quantizer     uniform fake-quantization with learnable clipping
-  smoothing     channel-wise scale/shift outlier migration
-  model         toy decoder-only transformer with attachments
+  smoothing     channel-wise scale/shift outlier migration: the activation
+                side and the weight-side fold, each written once
+  model         toy decoder-only transformer with attachments; linear_forward
+                is the one smoothed, quantized linear, and freeze_linear the
+                one fold-and-freeze path
   calibration   layer-wise reconstruction init and the RTN baseline
   zo            two-point zeroth-order estimator and ZO-SGD
   theory        Monte-Carlo/quadrature verification of the estimator theory
@@ -35,7 +38,7 @@ from .numerics import (
     reduce_stats,
 )
 from .quantizer import QuantSpec, QuantState, fake_quant, init_range, quant_error
-from .smoothing import SmoothingParams, apply_smoothing, smoothing_gain
+from .smoothing import SmoothingParams, apply_smoothing
 from .model import (
     LayerAttachment,
     ModelConfig,

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .model import LINEAR_NAMES, ModelGraph
+from .model import ModelGraph, freeze_linear, regrid_weight_state
 from .quantizer import QuantSpec, QuantState, fake_quant, init_range
-from .smoothing import SmoothingParams
+from .smoothing import SCALE_FLOOR, SmoothingParams, fold_smoothing, smooth_activation
 
 # inner gradient steps per parameter block per epoch, and the fixed
 # step-size ladder tried at each of them (first improvement wins)
@@ -31,14 +31,6 @@ class CalibSet:
     """Per-layer input activations recorded from full-precision forwards."""
 
     captures: dict[str, list[np.ndarray]]
-
-    def sample_count(self) -> int:
-        if not self.captures:
-            return 0
-        return len(next(iter(self.captures.values())))
-
-    def stacked(self, layer_id: str) -> np.ndarray:
-        return np.concatenate(self.captures[layer_id], axis=0)
 
 
 def capture_activations(model: ModelGraph, corpus_sample) -> CalibSet:
@@ -76,8 +68,10 @@ class ReconstructionResult:
 class _LayerObjective:
     """Mean squared reconstruction error of one quantized linear layer.
 
-    Caches the quantized activation side so clipping-only perturbations skip
-    the activation re-quantization.
+    Evaluates the layer as model.linear_forward composes it, with the pieces
+    that depend only on the smoothing (quantized input, smoothed weight and
+    bias) cached, so clipping-only probes skip the activation
+    re-quantization.
     """
 
     def __init__(self, x, w, b, weight_spec: QuantSpec, act_spec: QuantSpec | None):
@@ -95,19 +89,15 @@ class _LayerObjective:
         if smoothing is None:
             xs, self._w_s, self._b_s = self.x, self.w, self.b
         else:
-            xs = (self.x - smoothing.shift) / smoothing.scale
-            self._w_s = smoothing.scale[:, None] * self.w
-            self._b_s = self.b + smoothing.shift @ self.w
+            xs = smooth_activation(self.x, smoothing)
+            self._w_s, self._b_s = fold_smoothing(self.w, self.b, smoothing)
         if self.aspec is not None:
             self._xq = fake_quant(xs, self.aspec, init_range(xs, self.aspec))
         else:
             self._xq = xs
 
-    def rederive_state(self, state: QuantState) -> QuantState:
-        fresh = init_range(self._w_s, self.wspec)
-        fresh.clip_lo = state.clip_lo.copy()
-        fresh.clip_hi = state.clip_hi.copy()
-        return fresh
+    def rederive_state(self, state: QuantState | None) -> QuantState:
+        return regrid_weight_state(self._w_s, self.wspec, state)
 
     def eval(self, state: QuantState) -> float:
         wq = fake_quant(self._w_s, self.wspec, state)
@@ -142,10 +132,7 @@ def reconstruct_layer(
 
     smoothing = attachment.smoothing.copy() if attachment.smoothing is not None else None
     obj.set_smoothing(smoothing)
-    state = init_range(obj._w_s, attachment.weight_spec)
-    if attachment.weight_state is not None:
-        state.clip_lo = attachment.weight_state.clip_lo.copy()
-        state.clip_hi = attachment.weight_state.clip_hi.copy()
+    state = obj.rederive_state(attachment.weight_state)
     loss = obj.eval(state)
     loss_before = loss
     if not np.isfinite(loss):
@@ -181,7 +168,7 @@ def _block_vector(smoothing, state, block):
 def _apply_block(obj, smoothing, state, block, vec):
     """Write vec into the live block and refresh the objective caches."""
     if block == "log_scale":
-        smoothing.scale = np.clip(np.exp(vec), 1e-4, 1e4)
+        smoothing.scale = np.clip(np.exp(vec), SCALE_FLOOR, 1e4)
         obj.set_smoothing(smoothing)
     elif block == "shift":
         smoothing.shift = vec.copy()
@@ -265,6 +252,5 @@ def rtn_quantize(model: ModelGraph) -> ModelGraph:
         if att.smoothing is not None:
             att.smoothing = SmoothingParams.identity(lin.w.shape[0])
         att.weight_state = init_range(lin.w, att.weight_spec)
-        lin.w = fake_quant(lin.w, att.weight_spec, att.weight_state)
-        att.freeze()
+        freeze_linear(lin)
     return model

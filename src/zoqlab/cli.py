@@ -92,13 +92,6 @@ def parse_quant_notation(text: str) -> tuple[int, int, int | None]:
     return w, a, g
 
 
-def format_quant_notation(w_bits: int, a_bits: int, group_size: int | None) -> str:
-    out = f"W{w_bits}A{a_bits}"
-    if group_size is not None:
-        out += f"g{group_size}"
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ functions of the configuration), not measured from the allocator.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,6 +145,7 @@ DIAG_HEADER = (
 
 
 def write_diagnostics_csv(path, records) -> None:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(DIAG_HEADER)

@@ -16,7 +16,13 @@ from scipy.special import erf
 from .errors import DataError, DimensionError
 from .numerics import RngStream, Tensor, per_channel, per_group, per_token
 from .quantizer import QuantSpec, QuantState, fake_quant, init_range
-from .smoothing import SmoothingParams, apply_smoothing, smooth_activation
+from .smoothing import (
+    SCALE_FLOOR,
+    SmoothingParams,
+    apply_smoothing,
+    fold_smoothing,
+    smooth_activation,
+)
 from .zo import ParamView
 
 LINEAR_NAMES = ("attn_q", "attn_k", "attn_v", "attn_o", "mlp_up", "mlp_down")
@@ -78,15 +84,14 @@ class QuantPlan:
 class LayerAttachment:
     """Quantizer/smoothing attachment of one linear layer.
 
-    Activation ranges are per-token and derived dynamically each forward, so
-    act_state stays None during normal operation. pre_quantized means the
-    stored weight (and bias) already include smoothing and quantization.
+    Activation ranges are per-token and derived dynamically each forward.
+    pre_quantized means the stored weight (and bias) already include
+    smoothing and quantization.
     """
 
     weight_spec: QuantSpec | None = None
     weight_state: QuantState | None = None
     act_spec: QuantSpec | None = None
-    act_state: QuantState | None = None
     smoothing: SmoothingParams | None = None
     trainable: bool = True
     pre_quantized: bool = False
@@ -256,23 +261,20 @@ class ModelGraph:
                 if not att.trainable:
                     continue
                 if att.smoothing is not None:
-                    np.clip(att.smoothing.scale, 1e-4, 1e4, out=att.smoothing.scale)
+                    np.clip(att.smoothing.scale, SCALE_FLOOR, 1e4, out=att.smoothing.scale)
                 if att.weight_state is not None:
                     st = att.weight_state
-                    np.maximum(st.step, 1e-8, out=st.step)
+                    np.maximum(st.step, _STEP_FLOOR, out=st.step)
                     np.minimum(st.clip_lo, st.clip_hi - 1e-6, out=st.clip_lo)
 
     def rederive_quant_states(self) -> None:
         """Re-derive step/zero from the current (smoothed) weights, keeping clipping."""
-        for block in self.blocks:
-            for lin in block.linears.values():
-                att = lin.att
-                if att.weight_spec is None or att.pre_quantized or not att.trainable:
-                    continue
-                w = lin.w if att.smoothing is None else att.smoothing.scale[:, None] * lin.w
-                fresh = init_range(w, att.weight_spec)
-                att.weight_state.step[:] = fresh.step
-                att.weight_state.zero_point[:] = fresh.zero_point
+        for _, lin in self.iter_attachments():
+            att = lin.att
+            if att.weight_spec is None or att.pre_quantized or not att.trainable:
+                continue
+            w_s = lin.w if att.smoothing is None else fold_smoothing(lin.w, lin.b, att.smoothing)[0]
+            att.weight_state = regrid_weight_state(w_s, att.weight_spec, att.weight_state)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -291,26 +293,29 @@ class ModelGraph:
 
 
 def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
-    """One attached linear layer; fp mode bypasses the attachment entirely."""
+    """One attached linear layer; fp mode bypasses the attachment entirely.
+
+    qat composes, in this order: smoothing, per-token activation
+    fake-quant, weight fake-quant, GEMM plus bias. A pre-quantized layer
+    already carries the weight side (freeze_linear), so only the activation
+    side runs.
+    """
     att = lin.att
     if mode == "fp" or (att.bypassed and not att.pre_quantized):
         return x2d @ lin.w + lin.b
     if mode != "qat":
         raise DataError(f"unknown forward mode {mode!r}")
-    if att.pre_quantized:
-        # weight and bias already carry smoothing + quantization
-        xs = x2d if att.smoothing is None else smooth_activation(x2d, att.smoothing)
-        if att.act_spec is not None:
-            xs = fake_quant(xs, att.act_spec, init_range(xs, att.act_spec))
-        return xs @ lin.w + lin.b
-    if att.smoothing is not None:
-        xs, ws, bs = apply_smoothing(x2d, lin.w, lin.b, att.smoothing)
-    else:
+    if att.smoothing is None:
         xs, ws, bs = x2d, lin.w, lin.b
+    elif att.pre_quantized:
+        xs, ws, bs = smooth_activation(x2d, att.smoothing), lin.w, lin.b
+    else:
+        xs, ws, bs = apply_smoothing(x2d, lin.w, lin.b, att.smoothing)
     if att.act_spec is not None:
         xs = fake_quant(xs, att.act_spec, init_range(xs, att.act_spec))
-    wq = ws if att.weight_spec is None else fake_quant(ws, att.weight_spec, _applied_state(att.weight_state))
-    return xs @ wq + bs
+    if att.weight_spec is not None and not att.pre_quantized:
+        ws = fake_quant(ws, att.weight_spec, _applied_state(att.weight_state))
+    return xs @ ws + bs
 
 
 def _applied_state(state: QuantState) -> QuantState:
@@ -326,6 +331,33 @@ def _applied_state(state: QuantState) -> QuantState:
     np.maximum(guarded.step, _STEP_FLOOR, out=guarded.step)
     np.minimum(guarded.clip_lo, guarded.clip_hi - 1e-9, out=guarded.clip_lo)
     return guarded
+
+
+def regrid_weight_state(w_s: Tensor, spec: QuantSpec, state: QuantState | None) -> QuantState:
+    """Range-initialize step and zero point on the smoothed weight w_s.
+
+    The clipping coefficients of `state` carry over; with no state they
+    start inactive.
+    """
+    fresh = init_range(w_s, spec)
+    if state is not None:
+        fresh.clip_lo = state.clip_lo.copy()
+        fresh.clip_hi = state.clip_hi.copy()
+    return fresh
+
+
+def freeze_linear(lin: Linear) -> None:
+    """Fold the smoothing into (w, b), fake-quantize the weight once, and freeze.
+
+    The smoothing stays attached: the frozen forward still applies its
+    activation side.
+    """
+    att = lin.att
+    if att.smoothing is not None:
+        lin.w, lin.b = fold_smoothing(lin.w, lin.b, att.smoothing)
+    if att.weight_spec is not None:
+        lin.w = fake_quant(lin.w, att.weight_spec, att.weight_state)
+    att.freeze()
 
 
 def _layer_norm(x, gain, bias):
@@ -418,20 +450,9 @@ def set_lightweight(model: ModelGraph) -> ModelGraph:
     for block in model.blocks:
         for name in LINEAR_NAMES:
             lin = block.linears[name]
-            att = lin.att
             if name in LIGHTWEIGHT_TRAINABLE:
                 lin.att = LayerAttachment(trainable=True)
-                continue
-            if not att.pre_quantized:
-                if att.smoothing is not None:
-                    lin.b = lin.b + att.smoothing.shift @ lin.w
-                    w_s = att.smoothing.scale[:, None] * lin.w
-                else:
-                    w_s = lin.w
-                if att.weight_spec is not None:
-                    lin.w = fake_quant(w_s, att.weight_spec, att.weight_state)
-                else:
-                    lin.w = np.ascontiguousarray(w_s)
-                att.freeze()
+            elif not lin.att.pre_quantized:
+                freeze_linear(lin)
     model.lightweight = True
     return model

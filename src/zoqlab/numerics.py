@@ -29,19 +29,6 @@ _TENSOR_MAGIC = b"ZQLB-TNS"  # 8 bytes, followed by u32 version + u32 reserved
 _TENSOR_VERSION = 1
 
 
-def as_tensor(x) -> Tensor:
-    """Coerce input to a C-contiguous float64 array."""
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
-def require_finite(x: Tensor, context: str) -> Tensor:
-    if not np.all(np.isfinite(x)):
-        from .errors import NumericError
-
-        raise NumericError(f"non-finite values in {context}")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Matrix product
 # ---------------------------------------------------------------------------
@@ -81,11 +68,6 @@ class RngStream:
 
     def gaussian(self, n: int) -> Tensor:
         out = normals_at(self.seed, self.stream_id, self.position, n)
-        self.position += int(n)
-        return out
-
-    def uniform(self, n: int) -> Tensor:
-        out = uniforms_at(self.seed, self.stream_id, self.position, n)
         self.position += int(n)
         return out
 
@@ -278,14 +260,5 @@ def read_tensor(f) -> Tensor:
     shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(rank))
     count = int(np.prod(shape)) if shape else 1
     data = np.frombuffer(f.read(8 * count), dtype="<f8", count=count)
-    return np.ascontiguousarray(data.reshape(shape))
-
-
-def save_tensor(path, x: Tensor) -> None:
-    with open(path, "wb") as f:
-        write_tensor(f, x)
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as f:
-        return read_tensor(f)
+    # a copy: frombuffer views are read-only, and loaded tensors get trained
+    return data.reshape(shape).copy()

@@ -3,8 +3,8 @@
 Quantization is simulated: quantize to integer codes, clamp, and dequantize
 back to reals in one pass (values live on the grid step * (code - zero)).
 Each value maps to the grid value nearest to it, ties to the even grid
-index; where x / step rounds onto a half in floating point, the distances
-to the two neighbouring grid values decide.
+index; where x / step rounds onto a half in floating point, the exact sign
+of x - step * (k + 1/2) decides between the two neighbouring grid values.
 Weight quantizers additionally honor per-group clipping coefficients
 (clip_lo, clip_hi) that scale the positive clamp level, so the integer clamp
 range becomes [round(clip_lo * q_p), round(clip_hi * q_p)] intersected with
@@ -22,6 +22,8 @@ from .numerics import Granularity, Tensor, from_groups, group_count, reduce_stat
 
 SCHEMES = ("symmetric", "asymmetric")
 ROLES = ("weight", "activation")
+
+_VELTKAMP = 2.0**27 + 1.0  # splits a double into two halves of at most 26 bits
 
 
 @dataclass(frozen=True)
@@ -140,9 +142,10 @@ def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, 
     columns. Each index is that of the grid value nearest to x, an exact tie
     going to the even index, clamped so that index + zero stays within the
     group's code bounds. rint of the float quotient x / step gets this right
-    except where the quotient has rounded onto a half: there x may lie on
-    either side of the midpoint, so the distances to the two neighbours
-    decide.
+    except where the quotient has rounded onto a half k + 1/2: there x may
+    lie on either side of the midpoint step * (k + 1/2), so the exact sign
+    of x - step * (k + 1/2) decides (_sign_past_midpoint). Float distances
+    would not do: they round, and can name the farther neighbour.
     """
     x = np.asarray(x, dtype=np.float64)
     state.validate()
@@ -167,16 +170,38 @@ def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, 
         rows, cols = np.nonzero(frac == 0.5)
         gt = g[rows, cols]
         st = state.step[rows]
-        below = np.floor(gt / st)
-        d_below = np.abs(gt - st * below)
-        d_above = np.abs(gt - st * (below + 1.0))
+        mid = gt / st  # exactly k + 1/2
+        side = _sign_past_midpoint(gt, st, mid)
         keep = index[rows, cols]  # an exact tie keeps rint's even index
-        index[rows, cols] = np.where(
-            d_below < d_above, below, np.where(d_above < d_below, below + 1.0, keep)
-        )
+        index[rows, cols] = np.where(side > 0, mid + 0.5, np.where(side < 0, mid - 0.5, keep))
     # integer-valued floats, so clamping the index is exact
     np.clip(index, lo[:, None] - zero, hi[:, None] - zero, out=index)
     return index, frac, step, zero
+
+
+def _split(a: Tensor) -> tuple[Tensor, Tensor]:
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _sign_past_midpoint(x: Tensor, step: Tensor, mid: Tensor) -> Tensor:
+    """Exact sign of x - step * mid, where mid is the float quotient x / step.
+
+    Scaling by a power of two puts step in [0.5, 1) exactly, which keeps
+    every term in the normal range, clear of overflow and underflow.
+    Dekker's product then gives
+    step * mid == p + err exactly, and x - p is exact by Sterbenz's lemma,
+    since x / p lies within a rounding of 1. Comparing x - p with err is
+    exact.
+    """
+    step, exp = np.frexp(step)
+    x = np.ldexp(x, -exp)
+    p = step * mid
+    s_hi, s_lo = _split(step)
+    m_hi, m_lo = _split(mid)
+    err = ((s_hi * m_hi - p) + s_hi * m_lo + s_lo * m_hi) + s_lo * m_lo
+    return np.sign((x - p) - err)
 
 
 def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState) -> Tensor:
@@ -184,8 +209,8 @@ def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState) -> Tensor:
 
     xhat = step * (clamp(k + zero, lo, hi) - zero), where k is the index of
     the grid value nearest to x / step, ties to even, and zero_point is
-    rounded at use. Where x / step rounds onto a half in floating point, the
-    distances from x to the two neighbouring grid values decide k.
+    rounded at use. Where x / step rounds onto a half j + 1/2 in floating
+    point, the exact sign of x - step * (j + 1/2) decides between j and j + 1.
     """
     index, out, step, _ = _grid_index(x, spec, state)
     # Writing into the spare matrix rather than into index keeps the peak RSS

@@ -14,9 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidStateError
-from .quantizer import QuantSpec, fake_quant, init_range
+from .errors import DimensionError
 from .numerics import Tensor
+
+
+# Smallest smoothing scale; clamp_parameters projects the learnable scale onto
+# [SCALE_FLOOR, 1e4] and application floors a transiently perturbed copy here.
+SCALE_FLOOR = 1e-4
 
 
 @dataclass
@@ -34,10 +38,6 @@ class SmoothingParams:
                 f"scale and shift lengths differ: {self.scale.shape} vs {self.shift.shape}"
             )
 
-    def validate(self) -> None:
-        if np.any(self.scale <= 0):
-            raise InvalidStateError("smoothing scale must be strictly positive")
-
     @classmethod
     def identity(cls, d1: int) -> "SmoothingParams":
         return cls(scale=np.ones(d1), shift=np.zeros(d1))
@@ -46,15 +46,40 @@ class SmoothingParams:
         return SmoothingParams(self.scale.copy(), self.shift.copy())
 
 
+def _applied_scale(p: SmoothingParams) -> Tensor:
+    """The scale as applied: floored at SCALE_FLOOR on a copy, never in place.
+
+    A ZO perturbation can push a scale at the floor below zero for one
+    forward; the live parameter stays untouched so that +eps, -2 eps, +eps
+    restores it as it would any other parameter.
+    """
+    if np.all(p.scale >= SCALE_FLOOR):
+        return p.scale
+    return np.maximum(p.scale, SCALE_FLOOR)
+
+
+def smooth_activation(x: Tensor, p: SmoothingParams) -> Tensor:
+    """Activation side of the factorization: (x - shift) / scale."""
+    return (np.asarray(x, dtype=np.float64) - p.shift) / _applied_scale(p)
+
+
+def fold_smoothing(w: Tensor, b: Tensor, p: SmoothingParams) -> tuple[Tensor, Tensor]:
+    """Weight side of the factorization: (scale * w, b + shift w).
+
+    Row i of w is scaled by scale[i]; the shift folds into the bias.
+    """
+    scale = _applied_scale(p)
+    return scale[:, None] * w, b + p.shift @ w
+
+
 def apply_smoothing(
     x: Tensor, w: Tensor, b: Tensor, p: SmoothingParams
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Return the smoothed triple (x_s, w_s, b_s) with x_s w_s + b_s == x w + b.
 
-    x is (T, D1), w is (D1, D2), b is (1, D2) or (D2,). Row i of w is scaled
-    by scale[i]; the shift folds into the bias as shift @ w.
+    x is (T, D1), w is (D1, D2), b is (1, D2) or (D2,). The activation side
+    is computed before the weight side.
     """
-    p.validate()
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -65,38 +90,6 @@ def apply_smoothing(
         raise DimensionError(f"weight shape {w.shape} incompatible with {d1} channels")
     if b.reshape(-1).shape[0] != w.shape[1]:
         raise DimensionError(f"bias shape {b.shape} incompatible with weight {w.shape}")
-    x_s = (x - p.shift) / p.scale
-    w_s = p.scale[:, None] * w
-    b_s = b + p.shift @ w
+    x_s = smooth_activation(x, p)
+    w_s, b_s = fold_smoothing(w, b, p)
     return x_s, w_s, b_s
-
-
-def smooth_activation(x: Tensor, p: SmoothingParams) -> Tensor:
-    """Activation side of the factorization only: (x - shift) / scale."""
-    p.validate()
-    return (np.asarray(x, dtype=np.float64) - p.shift) / p.scale
-
-
-def smoothing_gain(
-    x: Tensor,
-    w: Tensor,
-    b: Tensor,
-    p: SmoothingParams,
-    weight_spec: QuantSpec,
-    act_spec: QuantSpec,
-) -> float:
-    """Squared reconstruction error of the quantized smoothed layer.
-
-    Quantizers are range-initialized on the smoothed tensors, so this scores
-    how well (scale, shift) prepare the layer for quantization; lower is
-    better.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    y = x @ w + b
-    x_s, w_s, b_s = apply_smoothing(x, w, b, p)
-    x_q = fake_quant(x_s, act_spec, init_range(x_s, act_spec))
-    w_q = fake_quant(w_s, weight_spec, init_range(w_s, weight_spec))
-    diff = y - (x_q @ w_q + b_s)
-    return float(np.sum(diff * diff))

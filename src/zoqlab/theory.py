@@ -87,46 +87,13 @@ class SmoothedObjective:
     def loss(self, point) -> float:
         return float(self.loss_batch(np.asarray(point, dtype=np.float64)[None, :])[0])
 
-    def verify_lipschitz(self, w, samples: int = 4000, seed: int = 11) -> float:
-        """Largest sampled difference quotient of the base loss on the test domain.
 
-        The domain is where the estimator actually evaluates: quantized
-        Gaussian perturbations of w at radius epsilon.
-        """
-        rng = np.random.default_rng(seed)
-        w = np.asarray(w, dtype=np.float64)
-        z = self.quantize(w + self.epsilon * rng.normal(size=(samples, self.dim)))
-        zp = self.quantize(w + self.epsilon * rng.normal(size=(samples, self.dim)))
-        num = np.abs(self.base_loss_batch(z) - self.base_loss_batch(zp))
-        den = np.linalg.norm(z - zp, axis=-1)
-        ok = den > 1e-12
-        if not np.any(ok):
-            return 0.0
-        return float(np.max(num[ok] / den[ok]))
-
-
-@dataclass(frozen=True)
-class ThresholdGeometry:
-    """Distance of a point to the nearest quantizer threshold, in eps units.
+def place_at_distance(quant_step: float, t: float, epsilon: float, cell: int = 0) -> float:
+    """1-D point whose nearest-threshold distance is exactly t * epsilon.
 
     Thresholds of the round-to-nearest quantizer sit on the midpoint grid
     step * (k + 1/2).
     """
-
-    point: np.ndarray
-    cell_distance: float
-    normalized: float
-
-    @classmethod
-    def from_point(cls, w, quant_step: float, epsilon: float) -> "ThresholdGeometry":
-        w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-        frac = w / quant_step - np.floor(w / quant_step)
-        r = float(np.min(quant_step * np.abs(frac - 0.5)))
-        return cls(point=w, cell_distance=r, normalized=r / epsilon)
-
-
-def place_at_distance(quant_step: float, t: float, epsilon: float, cell: int = 0) -> float:
-    """1-D point whose nearest-threshold distance is exactly t * epsilon."""
     r = t * epsilon
     if r > quant_step / 2 + 1e-15:
         raise DataError(

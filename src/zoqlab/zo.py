@@ -75,19 +75,6 @@ class ParamView:
             if spans:
                 self.groups.append(ParamGroup(label, spans[0][0], spans[-1][1]))
 
-    def gather(self) -> np.ndarray:
-        out = np.empty(self.size)
-        for _, flat, a, b in self._segments:
-            out[a:b] = flat
-        return out
-
-    def scatter(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.size,):
-            raise DataError(f"expected flat vector of length {self.size}, got {values.shape}")
-        for _, flat, a, b in self._segments:
-            flat[:] = values[a:b]
-
     def add_direction(self, seed: int, stream_id: int, scale: float, chunk_size: int) -> None:
         """In place: params += scale * u, u regenerated chunk-wise from the stream."""
         for _, flat, a, b in self._segments:

@@ -1,11 +1,13 @@
 """Independent brute-force oracles used by the test suites.
 
 These deliberately avoid the library's vectorized code paths: matmul is a
-triple loop, quantization enumerates every integer code, and the reference
-transformer walks positions and heads one at a time.
+triple loop, quantization enumerates every integer code and measures its
+distance exactly, and the reference transformer walks positions and heads
+one at a time.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,20 +31,21 @@ def naive_matmul(a, b):
 def nearest_code(x, step, zero, lo, hi):
     """Best integer code for scalar x by exhaustive search.
 
-    Ties between two equidistant codes resolve toward the code whose
-    unshifted grid index (code - zero) is even, matching half-to-even
-    rounding of x/step.
+    Distances are compared in exact rational arithmetic, so a code that is
+    nearer by less than a float rounding still wins. Ties between two
+    equidistant codes resolve toward the code whose unshifted grid index
+    (code - zero) is even, matching half-to-even rounding of x/step.
     """
+    x, step, zero = Fraction(x), Fraction(step), Fraction(zero)
     best_code = None
-    best_dist = math.inf
+    best_dist = None
     for code in range(int(lo), int(hi) + 1):
         dist = abs(x - step * (code - zero))
-        if dist < best_dist - 1e-18 * max(1.0, abs(x)):
+        if best_dist is None or dist < best_dist:
             best_dist = dist
             best_code = code
-        elif abs(dist - best_dist) <= 1e-18 * max(1.0, abs(x)):
-            if (code - zero) % 2 == 0:
-                best_code = code
+        elif dist == best_dist and (code - zero) % 2 == 0:
+            best_code = code
     return best_code
 
 

@@ -184,11 +184,7 @@ class TestAgainstNearestCodeOracle:
 
 
 class TestQuotientRoundedOntoHalf:
-    """x / step can round onto a half in float although x is nearer one neighbour.
-
-    Fixed steps only: the oracle measures distance in float, so for some
-    steps it calls a tie where the exact quotient lies past the half.
-    """
+    """x / step can round onto a half in float although x is nearer one neighbour."""
 
     @pytest.mark.parametrize(
         "bits, scheme, x, want_code",
@@ -227,6 +223,24 @@ class TestQuotientRoundedOntoHalf:
         state = QuantState(step=[0.1] * 3, zero_point=[0.0] * 3, clip_lo=[0.0] * 3, clip_hi=[1.0] * 3)
         with pytest.raises(DimensionError):
             quant_codes(np.ones((4, 6)), spec, state)
+
+
+    def test_random_steps_near_every_midpoint(self):
+        # Midpoints step * (j + 1/2) and their float neighbours, on random
+        # steps and at both ends of the float range: where the two candidate
+        # distances differ by less than a float rounding, only exact
+        # arithmetic names the nearer code.
+        rng = np.random.default_rng(0)
+        extremes = [1.2345e-300, 3.3e-200, 7.77e250, 1.2345e300]
+        for step in [*rng.uniform(0.05, 2.0, size=100), *extremes]:
+            for bits, scheme, zero in ((2, "asymmetric", 1.0), (3, "symmetric", 0.0), (4, "asymmetric", 1.0)):
+                spec = QuantSpec(bits, scheme, per_tensor(), role="activation")
+                clip_lo = spec.q_n / spec.q_p
+                state = QuantState(step=[step], zero_point=[zero], clip_lo=[clip_lo], clip_hi=[1.0])
+                mids = step * (np.arange(spec.q_n - zero, spec.q_p - zero) + 0.5)
+                xs = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
+                want = [nearest_code(x, step, zero, spec.q_n, spec.q_p) for x in xs]
+                assert quant_codes(xs, spec, state).tolist() == want, step
 
 
 class TestInvariants:
