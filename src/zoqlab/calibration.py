@@ -96,9 +96,6 @@ class _LayerObjective:
         else:
             self._xq = xs
 
-    def rederive_state(self, state: QuantState | None) -> QuantState:
-        return regrid_weight_state(self._w_s, self.wspec, state)
-
     def eval(self, state: QuantState) -> float:
         wq = fake_quant(self._w_s, self.wspec, state)
         diff = self.y_fp - (self._xq @ wq + self._b_s)
@@ -132,7 +129,7 @@ def reconstruct_layer(
 
     smoothing = attachment.smoothing.copy() if attachment.smoothing is not None else None
     obj.set_smoothing(smoothing)
-    state = obj.rederive_state(attachment.weight_state)
+    state = regrid_weight_state(obj._w_s, obj.wspec, attachment.weight_state)
     loss = obj.eval(state)
     loss_before = loss
     if not np.isfinite(loss):
@@ -146,7 +143,7 @@ def reconstruct_layer(
             loss = _descend_block(obj, state, smoothing, "shift", act_scale, loss)
         loss = _descend_block(obj, state, smoothing, "clip", 0.1, loss)
         # refresh the affine grid for the current smoothing, keep if better
-        candidate = obj.rederive_state(state)
+        candidate = regrid_weight_state(obj._w_s, obj.wspec, state)
         cand_loss = obj.eval(candidate)
         if cand_loss < loss:
             state, loss = candidate, cand_loss

@@ -410,7 +410,10 @@ def load_checkpoint(path: str):
                 lin.att = LayerAttachment(trainable=meta["trainable"])
                 continue
             if meta["has_smoothing"]:
-                att.smoothing.scale = tensors[f"{base}.smoothing.scale"]
+                scale = tensors[f"{base}.smoothing.scale"]
+                if not np.all(np.isfinite(scale) & (scale > 0)):
+                    raise DataError(f"{path}: {base} smoothing scale is not finite and positive")
+                att.smoothing.scale = scale
                 att.smoothing.shift = tensors[f"{base}.smoothing.shift"]
             else:
                 att.smoothing = None

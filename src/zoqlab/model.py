@@ -22,6 +22,7 @@ from .smoothing import (
     apply_smoothing,
     fold_smoothing,
     smooth_activation,
+    smooth_weight,
 )
 from .zo import ParamView
 
@@ -273,7 +274,7 @@ class ModelGraph:
             att = lin.att
             if att.weight_spec is None or att.pre_quantized or not att.trainable:
                 continue
-            w_s = lin.w if att.smoothing is None else fold_smoothing(lin.w, lin.b, att.smoothing)[0]
+            w_s = lin.w if att.smoothing is None else smooth_weight(lin.w, att.smoothing)
             att.weight_state = regrid_weight_state(w_s, att.weight_spec, att.weight_state)
 
     # -- bookkeeping ---------------------------------------------------------

@@ -14,6 +14,7 @@ the natural code range.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from .numerics import Granularity, Tensor, from_groups, group_count, reduce_stat
 
 SCHEMES = ("symmetric", "asymmetric")
 ROLES = ("weight", "activation")
-
-_VELTKAMP = 2.0**27 + 1.0  # splits a double into two halves of at most 26 bits
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,9 @@ def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, 
     group's code bounds. rint of the float quotient x / step gets this right
     except where the quotient has rounded onto a half k + 1/2: there x may
     lie on either side of the midpoint step * (k + 1/2), so the exact sign
-    of x - step * (k + 1/2) decides (_sign_past_midpoint). Float distances
-    would not do: they round, and can name the farther neighbour.
+    of x - step * (k + 1/2), in rational arithmetic, decides. Float distances
+    would not do: they round, and can name the farther neighbour. Such
+    quotients are rare, so a loop over them is cheap.
     """
     x = np.asarray(x, dtype=np.float64)
     state.validate()
@@ -167,41 +167,15 @@ def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, 
         np.subtract(frac, index, out=frac)
     np.abs(frac, out=frac)
     if np.fmax.reduce(frac, axis=None) == 0.5:
-        rows, cols = np.nonzero(frac == 0.5)
-        gt = g[rows, cols]
-        st = state.step[rows]
-        mid = gt / st  # exactly k + 1/2
-        side = _sign_past_midpoint(gt, st, mid)
-        keep = index[rows, cols]  # an exact tie keeps rint's even index
-        index[rows, cols] = np.where(side > 0, mid + 0.5, np.where(side < 0, mid - 0.5, keep))
+        for r, c in zip(*np.nonzero(frac == 0.5)):
+            x_rc, step_r = g[r, c], state.step[r]
+            mid = x_rc / step_r  # exactly k + 1/2
+            past = Fraction(x_rc) - Fraction(step_r) * Fraction(mid)
+            if past:  # an exact tie keeps rint's even index
+                index[r, c] = mid + 0.5 if past > 0 else mid - 0.5
     # integer-valued floats, so clamping the index is exact
     np.clip(index, lo[:, None] - zero, hi[:, None] - zero, out=index)
     return index, frac, step, zero
-
-
-def _split(a: Tensor) -> tuple[Tensor, Tensor]:
-    c = _VELTKAMP * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _sign_past_midpoint(x: Tensor, step: Tensor, mid: Tensor) -> Tensor:
-    """Exact sign of x - step * mid, where mid is the float quotient x / step.
-
-    Scaling by a power of two puts step in [0.5, 1) exactly, which keeps
-    every term in the normal range, clear of overflow and underflow.
-    Dekker's product then gives
-    step * mid == p + err exactly, and x - p is exact by Sterbenz's lemma,
-    since x / p lies within a rounding of 1. Comparing x - p with err is
-    exact.
-    """
-    step, exp = np.frexp(step)
-    x = np.ldexp(x, -exp)
-    p = step * mid
-    s_hi, s_lo = _split(step)
-    m_hi, m_lo = _split(mid)
-    err = ((s_hi * m_hi - p) + s_hi * m_lo + s_lo * m_hi) + s_lo * m_lo
-    return np.sign((x - p) - err)
 
 
 def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState) -> Tensor:

@@ -63,13 +63,15 @@ def smooth_activation(x: Tensor, p: SmoothingParams) -> Tensor:
     return (np.asarray(x, dtype=np.float64) - p.shift) / _applied_scale(p)
 
 
-def fold_smoothing(w: Tensor, b: Tensor, p: SmoothingParams) -> tuple[Tensor, Tensor]:
-    """Weight side of the factorization: (scale * w, b + shift w).
-
-    Row i of w is scaled by scale[i]; the shift folds into the bias.
-    """
+def smooth_weight(w: Tensor, p: SmoothingParams) -> Tensor:
+    """Smoothed weight scale * w: row i of w is scaled by scale[i]."""
     scale = _applied_scale(p)
-    return scale[:, None] * w, b + p.shift @ w
+    return scale[:, None] * w
+
+
+def fold_smoothing(w: Tensor, b: Tensor, p: SmoothingParams) -> tuple[Tensor, Tensor]:
+    """Weight side of the factorization: (scale * w, b + shift w)."""
+    return smooth_weight(w, p), b + p.shift @ w
 
 
 def apply_smoothing(

@@ -60,3 +60,16 @@ def test_checkpoint_commands_create_a_new_metrics_dir(tiny_config, tmp_path, com
     fresh = tmp_path / "not" / "yet" / "there"
     assert cli.main([command, ckpt, "--metrics-dir", str(fresh)]) == cli.EXIT_OK
     assert (fresh / written).is_file()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_checkpoint_with_a_bad_smoothing_scale_is_refused(tiny_config, tmp_path, bad):
+    assert train(tiny_config, tmp_path / "run") == cli.EXIT_OK
+    ckpt = str(tmp_path / "run" / "ckpt" / "final.ckpt")
+    cfg, model, step = cli.load_checkpoint(ckpt)
+    model.blocks[0].linears["attn_q"].att.smoothing.scale[3] = bad
+    cli.save_checkpoint(ckpt, cfg, model, step)
+
+    with pytest.raises(cli.DataError, match="block0.attn_q smoothing scale"):
+        cli.load_checkpoint(ckpt)
+    assert cli.main(["eval", ckpt]) == cli.EXIT_DATA
