@@ -39,7 +39,7 @@ from .model import (
     build_model,
     set_lightweight,
 )
-from .numerics import read_tensor, uniforms_at, write_tensor
+from .numerics import read_exact, read_tensor, uniforms_at, write_tensor
 from .zo import ZoConfig, zo_step
 
 _CKPT_MAGIC = b"ZQLB-CKP"
@@ -377,19 +377,32 @@ def save_checkpoint(path: str, cfg: RunConfig, model: ModelGraph, step: int) -> 
 
 
 def load_checkpoint(path: str):
-    """Returns (RunConfig, ModelGraph, step). Refuses version mismatches."""
-    with open(path, "rb") as f:
-        header = f.read(16)
-        if len(header) != 16 or header[:8] != _CKPT_MAGIC:
-            raise DataError(f"{path} is not a checkpoint (bad magic)")
-        version, _ = struct.unpack("<II", header[8:])
-        if version != _CKPT_VERSION:
-            raise DataError(
-                f"checkpoint version {version} unsupported (expected {_CKPT_VERSION}); refusing"
-            )
-        (mlen,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(mlen).decode("utf-8"))
-        tensors = {name: read_tensor(f) for name in manifest["tensors"]}
+    """Returns (RunConfig, ModelGraph, step). Refuses version mismatches.
+
+    A malformed file raises DataError: a truncated one, a manifest that does
+    not parse, and a manifest that names a tensor or field the file lacks.
+    """
+    try:
+        with open(path, "rb") as f:
+            header = f.read(16)
+            if len(header) != 16 or header[:8] != _CKPT_MAGIC:
+                raise DataError(f"{path} is not a checkpoint (bad magic)")
+            version, _ = struct.unpack("<II", header[8:])
+            if version != _CKPT_VERSION:
+                raise DataError(
+                    f"checkpoint version {version} unsupported (expected {_CKPT_VERSION}); refusing"
+                )
+            (mlen,) = struct.unpack("<Q", read_exact(f, 8))
+            manifest = json.loads(read_exact(f, mlen).decode("utf-8"))
+            tensors = {name: read_tensor(f) for name in manifest["tensors"]}
+        return _restore_model(path, manifest, tensors)
+    except ZoqlabError:
+        raise
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from e
+
+
+def _restore_model(path: str, manifest: dict, tensors: dict):
     cfg = RunConfig.from_dict(manifest["config"])
     model = build_model(cfg.model, cfg.quant_plan(), cfg.seed)
     model.embed = tensors["embed"]

@@ -6,24 +6,38 @@ draws come from Philox counter streams keyed by ``(seed, stream_id)``, so any
 slice of a stream can be regenerated from ``(seed, stream_id, position)``
 without storing the values. That regenerability is what keeps the
 zeroth-order optimizer state O(1) in the model size.
+
+The Philox counter counts blocks of four 64-bit draws, so draw ``position``
+lives in block ``position // 4``. Every read re-keys one module-level Philox
+generator by setting its state to that block and key, which costs a few
+microseconds; building a fresh generator costs several times more, because
+the constructor first seeds itself from OS entropy. A lock holds the re-key
+and the read together, so threads that draw at once cannot clobber each
+other's state.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 from scipy.special import ndtri
 
 from .errors import DataError, DimensionError
 
 Tensor = np.ndarray
 
-# Philox advance() moves in blocks of four 64-bit draws; _PHILOX_BLOCK converts
+# The Philox counter counts blocks of four 64-bit draws; _PHILOX_BLOCK converts
 # a single-draw position into (block, offset-within-block).
 _PHILOX_BLOCK = 4
+
+# The one generator every read re-keys, and the lock around re-key and read;
+# see the module docstring.
+_PHILOX = Philox(0)
+_PHILOX_LOCK = threading.Lock()
 
 _TENSOR_MAGIC = b"ZQLB-TNS"  # 8 bytes, followed by u32 version + u32 reserved
 _TENSOR_VERSION = 1
@@ -85,11 +99,22 @@ def gaussian(stream: RngStream, n: int) -> Tensor:
 def raw_draws_at(seed: int, stream_id: int, position: int, n: int) -> np.ndarray:
     """Uint64 draws [position, position + n) of the given Philox stream."""
     block, offset = divmod(int(position), _PHILOX_BLOCK)
-    bg = Philox(key=np.array([seed, stream_id], dtype=np.uint64))
-    if block:
-        bg.advance(block)
-    vals = Generator(bg).integers(0, 2**64, size=offset + int(n), dtype=np.uint64, endpoint=False)
-    return vals[offset:]
+    # the state Philox(key=[seed, stream_id]).advance(block) would reach:
+    # counter at `block`, block buffer empty so the next read computes it
+    state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([block, 0, 0, 0], dtype=np.uint64),
+            "key": np.array([seed, stream_id], dtype=np.uint64),
+        },
+        "buffer": np.zeros(_PHILOX_BLOCK, dtype=np.uint64),
+        "buffer_pos": _PHILOX_BLOCK,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    with _PHILOX_LOCK:
+        _PHILOX.state = state
+        return _PHILOX.random_raw(offset + int(n))[offset:]
 
 
 def uniforms_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
@@ -249,6 +274,14 @@ def write_tensor(f, x: Tensor) -> None:
     f.write(x.astype("<f8", copy=False).tobytes(order="C"))
 
 
+def read_exact(f, n: int) -> bytes:
+    """Exactly n bytes from f; a short read means the file is truncated."""
+    data = f.read(n)
+    if len(data) != n:
+        raise DataError(f"truncated file: wanted {n} bytes, got {len(data)}")
+    return data
+
+
 def read_tensor(f) -> Tensor:
     header = f.read(16)
     if len(header) != 16 or header[:8] != _TENSOR_MAGIC:
@@ -256,9 +289,9 @@ def read_tensor(f) -> Tensor:
     version, _ = struct.unpack("<II", header[8:])
     if version != _TENSOR_VERSION:
         raise DataError(f"unsupported tensor container version {version}")
-    (rank,) = struct.unpack("<Q", f.read(8))
-    shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(rank))
+    (rank,) = struct.unpack("<Q", read_exact(f, 8))
+    shape = tuple(struct.unpack("<Q", read_exact(f, 8))[0] for _ in range(rank))
     count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(f.read(8 * count), dtype="<f8", count=count)
+    data = np.frombuffer(read_exact(f, 8 * count), dtype="<f8", count=count)
     # a copy: frombuffer views are read-only, and loaded tensors get trained
     return data.reshape(shape).copy()

@@ -49,6 +49,15 @@ class ParamView:
     Entries are (label, array) pairs in group order; the arrays are the live
     model arrays and are mutated in place. Flat index = concatenation order,
     which fixes the meaning of a perturbation stream position.
+
+    Directions are regenerated one flat chunk at a time, with one
+    `normals_at` call per chunk. Each segment is cut into pieces every
+    `chunk_size` elements from its own start; a chunk is a run of consecutive
+    pieces whose total stays within `chunk_size`, so it can span segments.
+    The pieces, and the order in which update norms sum over them, are those
+    of a walk segment by segment. The view keeps the last chunk it drew, so
+    when the view fits in one chunk the +eps, -2eps, +eps passes and a q=1
+    update share one draw. Transient memory stays at a few chunks.
     """
 
     def __init__(self, entries):
@@ -74,34 +83,59 @@ class ParamView:
             spans = [(a, b) for l, _, a, b in self._segments if l == label]
             if spans:
                 self.groups.append(ParamGroup(label, spans[0][0], spans[-1][1]))
+        self._plans = {}  # chunk_size -> [(lo, hi, [(label, live piece, chunk slice)])]
+        self._drawn_key = None  # (seed, stream_id, lo, hi) of self._drawn
+        self._drawn = None
+
+    def _chunks(self, chunk_size: int):
+        plan = self._plans.get(chunk_size)
+        if plan is None:
+            plan, pieces, lo = [], [], 0
+            for label, flat, a, b in self._segments:
+                for s in range(0, b - a, chunk_size):
+                    e = min(s + chunk_size, b - a)
+                    if pieces and a + e - lo > chunk_size:
+                        plan.append((lo, a + s, pieces))
+                        pieces, lo = [], a + s
+                    pieces.append((label, flat[s:e], slice(a + s - lo, a + e - lo)))
+            if pieces:
+                plan.append((lo, self.size, pieces))
+            self._plans[chunk_size] = plan
+        return plan
+
+    def _direction(self, seed: int, stream_id: int, lo: int, hi: int) -> np.ndarray:
+        """u[lo:hi] of the stream, drawn again only when the last draw was another chunk."""
+        key = (seed, stream_id, lo, hi)
+        if key != self._drawn_key:
+            self._drawn = normals_at(seed, stream_id, lo, hi - lo)
+            self._drawn_key = key
+        return self._drawn
 
     def add_direction(self, seed: int, stream_id: int, scale: float, chunk_size: int) -> None:
         """In place: params += scale * u, u regenerated chunk-wise from the stream."""
-        for _, flat, a, b in self._segments:
-            for lo in range(0, b - a, chunk_size):
-                hi = min(lo + chunk_size, b - a)
-                flat[lo:hi] += scale * normals_at(seed, stream_id, a + lo, hi - lo)
+        for lo, hi, pieces in self._chunks(chunk_size):
+            u = self._direction(seed, stream_id, lo, hi)
+            for _, live, sl in pieces:
+                live += scale * u[sl]
 
     def apply_directions(
         self, seed: int, stream_ids, coefficients, lr_by_label, chunk_size: int
     ) -> dict[str, float]:
         """In place: params -= sum_i lr * c_i * u_i; returns per-group update norms."""
-        coefficients = list(coefficients)
-        stream_ids = list(stream_ids)
+        terms = [(sid, c) for sid, c in zip(stream_ids, coefficients) if c != 0.0]
         sq = {g.label: 0.0 for g in self.groups}
-        for label, flat, a, b in self._segments:
-            lr = lr_by_label[label]
-            if lr == 0.0 and all(c == 0.0 for c in coefficients):
-                continue
-            for lo in range(0, b - a, chunk_size):
-                hi = min(lo + chunk_size, b - a)
-                delta = np.zeros(hi - lo)
-                for sid, c in zip(stream_ids, coefficients):
-                    if c != 0.0:
-                        delta += c * normals_at(seed, sid, a + lo, hi - lo)
-                delta *= -lr
-                flat[lo:hi] += delta
-                sq[label] += float(delta @ delta)
+        for lo, hi, pieces in self._chunks(chunk_size):
+            delta = np.zeros(hi - lo)
+            for sid, c in terms:
+                delta += c * self._direction(seed, sid, lo, hi)
+            for label, live, sl in pieces:
+                lr = lr_by_label[label]
+                if lr == 0.0 and not terms:
+                    continue
+                piece = delta[sl]
+                piece *= -lr
+                live += piece
+                sq[label] += float(piece @ piece)
         return {label: float(np.sqrt(v)) for label, v in sq.items()}
 
 
@@ -132,6 +166,8 @@ class ZoConfig:
             raise DataError("epsilon must be positive")
         if self.directions < 1:
             raise DataError("direction count must be >= 1")
+        if self.chunk_size < 1:
+            raise DataError("chunk_size must be >= 1")
         for name in ("lr_weights", "lr_smoothing", "lr_clipping", "lr_quant_affine"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be nonnegative")

@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
 
 
 def naive_matmul(a, b):
@@ -141,3 +143,19 @@ def hand_cross_entropy(logits, targets):
         total += math.log(z) - row[tgt]
         count += 1
     return total / count
+
+
+def philox_normals_reference(seed, stream_id, position, n):
+    """Normal draws [position, position + n) of stream (seed, stream_id), built afresh.
+
+    A new Philox generator keyed [seed, stream_id], advanced by whole 4-draw
+    blocks, read through Generator.integers over the full uint64 range; the
+    top 53 bits are centred in (0, 1) and mapped through the inverse normal
+    CDF.
+    """
+    block, offset = divmod(position, 4)
+    bg = Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+    bg.advance(block)
+    raw = Generator(bg).integers(0, 2**64, size=offset + n, dtype=np.uint64, endpoint=False)
+    u = ((raw[offset:] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ndtri(u)

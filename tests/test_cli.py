@@ -1,4 +1,6 @@
 import csv
+import json
+import struct
 
 import pytest
 
@@ -73,3 +75,80 @@ def test_checkpoint_with_a_bad_smoothing_scale_is_refused(tiny_config, tmp_path,
     with pytest.raises(cli.DataError, match="block0.attn_q smoothing scale"):
         cli.load_checkpoint(ckpt)
     assert cli.main(["eval", ckpt]) == cli.EXIT_DATA
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    run = tmp_path_factory.mktemp("run")
+    config = run / "tiny.ini"
+    config.write_text(TINY_INI)
+    assert train(str(config), run) == cli.EXIT_OK
+    return (run / "ckpt" / "final.ckpt").read_bytes()
+
+
+def manifest_span(raw):
+    (mlen,) = struct.unpack("<Q", raw[16:24])
+    return 24, 24 + mlen
+
+
+def assert_eval_refuses(path, capsys):
+    capsys.readouterr()
+    assert cli.main(["eval", str(path)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["header", "length", "manifest", "tensor header", "rank", "data", "last byte"])
+def test_truncated_checkpoint_is_a_data_error(trained_checkpoint, tmp_path, capsys, where):
+    raw = trained_checkpoint
+    _, end = manifest_span(raw)
+    cut = {
+        "header": 10,
+        "length": 20,
+        "manifest": end - 7,
+        "tensor header": end + 5,
+        "rank": end + 19,
+        "data": end + 60,
+        "last byte": len(raw) - 1,
+    }[where]
+    path = tmp_path / "cut.ckpt"
+    path.write_bytes(raw[:cut])
+    with pytest.raises(cli.DataError):
+        cli.load_checkpoint(str(path))
+    assert_eval_refuses(path, capsys)
+
+
+def edit_manifest(raw, edit):
+    start, end = manifest_span(raw)
+    manifest = json.loads(raw[start:end])
+    edit(manifest)
+    blob = json.dumps(manifest).encode("utf-8")
+    return raw[:16] + struct.pack("<Q", len(blob)) + blob + raw[end:]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["tensors"].remove("embed"),
+        lambda m: m.pop("attachments"),
+        lambda m: m["config"]["model"].update(width=3),
+        lambda m: m.update(tensors=7),
+    ],
+    ids=["missing tensor", "missing attachments", "unknown config field", "tensors not a list"],
+)
+def test_checkpoint_with_a_bad_manifest_is_a_data_error(trained_checkpoint, tmp_path, capsys, edit):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(edit_manifest(trained_checkpoint, edit))
+    with pytest.raises(cli.DataError, match="malformed checkpoint"):
+        cli.load_checkpoint(str(path))
+    assert_eval_refuses(path, capsys)
+
+
+def test_checkpoint_whose_manifest_is_not_json_is_a_data_error(trained_checkpoint, tmp_path, capsys):
+    start, end = manifest_span(trained_checkpoint)
+    raw = trained_checkpoint
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(raw[:start] + b"\xff" * (end - start) + raw[end:])
+    with pytest.raises(cli.DataError, match="malformed checkpoint"):
+        cli.load_checkpoint(str(path))
+    assert_eval_refuses(path, capsys)

@@ -1,4 +1,6 @@
 import io
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from zoqlab.numerics import (
     write_tensor,
 )
 
-from oracles import naive_matmul
+from oracles import naive_matmul, philox_normals_reference
 
 
 class TestMatmul:
@@ -96,6 +98,57 @@ class TestGaussianStreams:
     def test_zero_draws_rejected(self):
         with pytest.raises(DataError):
             gaussian(RngStream(0, 0), 0)
+
+
+class TestStreamsMatchFreshGenerator:
+    """normals_at re-keys one shared generator; each read must equal a fresh one."""
+
+    def test_random_sweep(self):
+        rng = np.random.default_rng(20250900031)
+        for _ in range(300):
+            seed = int(rng.integers(0, 2**63))
+            step, i = int(rng.integers(0, 2**31)), int(rng.integers(0, 4))
+            stream_id = step << 32 | i
+            position = int(rng.integers(0, 10**7))
+            n = int(rng.integers(1, 70_000)) if rng.random() < 0.05 else int(rng.integers(1, 40))
+            got = normals_at(seed, stream_id, position, n)
+            want = philox_normals_reference(seed, stream_id, position, n)
+            assert got.tobytes() == want.tobytes(), (seed, stream_id, position, n)
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3, 5, 65_535, 65_537, 2**40 + 3])
+    @pytest.mark.parametrize("n", [1, 3, 4, 7, 65_537])
+    def test_unaligned_positions_and_lengths(self, position, n):
+        stream_id = (7 << 32) | 2
+        got = normals_at(123, stream_id, position, n)
+        assert got.tobytes() == philox_normals_reference(123, stream_id, position, n).tobytes()
+
+    def test_interleaved_streams_do_not_disturb_each_other(self):
+        a = normals_at(5, 1, 10, 9)
+        normals_at(6, 2 << 32, 3, 5)
+        assert a.tobytes() == normals_at(5, 1, 10, 9).tobytes()
+
+    def test_threads_drawing_at_once_get_their_own_streams(self):
+        """More threads than cores share the one generator; no read sees another's key."""
+        want = {t: philox_normals_reference(9, t, 3, 5).tobytes() for t in range(6)}
+        bad = []
+
+        def worker(t):
+            for _ in range(300):
+                if normals_at(9, t, 3, 5).tobytes() != want[t]:
+                    bad.append(t)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in want]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == []
 
 
 class TestReduceStats:
