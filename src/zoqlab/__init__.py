@@ -30,7 +30,6 @@ from .numerics import (
     RngStream,
     Tensor,
     gaussian,
-    matmul,
     per_channel,
     per_group,
     per_tensor,

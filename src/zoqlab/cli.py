@@ -179,6 +179,7 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         t = d.get("train", {})
         seed = d.get("seed", 0)
+        zo = ZoConfig()  # defaults of the fields the dict leaves out
         return cls(
             model=ModelConfig(**d.get("model", {})),
             w_bits=d.get("quant", {}).get("w_bits"),
@@ -186,17 +187,17 @@ class RunConfig:
             group_size=d.get("quant", {}).get("group_size"),
             scheme=d.get("quant", {}).get("scheme", "asymmetric"),
             zo=ZoConfig(
-                epsilon=t.get("epsilon", 1e-3),
-                directions=t.get("directions", 1),
+                epsilon=t.get("epsilon", zo.epsilon),
+                directions=t.get("directions", zo.directions),
                 steps=t.get("steps", 2000),
                 seed=seed,
-                lr_weights=t.get("lr_weights", 1e-3),
-                lr_smoothing=t.get("lr_smoothing", 5e-6),
-                lr_clipping=t.get("lr_clipping", 1e-5),
-                lr_quant_affine=t.get("lr_quant_affine", 1e-5),
-                lr_schedule=t.get("lr_schedule", "linear_decay"),
-                batch_size=t.get("batch_size", 4),
-                train_quant_affine=t.get("train_quant_affine", True),
+                lr_weights=t.get("lr_weights", zo.lr_weights),
+                lr_smoothing=t.get("lr_smoothing", zo.lr_smoothing),
+                lr_clipping=t.get("lr_clipping", zo.lr_clipping),
+                lr_quant_affine=t.get("lr_quant_affine", zo.lr_quant_affine),
+                lr_schedule=t.get("lr_schedule", zo.lr_schedule),
+                batch_size=t.get("batch_size", zo.batch_size),
+                train_quant_affine=t.get("train_quant_affine", zo.train_quant_affine),
             ),
             eval_interval=t.get("eval_interval", 200),
             calib_epochs=d.get("calib", {}).get("epochs"),
@@ -505,6 +506,14 @@ def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = No
     train, eval_set = _prepare_data(cfg)
     if resume is not None:
         cfg_loaded, model, start_step = load_checkpoint(resume)
+        if cfg_loaded.zo.lr_schedule != "constant" and cfg.zo.steps != cfg_loaded.zo.steps:
+            # the first part decayed over the old horizon, so no straight run
+            # of the new length passes through the checkpoint
+            raise UsageError(
+                f"--resume with --steps {cfg.zo.steps} would move the {cfg_loaded.zo.lr_schedule} "
+                f"schedule's horizon from {cfg_loaded.zo.steps} steps; only a run trained "
+                "with lr_schedule = constant can be resumed to a new step count"
+            )
         cfg = replace(
             cfg_loaded,
             zo=replace(cfg_loaded.zo, steps=cfg.zo.steps),

@@ -44,26 +44,6 @@ _TENSOR_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# Matrix product
-# ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors.
-
-    Delegates to numpy's GEMM, which is run-to-run deterministic on a fixed
-    platform; the test suite pins its output against a naive triple-loop
-    oracle.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
-# ---------------------------------------------------------------------------
 # Counter-based Gaussian streams
 # ---------------------------------------------------------------------------
 

@@ -121,7 +121,7 @@ def init_range(x: Tensor, spec: QuantSpec) -> QuantState:
     return QuantState(step=step, zero_point=zero, clip_lo=clip_lo, clip_hi=clip_hi)
 
 
-def _clamp_bounds(spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor]:
+def clamp_bounds(spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor]:
     """Integer clamp bounds per group; clipping applies to weights only."""
     n = state.n_groups
     if spec.role == "activation":
@@ -158,7 +158,7 @@ def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, 
     g = to_groups(x, spec.granularity)
     step = state.step[:, None]
     zero = np.rint(state.zero_point)[:, None]
-    lo, hi = _clamp_bounds(spec, state)
+    lo, hi = clamp_bounds(spec, state)
     frac = g / step
     index = np.rint(frac)
     # |x/step - rint(x/step)| is exact in float and at most 0.5, so a half

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's vectorized code paths: matmul is a
 triple loop, quantization enumerates every integer code and measures its
-distance exactly, and the reference transformer walks positions and heads
-one at a time.
+distance exactly, the reference transformer walks positions and heads one at
+a time, and the calibration gradient takes a full layer evaluation per probe.
 """
 
 import math
@@ -12,6 +12,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
+
+from zoqlab.calibration import _FD_H, _apply_block
 
 
 def naive_matmul(a, b):
@@ -159,3 +161,24 @@ def philox_normals_reference(seed, stream_id, position, n):
     raw = Generator(bg).integers(0, 2**64, size=offset + n, dtype=np.uint64, endpoint=False)
     u = ((raw[offset:] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u)
+
+
+def coordinate_fd_gradient(obj, state, smoothing, block, base):
+    """Central differences of a calibration block, one full evaluation per probe.
+
+    Each +h and -h probe writes the whole block vector into the live
+    objective and evaluates the layer in full; calibration._fd_gradient
+    scores the same probes in one batch. Leaves base applied.
+    """
+    grad = np.zeros_like(base)
+    for j in range(base.shape[0]):
+        probe = base.copy()
+        probe[j] = base[j] + _FD_H
+        _apply_block(obj, smoothing, state, block, probe)
+        up = obj.eval(state)
+        probe[j] = base[j] - _FD_H
+        _apply_block(obj, smoothing, state, block, probe)
+        down = obj.eval(state)
+        grad[j] = (up - down) / (2 * _FD_H)
+    _apply_block(obj, smoothing, state, block, base)
+    return grad

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from zoqlab import cli
+from zoqlab.zo import ZoConfig
 
 TINY_INI = """\
 [model]
@@ -51,6 +52,28 @@ def test_resumed_train_equals_uninterrupted_run(tiny_config, tmp_path):
     assert step == 4
     for (name, a), (_, b) in zip(cli._model_entries(straight), cli._model_entries(resumed)):
         assert a.tobytes() == b.tobytes(), name
+
+
+def test_resume_to_a_new_horizon_under_linear_decay_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "decay.ini"
+    config.write_text(TINY_INI.replace("lr_schedule = constant", "lr_schedule = linear_decay"))
+    assert train(str(config), tmp_path / "first", "--steps", "2") == cli.EXIT_OK
+    first = str(tmp_path / "first" / "ckpt" / "final.ckpt")
+    capsys.readouterr()
+    resume = ["--steps", "4", "--resume", first]
+    assert train(str(config), tmp_path / "resumed", *resume) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "lr_schedule = constant" in err and "Traceback" not in err
+    assert not (tmp_path / "resumed" / "ckpt").exists()
+
+
+def test_lr_weights_defaults_to_the_zo_config_default(tmp_path):
+    assert ZoConfig().lr_weights == 1e-5
+    assert cli.RunConfig.from_dict({}).zo.lr_weights == ZoConfig().lr_weights
+    config = tmp_path / "no_lr.ini"
+    config.write_text(TINY_INI.replace("lr_weights = 1e-5\n", ""))
+    assert "lr_weights" not in config.read_text()
+    assert cli.load_config_file(str(config)).zo.lr_weights == ZoConfig().lr_weights
 
 
 @pytest.mark.parametrize(
