@@ -168,7 +168,11 @@ class ModelGraph:
         h = self.config.n_heads
         dh = d // h
 
-        x = self.embed[tokens] + self.pos[:t]
+        # Elementwise work runs in place on arrays this call allocated (the
+        # residual stream, the scores, the linears' outputs); model arrays,
+        # the tokens and captured activations are never written.
+        x = self.embed[tokens]
+        x += self.pos[:t]
         causal = np.triu(np.full((t, t), -np.inf), k=1)
         for bi, block in enumerate(self.blocks):
             a = _layer_norm(x, block.ln1_gain, block.ln1_bias)
@@ -179,13 +183,15 @@ class ModelGraph:
             q = q.reshape(bsz, t, h, dh).transpose(0, 2, 1, 3)
             k = k.reshape(bsz, t, h, dh).transpose(0, 2, 1, 3)
             v = v.reshape(bsz, t, h, dh).transpose(0, 2, 1, 3)
-            scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + causal
+            scores = q @ k.transpose(0, 1, 3, 2)
+            scores /= np.sqrt(dh)
+            scores += causal
             attn = _softmax(scores)
             ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(bsz * t, d)
-            x = x + self._linear(ctx, block, bi, "attn_o", mode, capture).reshape(bsz, t, d)
+            x += self._linear(ctx, block, bi, "attn_o", mode, capture).reshape(bsz, t, d)
             m = _layer_norm(x, block.ln2_gain, block.ln2_bias).reshape(bsz * t, d)
             u = _gelu(self._linear(m, block, bi, "mlp_up", mode, capture))
-            x = x + self._linear(u, block, bi, "mlp_down", mode, capture).reshape(bsz, t, d)
+            x += self._linear(u, block, bi, "mlp_down", mode, capture).reshape(bsz, t, d)
         x = _layer_norm(x, self.ln_f_gain, self.ln_f_bias)
         logits = x @ self.embed.T
         return logits[0] if squeeze else logits
@@ -266,7 +272,7 @@ class ModelGraph:
                 if att.weight_state is not None:
                     st = att.weight_state
                     np.maximum(st.step, _STEP_FLOOR, out=st.step)
-                    np.minimum(st.clip_lo, st.clip_hi - 1e-6, out=st.clip_lo)
+                    np.minimum(st.clip_lo, _below(st.clip_hi, 1e-6), out=st.clip_lo)
 
     def rederive_quant_states(self) -> None:
         """Re-derive step/zero from the current (smoothed) weights, keeping clipping."""
@@ -303,7 +309,9 @@ def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
     """
     att = lin.att
     if mode == "fp" or (att.bypassed and not att.pre_quantized):
-        return x2d @ lin.w + lin.b
+        out = x2d @ lin.w
+        out += lin.b
+        return out
     if mode != "qat":
         raise DataError(f"unknown forward mode {mode!r}")
     if att.smoothing is None:
@@ -316,7 +324,9 @@ def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
         xs = fake_quant(xs, att.act_spec, init_range(xs, att.act_spec))
     if att.weight_spec is not None and not att.pre_quantized:
         ws = fake_quant(ws, att.weight_spec, _applied_state(att.weight_state))
-    return xs @ ws + bs
+    out = xs @ ws
+    out += bs
+    return out
 
 
 def _applied_state(state: QuantState) -> QuantState:
@@ -330,8 +340,17 @@ def _applied_state(state: QuantState) -> QuantState:
         return state
     guarded = state.copy()
     np.maximum(guarded.step, _STEP_FLOOR, out=guarded.step)
-    np.minimum(guarded.clip_lo, guarded.clip_hi - 1e-9, out=guarded.clip_lo)
+    np.minimum(guarded.clip_lo, _below(guarded.clip_hi, 1e-9), out=guarded.clip_lo)
     return guarded
+
+
+def _below(hi: Tensor, gap: float) -> Tensor:
+    """hi - gap, or the next float below hi where gap is less than one ulp of hi.
+
+    An absolute gap vanishes above ~1e7 (1e8 - 1e-9 == 1e8); wherever it does
+    not, this is exactly hi - gap.
+    """
+    return np.minimum(hi - gap, np.nextafter(hi, -np.inf))
 
 
 def regrid_weight_state(w_s: Tensor, spec: QuantSpec, state: QuantState | None) -> QuantState:
@@ -362,25 +381,45 @@ def freeze_linear(lin: Linear) -> None:
 
 
 def _layer_norm(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + _LN_EPS) * gain + bias
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis; x is not written.
+
+    The variance is the mean of the squared centred values, the reductions
+    np.var makes, so the result equals the np.mean/np.var formula bit for bit.
+    """
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(xc).mean(axis=-1, keepdims=True)
+    var += _LN_EPS
+    xc /= np.sqrt(var)
+    xc *= gain
+    xc += bias
+    return xc
 
 
 def _softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in x and returned."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    """Exact GELU 0.5 * x * (1 + erf(x / sqrt 2)), computed in x and returned."""
+    t = x / np.sqrt(2.0)
+    erf(t, out=t)
+    t += 1.0
+    x *= 0.5
+    x *= t
+    return x
 
 
 def cross_entropy(logits: Tensor, targets) -> float:
     """Mean cross-entropy in nats; logits (..., V), integer targets (...)."""
     targets = np.asarray(targets)
     m = logits.max(axis=-1, keepdims=True)
-    lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=-1))
+    e = logits - m
+    np.exp(e, out=e)
+    lse = m[..., 0] + np.log(e.sum(axis=-1))
     picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
     return float(np.mean(lse - picked))
 

@@ -59,8 +59,10 @@ def _applied_scale(p: SmoothingParams) -> Tensor:
 
 
 def smooth_activation(x: Tensor, p: SmoothingParams) -> Tensor:
-    """Activation side of the factorization: (x - shift) / scale."""
-    return (np.asarray(x, dtype=np.float64) - p.shift) / _applied_scale(p)
+    """Activation side of the factorization: (x - shift) / scale; x is not written."""
+    xs = np.asarray(x, dtype=np.float64) - p.shift
+    xs /= _applied_scale(p)
+    return xs
 
 
 def smooth_weight(w: Tensor, p: SmoothingParams) -> Tensor:

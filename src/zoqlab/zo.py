@@ -55,9 +55,11 @@ class ParamView:
     `chunk_size` elements from its own start; a chunk is a run of consecutive
     pieces whose total stays within `chunk_size`, so it can span segments.
     The pieces, and the order in which update norms sum over them, are those
-    of a walk segment by segment. The view keeps the last chunk it drew, so
-    when the view fits in one chunk the +eps, -2eps, +eps passes and a q=1
-    update share one draw. Transient memory stays at a few chunks.
+    of a walk segment by segment. The view keeps the last chunk it drew, and
+    a pass whose last chunk is that one walks the chunks backwards, so each
+    pass starts where the previous one stopped: the +eps, -2eps, +eps passes
+    and a q=1 update draw 4n - 3 chunks of an n-chunk view, so one draw when
+    the view fits in one chunk. Transient memory stays at a few chunks.
     """
 
     def __init__(self, entries):
@@ -87,7 +89,8 @@ class ParamView:
         self._drawn_key = None  # (seed, stream_id, lo, hi) of self._drawn
         self._drawn = None
 
-    def _chunks(self, chunk_size: int):
+    def _walk(self, chunk_size: int):
+        """The chunks in order, or backwards when the last one is the chunk drawn last."""
         plan = self._plans.get(chunk_size)
         if plan is None:
             plan, pieces, lo = [], [], 0
@@ -101,6 +104,8 @@ class ParamView:
             if pieces:
                 plan.append((lo, self.size, pieces))
             self._plans[chunk_size] = plan
+        if len(plan) > 1 and self._drawn_key is not None and self._drawn_key[2:] == plan[-1][:2]:
+            return plan[::-1]
         return plan
 
     def _direction(self, seed: int, stream_id: int, lo: int, hi: int) -> np.ndarray:
@@ -113,7 +118,7 @@ class ParamView:
 
     def add_direction(self, seed: int, stream_id: int, scale: float, chunk_size: int) -> None:
         """In place: params += scale * u, u regenerated chunk-wise from the stream."""
-        for lo, hi, pieces in self._chunks(chunk_size):
+        for lo, hi, pieces in self._walk(chunk_size):
             u = self._direction(seed, stream_id, lo, hi)
             for _, live, sl in pieces:
                 live += scale * u[sl]
@@ -121,13 +126,19 @@ class ParamView:
     def apply_directions(
         self, seed: int, stream_ids, coefficients, lr_by_label, chunk_size: int
     ) -> dict[str, float]:
-        """In place: params -= sum_i lr * c_i * u_i; returns per-group update norms."""
+        """In place: params -= sum_i lr * c_i * u_i; returns per-group update norms.
+
+        The chunks may be walked backwards, but each group's squared norm
+        sums its pieces in forward order, so the norms do not depend on the
+        walk.
+        """
         terms = [(sid, c) for sid, c in zip(stream_ids, coefficients) if c != 0.0]
-        sq = {g.label: 0.0 for g in self.groups}
-        for lo, hi, pieces in self._chunks(chunk_size):
+        piece_sq = {}  # chunk start -> (label, squared norm) of each of its pieces
+        for lo, hi, pieces in self._walk(chunk_size):
             delta = np.zeros(hi - lo)
             for sid, c in terms:
                 delta += c * self._direction(seed, sid, lo, hi)
+            chunk_sq = []
             for label, live, sl in pieces:
                 lr = lr_by_label[label]
                 if lr == 0.0 and not terms:
@@ -135,7 +146,12 @@ class ParamView:
                 piece = delta[sl]
                 piece *= -lr
                 live += piece
-                sq[label] += float(piece @ piece)
+                chunk_sq.append((label, float(piece @ piece)))
+            piece_sq[lo] = chunk_sq
+        sq = {g.label: 0.0 for g in self.groups}
+        for lo in sorted(piece_sq):
+            for label, v in piece_sq[lo]:
+                sq[label] += v
         return {label: float(np.sqrt(v)) for label, v in sq.items()}
 
 

@@ -3,7 +3,9 @@
 These deliberately avoid the library's vectorized code paths: matmul is a
 triple loop, quantization enumerates every integer code and measures its
 distance exactly, the reference transformer walks positions and heads one at
-a time, and the calibration gradient takes a full layer evaluation per probe.
+a time, the calibration gradient takes a full layer evaluation per probe, and
+the forward's elementwise helpers are written out of place, one new array per
+operation.
 """
 
 import math
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
+from scipy.special import erf, ndtri
 
 from zoqlab.calibration import _FD_H, _apply_block
 
@@ -145,6 +147,33 @@ def hand_cross_entropy(logits, targets):
         total += math.log(z) - row[tgt]
         count += 1
     return total / count
+
+
+def out_of_place_layer_norm(x, gain, bias, eps=1e-5):
+    """Layer norm as one expression over np.mean and np.var, each op a new array."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * gain + bias
+
+
+def out_of_place_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def out_of_place_gelu(x):
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def out_of_place_smooth_activation(x, scale, shift, floor):
+    return (np.asarray(x, dtype=np.float64) - shift) / np.maximum(scale, floor)
+
+
+def out_of_place_cross_entropy(logits, targets):
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=-1))
+    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
+    return float(np.mean(lse - picked))
 
 
 def philox_normals_reference(seed, stream_id, position, n):

@@ -1,23 +1,39 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import zoqlab.model
 from zoqlab.calibration import calibrate_model, capture_activations
-from zoqlab.diagnostics import layer_reconstruction_loss
+from zoqlab.cli import _model_entries
+from zoqlab.diagnostics import layer_reconstruction_loss, transient_forward_bytes
 from zoqlab.model import (
     LIGHTWEIGHT_TRAINABLE,
     ModelConfig,
     QuantPlan,
+    _applied_state,
+    _below,
+    _gelu,
+    _layer_norm,
+    _softmax,
     build_model,
     cross_entropy,
     linear_forward,
     set_lightweight,
 )
-from zoqlab.smoothing import SCALE_FLOOR
+from zoqlab.smoothing import SCALE_FLOOR, SmoothingParams, smooth_activation
 from zoqlab.zo import ZoConfig, zo_step
 
-from oracles import hand_cross_entropy, reference_transformer_logits
+from oracles import (
+    hand_cross_entropy,
+    out_of_place_cross_entropy,
+    out_of_place_gelu,
+    out_of_place_layer_norm,
+    out_of_place_smooth_activation,
+    out_of_place_softmax,
+    reference_transformer_logits,
+)
 
 TINY = ModelConfig(vocab_size=128, d_model=16, n_layers=1, n_heads=2, context=16)
 
@@ -100,3 +116,142 @@ class TestSmoothingScaleFloor:
         below = lin.att.smoothing.scale.copy()
         assert np.array_equal(linear_forward(x, lin, "qat"), at_floor)
         assert np.array_equal(lin.att.smoothing.scale, below)
+
+
+def helper_inputs():
+    """Named float arrays the forward's helpers must treat exactly as the oracles do.
+
+    Random scores under the causal mask (rows with -inf entries), values of
+    magnitude up to 1e8, values offset by 1e6, exact zeros, and the logits
+    of a W4A4 qat forward.
+    """
+    rng = np.random.default_rng(6)
+    t = 16
+    causal = np.triu(np.full((t, t), -np.inf), k=1)
+    model = build_model(TINY, PLANS["W4A4"], seed=3)
+    return {
+        "masked scores": rng.normal(scale=4.0, size=(3, 2, t, t)) + causal,
+        "large": rng.normal(size=(5, 40)) * np.logspace(-3, 8, 40),
+        "offset": 1e6 + rng.normal(size=(6, 33)),
+        "with zeros": np.where(rng.random((7, 12)) < 0.3, 0.0, rng.normal(size=(7, 12))),
+        "qat logits": model.forward(tokens(3, seed=7), mode="qat"),
+    }
+
+
+INPUTS = helper_inputs()
+
+
+def finite(x):
+    """x with the causal mask's -inf entries set to 0, for helpers that never see them."""
+    return np.where(np.isfinite(x), x, 0.0)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+class TestInPlaceHelpersMatchOutOfPlace:
+    """The forward's in-place helpers equal their out-of-place formulas byte for byte."""
+
+    def test_softmax(self, name):
+        x = INPUTS[name]
+        assert _softmax(x.copy()).tobytes() == out_of_place_softmax(x).tobytes()
+
+    def test_gelu(self, name):
+        x = finite(INPUTS[name])
+        assert _gelu(x.copy()).tobytes() == out_of_place_gelu(x).tobytes()
+
+    def test_layer_norm(self, name):
+        x = finite(INPUTS[name])
+        rng = np.random.default_rng(8)
+        gain, bias = rng.normal(size=x.shape[-1]), rng.normal(size=x.shape[-1])
+        before = x.copy()
+        got = _layer_norm(x, gain, bias)
+        assert got.tobytes() == out_of_place_layer_norm(x, gain, bias).tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    def test_smooth_activation(self, name):
+        x = finite(INPUTS[name]).reshape(-1, INPUTS[name].shape[-1])
+        rng = np.random.default_rng(9)
+        p = SmoothingParams(rng.uniform(-0.5, 3.0, size=x.shape[1]), rng.normal(size=x.shape[1]))
+        before = x.copy()
+        want = out_of_place_smooth_activation(x, p.scale, p.shift, SCALE_FLOOR)
+        assert smooth_activation(x, p).tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    def test_cross_entropy(self, name):
+        x = INPUTS[name]
+        targets = np.random.default_rng(10).integers(0, x.shape[-1], size=x.shape[:-1])
+        assert cross_entropy(x, targets) == out_of_place_cross_entropy(x, targets)
+
+
+@pytest.mark.parametrize("mode", ["qat", "fp"])
+@pytest.mark.parametrize("lightweight", [False, True], ids=["full", "lightweight"])
+def test_forward_writes_no_array_it_does_not_own(monkeypatch, mode, lightweight):
+    """Model arrays, the tokens and earlier captures stay as they were.
+
+    Every captured activation also equals the input its linear saw.
+    """
+    model = build_model(TINY, PLANS["W4A4"], seed=4)
+    if lightweight:
+        set_lightweight(model)
+    seqs = tokens(2, seed=11)
+    arrays_before = [(name, arr.copy()) for name, arr in _model_entries(model)]
+    tokens_before = seqs.copy()
+    capture = {}
+    model.forward(seqs, mode=mode, capture=capture)
+    captures_before = {key: [c.copy() for c in caps] for key, caps in capture.items()}
+    layer_of = {id(lin): layer_id for layer_id, lin in model.iter_attachments()}
+    seen = {}
+
+    def recording(x2d, lin, mode):
+        seen[layer_of[id(lin)]] = x2d.copy()
+        return linear_forward(x2d, lin, mode)
+
+    monkeypatch.setattr(zoqlab.model, "linear_forward", recording)
+    model.forward(seqs, mode=mode, capture=capture)
+    for (name, before), (_, after) in zip(arrays_before, _model_entries(model)):
+        assert after.tobytes() == before.tobytes(), name
+    assert seqs.tobytes() == tokens_before.tobytes()
+    assert capture.keys() == seen.keys() == dict(model.iter_attachments()).keys()
+    for key, (first, second) in capture.items():
+        assert first.tobytes() == captures_before[key][0].tobytes(), key
+        assert second.tobytes() == seen[key].tobytes(), key
+
+
+class TestClipBoundsAtLargeMagnitude:
+    """Clip bounds stay strictly apart where an absolute gap is below one ulp."""
+
+    def test_applied_state_separates_equal_bounds(self):
+        model = build_model(TINY, PLANS["W4A4"], seed=0)
+        lin = model.blocks[0].linears["attn_q"]
+        lin.att.weight_state.clip_lo[:] = 1e8
+        lin.att.weight_state.clip_hi[:] = 1e8
+        _applied_state(lin.att.weight_state).validate()
+        x = np.random.default_rng(12).normal(size=(8, TINY.d_model))
+        assert np.all(np.isfinite(linear_forward(x, lin, "qat")))
+
+    def test_clamp_parameters_separates_equal_bounds(self):
+        model = build_model(TINY, PLANS["W4A4"], seed=0)
+        state = model.blocks[0].linears["mlp_up"].att.weight_state
+        state.clip_lo[:] = 1e11
+        state.clip_hi[:] = 1e11
+        model.clamp_parameters()
+        state.validate()
+
+    def test_representable_gap_is_unchanged(self):
+        hi = np.array([-3.0, 0.0, 1.0, 1e6, 1e7])
+        for gap in (1e-9, 1e-6):
+            assert _below(hi, gap).tobytes() == (hi - gap).tobytes()
+        assert _below(np.array([1e8]), 1e-9)[0] == np.nextafter(1e8, 0.0)
+
+
+@pytest.mark.parametrize("plan", ["W4A4", "W3A16g8"])
+def test_forward_memory_model_is_a_lower_bound(plan):
+    model = build_model(TINY, PLANS[plan], seed=0)
+    seqs = tokens(4)
+    model.forward(seqs, mode="qat")
+    tracemalloc.start()
+    try:
+        model.forward(seqs, mode="qat")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak >= transient_forward_bytes(TINY, len(seqs))

@@ -74,7 +74,7 @@ def assert_same(view_arrays, dense_arrays):
 class TestWholeViewEquivalence:
     """Chunked regeneration equals drawing each direction over the whole view at once."""
 
-    @pytest.mark.parametrize("chunk_size", [1, 3, 1000, VIEW_SIZE, 10, 36])
+    @pytest.mark.parametrize("chunk_size", [1, 3, 1000, VIEW_SIZE, 10, 36, 40])
     @pytest.mark.parametrize("q", [1, 3])
     def test_step_matches_dense_reference(self, chunk_size, q):
         mine, ref = entries(), entries()
@@ -105,6 +105,22 @@ class TestWholeViewEquivalence:
         (d,) = zo_gradient_scale(lambda: 0.5, view, cfg, step=3)
         view.apply_directions(SEED, [d.stream_id], [0.25], LRS, cfg.chunk_size)
         assert calls == [(SEED, d.stream_id, 0, VIEW_SIZE)]
+
+    def test_two_chunk_view_reuses_the_chunk_drawn_last(self, monkeypatch):
+        """Passes alternate direction, so each starts on the chunk the last one ended on."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return normals_at(*args)
+
+        monkeypatch.setattr(zoqlab.zo, "normals_at", counting)
+        view = ParamView(entries())
+        cfg = ZoConfig(directions=1, seed=SEED, chunk_size=40)
+        (d,) = zo_gradient_scale(lambda: 0.5, view, cfg, step=3)
+        view.apply_directions(SEED, [d.stream_id], [0.25], LRS, cfg.chunk_size)
+        # chunks (0, 35) and (35, 74): forward, backward, forward, backward
+        assert [(pos, n) for _, _, pos, n in calls] == [(0, 35), (35, 39), (0, 35), (35, 39), (0, 35)]
 
     def test_chunks_pack_pieces_across_segments(self, monkeypatch):
         calls = []
