@@ -16,7 +16,9 @@ import os
 import re
 import struct
 import sys
+import typing
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from importlib import resources
 
 import numpy as np
@@ -96,6 +98,45 @@ def parse_quant_notation(text: str) -> tuple[int, int, int | None]:
 # Run configuration
 # ---------------------------------------------------------------------------
 
+# INI section -> key -> dotted RunConfig attribute. This is the one statement
+# of the config file keys and of the manifest's config fields; the manifest
+# keeps [run] keys at its top level and leaves the output paths out, since
+# where a run writes is not part of the run.
+_SCHEMA = {
+    "model": {k: f"model.{k}" for k in ("vocab_size", "d_model", "n_layers", "n_heads", "context")},
+    "quant": {k: k for k in ("w_bits", "a_bits", "group_size", "scheme")},
+    "train": {
+        "eval_interval": "eval_interval",
+        **{
+            k: f"zo.{k}"
+            for k in ("steps", "batch_size", "epsilon", "directions", "lr_weights", "lr_smoothing",
+                      "lr_clipping", "lr_quant_affine", "lr_schedule", "train_quant_affine")
+        },
+    },
+    "calib": {"epochs": "calib_epochs", "samples": "calib_samples"},
+    "paths": {k: k for k in ("corpus", "checkpoint_dir", "metrics_dir")},
+    "run": {"seed": "seed"},
+}
+_OUTPUT_PATHS = ("checkpoint_dir", "metrics_dir")
+
+
+def _updated(obj, updates: dict):
+    """A copy of a config dataclass with dotted attributes ('zo.steps') set."""
+    flat, nested = {}, {}
+    for attr, value in updates.items():
+        head, _, rest = attr.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            flat[head] = value
+    flat.update({head: _updated(getattr(obj, head), sub) for head, sub in nested.items()})
+    return replace(obj, **flat)
+
+
+def _notation_updates(text: str) -> dict:
+    return dict(zip(("w_bits", "a_bits", "group_size"), parse_quant_notation(text)))
+
+
 @dataclass
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -110,13 +151,15 @@ class RunConfig:
     corpus: str = ""  # empty -> bundled corpus
     checkpoint_dir: str = "runs/checkpoints"
     metrics_dir: str = "runs/metrics"
-    seed: int = 0
+    seed: int = 0  # also the ZO direction seed: zo.seed follows it
 
     def __post_init__(self):
         if self.group_size is not None and self.model.d_model % self.group_size != 0:
             raise UsageError(
                 f"group size {self.group_size} does not divide d_model {self.model.d_model}"
             )
+        if self.zo.seed != self.seed:
+            self.zo = replace(self.zo, seed=self.seed)
 
     @property
     def mode(self) -> str | None:
@@ -139,135 +182,77 @@ class RunConfig:
         return 2 if self.mode == "weight_activation" else 4
 
     def to_dict(self) -> dict:
-        return {
-            "model": {
-                "vocab_size": self.model.vocab_size,
-                "d_model": self.model.d_model,
-                "n_layers": self.model.n_layers,
-                "n_heads": self.model.n_heads,
-                "context": self.model.context,
-            },
-            "quant": {
-                "w_bits": self.w_bits,
-                "a_bits": self.a_bits,
-                "group_size": self.group_size,
-                "scheme": self.scheme,
-            },
-            "train": {
-                "steps": self.zo.steps,
-                "batch_size": self.zo.batch_size,
-                "epsilon": self.zo.epsilon,
-                "directions": self.zo.directions,
-                "lr_weights": self.zo.lr_weights,
-                "lr_smoothing": self.zo.lr_smoothing,
-                "lr_clipping": self.zo.lr_clipping,
-                "lr_quant_affine": self.zo.lr_quant_affine,
-                "lr_schedule": self.zo.lr_schedule,
-                "train_quant_affine": self.zo.train_quant_affine,
-                "eval_interval": self.eval_interval,
-            },
-            "calib": {"epochs": self.calib_epochs, "samples": self.calib_samples},
-            "paths": {
-                "corpus": self.corpus,
-                "checkpoint_dir": self.checkpoint_dir,
-                "metrics_dir": self.metrics_dir,
-            },
-            "seed": self.seed,
-        }
+        """The manifest's config: one dict per section, [run] keys at the top level."""
+        d: dict = {}
+        for section, keys in _SCHEMA.items():
+            for key, attr in keys.items():
+                if attr not in _OUTPUT_PATHS:
+                    slot = d if section == "run" else d.setdefault(section, {})
+                    slot[key] = reduce(getattr, attr.split("."), self)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        t = d.get("train", {})
-        seed = d.get("seed", 0)
-        zo = ZoConfig()  # defaults of the fields the dict leaves out
-        return cls(
-            model=ModelConfig(**d.get("model", {})),
-            w_bits=d.get("quant", {}).get("w_bits"),
-            a_bits=d.get("quant", {}).get("a_bits"),
-            group_size=d.get("quant", {}).get("group_size"),
-            scheme=d.get("quant", {}).get("scheme", "asymmetric"),
-            zo=ZoConfig(
-                epsilon=t.get("epsilon", zo.epsilon),
-                directions=t.get("directions", zo.directions),
-                steps=t.get("steps", 2000),
-                seed=seed,
-                lr_weights=t.get("lr_weights", zo.lr_weights),
-                lr_smoothing=t.get("lr_smoothing", zo.lr_smoothing),
-                lr_clipping=t.get("lr_clipping", zo.lr_clipping),
-                lr_quant_affine=t.get("lr_quant_affine", zo.lr_quant_affine),
-                lr_schedule=t.get("lr_schedule", zo.lr_schedule),
-                batch_size=t.get("batch_size", zo.batch_size),
-                train_quant_affine=t.get("train_quant_affine", zo.train_quant_affine),
-            ),
-            eval_interval=t.get("eval_interval", 200),
-            calib_epochs=d.get("calib", {}).get("epochs"),
-            calib_samples=d.get("calib", {}).get("samples", 8),
-            corpus=d.get("paths", {}).get("corpus", ""),
-            checkpoint_dir=d.get("paths", {}).get("checkpoint_dir", "runs/checkpoints"),
-            metrics_dir=d.get("paths", {}).get("metrics_dir", "runs/metrics"),
-            seed=seed,
-        )
+        """Inverse of to_dict; a field the dict leaves out keeps its default.
+
+        A field the schema lacks raises KeyError. Output paths, which older
+        manifests hold, are ignored.
+        """
+        updates = {}
+        for section, keys in d.items():
+            if not isinstance(keys, dict):
+                section, keys = "run", {section: keys}
+            for key, value in keys.items():
+                attr = _SCHEMA[section][key]
+                if attr not in _OUTPUT_PATHS:
+                    updates[attr] = value
+        return _updated(cls(), updates)
+
+
+def _cast(attr: str, text: str):
+    """A config file value as the type its dataclass field declares."""
+    owner = RunConfig
+    *heads, name = attr.split(".")
+    for head in heads:
+        owner = typing.get_type_hints(owner)[head]
+    hint = typing.get_type_hints(owner)[name]
+    (kind,) = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
+    if kind is bool:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    return kind(text)
 
 
 def load_config_file(path: str) -> RunConfig:
-    """Flat key = value sections: [model] [quant] [train] [calib] [paths] [run]."""
+    """Flat key = value sections: [model] [quant] [train] [calib] [paths] [run].
+
+    The keys are those of _SCHEMA, plus [quant] notation = W4A4 / W2A16g128,
+    which the other [quant] keys override. An unknown section or key, or a
+    value that does not parse, is a usage error.
+    """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as e:
+        raise UsageError(f"{path}: {e}") from None
     if not read:
         raise DataError(f"cannot read config file {path}")
-
-    def section(name):
-        return parser[name] if parser.has_section(name) else {}
-
-    d: dict = {"model": {}, "quant": {}, "train": {}, "calib": {}, "paths": {}}
-    for key, cast in (
-        ("vocab_size", int),
-        ("d_model", int),
-        ("n_layers", int),
-        ("n_heads", int),
-        ("context", int),
-    ):
-        if key in section("model"):
-            d["model"][key] = cast(section("model")[key])
-    quant = section("quant")
-    if "notation" in quant:
-        w, a, g = parse_quant_notation(quant["notation"])
-        d["quant"].update({"w_bits": w, "a_bits": a, "group_size": g})
-    for key, cast in (("w_bits", int), ("a_bits", int), ("group_size", int), ("scheme", str)):
-        if key in quant:
-            d["quant"][key] = cast(quant[key])
-    train = section("train")
-    for key, cast in (
-        ("steps", int),
-        ("batch_size", int),
-        ("directions", int),
-        ("eval_interval", int),
-        ("epsilon", float),
-        ("lr_weights", float),
-        ("lr_smoothing", float),
-        ("lr_clipping", float),
-        ("lr_quant_affine", float),
-        ("lr_schedule", str),
-    ):
-        if key in train:
-            d["train"][key] = cast(train[key])
-    if "train_quant_affine" in train:
-        d["train"]["train_quant_affine"] = train.getboolean("train_quant_affine")
-    calib = section("calib")
-    if "epochs" in calib:
-        d["calib"]["epochs"] = int(calib["epochs"])
-    if "samples" in calib:
-        d["calib"]["samples"] = int(calib["samples"])
-    paths = section("paths")
-    for key in ("corpus", "checkpoint_dir", "metrics_dir"):
-        if key in paths:
-            d["paths"][key] = paths[key]
-    if parser.has_section("run") and "seed" in parser["run"]:
-        d["seed"] = int(parser["run"]["seed"])
-    if d["quant"].get("w_bits") is None and "w_bits" not in d["quant"]:
-        d["quant"]["w_bits"] = 4
-        d["quant"]["a_bits"] = 4
-    return RunConfig.from_dict(d)
+    updates = {}
+    if parser.has_option("quant", "notation"):
+        updates.update(_notation_updates(parser["quant"]["notation"]))
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise UsageError(f"{path}: unknown config section [{section}]")
+        for key, text in parser.items(section):
+            if section == "quant" and key == "notation":
+                continue
+            attr = _SCHEMA[section].get(key)
+            if attr is None:
+                raise UsageError(f"{path}: unknown config key {key!r} in section [{section}]")
+            try:
+                updates[attr] = _cast(attr, text)
+            except (KeyError, ValueError):
+                raise UsageError(f"{path}: bad value {text!r} for [{section}] {key}") from None
+    return _updated(RunConfig(), updates)
 
 
 # ---------------------------------------------------------------------------
@@ -317,31 +302,36 @@ def sample_batch(train, batch_size: int, seed: int, step: int):
 # ---------------------------------------------------------------------------
 
 def _model_entries(model: ModelGraph):
-    """(name, array) pairs in a fixed order; the manifest records the names."""
-    yield "embed", model.embed
-    yield "pos", model.pos
+    """(name, owner, attribute) of every tensor, in a fixed order.
+
+    This is the one statement of the checkpoint's tensor layout: saving reads
+    getattr(owner, attribute), loading assigns it, and the manifest records
+    the names.
+    """
+    yield "embed", model, "embed"
+    yield "pos", model, "pos"
     for bi, block in enumerate(model.blocks):
         for part in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
-            yield f"block{bi}.{part}", getattr(block, part)
+            yield f"block{bi}.{part}", block, part
         for name in LINEAR_NAMES:
             lin = block.linears[name]
             base = f"block{bi}.{name}"
-            yield f"{base}.w", lin.w
-            yield f"{base}.b", lin.b
+            yield f"{base}.w", lin, "w"
+            yield f"{base}.b", lin, "b"
             att = lin.att
             if att.smoothing is not None:
-                yield f"{base}.smoothing.scale", att.smoothing.scale
-                yield f"{base}.smoothing.shift", att.smoothing.shift
+                for part in ("scale", "shift"):
+                    yield f"{base}.smoothing.{part}", att.smoothing, part
             if att.weight_state is not None:
                 for part in ("step", "zero_point", "clip_lo", "clip_hi"):
-                    yield f"{base}.state.{part}", getattr(att.weight_state, part)
-    yield "ln_f_gain", model.ln_f_gain
-    yield "ln_f_bias", model.ln_f_bias
+                    yield f"{base}.state.{part}", att.weight_state, part
+    yield "ln_f_gain", model, "ln_f_gain"
+    yield "ln_f_bias", model, "ln_f_bias"
 
 
 def save_checkpoint(path: str, cfg: RunConfig, model: ModelGraph, step: int) -> None:
     """Atomic single-file checkpoint: manifest plus tensor containers."""
-    entries = list(_model_entries(model))
+    entries = [(name, getattr(owner, attr)) for name, owner, attr in _model_entries(model)]
     atts = {}
     for layer_id, lin in model.iter_attachments():
         atts[layer_id] = {
@@ -381,7 +371,8 @@ def load_checkpoint(path: str):
     """Returns (RunConfig, ModelGraph, step). Refuses version mismatches.
 
     A malformed file raises DataError: a truncated one, a manifest that does
-    not parse, and a manifest that names a tensor or field the file lacks.
+    not parse, and a manifest whose config fields, attachments and tensor
+    list do not match the file or one another.
     """
     try:
         with open(path, "rb") as f:
@@ -404,38 +395,29 @@ def load_checkpoint(path: str):
 
 
 def _restore_model(path: str, manifest: dict, tensors: dict):
+    """Rebuild the model, apply the attachment metadata, then assign the tensors."""
     cfg = RunConfig.from_dict(manifest["config"])
     model = build_model(cfg.model, cfg.quant_plan(), cfg.seed)
-    model.embed = tensors["embed"]
-    model.pos = tensors["pos"]
-    model.ln_f_gain = tensors["ln_f_gain"]
-    model.ln_f_bias = tensors["ln_f_bias"]
-    for bi, block in enumerate(model.blocks):
-        for part in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
-            setattr(block, part, tensors[f"block{bi}.{part}"])
-        for name in LINEAR_NAMES:
-            base = f"block{bi}.{name}"
-            lin = block.linears[name]
-            lin.w = tensors[f"{base}.w"]
-            lin.b = tensors[f"{base}.b"]
-            meta = manifest["attachments"][base]
-            att = lin.att
-            if not meta["quantized"]:
-                lin.att = LayerAttachment(trainable=meta["trainable"])
-                continue
-            if meta["has_smoothing"]:
-                scale = tensors[f"{base}.smoothing.scale"]
-                if not np.all(np.isfinite(scale) & (scale > 0)):
-                    raise DataError(f"{path}: {base} smoothing scale is not finite and positive")
-                att.smoothing.scale = scale
-                att.smoothing.shift = tensors[f"{base}.smoothing.shift"]
-            else:
-                att.smoothing = None
-            if meta["has_state"]:
-                for part in ("step", "zero_point", "clip_lo", "clip_hi"):
-                    setattr(att.weight_state, part, tensors[f"{base}.state.{part}"])
-            att.trainable = meta["trainable"]
-            att.pre_quantized = meta["pre_quantized"]
+    for layer_id, lin in model.iter_attachments():
+        meta = manifest["attachments"][layer_id]
+        if not meta["quantized"]:
+            lin.att = LayerAttachment(trainable=meta["trainable"])
+            continue
+        if not meta["has_smoothing"]:
+            lin.att.smoothing = None
+        if not meta["has_state"]:
+            lin.att.weight_state = None
+        lin.att.trainable = meta["trainable"]
+        lin.att.pre_quantized = meta["pre_quantized"]
+    slots = list(_model_entries(model))
+    if [name for name, _, _ in slots] != manifest["tensors"]:
+        raise ValueError("the tensor list does not match the config and attachments")
+    for name, owner, attr in slots:
+        setattr(owner, attr, tensors[name])
+    for layer_id, lin in model.iter_attachments():
+        sm = lin.att.smoothing
+        if sm is not None and not np.all(np.isfinite(sm.scale) & (sm.scale > 0)):
+            raise DataError(f"{path}: {layer_id} smoothing scale is not finite and positive")
     model.lightweight = manifest.get("lightweight", False)
     return cfg, model, manifest["step"]
 
@@ -450,6 +432,11 @@ def _write_csv(path, header, rows):
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_calibration_csv(metrics_dir: str, calib_rows) -> None:
+    rows = [(r["layer_id"], *(repr(r[k]) for k in CALIB_HEADER[1:])) for r in calib_rows]
+    _write_csv(os.path.join(metrics_dir, "calibration.csv"), CALIB_HEADER, rows)
 
 
 def _train_row(report):
@@ -527,14 +514,7 @@ def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = No
         model, captures, calib_rows = _initialize(cfg, train, lightweight)
         start_step = 0
     if calib_rows:
-        _write_csv(
-            os.path.join(cfg.metrics_dir, "calibration.csv"),
-            CALIB_HEADER,
-            [
-                (r["layer_id"], repr(r["loss_before"]), repr(r["loss_after"]), repr(r["delta_loss"]))
-                for r in calib_rows
-            ],
-        )
+        _write_calibration_csv(cfg.metrics_dir, calib_rows)
     probe = dict(list(captures.captures.items())[:4]) if captures is not None else None
     eval_batch = _eval_batch(eval_set)
     records = [diagnostics.track(model, eval_batch, probe, step=start_step, cfg=cfg.zo)]
@@ -569,16 +549,19 @@ def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = No
     return EXIT_OK
 
 
-def cmd_eval(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> int:
+def _load_for_eval(checkpoint: str, corpus: str | None, metrics_dir: str | None):
+    """Shared start of eval and diag: the checkpoint with the overrides, its
+    eval batch, and activations captured on up to 4 train sequences."""
     cfg, model, step = load_checkpoint(checkpoint)
-    if corpus:
-        cfg = replace(cfg, corpus=corpus)
-    if metrics_dir:
-        cfg = replace(cfg, metrics_dir=metrics_dir)
+    cfg = replace(cfg, corpus=corpus or cfg.corpus, metrics_dir=metrics_dir or cfg.metrics_dir)
     train, eval_set = _prepare_data(cfg)
-    eval_batch = _eval_batch(eval_set)
-    captures = capture_activations(model, train[: min(4, train.shape[0])])
-    probe = dict(list(captures.captures.items())[:4])
+    captures = capture_activations(model, train[:4])
+    return cfg, model, step, _eval_batch(eval_set), captures.captures
+
+
+def cmd_eval(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> int:
+    cfg, model, step, eval_batch, captures = _load_for_eval(checkpoint, corpus, metrics_dir)
+    probe = dict(list(captures.items())[:4])
     record = diagnostics.track(model, eval_batch, probe, step=step, cfg=cfg.zo)
     diagnostics.write_diagnostics_csv(
         os.path.join(cfg.metrics_dir, "eval_diagnostics.csv"), [record]
@@ -618,14 +601,7 @@ def cmd_quantize(cfg: RunConfig) -> int:
 def cmd_calibrate(cfg: RunConfig) -> int:
     train, eval_set = _prepare_data(cfg)
     model, captures, calib_rows = _initialize(cfg, train, lightweight=False)
-    _write_csv(
-        os.path.join(cfg.metrics_dir, "calibration.csv"),
-        CALIB_HEADER,
-        [
-            (r["layer_id"], repr(r["loss_before"]), repr(r["loss_after"]), repr(r["delta_loss"]))
-            for r in calib_rows
-        ],
-    )
+    _write_calibration_csv(cfg.metrics_dir, calib_rows)
     record = diagnostics.track(model, _eval_batch(eval_set), None, cfg=cfg.zo)
     ckpt = os.path.join(cfg.checkpoint_dir, "calibrated.ckpt")
     save_checkpoint(ckpt, cfg, model, 0)
@@ -640,16 +616,8 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
 
 def cmd_diag(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> int:
-    cfg, model, step = load_checkpoint(checkpoint)
-    if corpus:
-        cfg = replace(cfg, corpus=corpus)
-    if metrics_dir:
-        cfg = replace(cfg, metrics_dir=metrics_dir)
-    train, eval_set = _prepare_data(cfg)
-    captures = capture_activations(model, train[: min(4, train.shape[0])])
-    record = diagnostics.track(
-        model, _eval_batch(eval_set), captures.captures, step=step, cfg=cfg.zo
-    )
+    cfg, model, step, eval_batch, captures = _load_for_eval(checkpoint, corpus, metrics_dir)
+    record = diagnostics.track(model, eval_batch, captures, step=step, cfg=cfg.zo)
     diagnostics.write_diagnostics_csv(
         os.path.join(cfg.metrics_dir, "diagnostics.csv"), [record]
     )
@@ -696,7 +664,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the estimator theory suite")
     p_verify.add_argument("--quick", action="store_true", help="reduced sample sizes")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--metrics-dir", default="runs/metrics")
+    p_verify.add_argument("--metrics-dir", default=RunConfig.metrics_dir)
 
     p_quant = sub.add_parser("quantize", help="round-to-nearest baseline checkpoint")
     _add_config_flags(p_quant)
@@ -713,23 +681,13 @@ def build_parser() -> _Parser:
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_config_file(args.config) if args.config else RunConfig()
-    updates = {}
-    if args.quant:
-        w, a, g = parse_quant_notation(args.quant)
-        updates.update(w_bits=w, a_bits=a, group_size=g)
-    if args.corpus:
-        updates["corpus"] = args.corpus
-    if getattr(args, "checkpoint_dir", None):
-        updates["checkpoint_dir"] = args.checkpoint_dir
-    if getattr(args, "metrics_dir", None):
-        updates["metrics_dir"] = args.metrics_dir
-    if args.seed is not None:
-        updates["seed"] = args.seed
-        updates["zo"] = replace(cfg.zo, seed=args.seed)
-    cfg = replace(cfg, **updates) if updates else cfg
+    updates = _notation_updates(args.quant) if args.quant else {}
+    for attr in ("corpus", "checkpoint_dir", "metrics_dir", "seed"):
+        if getattr(args, attr) is not None:
+            updates[attr] = getattr(args, attr)
     if args.steps is not None:
-        cfg = replace(cfg, zo=replace(cfg.zo, steps=args.steps))
-    return cfg
+        updates["zo.steps"] = args.steps
+    return _updated(cfg, updates)
 
 
 def main(argv=None) -> int:

@@ -26,7 +26,7 @@ from scipy import integrate
 from scipy.special import erfc
 
 from .errors import DataError
-from .numerics import normals_at
+from .numerics import normals_at  # noqa: F401  kept bound: perfbench/tracer.py patches it
 from .zo import ParamView, ZoConfig, zo_gradient_scale
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -158,36 +158,6 @@ def oracle_grad_smoothed(
     return OracleEstimate(grad=mean, se=np.sqrt(var / samples), samples=samples)
 
 
-def zo_estimator_mean(
-    obj: SmoothedObjective, w, estimates: int, seed: int = 0, epsilon: float | None = None
-) -> OracleEstimate:
-    """Mean of `estimates` single-direction two-point estimates from the zo module.
-
-    Routes every evaluation through zo_gradient_scale on a live parameter
-    view, materializing each estimate by regenerating its direction stream.
-    """
-    theta = np.asarray(w, dtype=np.float64).copy()
-    view = ParamView([("weights", theta)])
-    cfg = ZoConfig(
-        epsilon=epsilon if epsilon is not None else obj.epsilon,
-        directions=1,
-        steps=max(estimates, 1),
-        seed=seed,
-        lr_weights=0.0,
-    )
-    d = obj.dim
-    s1 = np.zeros(d)
-    s2 = np.zeros(d)
-    for j in range(estimates):
-        (direction,) = zo_gradient_scale(lambda: obj.loss(theta), view, cfg, step=j)
-        est = direction.coefficient * normals_at(cfg.seed, direction.stream_id, 0, d)
-        s1 += est
-        s2 += est * est
-    mean = s1 / estimates
-    var = np.maximum(s2 / estimates - mean * mean, 0.0)
-    return OracleEstimate(grad=mean, se=np.sqrt(var / estimates), samples=estimates)
-
-
 def zo_formula_gap(obj: SmoothedObjective, w, estimates: int, seed: int = 0) -> float:
     """Max |zo coefficient - directly recomputed coefficient| over shared streams.
 
@@ -201,7 +171,7 @@ def zo_formula_gap(obj: SmoothedObjective, w, estimates: int, seed: int = 0) -> 
     gap = 0.0
     for j in range(estimates):
         (direction,) = zo_gradient_scale(lambda: obj.loss(theta), view, cfg, step=j)
-        u = normals_at(cfg.seed, direction.stream_id, 0, obj.dim)
+        u = view.direction(cfg.seed, direction.stream_id, cfg.chunk_size)
         direct = (obj.loss(w0 + obj.epsilon * u) - obj.loss(w0 - obj.epsilon * u)) / (
             2 * obj.epsilon
         )
@@ -246,7 +216,8 @@ def check_mse_bound(
         directions = zo_gradient_scale(lambda: obj.loss(theta), view, cfg, step=j)
         g = np.zeros(d)
         for direction in directions:
-            g += direction.coefficient * normals_at(cfg.seed, direction.stream_id, 0, d)
+            u = view.direction(cfg.seed, direction.stream_id, cfg.chunk_size)
+            g += direction.coefficient * u
         g /= q
         diff = g - ref.grad
         total += float(diff @ diff)

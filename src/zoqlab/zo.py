@@ -116,6 +116,13 @@ class ParamView:
             self._drawn_key = key
         return self._drawn
 
+    def direction(self, seed: int, stream_id: int, chunk_size: int) -> np.ndarray:
+        """A copy of the whole flat u of the stream; the chunk drawn last is not drawn again."""
+        u = np.empty(self.size)
+        for lo, hi, _ in self._walk(chunk_size):
+            u[lo:hi] = self._direction(seed, stream_id, lo, hi)
+        return u
+
     def add_direction(self, seed: int, stream_id: int, scale: float, chunk_size: int) -> None:
         """In place: params += scale * u, u regenerated chunk-wise from the stream."""
         for lo, hi, pieces in self._walk(chunk_size):

@@ -4,7 +4,9 @@ import struct
 
 import pytest
 
-from zoqlab import cli
+from zoqlab import cli, theory
+from zoqlab.errors import NumericError
+from zoqlab.model import ModelConfig
 from zoqlab.zo import ZoConfig
 
 TINY_INI = """\
@@ -50,8 +52,8 @@ def test_resumed_train_equals_uninterrupted_run(tiny_config, tmp_path):
     _, straight, _ = cli.load_checkpoint(str(tmp_path / "straight" / "ckpt" / "final.ckpt"))
     _, resumed, step = cli.load_checkpoint(str(tmp_path / "resumed" / "ckpt" / "final.ckpt"))
     assert step == 4
-    for (name, a), (_, b) in zip(cli._model_entries(straight), cli._model_entries(resumed)):
-        assert a.tobytes() == b.tobytes(), name
+    for (name, *a), (_, *b) in zip(cli._model_entries(straight), cli._model_entries(resumed)):
+        assert getattr(*a).tobytes() == getattr(*b).tobytes(), name
 
 
 def test_resume_to_a_new_horizon_under_linear_decay_is_a_usage_error(tmp_path, capsys):
@@ -74,6 +76,82 @@ def test_lr_weights_defaults_to_the_zo_config_default(tmp_path):
     config.write_text(TINY_INI.replace("lr_weights = 1e-5\n", ""))
     assert "lr_weights" not in config.read_text()
     assert cli.load_config_file(str(config)).zo.lr_weights == ZoConfig().lr_weights
+
+
+def test_run_config_round_trips_through_the_manifest_dict():
+    assert cli.RunConfig.from_dict({}) == cli.RunConfig()
+    assert cli.RunConfig(seed=5).zo.seed == 5
+    c = cli.RunConfig(
+        model=ModelConfig(vocab_size=120, d_model=24, n_layers=3, n_heads=3, context=16),
+        w_bits=3,
+        a_bits=8,
+        group_size=8,
+        scheme="symmetric",
+        zo=ZoConfig(
+            epsilon=2e-3,
+            directions=2,
+            steps=7,
+            lr_weights=1e-6,
+            lr_smoothing=1e-7,
+            lr_clipping=2e-6,
+            lr_quant_affine=3e-6,
+            lr_schedule="constant",
+            batch_size=3,
+            train_quant_affine=False,
+        ),
+        eval_interval=5,
+        calib_epochs=1,
+        calib_samples=2,
+        corpus="some.txt",
+        seed=9,
+    )
+    manifest_config = json.loads(json.dumps(c.to_dict()))
+    assert cli.RunConfig.from_dict(manifest_config) == c
+    assert "checkpoint_dir" not in manifest_config["paths"]
+    assert "metrics_dir" not in manifest_config["paths"]
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("lr_weights = 1e-5", "lr_weight = 1e-3", ["[train]", "lr_weight"]),
+        ("[calib]", "[calibration]", ["[calibration]"]),
+        ("steps = 2", "steps = two", ["[train]", "steps", "two"]),
+        ("steps = 2", "steps = 2\ntrain_quant_affine = maybe", ["[train]", "train_quant_affine"]),
+        ("[calib]", "[train]", ["train", "already exists"]),
+    ],
+    ids=["unknown key", "unknown section", "bad int", "bad bool", "duplicate section"],
+)
+def test_unknown_or_unparsable_config_entries_are_usage_errors(tmp_path, capsys, old, new, named):
+    config = tmp_path / "bad.ini"
+    config.write_text(TINY_INI.replace(old, new))
+    with pytest.raises(cli.UsageError):
+        cli.load_config_file(str(config))
+    capsys.readouterr()
+    assert train(str(config), tmp_path / "run") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert all(word in err for word in named), err
+
+
+def test_config_file_keys_reach_their_fields(tmp_path):
+    config = tmp_path / "full.ini"
+    extra = "[quant]\nnotation = W2A16g8\nw_bits = 3\n\n[run]\nseed = 7\n"
+    config.write_text(TINY_INI.replace("steps = 2", "steps = 2\ntrain_quant_affine = no") + extra)
+    cfg = cli.load_config_file(str(config))
+    assert cfg.model == ModelConfig(d_model=16, n_layers=1, n_heads=2, context=32)
+    assert (cfg.w_bits, cfg.a_bits, cfg.group_size) == (3, 16, 8)
+    assert (cfg.zo.steps, cfg.eval_interval, cfg.zo.lr_schedule) == (2, 0, "constant")
+    assert cfg.zo.train_quant_affine is False
+    assert (cfg.calib_samples, cfg.calib_epochs) == (1, 0)
+    assert cfg.seed == cfg.zo.seed == 7
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_output_dirs(tiny_config, tmp_path):
+    assert train(tiny_config, tmp_path / "a") == cli.EXIT_OK
+    assert train(tiny_config, tmp_path / "elsewhere" / "b") == cli.EXIT_OK
+    a = (tmp_path / "a" / "ckpt" / "final.ckpt").read_bytes()
+    assert a == (tmp_path / "elsewhere" / "b" / "ckpt" / "final.ckpt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -156,8 +234,15 @@ def edit_manifest(raw, edit):
         lambda m: m.pop("attachments"),
         lambda m: m["config"]["model"].update(width=3),
         lambda m: m.update(tensors=7),
+        lambda m: m["attachments"]["block0.attn_q"].update(has_smoothing=False),
     ],
-    ids=["missing tensor", "missing attachments", "unknown config field", "tensors not a list"],
+    ids=[
+        "missing tensor",
+        "missing attachments",
+        "unknown config field",
+        "tensors not a list",
+        "attachments disagree with tensors",
+    ],
 )
 def test_checkpoint_with_a_bad_manifest_is_a_data_error(trained_checkpoint, tmp_path, capsys, edit):
     path = tmp_path / "bad.ckpt"
@@ -175,3 +260,44 @@ def test_checkpoint_whose_manifest_is_not_json_is_a_data_error(trained_checkpoin
     with pytest.raises(cli.DataError, match="malformed checkpoint"):
         cli.load_checkpoint(str(path))
     assert_eval_refuses(path, capsys)
+
+
+def test_checkpoint_with_output_paths_in_its_manifest_still_loads(
+    trained_checkpoint, tmp_path, monkeypatch
+):
+    def add_paths(m):
+        stored = {"checkpoint_dir": "stored_ckpt", "metrics_dir": "stored_metrics"}
+        m["config"]["paths"].update(stored)
+
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(edit_manifest(trained_checkpoint, add_paths))
+    cfg, _, _ = cli.load_checkpoint(str(path))
+    default = cli.RunConfig()
+    assert (cfg.checkpoint_dir, cfg.metrics_dir) == (default.checkpoint_dir, default.metrics_dir)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["eval", str(path)]) == cli.EXIT_OK
+    assert (tmp_path / default.metrics_dir / "eval_diagnostics.csv").is_file()
+    assert not (tmp_path / "stored_metrics").exists()
+
+
+def test_numeric_failure_exits_3(tiny_config, tmp_path, monkeypatch, capsys):
+    def diverging(*args, **kwargs):
+        raise NumericError("non-finite loss at +eps, step 0 direction 0")
+
+    monkeypatch.setattr(cli, "zo_step", diverging)
+    capsys.readouterr()
+    assert train(tiny_config, tmp_path / "run") == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "Traceback" not in err
+
+
+def test_failed_verification_exits_4(tmp_path, monkeypatch, capsys):
+    row = theory.CheckRow("zo_unbiasedness", "d=8", 4.0, reference=3.0, margin=-1.0, passed=False)
+    report = theory.VerificationReport([row])
+    monkeypatch.setattr(theory, "run_verification", lambda quick, seed: report)
+    capsys.readouterr()
+    assert cli.main(["verify", "--quick", "--metrics-dir", str(tmp_path)]) == cli.EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ") and "zo_unbiasedness" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "verification.csv").is_file()

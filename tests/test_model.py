@@ -193,7 +193,7 @@ def test_forward_writes_no_array_it_does_not_own(monkeypatch, mode, lightweight)
     if lightweight:
         set_lightweight(model)
     seqs = tokens(2, seed=11)
-    arrays_before = [(name, arr.copy()) for name, arr in _model_entries(model)]
+    arrays_before = [(name, getattr(o, a).copy()) for name, o, a in _model_entries(model)]
     tokens_before = seqs.copy()
     capture = {}
     model.forward(seqs, mode=mode, capture=capture)
@@ -207,8 +207,8 @@ def test_forward_writes_no_array_it_does_not_own(monkeypatch, mode, lightweight)
 
     monkeypatch.setattr(zoqlab.model, "linear_forward", recording)
     model.forward(seqs, mode=mode, capture=capture)
-    for (name, before), (_, after) in zip(arrays_before, _model_entries(model)):
-        assert after.tobytes() == before.tobytes(), name
+    for (name, before), (_, owner, attr) in zip(arrays_before, _model_entries(model)):
+        assert getattr(owner, attr).tobytes() == before.tobytes(), name
     assert seqs.tobytes() == tokens_before.tobytes()
     assert capture.keys() == seen.keys() == dict(model.iter_attachments()).keys()
     for key, (first, second) in capture.items():

@@ -122,6 +122,28 @@ class TestWholeViewEquivalence:
         # chunks (0, 35) and (35, 74): forward, backward, forward, backward
         assert [(pos, n) for _, _, pos, n in calls] == [(0, 35), (35, 39), (0, 35), (35, 39), (0, 35)]
 
+    @pytest.mark.parametrize("chunk_size, redrawn", [(VIEW_SIZE, 0), (40, 1), (1, VIEW_SIZE - 1)])
+    def test_direction_is_the_whole_view_draw_without_the_last_chunk_again(
+        self, monkeypatch, chunk_size, redrawn
+    ):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return normals_at(*args)
+
+        monkeypatch.setattr(zoqlab.zo, "normals_at", counting)
+        view = ParamView(entries())
+        cfg = ZoConfig(directions=1, seed=SEED, chunk_size=chunk_size)
+        (d,) = zo_gradient_scale(lambda: 0.5, view, cfg, step=3)
+        drawn = len(calls)
+        u = view.direction(SEED, d.stream_id, chunk_size)
+        assert len(calls) - drawn == redrawn
+        whole = normals_at(SEED, d.stream_id, 0, VIEW_SIZE)
+        assert u.tobytes() == whole.tobytes()
+        u[:] = 0.0  # a copy: the cached chunk is untouched
+        assert view.direction(SEED, d.stream_id, chunk_size).tobytes() == whole.tobytes()
+
     def test_chunks_pack_pieces_across_segments(self, monkeypatch):
         calls = []
 
