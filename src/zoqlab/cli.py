@@ -371,8 +371,9 @@ def load_checkpoint(path: str):
     """Returns (RunConfig, ModelGraph, step). Refuses version mismatches.
 
     A malformed file raises DataError: a truncated one, a manifest that does
-    not parse, and a manifest whose config fields, attachments and tensor
-    list do not match the file or one another.
+    not parse, a manifest config that fails validation, and a manifest whose
+    config fields, attachments and tensor list do not match the file or one
+    another.
     """
     try:
         with open(path, "rb") as f:
@@ -396,7 +397,10 @@ def load_checkpoint(path: str):
 
 def _restore_model(path: str, manifest: dict, tensors: dict):
     """Rebuild the model, apply the attachment metadata, then assign the tensors."""
-    cfg = RunConfig.from_dict(manifest["config"])
+    try:
+        cfg = RunConfig.from_dict(manifest["config"])
+    except UsageError as e:  # a bad config in a file is bad data, not bad usage
+        raise DataError(f"{path}: malformed checkpoint ({e})") from e
     model = build_model(cfg.model, cfg.quant_plan(), cfg.seed)
     for layer_id, lin in model.iter_attachments():
         meta = manifest["attachments"][layer_id]
@@ -581,7 +585,7 @@ def cmd_verify(quick: bool, seed: int, metrics_dir: str) -> int:
     with open(os.path.join(metrics_dir, "verification.txt"), "w") as f:
         f.write(report.text() + "\n")
     if not report.passed:
-        failing = [r.name for r in report.rows if r.passed is False]
+        failing = [r.name for r in report.rows if not r.passed]
         raise VerificationError(f"checks failed: {', '.join(failing)}")
     return EXIT_OK
 

@@ -235,6 +235,7 @@ def edit_manifest(raw, edit):
         lambda m: m["config"]["model"].update(width=3),
         lambda m: m.update(tensors=7),
         lambda m: m["attachments"]["block0.attn_q"].update(has_smoothing=False),
+        lambda m: m["config"]["quant"].update(group_size=5),
     ],
     ids=[
         "missing tensor",
@@ -242,6 +243,7 @@ def edit_manifest(raw, edit):
         "unknown config field",
         "tensors not a list",
         "attachments disagree with tensors",
+        "group size does not divide d_model",
     ],
 )
 def test_checkpoint_with_a_bad_manifest_is_a_data_error(trained_checkpoint, tmp_path, capsys, edit):
