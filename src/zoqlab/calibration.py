@@ -346,7 +346,7 @@ def _moved_row_changes(obj, wq, resid, xs_probe, dx, w_rows, dw, db, rows, cols)
         k = np.arange(i.shape[0])
         xs_rows = obj.xs[i]
         xs_rows[k, j] = xs_probe[i, j]
-        xq_rows = fake_quant(xs_rows, obj.aspec, init_range(xs_rows, obj.aspec))
+        xq_rows = fake_quant(xs_rows, obj.aspec)
         xq_j = xq_rows[k, j]
         xq_rows -= obj.xq[i]
         full = resid[i] - (xq_rows @ wq + xq_j[:, None] * dw[j] + db[j])

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DataError, DimensionError, InvalidStateError
-from .numerics import Granularity, Tensor, from_groups, group_count, reduce_stats, to_groups
+from .numerics import Granularity, Tensor, from_groups, group_count, to_groups
 
 SCHEMES = ("symmetric", "asymmetric")
 ROLES = ("weight", "activation")
@@ -98,27 +98,34 @@ def init_range(x: Tensor, spec: QuantSpec) -> QuantState:
     (clip_lo = q_n / q_p, clip_hi = 1). A constant group gets step = 1 and a
     zero point that round-trips the constant's nearest integer.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise DataError("cannot range-initialize on an empty tensor")
-    stats = reduce_stats(x, spec.granularity)
-    q_p = float(spec.q_p)
-    if spec.scheme == "symmetric":
-        step = stats.absmaxs / q_p
-        zero = np.zeros_like(step)
-    else:
-        step = (stats.maxs - stats.mins) / q_p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zero = -np.rint(np.where(step > 0, stats.mins / np.where(step > 0, step, 1.0), 0.0))
-    degenerate = step <= 0
-    if np.any(degenerate):
-        step = np.where(degenerate, 1.0, step)
-        # constant group: code 0 maps back to rint(constant)
-        zero = np.where(degenerate, -np.rint(stats.maxs), zero)
+    step, zero = _range_grid(to_groups(x, spec.granularity), spec)  # to_groups rejects an empty x
     n = step.shape[0]
-    clip_lo = np.full(n, spec.q_n / q_p)
+    clip_lo = np.full(n, spec.q_n / spec.q_p)
     clip_hi = np.ones(n)
     return QuantState(step=step, zero_point=zero, clip_lo=clip_lo, clip_hi=clip_hi)
+
+
+def _range_grid(g: Tensor, spec: QuantSpec) -> tuple[Tensor, Tensor]:
+    """Range-init (step, zero point) of each row of the grouped matrix g; see init_range."""
+    q_p = float(spec.q_p)
+    mins = g.min(axis=1)
+    maxs = g.max(axis=1)
+    if spec.scheme == "symmetric":
+        step = np.maximum(np.abs(mins), np.abs(maxs))
+        step /= q_p
+        zero = np.zeros_like(step)
+    else:
+        step = maxs - mins
+        step /= q_p
+        zero = np.divide(mins, step, out=np.zeros_like(step), where=step > 0)
+        np.rint(zero, out=zero)
+        np.negative(zero, out=zero)
+    degenerate = step <= 0
+    if np.any(degenerate):
+        step[degenerate] = 1.0
+        # constant group: code 0 maps back to rint(constant)
+        zero[degenerate] = -np.rint(maxs[degenerate])
+    return step, zero
 
 
 def clamp_bounds(spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor]:
@@ -134,18 +141,9 @@ def clamp_bounds(spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor]:
 
 
 def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Clamped grid indices (code - zero) of x as a (n_groups, elems_per_group) matrix.
+    """Clamped grid indices (code - zero) of x under `state`; see _nearest_index.
 
-    Returns (index, spare, step, zero): spare is a scratch matrix of the same
-    shape that the caller may overwrite, step and zero are (n_groups, 1)
-    columns. Each index is that of the grid value nearest to x, an exact tie
-    going to the even index, clamped so that index + zero stays within the
-    group's code bounds. rint of the float quotient x / step gets this right
-    except where the quotient has rounded onto a half k + 1/2: there x may
-    lie on either side of the midpoint step * (k + 1/2), so the exact sign
-    of x - step * (k + 1/2), in rational arithmetic, decides. Float distances
-    would not do: they round, and can name the farther neighbour. Such
-    quotients are rare, so a loop over them is cheap.
+    Returns (index, spare, step, zero), the last two as (n_groups, 1) columns.
     """
     x = np.asarray(x, dtype=np.float64)
     state.validate()
@@ -159,36 +157,68 @@ def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, 
     step = state.step[:, None]
     zero = np.rint(state.zero_point)[:, None]
     lo, hi = clamp_bounds(spec, state)
+    index, spare = _nearest_index(g, step, lo[:, None] - zero, hi[:, None] - zero)
+    return index, spare, step, zero
+
+
+def _nearest_index(g: Tensor, step: Tensor, lo: Tensor, hi: Tensor) -> tuple[Tensor, Tensor]:
+    """Clamped grid indices of the grouped matrix g, and a spare matrix of its shape.
+
+    step, lo and hi are (n_groups, 1) columns; lo and hi bound the index
+    (code - zero), and the caller may overwrite the spare matrix. Each index
+    is that of the grid value nearest to x, an exact tie going to the even
+    index. rint of the float quotient x / step gets this right except where
+    the quotient has rounded onto a half k + 1/2: there x may lie on either
+    side of the midpoint step * (k + 1/2), so the exact sign of
+    x - step * (k + 1/2), in rational arithmetic, decides. Float distances
+    would not do: they round, and can name the farther neighbour. Such
+    quotients are rare, so a loop over them is cheap.
+    """
     frac = g / step
     index = np.rint(frac)
-    # |x/step - rint(x/step)| is exact in float and at most 0.5, so a half
-    # shows as a maximum of exactly 0.5; fmax skips the NaN of a non-finite x.
+    # x/step - rint(x/step) is exact in float and within [-0.5, 0.5], so a
+    # half shows as an extreme of exactly +-0.5; fmax and fmin skip the NaN
+    # of a non-finite x.
     with np.errstate(invalid="ignore"):  # inf - inf for an infinite x
         np.subtract(frac, index, out=frac)
-    np.abs(frac, out=frac)
-    if np.fmax.reduce(frac, axis=None) == 0.5:
-        for r, c in zip(*np.nonzero(frac == 0.5)):
-            x_rc, step_r = g[r, c], state.step[r]
+    if np.fmax.reduce(frac, axis=None) == 0.5 or np.fmin.reduce(frac, axis=None) == -0.5:
+        for r, c in zip(*np.nonzero(np.abs(frac) == 0.5)):
+            x_rc, step_r = g[r, c], step[r, 0]
             mid = x_rc / step_r  # exactly k + 1/2
             past = Fraction(x_rc) - Fraction(step_r) * Fraction(mid)
             if past:  # an exact tie keeps rint's even index
                 index[r, c] = mid + 0.5 if past > 0 else mid - 0.5
-    # integer-valued floats, so clamping the index is exact
-    np.clip(index, lo[:, None] - zero, hi[:, None] - zero, out=index)
-    return index, frac, step, zero
+    # Integer-valued floats, so clamping the index is exact. np.clip, not an
+    # in-place np.maximum and np.minimum: where a -0.0 index meets a +0.0
+    # bound, each returns either zero depending on the array's shape, and
+    # only the same call keeps every sign of zero.
+    np.clip(index, lo, hi, out=index)
+    return index, frac
 
 
-def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState) -> Tensor:
+def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState | None = None) -> Tensor:
     """Quantize-then-dequantize x elementwise.
 
     xhat = step * (clamp(k + zero, lo, hi) - zero), where k is the index of
     the grid value nearest to x / step, ties to even, and zero_point is
     rounded at use. Where x / step rounds onto a half j + 1/2 in floating
     point, the exact sign of x - step * (j + 1/2) decides between j and j + 1.
+
+    With no state, each group's range comes from x itself: the result is
+    fake_quant(x, spec, init_range(x, spec)) bit for bit, without building
+    that state.
     """
-    index, out, step, _ = _grid_index(x, spec, state)
+    if state is None:
+        g = to_groups(x, spec.granularity)
+        step, zero = _range_grid(g, spec)
+        step, zero = step[:, None], zero[:, None]
+        # a fresh state's clamp bounds are the whole code range in either role
+        index, out = _nearest_index(g, step, spec.q_n - zero, spec.q_p - zero)
+    else:
+        index, out, step, _ = _grid_index(x, spec, state)
     # Writing into the spare matrix rather than into index keeps the peak RSS
-    # of the zo_w4a4 benchmark at 138.3 MiB; in place it measured 141.5 MiB.
+    # of the zo_w4a4 benchmark at 124.9-125.0 MiB; into index it read
+    # 126.2-126.4 MiB (two runs each).
     np.multiply(index, step, out=out)
     return from_groups(out, np.shape(x), spec.granularity)
 

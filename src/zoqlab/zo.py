@@ -55,11 +55,13 @@ class ParamView:
     `chunk_size` elements from its own start; a chunk is a run of consecutive
     pieces whose total stays within `chunk_size`, so it can span segments.
     The pieces, and the order in which update norms sum over them, are those
-    of a walk segment by segment. The view keeps the last chunk it drew, and
-    a pass whose last chunk is that one walks the chunks backwards, so each
-    pass starts where the previous one stopped: the +eps, -2eps, +eps passes
-    and a q=1 update draw 4n - 3 chunks of an n-chunk view, so one draw when
-    the view fits in one chunk. Transient memory stays at a few chunks.
+    of a walk segment by segment. The view keeps two chunks, the one used
+    last and the one used before it, and a pass whose last chunk is the one
+    used last walks the chunks backwards, so each pass starts on the two
+    chunks the previous one ended on. The +eps, -2eps, +eps passes and a
+    q=1 update therefore draw each chunk once in a view of one or two
+    chunks, and 4n - 6 chunks in an n-chunk view with n >= 3. The view
+    holds at most two drawn chunks.
     """
 
     def __init__(self, entries):
@@ -86,11 +88,13 @@ class ParamView:
             if spans:
                 self.groups.append(ParamGroup(label, spans[0][0], spans[-1][1]))
         self._plans = {}  # chunk_size -> [(lo, hi, [(label, live piece, chunk slice)])]
-        self._drawn_key = None  # (seed, stream_id, lo, hi) of self._drawn
+        self._drawn_key = None  # (seed, stream_id, lo, hi) of self._drawn, the chunk used last
         self._drawn = None
+        self._before_key = None  # the same of self._before, the chunk used before it
+        self._before = None
 
     def _walk(self, chunk_size: int):
-        """The chunks in order, or backwards when the last one is the chunk drawn last."""
+        """The chunks in order, or backwards when the last one is the chunk used last."""
         plan = self._plans.get(chunk_size)
         if plan is None:
             plan, pieces, lo = [], [], 0
@@ -109,15 +113,19 @@ class ParamView:
         return plan
 
     def _direction(self, seed: int, stream_id: int, lo: int, hi: int) -> np.ndarray:
-        """u[lo:hi] of the stream, drawn again only when the last draw was another chunk."""
+        """u[lo:hi] of the stream, drawn only when it is neither of the two chunks kept."""
         key = (seed, stream_id, lo, hi)
         if key != self._drawn_key:
-            self._drawn = normals_at(seed, stream_id, lo, hi - lo)
-            self._drawn_key = key
+            if key == self._before_key:
+                drawn = self._before
+            else:
+                drawn = normals_at(seed, stream_id, lo, hi - lo)
+            self._before_key, self._before = self._drawn_key, self._drawn
+            self._drawn_key, self._drawn = key, drawn
         return self._drawn
 
     def direction(self, seed: int, stream_id: int, chunk_size: int) -> np.ndarray:
-        """A copy of the whole flat u of the stream; the chunk drawn last is not drawn again."""
+        """A copy of the whole flat u of the stream; the two chunks kept are not drawn again."""
         u = np.empty(self.size)
         for lo, hi, _ in self._walk(chunk_size):
             u[lo:hi] = self._direction(seed, stream_id, lo, hi)

@@ -22,7 +22,8 @@ from zoqlab.model import (
     linear_forward,
     set_lightweight,
 )
-from zoqlab.smoothing import SCALE_FLOOR, SmoothingParams, smooth_activation
+from zoqlab.quantizer import fake_quant, init_range
+from zoqlab.smoothing import SCALE_FLOOR, SmoothingParams, apply_smoothing, smooth_activation
 from zoqlab.zo import ZoConfig, zo_step
 
 from oracles import (
@@ -81,6 +82,24 @@ class TestQuantizedLinear:
             assert np.array_equal(linear_forward(x, lin, "qat"), linear_forward(x, live_lin, "qat"))
             frozen += 1
         assert frozen == 4
+
+
+def test_qat_linear_equals_the_stateful_composition():
+    """Smoothing, fake-quant under init_range of the activations, fake-quant of the weight, GEMM."""
+    model = build_model(TINY, PLANS["W4A4"], seed=5)
+    rng = np.random.default_rng(12)
+    for _, lin in model.iter_attachments():
+        lin.att.smoothing.scale[:] = rng.uniform(0.5, 2.0, size=lin.att.smoothing.scale.shape)
+        lin.att.smoothing.shift[:] = rng.normal(scale=0.1, size=lin.att.smoothing.shift.shape)
+    capture = {}
+    model.forward(tokens(2, seed=13), mode="qat", capture=capture)
+    for layer_id, lin in model.iter_attachments():
+        att = lin.att
+        (x,) = capture[layer_id]
+        xs, ws, bs = apply_smoothing(x, lin.w, lin.b, att.smoothing)
+        xq = fake_quant(xs, att.act_spec, init_range(xs, att.act_spec))
+        want = xq @ fake_quant(ws, att.weight_spec, att.weight_state) + bs
+        assert linear_forward(x, lin, "qat").tobytes() == want.tobytes(), layer_id
 
 
 def test_fp_forward_matches_reference_transformer():
@@ -152,7 +171,12 @@ class TestInPlaceHelpersMatchOutOfPlace:
 
     def test_softmax(self, name):
         x = INPUTS[name]
-        assert _softmax(x.copy()).tobytes() == out_of_place_softmax(x).tobytes()
+        want = out_of_place_softmax(x).tobytes()
+        assert _softmax(x.copy()).tobytes() == want
+        # masked: the -inf entries, as one matrix broadcast the way the forward passes it
+        keep = x[(0,) * (x.ndim - 2)] != -np.inf
+        assert np.array_equal(np.broadcast_to(keep, x.shape), x != -np.inf)
+        assert _softmax(x.copy(), keep).tobytes() == want
 
     def test_gelu(self, name):
         x = finite(INPUTS[name])

@@ -123,6 +123,20 @@ class TestFakeQuant:
                 twice = fake_quant(once, spec, state)
                 assert np.array_equal(once, twice)
 
+    @pytest.mark.parametrize("n_rows", [1, 2, 3])
+    @pytest.mark.parametrize("state", ["init_range", "none"])
+    def test_index_clamped_at_code_zero_keeps_the_np_clip_zero(self, state, n_rows):
+        # -1e-3 / step rounds to index -0.0, which meets the +0.0 bound of code 0;
+        # which zero comes out depends on the shape, and must be np.clip's
+        x = np.tile([[-1e-3, 1.0, -0.0, 0.5]], (n_rows, 1))
+        spec = QuantSpec(2, "asymmetric", per_token(), role="activation")
+        fresh = init_range(x, spec)
+        step, zero = fresh.step[:, None], fresh.zero_point[:, None]
+        assert np.all(zero == 0.0)
+        want = step * np.clip(np.rint(x / step), spec.q_n - zero, spec.q_p - zero)
+        got = fake_quant(x, spec, fresh if state == "init_range" else None)
+        assert got.tobytes() == want.tobytes()
+
     def test_fractional_zero_point_rounded_at_use(self):
         spec = spec_pt(4, "asymmetric")
         x = np.linspace(-1, 1, 9)
@@ -306,3 +320,81 @@ class TestInvariants:
             for i, row in enumerate(x)
         ]
         assert np.array_equal(fake_quant(x, spec, state), np.stack(row_quant))
+
+
+def constant_rows(width):
+    return np.array([np.full(width, c) for c in (0.0, -0.0, 2.5, -1.7, 3.0, 1e300, -1e-300)])
+
+
+def half_rows(spec, width, rng):
+    """Rows whose range-init step puts some x / step exactly onto a half.
+
+    Each row holds its min and max, then grid midpoints step * (k + 1/2) and
+    their float neighbours, with step computed as init_range computes it.
+    """
+    rows = []
+    for _ in range(6):
+        lo, hi = sorted(rng.uniform(-3, 3, size=2))
+        if spec.scheme == "symmetric":
+            step = max(abs(lo), abs(hi)) / spec.q_p
+        else:
+            step = (hi - lo) / spec.q_p
+        ks = np.arange(np.floor(lo / step) - 1, np.ceil(hi / step) + 1)
+        mids = step * (ks + 0.5)
+        cells = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
+        cells = cells[(cells >= lo) & (cells <= hi)]
+        rows.append(np.resize(np.concatenate([[lo, hi], cells]), width))
+    return np.array(rows)
+
+
+def non_finite_rows(width, rng):
+    rows = rng.normal(size=(6, width))
+    rows[0, 3] = np.inf
+    rows[1, 2] = -np.inf
+    rows[2, [1, 4]] = [np.inf, -np.inf]
+    rows[3, 0] = np.nan
+    rows[4, :] = np.inf
+    rows[5, [0, 5]] = [np.nan, np.inf]
+    return rows
+
+
+class TestRangeFromX:
+    """fake_quant with no state is fake_quant under init_range(x) of the same x, byte for byte."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rows", ["constant", "halves", "non-finite"])
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_equals_the_range_init_state(self, bits, scheme, rows):
+        spec = QuantSpec(bits, scheme, per_token(), role="activation")
+        rng = np.random.default_rng(bits)
+        width = 3 * 2**bits + 8
+        x = {
+            "constant": lambda: constant_rows(width),
+            "halves": lambda: half_rows(spec, width, rng),
+            "non-finite": lambda: non_finite_rows(width, rng),
+        }[rows]()
+        if rows == "halves":
+            step = init_range(x, spec).step[:, None]
+            quotient = x / step
+            assert np.any(quotient - np.rint(quotient) == 0.5)
+            assert np.any(quotient - np.rint(quotient) == -0.5)
+        want = fake_quant(x, spec, init_range(x, spec))
+        assert fake_quant(x, spec).tobytes() == want.tobytes()
+        assert fake_quant(x, spec, None).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize(
+        "gran",
+        [per_tensor(), per_channel(axis=1), per_group(axis=0, group_size=4)],
+        ids=["per_tensor", "per_channel", "per_group"],
+    )
+    def test_equals_the_range_init_state_for_weight_groups(self, scheme, gran):
+        spec = QuantSpec(3, scheme, gran, role="weight")
+        x = np.random.default_rng(12).standard_t(3, size=(16, 6))
+        want = fake_quant(x, spec, init_range(x, spec))
+        assert fake_quant(x, spec).tobytes() == want.tobytes()
+
+    def test_empty_tensor_rejected(self):
+        with pytest.raises(DataError):
+            fake_quant(np.zeros((0, 4)), QuantSpec(4, "asymmetric", per_token(), role="activation"))

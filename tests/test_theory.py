@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
 
 from zoqlab import theory
@@ -49,3 +50,36 @@ def test_theory_binds_every_name_the_benchmark_tracer_patches():
     assert len(names) > 0
     for name in (*names, "normals_at", "zo_gradient_scale", "run_verification"):
         assert callable(getattr(theory, name, None)), name
+
+
+def test_grad_decay_monotone_row_measures_its_far_side():
+    # at 1e6 samples, the `verify --quick` size, seed 0: the far side is not 0
+    row = theory.grad_decay_monotone_row(0, 1_000_000)
+    assert row.passed and row.measured > 0
+
+
+def test_model_and_zo_bind_every_name_the_benchmark_tracer_patches():
+    """Each (owner, name) the tracer patches in zoqlab.model or zoqlab.zo exists there.
+
+    Owners are the modules themselves or classes the tracer imports from
+    them; a binding that a refactor drops would silently lose its span.
+    """
+    tracer = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text())
+    modules = {name: importlib.import_module(name) for name in ("zoqlab.model", "zoqlab.zo")}
+    owners = dict(modules)  # an owner's source text in the tracer -> the object
+    for node in tracer.body:
+        if isinstance(node, ast.ImportFrom) and node.module in modules:
+            for alias in node.names:
+                owners[alias.asname or alias.name] = getattr(modules[node.module], alias.name)
+    patched = [
+        (ast.unparse(node.elts[0]), node.elts[1].value)
+        for node in ast.walk(tracer)
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == 4
+        and isinstance(node.elts[1], ast.Constant)
+        and isinstance(node.elts[1].value, str)
+        and ast.unparse(node.elts[0]) in owners
+    ]
+    assert {owner for owner, _ in patched} == set(owners)
+    for owner, attr in patched:
+        assert callable(getattr(owners[owner], attr, None)), f"{owner}.{attr}"

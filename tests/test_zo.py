@@ -107,7 +107,7 @@ class TestWholeViewEquivalence:
         assert calls == [(SEED, d.stream_id, 0, VIEW_SIZE)]
 
     def test_two_chunk_view_reuses_the_chunk_drawn_last(self, monkeypatch):
-        """Passes alternate direction, so each starts on the chunk the last one ended on."""
+        """Passes alternate direction, so each starts on the two chunks the last one ended on."""
         calls = []
 
         def counting(*args):
@@ -119,10 +119,27 @@ class TestWholeViewEquivalence:
         cfg = ZoConfig(directions=1, seed=SEED, chunk_size=40)
         (d,) = zo_gradient_scale(lambda: 0.5, view, cfg, step=3)
         view.apply_directions(SEED, [d.stream_id], [0.25], LRS, cfg.chunk_size)
-        # chunks (0, 35) and (35, 74): forward, backward, forward, backward
-        assert [(pos, n) for _, _, pos, n in calls] == [(0, 35), (35, 39), (0, 35), (35, 39), (0, 35)]
+        # chunks (0, 35) and (35, 74): the first pass draws both, the view keeps both
+        assert [(pos, n) for _, _, pos, n in calls] == [(0, 35), (35, 39)]
 
-    @pytest.mark.parametrize("chunk_size, redrawn", [(VIEW_SIZE, 0), (40, 1), (1, VIEW_SIZE - 1)])
+    def test_three_chunk_view_draws_six_chunks_per_step(self, monkeypatch):
+        """4n - 6 draws for n = 3: each later pass starts on the two chunks kept."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return normals_at(*args)
+
+        monkeypatch.setattr(zoqlab.zo, "normals_at", counting)
+        view = ParamView(entries())
+        cfg = ZoConfig(directions=1, seed=SEED, chunk_size=30)
+        (d,) = zo_gradient_scale(lambda: 0.5, view, cfg, step=3)
+        view.apply_directions(SEED, [d.stream_id], [0.25], LRS, cfg.chunk_size)
+        # chunks (0, 30), (30, 59) and (59, 74)
+        want = [(0, 30), (30, 29), (59, 15), (0, 30), (59, 15), (0, 30)]
+        assert [(pos, n) for _, _, pos, n in calls] == want
+
+    @pytest.mark.parametrize("chunk_size, redrawn", [(VIEW_SIZE, 0), (40, 0), (1, VIEW_SIZE - 2)])
     def test_direction_is_the_whole_view_draw_without_the_last_chunk_again(
         self, monkeypatch, chunk_size, redrawn
     ):
