@@ -1,7 +1,7 @@
 """Forward-only quantization-aware training laboratory.
 
 Modules:
-  numerics      tensors, counter-based Gaussian streams, grouped reductions
+  numerics      tensors, counter-based Gaussian streams, group tiling
   quantizer     uniform fake-quantization with learnable clipping
   smoothing     channel-wise scale/shift outlier migration: the activation
                 side and the weight-side fold, each written once
@@ -26,7 +26,6 @@ from .errors import (
 )
 from .numerics import (
     Granularity,
-    GroupStats,
     RngStream,
     Tensor,
     gaussian,
@@ -34,7 +33,6 @@ from .numerics import (
     per_group,
     per_tensor,
     per_token,
-    reduce_stats,
 )
 from .quantizer import QuantSpec, QuantState, fake_quant, init_range, quant_error
 from .smoothing import SmoothingParams, apply_smoothing

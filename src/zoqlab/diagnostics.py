@@ -122,14 +122,15 @@ def transient_forward_bytes(config, batch_size: int) -> int:
 def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
     """Analytic byte breakdown of a training setup.
 
-    parameters: trainable scalars at 8 bytes; quantized_frozen: pre-quantized
-    weight matrices at bits/8 packed; optimizer_state: the ZO coefficients
-    and stream cursors; transient_forward: a lower bound on the peak forward
-    activations at the configured batch size (transient_forward_bytes; one
-    measured forward peaks at 1.5-1.8x it). Only transient_forward depends on
-    batch size.
+    parameters: the scalars zo_step trains under cfg, at 8 bytes (the
+    quant-affine steps count only with cfg.train_quant_affine);
+    quantized_frozen: pre-quantized weight matrices at bits/8 packed;
+    optimizer_state: the ZO coefficients and stream cursors;
+    transient_forward: a lower bound on the peak forward activations at the
+    configured batch size (transient_forward_bytes; one measured forward
+    peaks at 1.5-1.8x it). Only transient_forward depends on batch size.
     """
-    params = model.trainable_parameters().size * 8
+    params = model.trainable_parameters(include_quant_affine=cfg.train_quant_affine).size * 8
     frozen = sum(count * bits // 8 for count, bits in model.frozen_quantized_scalars())
     return {
         "parameters": params,

@@ -9,18 +9,21 @@ zeroth-order optimizer state O(1) in the model size.
 
 The Philox counter counts blocks of four 64-bit draws, so draw ``position``
 lives in block ``position // 4``. Every read re-keys one module-level Philox
-generator by setting its state to that block and key, which costs a few
-microseconds; building a fresh generator costs several times more, because
-the constructor first seeds itself from OS entropy. A lock holds the re-key
-and the read together, so threads that draw at once cannot clobber each
-other's state.
+generator: it writes the block into the counter array and (seed, stream_id)
+into the key array of one module-level state dict, then hands that dict to
+the generator. One dict serves every read because building one per read
+would cost most of a short read, and a fresh generator per read costs
+several times more, because its constructor first seeds itself from OS
+entropy. A lock holds the writes, the re-key and the read together, so
+threads that draw at once cannot clobber each other's counter, key or
+generator state.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
@@ -34,10 +37,24 @@ Tensor = np.ndarray
 # a single-draw position into (block, offset-within-block).
 _PHILOX_BLOCK = 4
 
-# The one generator every read re-keys, and the lock around re-key and read;
-# see the module docstring.
+# The one generator every read re-keys, the lock around re-key and read, and
+# the one state dict a re-key writes into and hands to it; see the module
+# docstring. The dict is the state Philox(key=[seed, stream_id]).advance(block)
+# would reach: counter at `block`, block buffer empty so the next read
+# computes it. A re-key writes only the counter and key arrays.
 _PHILOX = Philox(0)
 _PHILOX_LOCK = threading.Lock()
+_COUNTER = np.zeros(4, dtype=np.uint64)
+_KEY = np.zeros(2, dtype=np.uint64)
+_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": _COUNTER, "key": _KEY},
+    "buffer": np.zeros(_PHILOX_BLOCK, dtype=np.uint64),
+    "buffer_pos": _PHILOX_BLOCK,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+_SHIFT = np.uint64(11)  # 64 - 53: keep the top 53 bits of a draw
 
 _TENSOR_MAGIC = b"ZQLB-TNS"  # 8 bytes, followed by u32 version + u32 reserved
 _TENSOR_VERSION = 1
@@ -79,21 +96,11 @@ def gaussian(stream: RngStream, n: int) -> Tensor:
 def raw_draws_at(seed: int, stream_id: int, position: int, n: int) -> np.ndarray:
     """Uint64 draws [position, position + n) of the given Philox stream."""
     block, offset = divmod(int(position), _PHILOX_BLOCK)
-    # the state Philox(key=[seed, stream_id]).advance(block) would reach:
-    # counter at `block`, block buffer empty so the next read computes it
-    state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([block, 0, 0, 0], dtype=np.uint64),
-            "key": np.array([seed, stream_id], dtype=np.uint64),
-        },
-        "buffer": np.zeros(_PHILOX_BLOCK, dtype=np.uint64),
-        "buffer_pos": _PHILOX_BLOCK,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
     with _PHILOX_LOCK:
-        _PHILOX.state = state
+        _COUNTER[0] = block
+        _KEY[0] = seed
+        _KEY[1] = stream_id
+        _PHILOX.state = _STATE
         return _PHILOX.random_raw(offset + int(n))[offset:]
 
 
@@ -101,7 +108,10 @@ def uniforms_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
     """Uniform(0, 1) draws; one 64-bit draw per value, endpoints excluded."""
     raw = raw_draws_at(seed, stream_id, position, n)
     # top 53 bits, centered into the open interval so ndtri stays finite
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = (raw >> _SHIFT).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def normals_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
@@ -110,11 +120,12 @@ def normals_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
     The inverse-CDF map consumes exactly one 64-bit draw per normal, which
     keeps position accounting exact under chunked regeneration.
     """
-    return ndtri(uniforms_at(seed, stream_id, position, n))
+    u = uniforms_at(seed, stream_id, position, n)
+    return ndtri(u, out=u)
 
 
 # ---------------------------------------------------------------------------
-# Granularity and grouped reductions
+# Granularity and grouping
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -214,26 +225,6 @@ def group_count(shape: tuple[int, ...], gran: Granularity) -> int:
             f"group size {gran.group_size} does not divide axis length {shape[ax]}"
         )
     return int(np.prod(shape)) // gran.group_size
-
-
-@dataclass
-class GroupStats:
-    """(min, max, absmax) per group, ordered the way to_groups orders them."""
-
-    mins: Tensor
-    maxs: Tensor
-    absmaxs: Tensor
-
-    def __iter__(self):
-        return iter(zip(self.mins, self.maxs, self.absmaxs))
-
-
-def reduce_stats(x: Tensor, gran: Granularity) -> GroupStats:
-    """Per-group (min, max, absmax) under the given granularity."""
-    g = to_groups(x, gran)
-    mins = g.min(axis=1)
-    maxs = g.max(axis=1)
-    return GroupStats(mins=mins, maxs=maxs, absmaxs=np.maximum(np.abs(mins), np.abs(maxs)))
 
 
 # ---------------------------------------------------------------------------

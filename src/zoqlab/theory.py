@@ -142,7 +142,8 @@ class SmoothedObjective:
         return self.base_loss_batch(self.quantize(points))
 
     def loss(self, point) -> float:
-        return float(self.loss_batch(np.asarray(point, dtype=np.float64)[None, :])[0])
+        """loss_batch of the one point, evaluated on it directly with the same bytes."""
+        return float(self.loss_batch(np.asarray(point, dtype=np.float64)))
 
 
 def place_at_distance(quant_step: float, t: float, epsilon: float) -> float:

@@ -9,6 +9,7 @@ cursors, independent of the parameter count.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -55,13 +56,20 @@ class ParamView:
     `chunk_size` elements from its own start; a chunk is a run of consecutive
     pieces whose total stays within `chunk_size`, so it can span segments.
     The pieces, and the order in which update norms sum over them, are those
-    of a walk segment by segment. The view keeps two chunks, the one used
-    last and the one used before it, and a pass whose last chunk is the one
-    used last walks the chunks backwards, so each pass starts on the two
-    chunks the previous one ended on. The +eps, -2eps, +eps passes and a
-    q=1 update therefore draw each chunk once in a view of one or two
-    chunks, and 4n - 6 chunks in an n-chunk view with n >= 3. The view
-    holds at most two drawn chunks.
+    of a walk segment by segment.
+
+    The view caches the chunks drawn for the current step, keyed by (seed,
+    stream_id, lo, hi). Drawing a stream of another step (another seed, or
+    another stream_id >> 32) empties the cache first, and once it holds
+    more than 2 * chunk_size floats the least recently used chunk is
+    dropped, so it never holds more than two full chunks. A pass whose last
+    chunk is the one used last walks the chunks backwards, so each pass
+    starts on the chunks the previous one ended on. The +eps, -2eps, +eps
+    passes and a q=1 update therefore draw each chunk once in a view of one
+    or two chunks, and 4n - 6 chunks in an n-chunk view with n >= 3. When
+    the q directions of a step fit in the cache together, as in the theory
+    suite's small views, each is drawn once per step however often it is
+    used.
     """
 
     def __init__(self, entries):
@@ -88,10 +96,9 @@ class ParamView:
             if spans:
                 self.groups.append(ParamGroup(label, spans[0][0], spans[-1][1]))
         self._plans = {}  # chunk_size -> [(lo, hi, [(label, live piece, chunk slice)])]
-        self._drawn_key = None  # (seed, stream_id, lo, hi) of self._drawn, the chunk used last
-        self._drawn = None
-        self._before_key = None  # the same of self._before, the chunk used before it
-        self._before = None
+        self._chunks = {}  # (seed, stream_id, lo, hi) -> drawn chunk, least recently used first
+        self._chunks_step = None  # (seed, stream_id >> _STEP_SHIFT) of the cached chunks
+        self._chunks_floats = 0
 
     def _walk(self, chunk_size: int):
         """The chunks in order, or backwards when the last one is the chunk used last."""
@@ -108,33 +115,38 @@ class ParamView:
             if pieces:
                 plan.append((lo, self.size, pieces))
             self._plans[chunk_size] = plan
-        if len(plan) > 1 and self._drawn_key is not None and self._drawn_key[2:] == plan[-1][:2]:
+        if len(plan) > 1 and self._chunks and next(reversed(self._chunks))[2:] == plan[-1][:2]:
             return plan[::-1]
         return plan
 
-    def _direction(self, seed: int, stream_id: int, lo: int, hi: int) -> np.ndarray:
-        """u[lo:hi] of the stream, drawn only when it is neither of the two chunks kept."""
+    def _direction(self, seed: int, stream_id: int, lo: int, hi: int, chunk_size: int) -> np.ndarray:
+        """u[lo:hi] of the stream, drawn only when the cache does not hold it."""
         key = (seed, stream_id, lo, hi)
-        if key != self._drawn_key:
-            if key == self._before_key:
-                drawn = self._before
-            else:
-                drawn = normals_at(seed, stream_id, lo, hi - lo)
-            self._before_key, self._before = self._drawn_key, self._drawn
-            self._drawn_key, self._drawn = key, drawn
-        return self._drawn
+        chunks = self._chunks
+        drawn = chunks.pop(key, None)
+        if drawn is None:
+            step = (seed, stream_id >> _STEP_SHIFT)
+            if step != self._chunks_step:
+                chunks.clear()
+                self._chunks_step, self._chunks_floats = step, 0
+            drawn = normals_at(seed, stream_id, lo, hi - lo)
+            self._chunks_floats += hi - lo
+            while self._chunks_floats > 2 * chunk_size:
+                self._chunks_floats -= chunks.pop(next(iter(chunks))).shape[0]
+        chunks[key] = drawn
+        return drawn
 
     def direction(self, seed: int, stream_id: int, chunk_size: int) -> np.ndarray:
-        """A copy of the whole flat u of the stream; the two chunks kept are not drawn again."""
+        """A copy of the whole flat u of the stream; cached chunks are not drawn again."""
         u = np.empty(self.size)
         for lo, hi, _ in self._walk(chunk_size):
-            u[lo:hi] = self._direction(seed, stream_id, lo, hi)
+            u[lo:hi] = self._direction(seed, stream_id, lo, hi, chunk_size)
         return u
 
     def add_direction(self, seed: int, stream_id: int, scale: float, chunk_size: int) -> None:
         """In place: params += scale * u, u regenerated chunk-wise from the stream."""
         for lo, hi, pieces in self._walk(chunk_size):
-            u = self._direction(seed, stream_id, lo, hi)
+            u = self._direction(seed, stream_id, lo, hi, chunk_size)
             for _, live, sl in pieces:
                 live += scale * u[sl]
 
@@ -152,7 +164,7 @@ class ParamView:
         for lo, hi, pieces in self._walk(chunk_size):
             delta = np.zeros(hi - lo)
             for sid, c in terms:
-                delta += c * self._direction(seed, sid, lo, hi)
+                delta += c * self._direction(seed, sid, lo, hi, chunk_size)
             chunk_sq = []
             for label, live, sl in pieces:
                 lr = lr_by_label[label]
@@ -252,12 +264,12 @@ def zo_gradient_scale(loss_fn, params: ParamView, cfg: ZoConfig, step: int) -> l
         sid = direction_stream_id(step, i)
         params.add_direction(cfg.seed, sid, +eps, cfg.chunk_size)
         loss_plus = float(loss_fn())
-        if not np.isfinite(loss_plus):
+        if not math.isfinite(loss_plus):
             params.add_direction(cfg.seed, sid, -eps, cfg.chunk_size)
             raise NumericError(f"non-finite loss at +eps, step {step} direction {i}")
         params.add_direction(cfg.seed, sid, -2 * eps, cfg.chunk_size)
         loss_minus = float(loss_fn())
-        if not np.isfinite(loss_minus):
+        if not math.isfinite(loss_minus):
             params.add_direction(cfg.seed, sid, +eps, cfg.chunk_size)
             raise NumericError(f"non-finite loss at -eps, step {step} direction {i}")
         params.add_direction(cfg.seed, sid, +eps, cfg.chunk_size)

@@ -5,10 +5,12 @@ triple loop, quantization enumerates every integer code and measures its
 distance exactly, the reference transformer walks positions and heads one at
 a time, the calibration gradient takes a full layer evaluation per probe, and
 the forward's elementwise helpers are written out of place, one new array per
-operation.
+operation. The per-group (min, max, absmax) reduction lives here too: only
+tests use it.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from numpy.random import Generator, Philox
 from scipy.special import erf, ndtri
 
 from zoqlab.calibration import _FD_H, _apply_block
+from zoqlab.numerics import to_groups
 
 
 def naive_matmul(a, b):
@@ -174,6 +177,26 @@ def out_of_place_cross_entropy(logits, targets):
     lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=-1))
     picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
     return float(np.mean(lse - picked))
+
+
+@dataclass
+class GroupStats:
+    """(min, max, absmax) per group, ordered the way to_groups orders them."""
+
+    mins: np.ndarray
+    maxs: np.ndarray
+    absmaxs: np.ndarray
+
+    def __iter__(self):
+        return iter(zip(self.mins, self.maxs, self.absmaxs))
+
+
+def reduce_stats(x, gran):
+    """Per-group (min, max, absmax) under the given granularity."""
+    g = to_groups(x, gran)
+    mins = g.min(axis=1)
+    maxs = g.max(axis=1)
+    return GroupStats(mins=mins, maxs=maxs, absmaxs=np.maximum(np.abs(mins), np.abs(maxs)))
 
 
 def philox_normals_reference(seed, stream_id, position, n):

@@ -7,7 +7,7 @@ import pytest
 import zoqlab.model
 from zoqlab.calibration import calibrate_model, capture_activations
 from zoqlab.cli import _model_entries
-from zoqlab.diagnostics import layer_reconstruction_loss, transient_forward_bytes
+from zoqlab.diagnostics import layer_reconstruction_loss, memory_report, transient_forward_bytes
 from zoqlab.model import (
     LIGHTWEIGHT_TRAINABLE,
     ModelConfig,
@@ -279,3 +279,23 @@ def test_forward_memory_model_is_a_lower_bound(plan):
     finally:
         tracemalloc.stop()
     assert peak >= transient_forward_bytes(TINY, len(seqs))
+
+
+@pytest.mark.parametrize("train_quant_affine", [True, False])
+def test_memory_report_counts_the_scalars_zo_step_trains(monkeypatch, train_quant_affine):
+    model = build_model(TINY, PLANS["W4A4"], seed=0)
+    cfg = ZoConfig(steps=1, seed=0, train_quant_affine=train_quant_affine)
+    views = []
+    trainable = model.trainable_parameters
+
+    def recording(**kwargs):
+        views.append(trainable(**kwargs))
+        return views[-1]
+
+    monkeypatch.setattr(model, "trainable_parameters", recording)
+    zo_step(model, tokens(2), cfg, 0)
+    monkeypatch.undo()
+    assert len(views) == 1
+    assert memory_report(model, cfg)["parameters"] == 8 * views[0].size
+    with_affine = trainable(include_quant_affine=True).size
+    assert (views[0].size < with_affine) != train_quant_affine

@@ -16,12 +16,11 @@ from zoqlab.numerics import (
     per_tensor,
     per_token,
     read_tensor,
-    reduce_stats,
     to_groups,
     write_tensor,
 )
 
-from oracles import naive_matmul, philox_normals_reference
+from oracles import naive_matmul, philox_normals_reference, reduce_stats
 
 
 class TestMatmul:
@@ -146,6 +145,44 @@ class TestStreamsMatchFreshGenerator:
             sys.setswitchinterval(switch)
         assert not any(th.is_alive() for th in threads)
         assert bad == []
+
+    @pytest.mark.parametrize(
+        "seed, stream_id",
+        [(2**64 - 1, 0), (0, 2**64 - 1), (2**64 - 1, 2**64 - 1), (2**64 - 1, (7 << 32) | 2)],
+    )
+    @pytest.mark.parametrize("position, n", [(0, 1), (5, 1), (2**40 + 3, 9), (7, 4097)])
+    def test_largest_seed_and_stream_id(self, seed, stream_id, position, n):
+        got = normals_at(seed, stream_id, position, n)
+        assert got.tobytes() == philox_normals_reference(seed, stream_id, position, n).tobytes()
+
+    def test_two_threads_get_the_bytes_of_serial_draws(self):
+        """Each read writes counter and key into one shared state dict; the lock keeps reads apart."""
+        rng = np.random.default_rng(31)
+        jobs = {
+            t: [
+                (int(rng.integers(0, 2**63)), (t << 32) | i, int(rng.integers(0, 10**6)), int(rng.integers(1, 50)))
+                for i in range(3000)
+            ]
+            for t in (1, 2)
+        }
+        serial = {t: [normals_at(*job).tobytes() for job in jobs[t]] for t in jobs}
+        got = {t: [] for t in jobs}
+
+        def worker(t):
+            got[t] = [normals_at(*job).tobytes() for job in jobs[t]]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in jobs]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert got == serial
 
 
 class TestReduceStats:

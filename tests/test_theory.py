@@ -5,9 +5,15 @@ import dataclasses
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import zoqlab.zo
 from zoqlab import theory
+from zoqlab.numerics import normals_at
 
 QUICK_ESTIMATES, QUICK_ORACLE_SAMPLES = 20_000, 100_000
+QUICK_TRIALS = 1000
 
 
 def test_unbiasedness_rows_pass_at_twenty_seeds_and_catch_a_biased_estimator():
@@ -83,3 +89,52 @@ def test_model_and_zo_bind_every_name_the_benchmark_tracer_patches():
     assert {owner for owner, _ in patched} == set(owners)
     for owner, attr in patched:
         assert callable(getattr(owners[owner], attr, None)), f"{owner}.{attr}"
+
+
+def test_estimator_driven_rows_keep_their_bytes():
+    """repr(measured) of three estimator-driven rows of `verify --quick --seed 0`.
+
+    The rows are built as run_verification builds them. The values were
+    recorded before the view cached a whole step's chunks and normals_at
+    re-keyed Philox in place; a faster estimator path must keep these bytes.
+    """
+    obj0 = theory.SmoothedObjective("quadratic", dim=8, epsilon=1e-2, quant_step=0.1, lipschitz=4.0)
+    gap = theory.zo_formula_gap(obj0, theory._W8, estimates=256, seed=0)
+    obj4 = theory.SmoothedObjective("linear", dim=4, epsilon=1e-2)
+    mse4 = theory.check_mse_bound(obj4, np.linspace(0.05, 0.35, 4), 16, QUICK_TRIALS, seed=4 * 31 + 16)
+    obj_q = theory.SmoothedObjective("linear", dim=2, epsilon=1e-3, quant_step=0.1)
+    w_q = [theory.place_at_distance(0.1, 1.0, 1e-3), 0.21]
+    mse_q = theory.check_mse_bound(obj_q, w_q, 1, QUICK_TRIALS, seed=77)
+    got = [(row.config, repr(row.measured)) for row in (gap, mse4, mse_q)]
+    assert got == [
+        ("d=8 quadratic step=0.1", "0.0"),
+        ("d=4 q=16 step=0", "0.28784530204050474"),
+        ("d=2 q=1 step=0.1 eps=0.001", "2098.814996563207"),
+    ]
+
+
+def test_mse_bound_draws_each_direction_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return normals_at(*args)
+
+    monkeypatch.setattr(zoqlab.zo, "normals_at", counting)
+    obj = theory.SmoothedObjective("linear", dim=1, epsilon=1e-2)
+    q = 16
+    theory.check_mse_bound(obj, [0.2], q, QUICK_TRIALS, seed=3, oracle_samples=1000)
+    assert len(calls) == q * QUICK_TRIALS
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+@pytest.mark.parametrize("quant_step", [0.0, 0.1])
+def test_loss_of_a_point_is_its_batch_loss(kind, quant_step):
+    obj = theory.SmoothedObjective(kind, dim=5, epsilon=1e-2, quant_step=quant_step, lipschitz=3.7)
+    points = np.random.default_rng(4).normal(scale=0.3, size=(200, 5))
+    batch = obj.loss_batch(points)
+    for point, want in zip(points, batch):
+        got = obj.loss(point)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes()

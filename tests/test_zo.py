@@ -161,6 +161,44 @@ class TestWholeViewEquivalence:
         u[:] = 0.0  # a copy: the cached chunk is untouched
         assert view.direction(SEED, d.stream_id, chunk_size).tobytes() == whole.tobytes()
 
+    def test_cache_holds_only_the_chunks_of_the_current_step(self):
+        """Room for hundreds of one-chunk directions; a new step or seed still empties it."""
+        view = ParamView(entries())
+
+        def held():
+            return sorted((seed, sid) for seed, sid, _, _ in view._chunks)
+
+        zo_gradient_scale(lambda: 0.5, view, ZoConfig(directions=3, seed=SEED), step=3)
+        assert held() == [(SEED, direction_stream_id(3, i)) for i in range(3)]
+        zo_gradient_scale(lambda: 0.5, view, ZoConfig(directions=1, seed=SEED), step=4)
+        assert held() == [(SEED, direction_stream_id(4, 0))]
+        zo_gradient_scale(lambda: 0.5, view, ZoConfig(directions=1, seed=SEED + 1), step=4)
+        assert held() == [(SEED + 1, direction_stream_id(4, 0))]
+
+    @pytest.mark.parametrize("chunk_size, n_chunks", [(VIEW_SIZE, 1), (40, 2), (30, 3)])
+    @pytest.mark.parametrize("q", [1, 4])
+    def test_cache_never_holds_more_than_two_chunk_sizes(self, monkeypatch, chunk_size, n_chunks, q):
+        held = []
+        direction = ParamView._direction
+
+        def measuring(view, *args):
+            out = direction(view, *args)
+            held.append(sum(u.shape[0] for u in view._chunks.values()))
+            assert view._chunks_floats == held[-1]
+            return out
+
+        monkeypatch.setattr(ParamView, "_direction", measuring)
+        view = ParamView(entries())
+        assert len(view._walk(chunk_size)) == n_chunks
+        cfg = ZoConfig(directions=q, seed=SEED, chunk_size=chunk_size)
+        for step in (3, 4):
+            directions = zo_gradient_scale(lambda: 0.5, view, cfg, step=step)
+            sids = [d.stream_id for d in directions]
+            view.apply_directions(SEED, sids, [0.25] * q, LRS, chunk_size)
+            for sid in sids:
+                view.direction(SEED, sid, chunk_size)
+        assert held and max(held) <= 2 * chunk_size
+
     def test_chunks_pack_pieces_across_segments(self, monkeypatch):
         calls = []
 
