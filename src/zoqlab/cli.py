@@ -626,9 +626,14 @@ def cmd_diag(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> in
         os.path.join(cfg.metrics_dir, "diagnostics.csv"), [record]
     )
     mem = diagnostics.memory_report(model, cfg.zo)
+    chunk = eval_batch[: cfg.zo.batch_size]
+    peaks = diagnostics.measured_peaks(model, chunk, cfg.zo)
     print(f"eval ppl {record.eval_ppl:.4f}")
     for key, val in mem.items():
         print(f"  {key}: {val} bytes")
+    print(f"measured, tracemalloc peak on one eval chunk of {chunk.shape[0]} sequences:")
+    print(f"  forward: {peaks['forward']} bytes (modelled transient_forward {mem['transient_forward']})")
+    print(f"  zo_step: {peaks['zo_step']} bytes (on a copy of the model)")
     return EXIT_OK
 
 

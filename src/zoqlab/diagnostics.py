@@ -2,22 +2,28 @@
 
 Layer reconstruction losses and eval perplexity form paired series; their
 sign-disagreement rate quantifies how often local layer improvements fail to
-move the task metric the same way. Memory is modeled analytically (exact
-functions of the configuration), not measured from the allocator; the forward
-activation term is a lower bound.
+move the task metric the same way.
+
+Memory is modeled analytically (exact functions of the configuration); the
+forward activation term is a lower bound at the training batch size. The eval
+in `track` runs cfg.batch_size sequences per forward, like a training step,
+so that bound covers eval forwards too. `measured_peaks` gives the
+tracemalloc peaks to set beside it.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import os
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .model import ModelGraph, linear_forward
-from .zo import ZoConfig, optimizer_state_size
+from .model import ModelGraph, linear_forward, token_cross_entropy
+from .zo import ZoConfig, optimizer_state_size, zo_step
 
 
 @dataclass
@@ -58,17 +64,32 @@ def track(
     train_loss: float = float("nan"),
     cfg: ZoConfig | None = None,
 ) -> TrackRecord:
-    """One instrumentation snapshot: eval perplexity plus per-layer reconstruction."""
-    eval_set = np.asarray(eval_set)
+    """One instrumentation snapshot: eval perplexity plus per-layer reconstruction.
+
+    The eval set is scored cfg.batch_size sequences per qat forward (cfg
+    defaults to ZoConfig()), so no eval forward is larger than a training
+    one. The per-token losses of every chunk fill one (sequences, t - 1)
+    array whose single mean is eval_loss: the bytes of
+    model.loss(eval_set, mode="qat").
+    """
+    cfg = cfg if cfg is not None else ZoConfig()
+    eval_set = np.atleast_2d(eval_set)
     if eval_set.size == 0:
         raise DataError("empty eval set")
-    eval_loss = model.loss(eval_set, mode="qat")
+    if eval_set.shape[1] < 2:
+        raise DataError("loss needs sequences of length >= 2")
+    token_losses = np.empty((eval_set.shape[0], eval_set.shape[1] - 1))
+    for lo in range(0, eval_set.shape[0], cfg.batch_size):
+        chunk = eval_set[lo : lo + cfg.batch_size]
+        logits = model.forward(chunk, mode="qat")
+        token_losses[lo : lo + chunk.shape[0]] = token_cross_entropy(logits[:, :-1, :], chunk[:, 1:])
+    eval_loss = float(np.mean(token_losses))
     recon: dict[str, float] = {}
     if layer_probe_set:
         for layer_id, lin in model.iter_attachments():
             if layer_id in layer_probe_set:
                 recon[layer_id] = layer_reconstruction_loss(lin, layer_probe_set[layer_id])
-    mem = memory_report(model, cfg if cfg is not None else ZoConfig())
+    mem = memory_report(model, cfg)
     return TrackRecord(
         step=step,
         recon_losses=recon,
@@ -99,7 +120,11 @@ def inconsistency_score(records) -> float:
 
 
 def transient_forward_bytes(config, batch_size: int) -> int:
-    """Lower bound on the peak live activation bytes of one forward pass.
+    """Lower bound on the peak live activation bytes of one forward pass of batch_size sequences.
+
+    At the training batch size this bounds every forward a run makes:
+    zo_step's, and track's, which scores the eval set that many sequences
+    at a time.
 
     Residual stream plus the largest concurrent stage (qkv projections,
     attention matrices, mlp hidden, or logits), all float64. Temporaries are
@@ -129,6 +154,8 @@ def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
     transient_forward: a lower bound on the peak forward activations at the
     configured batch size (transient_forward_bytes; one measured forward
     peaks at 1.5-1.8x it). Only transient_forward depends on batch size.
+    Training and track's eval both run cfg.batch_size sequences per forward,
+    so the bound covers both.
     """
     params = model.trainable_parameters(include_quant_affine=cfg.train_quant_affine).size * 8
     frozen = sum(count * bits // 8 for count, bits in model.frozen_quantized_scalars())
@@ -138,6 +165,29 @@ def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
         "optimizer_state": optimizer_state_size(cfg, model),
         "transient_forward": transient_forward_bytes(model.config, cfg.batch_size),
     }
+
+
+def measured_peaks(model: ModelGraph, batch, cfg: ZoConfig) -> dict[str, int]:
+    """tracemalloc peaks in bytes: one qat forward of batch, one zo_step on a copy.
+
+    Each peak counts only what the call allocates beyond what is already
+    held, so it measures what transient_forward models. The zo_step runs at
+    step 0 on a deep copy, so model is not trained.
+    """
+    scratch = copy.deepcopy(model)
+    calls = {
+        "forward": lambda: model.forward(batch, mode="qat"),
+        "zo_step": lambda: zo_step(scratch, batch, cfg, 0),
+    }
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 DIAG_HEADER = (

@@ -423,15 +423,20 @@ def _gelu(x):
     return x
 
 
-def cross_entropy(logits: Tensor, targets) -> float:
-    """Mean cross-entropy in nats; logits (..., V), integer targets (...)."""
+def token_cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Cross-entropy in nats at each position; logits (..., V), integer targets (...)."""
     targets = np.asarray(targets)
     m = logits.max(axis=-1, keepdims=True)
     e = logits - m
     np.exp(e, out=e)
     lse = m[..., 0] + np.log(e.sum(axis=-1))
     picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
-    return float(np.mean(lse - picked))
+    return lse - picked
+
+
+def cross_entropy(logits: Tensor, targets) -> float:
+    """Mean cross-entropy in nats; logits (..., V), integer targets (...)."""
+    return float(np.mean(token_cross_entropy(logits, targets)))
 
 
 def sinusoidal_table(context: int, d_model: int) -> Tensor:

@@ -17,11 +17,31 @@ several times more, because its constructor first seeds itself from OS
 entropy. A lock holds the writes, the re-key and the read together, so
 threads that draw at once cannot clobber each other's counter, key or
 generator state.
+
+Importing the package pins glibc's two heap thresholds at glibc's own
+ceiling (`pin_heap_thresholds`): blocks of 32 MiB or more come from mmap,
+and up to 64 MiB of free memory at the top of the heap is kept rather than
+returned to the system. Left to itself, glibc raises both thresholds, up to
+that ceiling, only after freeing an mmap block larger than the current one,
+so whether a forward's arrays go back to the system and are faulted in again
+depends on what ran earlier in the process. Measured on the default W4A4
+model with no larger forward run first (2-CPU VM, 1 BLAS thread, medians of
+4 processes), a zo_step at batch 4 took 4,181 minor page faults and 62 ms
+unpinned against 0 faults and 53 ms pinned; in lightweight W4A16g16, 3,520
+faults and 34 ms against 0 and 29 ms; at batch 8 (2 processes), 7,831
+faults and 122 ms against 3 and 104 ms. Smaller pairs fit only some batch
+sizes: 8/16 MiB, the smallest with 0 faults at batch 4, takes 9,154 faults
+per W4A4 step at batch 8, and 4/8 MiB faults at batch 4 already. Reusing
+buffers instead would need output arrays passed through every quantizer and
+attention op.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import struct
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -56,8 +76,38 @@ _STATE = {
 }
 _SHIFT = np.uint64(11)  # 64 - 53: keep the top 53 bits of a draw
 
+# mallopt parameter numbers from glibc's <malloc.h>, and the pinned values
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_BYTES = 32 << 20  # M_MMAP_THRESHOLD's largest value on 64-bit glibc
+_TRIM_BYTES = 64 << 20  # twice it, as glibc's own adjustment sets it
+
 _TENSOR_MAGIC = b"ZQLB-TNS"  # 8 bytes, followed by u32 version + u32 reserved
 _TENSOR_VERSION = 1
+
+
+def pin_heap_thresholds() -> bool:
+    """Pin glibc's mmap and trim thresholds; see the module docstring.
+
+    Runs once, at import. Returns whether both were set: False on any
+    platform other than Linux with glibc, where it does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):  # no confstr name, no libc answer, no mallopt
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+    trim_set = mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    return mmap_set == 1 and trim_set == 1
+
+
+pin_heap_thresholds()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import struct
 
 import pytest
@@ -163,6 +164,21 @@ def test_checkpoint_commands_create_a_new_metrics_dir(tiny_config, tmp_path, com
     fresh = tmp_path / "not" / "yet" / "there"
     assert cli.main([command, ckpt, "--metrics-dir", str(fresh)]) == cli.EXIT_OK
     assert (fresh / written).is_file()
+
+
+def test_diag_prints_measured_memory_next_to_the_model(trained_checkpoint, tmp_path, capsys):
+    ckpt = tmp_path / "final.ckpt"
+    ckpt.write_bytes(trained_checkpoint)
+    capsys.readouterr()
+    assert cli.main(["diag", str(ckpt), "--metrics-dir", str(tmp_path / "m")]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    modelled = int(re.search(r"^  transient_forward: (\d+) bytes$", out, re.M).group(1))
+    forward = re.search(r"^  forward: (\d+) bytes \(modelled transient_forward (\d+)\)$", out, re.M)
+    step = re.search(r"^  zo_step: (\d+) bytes", out, re.M)
+    assert forward and step, out
+    assert int(forward.group(2)) == modelled
+    # the model is a lower bound, and a zo_step runs that forward on the same batch
+    assert modelled <= int(forward.group(1)) <= int(step.group(1))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])

@@ -6,8 +6,8 @@ import pytest
 
 import zoqlab.model
 from zoqlab.calibration import calibrate_model, capture_activations
-from zoqlab.cli import _model_entries
-from zoqlab.diagnostics import layer_reconstruction_loss, memory_report, transient_forward_bytes
+from zoqlab.cli import _model_entries, default_corpus_path, ingest_corpus
+from zoqlab.diagnostics import layer_reconstruction_loss, memory_report, track, transient_forward_bytes
 from zoqlab.model import (
     LIGHTWEIGHT_TRAINABLE,
     ModelConfig,
@@ -299,3 +299,34 @@ def test_memory_report_counts_the_scalars_zo_step_trains(monkeypatch, train_quan
     assert memory_report(model, cfg)["parameters"] == 8 * views[0].size
     with_affine = trainable(include_quant_affine=True).size
     assert (views[0].size < with_affine) != train_quant_affine
+
+
+EVAL_PLANS = {
+    "W4A4": (QuantPlan(4, 4), False),
+    "W3A8g8": (QuantPlan(3, 8, group_size=8), False),
+    "light-W4A16g16": (QuantPlan(4, None, group_size=16), True),
+    "fp": (None, False),
+}
+
+
+@pytest.fixture(scope="module")
+def eval_models():
+    """Default-config models and 16 corpus eval sequences: the shapes the benchmark scores."""
+    config = ModelConfig()
+    _, eval_set = ingest_corpus(default_corpus_path(), config.context, 0)
+    models = {}
+    for name, (plan, lightweight) in EVAL_PLANS.items():
+        model = build_model(config, plan, seed=0)
+        models[name] = set_lightweight(model) if lightweight else model
+    return models, eval_set[:16]
+
+
+@pytest.mark.parametrize("n_seqs", [16, 7, 1])
+@pytest.mark.parametrize("plan", EVAL_PLANS)
+def test_chunked_eval_loss_is_the_bytes_of_one_forward(eval_models, plan, n_seqs):
+    models, eval_set = eval_models
+    model, seqs = models[plan], eval_set[:n_seqs]
+    whole = model.loss(seqs, mode="qat")
+    for batch_size in (4, 3, 1):
+        got = track(model, seqs, None, cfg=ZoConfig(batch_size=batch_size)).eval_loss
+        assert got.hex() == whole.hex(), batch_size

@@ -1,10 +1,16 @@
 import io
+import os
+import platform
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zoqlab
+from zoqlab import numerics
 from zoqlab.errors import DataError, DimensionError
 from zoqlab.numerics import (
     RngStream,
@@ -183,6 +189,65 @@ class TestStreamsMatchFreshGenerator:
             sys.setswitchinterval(switch)
         assert not any(th.is_alive() for th in threads)
         assert got == serial
+
+
+ON_GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+# A fresh process with no eval or other larger forward first: default W4A4,
+# batch 4. Prints the median of the minor page faults of zo_steps 3-9.
+FAULTS_PER_STEP = """
+import resource, statistics
+from zoqlab import cli
+from zoqlab.model import ModelConfig, QuantPlan, build_model
+from zoqlab.zo import ZoConfig, zo_step
+
+config = ModelConfig()
+train, _ = cli.ingest_corpus(cli.default_corpus_path(), config.context, 0)
+model = build_model(config, QuantPlan(4, 4), 0)
+cfg = ZoConfig(batch_size=4)
+faults = []
+for step in range(10):
+    batch = cli.sample_batch(train, cfg.batch_size, 0, step)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    zo_step(model, batch, cfg, step)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults[3:]))
+"""
+
+
+class TestHeapThresholds:
+    @pytest.mark.skipif(not ON_GLIBC, reason="the pinned thresholds are glibc's")
+    def test_zo_steps_do_not_fault_their_arrays_in_again(self):
+        # unpinned, each step returns its arrays to the system and faults ~4,000 pages back in
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = str(Path(zoqlab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", FAULTS_PER_STEP],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert float(run.stdout) < 400
+
+    def test_pin_reports_whether_it_was_set(self):
+        assert numerics.pin_heap_thresholds() is ON_GLIBC
+
+    @pytest.mark.parametrize(
+        "platform_name, confstr",
+        [("darwin", None), ("linux", None), ("linux", ValueError), ("linux", "musl 1.2")],
+    )
+    def test_pin_does_nothing_off_glibc(self, monkeypatch, platform_name, confstr):
+        def answer(name):
+            if confstr is ValueError:
+                raise ValueError("unrecognized configuration name")
+            return confstr
+
+        def refuse(*args):
+            raise AssertionError("libc loaded off glibc")
+
+        monkeypatch.setattr(numerics.sys, "platform", platform_name)
+        monkeypatch.setattr(numerics.os, "confstr", answer)
+        monkeypatch.setattr(numerics.ctypes, "CDLL", refuse)
+        assert numerics.pin_heap_thresholds() is False
 
 
 class TestReduceStats:

@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,29 @@ class TestWholeViewEquivalence:
         ParamView(entries()).add_direction(SEED, 1, EPS, 40)
         # segments of 35, 11, 1, 12, 9 and 6 packed into chunks of at most 40
         assert [(pos, n) for _, _, pos, n in calls] == [(0, 35), (35, 39)]
+
+
+def test_directions_across_steps_have_zero_mean_and_identity_covariance():
+    """The draws the production view hands out over many steps are N(0, I) within Z SE.
+
+    A three-chunk view over two groups, so the cache and the segment packing
+    are in the path. With the theory suite's zo_matches_two_point_formula
+    row, which pins the production coefficient to the two-point formula on
+    these draws, this is what ties the zo_unbiasedness rows to zo_step.
+    """
+    view = ParamView([("weights", np.zeros((2, 2))), ("clipping", np.zeros(2))])
+    steps, d = 8000, view.size
+    u = np.stack([view.direction(SEED, direction_stream_id(t, 0), 2) for t in range(steps)])
+    products = (u[:, :, None] * u[:, None, :]).reshape(steps, -1)
+    deviations = np.concatenate([u, products - np.eye(d).reshape(1, -1)], axis=1)
+    upper = np.concatenate([np.ones(d, bool), np.triu(np.ones((d, d), bool)).reshape(-1)])
+    deviations = deviations[:, upper]  # each mean and each distinct covariance entry once
+    # Sidak: the family-wise false-alarm rate 0.01 spread over every entry
+    rate = 1.0 - 0.99 ** (1.0 / deviations.shape[1])
+    z = NormalDist().inv_cdf(1.0 - rate / 2)
+    mean = deviations.mean(axis=0)
+    se = deviations.std(axis=0, ddof=1) / np.sqrt(steps)
+    assert np.all(np.abs(mean) <= z * se), np.abs(mean) / se
 
 
 class TestRoundTripDrift:
