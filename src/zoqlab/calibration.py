@@ -7,40 +7,40 @@ smoothed output over captured calibration activations). Improvements are
 accepted only when measured, so the returned parameters never score worse
 than the starting point.
 
-The descent takes central differences in every coordinate of a block. The
-probes are scored in one batch from the residual at the base point: a probe
+The smoothing blocks take central differences in every coordinate, their
+probes scored in one batch from the residual at the base point: a probe
 moves one column of the smoothed input and one row of the smoothed weight,
-or one group's clamp bounds, so its loss change is a low-rank update of the
-cached residual. Every quantized value a probe sees is the one a full
-evaluation would compute; only the order of the sums differs.
+a low-rank update of the cached residual. The loss depends on the clipping
+coefficients only through each group's integer clamp bounds
+rint(clip * q_p), so it is piecewise constant in them; the clip block
+searches those bounds directly, scoring each one-code move from the weights
+at or beyond the moved bound. Every quantized value a probe or a move sees
+is the one a full evaluation would compute; only the order of the sums
+differs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericError
 from .model import ModelGraph, freeze_linear, regrid_weight_state
-from .numerics import per_channel, to_groups
-from .quantizer import QuantSpec, QuantState, clamp_bounds, fake_quant, init_range
-from .smoothing import (
-    SCALE_FLOOR,
-    SmoothingParams,
-    fold_smoothing,
-    smooth_activation,
-    smooth_weight,
-)
+from .numerics import to_groups
+from .quantizer import QuantSpec, QuantState, clamp_bounds, fake_quant, init_range, quant_codes
+from .smoothing import SCALE_FLOOR, SmoothingParams, fold_smoothing, smooth_activation, smooth_weight
 
-# inner gradient steps per parameter block per epoch, and the fixed
-# step-size ladder tried at each of them (first improvement wins)
+# gradient steps or bound-search passes per block per epoch, and the fixed
+# step-size ladder tried at each gradient step (first improvement wins)
 _INNER_STEPS = 2
 _STEP_LADDER = (1.0, 0.25, 0.0625)
 _FD_H = 1e-3
-# (row, probe) pairs or clip probes re-quantized together; bounds the
-# transient memory of a probe batch
+# (row, probe) pairs re-quantized together; bounds the transient memory of a
+# probe batch
 _PROBE_CHUNK = 256
+# (d_lo, d_hi) of the four one-code moves of a group's clamp bounds
+_MOVES = np.array([[0, 1], [0, -1], [-1, 0], [1, 0]])
 
 
 @dataclass
@@ -88,21 +88,17 @@ class _LayerObjective:
     Evaluates the layer as model.linear_forward composes it, with the pieces
     that depend only on the smoothing (smoothed and quantized input, the
     input's per-token quantizer state, smoothed weight and bias) cached, so
-    clipping-only probes skip the activation re-quantization.
+    the bound search and the weight re-grid skip the activation re-quantization.
     """
 
-    def __init__(self, x, w, b, weight_spec: QuantSpec, act_spec: QuantSpec | None):
+    def __init__(self, x, w, b, weight_spec: QuantSpec, act_spec: QuantSpec | None, smoothing=None):
         self.x = x
         self.w = w
         self.b = b
         self.wspec = weight_spec
         self.aspec = act_spec
         self.y_fp = x @ w + b
-        self.xs = None
-        self.act_state = None
-        self.xq = None
-        self.w_s = None
-        self.b_s = None
+        self.set_smoothing(smoothing)
 
     def set_smoothing(self, smoothing: SmoothingParams | None):
         if smoothing is None:
@@ -127,23 +123,21 @@ class _LayerObjective:
 
 
 def reconstruct_layer(
-    w,
-    b,
-    captures: list[np.ndarray],
-    attachment,
-    epochs: int = 2,
+    w, b, captures: list[np.ndarray], attachment, epochs: int = 2
 ) -> ReconstructionResult:
     """Minimize layer reconstruction error over (scale, shift, clip_lo, clip_hi).
 
-    Block-coordinate zeroth-order descent: per epoch, each block (log-scale,
-    shift, clipping) takes central-difference gradient steps from a fixed
-    step ladder, accepted only if the measured loss improves. The 2d probes
+    Block-coordinate zeroth-order descent. Per epoch, the smoothing blocks
+    (log-scale, shift) take central-difference gradient steps from a fixed
+    step ladder, accepted only if the measured loss improves; the 2d probes
     of a gradient are scored together from the residual at the base point
-    (_fd_gradient); the ladder candidates and the returned losses are full
-    evaluations, so loss_after is the layer's reconstruction loss exactly.
-    The quantizer step/zero are re-derived from the smoothed weight after
-    every epoch (again accept-if-improved). epochs=0 returns the
-    range-initialized parameters untouched.
+    (_fd_gradient). The clipping block then searches each group's integer
+    clamp bounds one code at a time (_search_bounds). Ladder candidates,
+    search passes and the returned losses are full evaluations, so
+    loss_after is the layer's reconstruction loss exactly. The quantizer
+    step/zero are re-derived from the smoothed weight after every epoch
+    (again accept-if-improved). epochs=0 returns the range-initialized
+    parameters untouched.
     """
     if not captures:
         raise DataError("reconstruct_layer needs at least one capture")
@@ -152,13 +146,10 @@ def reconstruct_layer(
     x = np.concatenate([np.asarray(c, dtype=np.float64) for c in captures], axis=0)
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    obj = _LayerObjective(x, w, b, attachment.weight_spec, attachment.act_spec)
-
     smoothing = attachment.smoothing.copy() if attachment.smoothing is not None else None
-    obj.set_smoothing(smoothing)
+    obj = _LayerObjective(x, w, b, attachment.weight_spec, attachment.act_spec, smoothing)
     state = regrid_weight_state(obj.w_s, obj.wspec, attachment.weight_state)
-    loss = obj.eval(state)
-    loss_before = loss
+    loss_before = loss = obj.eval(state)
     if not np.isfinite(loss):
         raise NumericError("non-finite reconstruction loss at initialization")
 
@@ -168,7 +159,7 @@ def reconstruct_layer(
         if smoothing is not None:
             loss = _descend_block(obj, state, smoothing, "log_scale", 1.0, loss)
             loss = _descend_block(obj, state, smoothing, "shift", act_scale, loss)
-        loss = _descend_block(obj, state, smoothing, "clip", 0.1, loss)
+        state, loss = _search_bounds(obj, state, loss)
         # refresh the affine grid for the current smoothing, keep if better
         candidate = regrid_weight_state(obj.w_s, obj.wspec, state)
         cand_loss = obj.eval(candidate)
@@ -176,70 +167,44 @@ def reconstruct_layer(
             state, loss = candidate, cand_loss
         if not np.isfinite(loss):
             raise NumericError(f"non-finite reconstruction loss at epoch {epoch}")
-    return ReconstructionResult(
-        smoothing=smoothing, quant_state=state, loss_before=loss_before, loss_after=loss
-    )
+    return ReconstructionResult(smoothing, state, loss_before, loss)
 
 
-def _block_vector(smoothing, state, block):
+def _block_vector(smoothing, block):
     if block == "log_scale":
         return np.log(smoothing.scale)
-    if block == "shift":
-        return smoothing.shift.copy()
-    return np.concatenate([state.clip_lo, state.clip_hi])
+    return smoothing.shift.copy()
 
 
-def _apply_block(obj, smoothing, state, block, vec):
-    """Write vec into the live block and refresh the objective caches."""
+def _apply_block(obj, smoothing, block, vec):
+    """Write vec into the live smoothing block and refresh the objective caches."""
     if block == "log_scale":
         smoothing.scale = np.clip(np.exp(vec), SCALE_FLOOR, 1e4)
-        obj.set_smoothing(smoothing)
-    elif block == "shift":
-        smoothing.shift = vec.copy()
-        obj.set_smoothing(smoothing)
     else:
-        n = state.clip_lo.shape[0]
-        state.clip_lo = np.minimum(vec[:n], vec[n:] - 1e-6)
-        state.clip_hi = vec[n:].copy()
+        smoothing.shift = vec.copy()
+    obj.set_smoothing(smoothing)
 
 
 def _descend_block(obj, state, smoothing, block, ref_scale, loss):
     for _ in range(_INNER_STEPS):
-        base = _block_vector(smoothing, state, block)
+        base = _block_vector(smoothing, block)
         # the point every probe moves one coordinate away from
-        _apply_block(obj, smoothing, state, block, base)
+        _apply_block(obj, smoothing, block, base)
         grad = _fd_gradient(obj, state, smoothing, block, base)
         norm = float(np.linalg.norm(grad))
         if norm == 0.0:
             return loss
-        accepted = False
         for mu in _STEP_LADDER:
             cand = base - mu * ref_scale * grad / norm
-            _apply_block(obj, smoothing, state, block, cand)
+            _apply_block(obj, smoothing, block, cand)
             cand_loss = obj.eval(state)
             if cand_loss < loss:
                 loss = cand_loss
-                accepted = True
                 break
-        if not accepted:
-            _apply_block(obj, smoothing, state, block, base)
+        else:
+            _apply_block(obj, smoothing, block, base)
             return loss
     return loss
-
-
-def _fd_gradient(obj, state, smoothing, block, base):
-    """Central differences (L(base + h e_j) - L(base - h e_j)) / 2h for every j.
-
-    obj, state and smoothing must hold base. Each probe's loss change is
-    computed from the residual at base; the quantized values are those of a
-    full evaluation at the probe, the sums run in another order.
-    """
-    if block == "clip":
-        change = _clip_probe_changes(obj, state, base)
-    else:
-        change = _smoothing_probe_changes(obj, state, smoothing, block, base)
-    n_rows, n_out = obj.y_fp.shape
-    return (change[0] - change[1]) / (n_rows * n_out * 2 * _FD_H)
 
 
 def _rowdot(a, b):
@@ -250,8 +215,12 @@ def _coldot(a, b):
     return np.einsum("ij,ij->j", a, b)
 
 
-def _smoothing_probe_changes(obj, state, smoothing, block, base):
-    """Summed squared-residual change of every +h and every -h probe of a smoothing block.
+def _fd_gradient(obj, state, smoothing, block, base):
+    """Central differences (L(base + h e_j) - L(base - h e_j)) / 2h for every j of a smoothing block.
+
+    obj, state and smoothing must hold base. Each probe's loss change is
+    computed from the residual at base; the quantized values are those of a
+    full evaluation at the probe, the sums run in another order.
 
     Probe j moves column j of the smoothed input and, for log_scale, row j of
     the smoothed weight; a shift probe also moves the folded bias by
@@ -300,7 +269,7 @@ def _smoothing_probe_changes(obj, state, smoothing, block, base):
             rows, cols = _range_moves(extremes, xs_probe)
             change += _moved_row_changes(obj, wq, resid, xs_probe, dx, w_rows, dw, db, rows, cols)
         changes.append(change)
-    return changes
+    return (changes[0] - changes[1]) / (resid.size * 2 * _FD_H)
 
 
 def _row_extremes(xs):
@@ -355,51 +324,84 @@ def _moved_row_changes(obj, wq, resid, xs_probe, dx, w_rows, dw, db, rows, cols)
     return out
 
 
-def _clip_probe_changes(obj, state, base):
-    """Summed squared-residual change of every +h and every -h clipping probe.
+class _BoundGrid:
+    """The weight groups as the bound search moves them, and the exact score of a move.
 
-    A probe moves one group's clip coefficient. Where the group's integer
-    clamp bounds stay put, the quantized weight and so the loss are those of
-    the base: the change is exactly 0. Otherwise the group is re-quantized
-    and its output column updated by one product with the quantized input.
-    Weight groups are column slices, as QuantPlan tiles them.
+    Group g is output column g // slots over the input rows of slot g % slots,
+    as QuantPlan tiles: per output channel one slot spans every row, per
+    group along the input axis each slot is one block of rows. codes are the
+    smoothed weight's codes clamped only to [q_n, q_p], which no bound move
+    changes; gram is xq' xq.
+    """
+
+    def __init__(self, obj, state):
+        spec = self.spec = obj.wspec
+        d_in, d_out = obj.w_s.shape
+        cells = to_groups(np.arange(d_in * d_out, dtype=np.float64).reshape(d_in, d_out), spec.granularity)
+        n, self.size = cells.shape
+        self.slots = max(n // d_out, 1)
+        g = np.arange(n)[:, None]
+        slot_cells = ((g % self.slots) * self.size + np.arange(self.size)) * d_out + g // self.slots
+        if n % d_out or np.any(cells != slot_cells):
+            raise DataError("calibration needs weight groups that are column slices")
+        full = QuantState(state.step, state.zero_point, np.full(n, spec.q_n / spec.q_p), np.ones(n))
+        self.codes = to_groups(quant_codes(obj.w_s, spec, full), spec.granularity)
+        self.step, self.gram = state.step, obj.xq.T @ obj.xq
+
+    def changes(self, lo, hi, corr, k):
+        """Summed squared-residual change of every move of slot k's groups, and its weight change.
+
+        lo and hi are every group's clamp bounds, corr is resid' xq at them.
+        Move m of column c's group shifts the weights at or beyond the moved
+        bound by one step, dw[m, c], so over the slot's rows the change is
+        dw' gram dw - 2 corr[c] dw. A move that leaves [q_n, q_p] or breaks
+        lo < hi scores inf.
+        """
+        r = slice(k * self.size, (k + 1) * self.size)
+        codes, lo, hi = self.codes[k :: self.slots], lo[k :: self.slots, None], hi[k :: self.slots, None]
+        beyond = np.stack([codes > hi, codes >= hi, codes < lo, codes <= lo])
+        dw = beyond * (_MOVES.sum(axis=1)[:, None, None] * self.step[k :: self.slots, None])
+        new_lo, new_hi = lo.T + _MOVES[:, :1], hi.T + _MOVES[:, 1:]
+        feasible = (new_lo >= self.spec.q_n) & (new_hi <= self.spec.q_p) & (new_lo < new_hi)
+        change = np.where(feasible, 0.0, np.inf)
+        # only moves that change a weight need the products
+        m, c = np.nonzero(feasible & beyond.any(axis=2))
+        live = dw[m, c]
+        change[m, c] = _rowdot(live, live @ self.gram[r, r] - 2 * corr[c, r])
+        return change, dw
+
+
+def _search_bounds(obj, state, loss):
+    """Move each group's integer clamp bounds one code at a time; returns (state, loss).
+
+    Per pass, slot by slot, every group of the slot takes its best move that
+    lowers the loss. The groups of a slot sit in distinct output columns, so
+    their changes add up; the moves update resid' xq through gram before the
+    next slot is scored. A pass is kept only if a full evaluation shows the
+    loss dropped. Only a moved group's clip coefficients are rewritten, as
+    bound / q_p: writing back a collapsed group (lo == hi) would break
+    clip_lo < clip_hi.
     """
     spec = obj.wspec
-    wq, resid = obj.residual(state)
-    n = state.n_groups
-    d_in, d_out = wq.shape
-    w_groups = to_groups(obj.w_s, spec.granularity)
-    wq_groups = to_groups(wq, spec.granularity)
-    cells = to_groups(np.arange(wq.size, dtype=np.float64).reshape(wq.shape), spec.granularity)
-    in_rows, out_cols = np.divmod(cells.astype(np.int64), d_out)
-    if np.any(out_cols != out_cols[:, :1]):
-        raise DataError("calibration needs weight groups that are column slices")
-    lo_now, hi_now = clamp_bounds(spec, state)
-    group = np.arange(2 * n) % n
-    # the probes' groups laid out as columns, one quantizer group each
-    column_spec = replace(spec, granularity=per_channel(1))
-    changes = []
-    for sign in (1.0, -1.0):
-        moved_val = base + sign * _FD_H
-        clip_lo, clip_hi = base[:n][group], base[n:][group]
-        clip_lo[:n] = moved_val[:n]
-        clip_hi[n:] = moved_val[n:]
-        clip_lo = np.minimum(clip_lo, clip_hi - 1e-6)
-        probes = QuantState(state.step[group], state.zero_point[group], clip_lo, clip_hi)
-        lo, hi = clamp_bounds(spec, probes)
-        moved = np.nonzero((lo != lo_now[group]) | (hi != hi_now[group]))[0]
-        change = np.zeros(2 * n)
-        for start in range(0, moved.shape[0], _PROBE_CHUNK):
-            p = moved[start : start + _PROBE_CHUNK]
-            g = group[p]
-            sub = QuantState(probes.step[p], probes.zero_point[p], probes.clip_lo[p], probes.clip_hi[p])
-            dwq = fake_quant(w_groups[g].T, column_spec, sub) - wq_groups[g].T
-            scattered = np.zeros((d_in, p.shape[0]))
-            scattered[in_rows[g].T, np.arange(p.shape[0])] = dwq
-            dy = obj.xq @ scattered
-            change[p] = _coldot(dy, dy - 2 * resid[:, out_cols[g, 0]])
-        changes.append(change)
-    return changes
+    grid = _BoundGrid(obj, state)
+    _, resid = obj.residual(state)
+    corr = resid.T @ obj.xq
+    for _ in range(_INNER_STEPS):
+        lo, hi = clamp_bounds(spec, state)
+        cand = state.copy()
+        for k in range(grid.slots):
+            change, dw = grid.changes(lo, hi, corr, k)
+            best = np.argmin(change, axis=0)
+            cols = np.nonzero(change[best, np.arange(best.shape[0])] < 0)[0]
+            g, move = cols * grid.slots + k, _MOVES[best[cols]]
+            cand.clip_lo[g] = (lo[g] + move[:, 0]) / spec.q_p
+            cand.clip_hi[g] = (hi[g] + move[:, 1]) / spec.q_p
+            corr[cols] -= dw[best[cols], cols] @ grid.gram[k * grid.size : (k + 1) * grid.size]
+        cand_loss = obj.eval(cand)
+        if not cand_loss < loss:
+            break
+        state, loss = cand, cand_loss
+    return state, loss
 
 
 def calibrate_model(model: ModelGraph, calib: CalibSet, epochs: int) -> list[dict]:
@@ -413,9 +415,7 @@ def calibrate_model(model: ModelGraph, calib: CalibSet, epochs: int) -> list[dic
         att = lin.att
         if att.weight_spec is None or att.pre_quantized:
             continue
-        result = reconstruct_layer(
-            lin.w, lin.b, calib.captures[layer_id], att, epochs=epochs
-        )
+        result = reconstruct_layer(lin.w, lin.b, calib.captures[layer_id], att, epochs=epochs)
         att.smoothing = result.smoothing
         att.weight_state = result.quant_state
         rows.append(

@@ -152,8 +152,11 @@ def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
     quantized_frozen: pre-quantized weight matrices at bits/8 packed;
     optimizer_state: the ZO coefficients and stream cursors;
     transient_forward: a lower bound on the peak forward activations at the
-    configured batch size (transient_forward_bytes; one measured forward
-    peaks at 1.5-1.8x it). Only transient_forward depends on batch size.
+    configured batch size (transient_forward_bytes). How far a measured
+    forward exceeds it depends on the config: at the default ModelConfig and
+    batch 4 one forward peaks at 1.5-1.8x it, on the tiny config of the CLI
+    tests (d_model 16, 1 layer, context 32) at 3.7x. Only
+    transient_forward depends on batch size.
     Training and track's eval both run cfg.batch_size sequences per forward,
     so the bound covers both.
     """

@@ -3,10 +3,10 @@
 These deliberately avoid the library's vectorized code paths: matmul is a
 triple loop, quantization enumerates every integer code and measures its
 distance exactly, the reference transformer walks positions and heads one at
-a time, the calibration gradient takes a full layer evaluation per probe, and
-the forward's elementwise helpers are written out of place, one new array per
-operation. The per-group (min, max, absmax) reduction lives here too: only
-tests use it.
+a time, the calibration gradient takes a full layer evaluation per probe, the
+clamp-bound search a full layer evaluation per bound move, and the forward's
+elementwise helpers are written out of place, one new array per operation.
+The per-group (min, max, absmax) reduction lives here too: only tests use it.
 """
 
 import math
@@ -17,8 +17,9 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import erf, ndtri
 
-from zoqlab.calibration import _FD_H, _apply_block
+from zoqlab.calibration import _FD_H, _MOVES, _apply_block
 from zoqlab.numerics import to_groups
+from zoqlab.quantizer import clamp_bounds
 
 
 def naive_matmul(a, b):
@@ -226,11 +227,76 @@ def coordinate_fd_gradient(obj, state, smoothing, block, base):
     for j in range(base.shape[0]):
         probe = base.copy()
         probe[j] = base[j] + _FD_H
-        _apply_block(obj, smoothing, state, block, probe)
+        _apply_block(obj, smoothing, block, probe)
         up = obj.eval(state)
         probe[j] = base[j] - _FD_H
-        _apply_block(obj, smoothing, state, block, probe)
+        _apply_block(obj, smoothing, block, probe)
         down = obj.eval(state)
         grad[j] = (up - down) / (2 * _FD_H)
-    _apply_block(obj, smoothing, state, block, base)
+    _apply_block(obj, smoothing, block, base)
     return grad
+
+
+def moved_bounds(spec, state, group, move):
+    """A copy of state with one group's clamp bounds moved by move = (d_lo, d_hi), or None.
+
+    None when the moved bounds would leave [q_n, q_p] or break lo < hi.
+    Otherwise both bounds of the group are written as clip = bound / q_p.
+    """
+    lo, hi = clamp_bounds(spec, state)
+    new_lo, new_hi = lo[group] + move[0], hi[group] + move[1]
+    if new_lo < spec.q_n or new_hi > spec.q_p or new_lo >= new_hi:
+        return None
+    out = state.copy()
+    out.clip_lo[group] = new_lo / spec.q_p
+    out.clip_hi[group] = new_hi / spec.q_p
+    return out
+
+
+def bound_move_changes(obj, state):
+    """Summed squared-residual change of every group's one-code bound moves, one full evaluation each.
+
+    Row m holds move calibration._MOVES[m] of every group; a move that
+    moved_bounds refuses scores inf.
+    """
+    size = obj.y_fp.size
+    base = obj.eval(state)
+    change = np.full((len(_MOVES), state.n_groups), np.inf)
+    for m, move in enumerate(_MOVES):
+        for group in range(state.n_groups):
+            moved = moved_bounds(obj.wspec, state, group, move)
+            if moved is not None:
+                change[m, group] = (obj.eval(moved) - base) * size
+    return change
+
+
+def greedy_bound_search(obj, state, loss, passes):
+    """The clamp-bound search, with a full evaluation per move; returns (state, loss).
+
+    A slot is every output column's k-th weight group. Slot by slot, each
+    group takes the move that lowers the loss most, scored from the state
+    with the earlier slots' moves applied. A pass is kept only if it lowers
+    the loss.
+    """
+    slots = state.n_groups // obj.y_fp.shape[1]
+    for _ in range(passes):
+        cand = state.copy()
+        for k in range(slots):
+            base = obj.eval(cand)
+            picks = {}
+            for group in range(k, state.n_groups, slots):
+                for move in _MOVES:
+                    moved = moved_bounds(obj.wspec, cand, group, move)
+                    if moved is None:
+                        continue
+                    moved_loss = obj.eval(moved)
+                    if moved_loss < picks.get(group, (base,))[0]:
+                        picks[group] = (moved_loss, moved)
+            for group, (_, moved) in picks.items():
+                cand.clip_lo[group] = moved.clip_lo[group]
+                cand.clip_hi[group] = moved.clip_hi[group]
+        cand_loss = obj.eval(cand)
+        if not cand_loss < loss:
+            break
+        state, loss = cand, cand_loss
+    return state, loss

@@ -5,22 +5,26 @@ import pytest
 
 import zoqlab.calibration as calibration
 from zoqlab.calibration import (
+    _INNER_STEPS,
+    _BoundGrid,
     _LayerObjective,
     _apply_block,
     _block_vector,
     _fd_gradient,
     _range_moves,
     _row_extremes,
+    _search_bounds,
     calibrate_model,
     capture_activations,
     reconstruct_layer,
 )
+from zoqlab.cli import default_corpus_path, ingest_corpus
 from zoqlab.errors import DataError
 from zoqlab.model import ModelConfig, QuantPlan, build_model, regrid_weight_state
 from zoqlab.numerics import per_tensor
 from zoqlab.quantizer import QuantSpec, clamp_bounds, init_range
 
-from oracles import coordinate_fd_gradient
+from oracles import bound_move_changes, coordinate_fd_gradient, greedy_bound_search
 
 TINY = ModelConfig(vocab_size=128, d_model=16, n_layers=1, n_heads=2, context=16)
 
@@ -30,9 +34,7 @@ PLANS = {
     "W2A4-symmetric": QuantPlan(2, 4, scheme="symmetric"),
 }
 BLOCKS = [
-    (plan, block)
-    for plan in PLANS
-    for block in (("clip",) if PLANS[plan].a_bits is None else ("log_scale", "shift", "clip"))
+    (plan, block) for plan in PLANS if PLANS[plan].a_bits is not None for block in ("log_scale", "shift")
 ]
 
 # The batched probes sum in another order than a full evaluation. Measured,
@@ -54,8 +56,9 @@ def off_init_model(plan):
     """A tiny model and its captures, every attachment moved off the range init.
 
     The smoothing is random, and every clip_hi sits within h/2 of a rounding
-    threshold of clip_hi * q_p, on alternating sides, so clip probes of
-    either sign move bounds. At the range init no clip probe moves a bound.
+    threshold of clip_hi * q_p, on alternating sides, so the clip
+    coefficients are off the integer grid. Under W2A4-symmetric some groups
+    collapse to lo == hi.
     """
     model, calib = model_and_captures(plan)
     rng = np.random.default_rng(3)
@@ -87,8 +90,8 @@ def layer_points(plan):
 
 
 def at_base(obj, state, smoothing, block):
-    base = _block_vector(smoothing, state, block)
-    _apply_block(obj, smoothing, state, block, base)
+    base = _block_vector(smoothing, block)
+    _apply_block(obj, smoothing, block, base)
     return base
 
 
@@ -143,40 +146,59 @@ def test_row_extremes_count_a_repeated_extreme_twice():
     assert lo_at.tolist() == [1, 1] and hi_at.tolist() == [2, 2]
 
 
-def clip_bounds_move(obj, state, base, j, sign):
-    probe = base.copy()
-    probe[j] = base[j] + sign * calibration._FD_H
-    moved = state.copy()
-    _apply_block(obj, None, moved, "clip", probe)
-    before, after = clamp_bounds(obj.wspec, state), clamp_bounds(obj.wspec, moved)
-    return any(np.any(a != b) for a, b in zip(before, after))
+def base_bound_changes(obj, state):
+    """Every group's move changes as the search scores them, all from the residual at state."""
+    grid = _BoundGrid(obj, state)
+    _, resid = obj.residual(state)
+    lo, hi = clamp_bounds(obj.wspec, state)
+    change = np.empty((4, state.n_groups))
+    for k in range(grid.slots):
+        change[:, k :: grid.slots] = grid.changes(lo, hi, resid.T @ obj.xq, k)[0]
+    return change
 
 
 @pytest.mark.parametrize("plan", PLANS)
-def test_clip_probe_whose_bounds_stay_put_has_zero_gradient(plan):
-    still = moving = 0
-    for _, obj, state, smoothing in layer_points(plan):
-        base = at_base(obj, state, smoothing, "clip")
-        grad = _fd_gradient(obj, state, smoothing, "clip", base)
-        for j in range(base.shape[0]):
-            if clip_bounds_move(obj, state, base, j, 1.0) or clip_bounds_move(obj, state, base, j, -1.0):
-                moving += 1
-            else:
-                assert grad[j] == 0.0
-                still += 1
-    # both kinds of probe occur in the fixture
-    assert still > 0 and moving > 0
+def test_bound_moves_score_a_full_evaluation_per_move(plan):
+    collapsed = improving = 0
+    for layer_id, obj, state, _ in layer_points(plan):
+        got = base_bound_changes(obj, state)
+        want = bound_move_changes(obj, state)
+        assert np.array_equal(np.isinf(got), np.isinf(want)), layer_id
+        finite = np.isfinite(want)
+        scale = np.max(np.abs(want[finite]))
+        assert np.max(np.abs(got[finite] - want[finite])) <= GRAD_RTOL * scale, layer_id
+        lo, hi = clamp_bounds(obj.wspec, state)
+        collapsed += int(np.sum(lo == hi))
+        improving += int(np.sum(want < 0))
+    assert improving > 0
+    if plan == "W2A4-symmetric":
+        # groups whose clamp range is a single code, which only moves outward
+        assert collapsed > 0
 
 
-def test_clip_gradient_is_zero_at_the_range_init():
-    model, calib = model_and_captures("W4A4")
-    for layer_id, lin in model.iter_attachments():
-        x = np.concatenate(calib.captures[layer_id], axis=0)
-        obj = _LayerObjective(x, lin.w, lin.b, lin.att.weight_spec, lin.att.act_spec)
-        obj.set_smoothing(lin.att.smoothing)
-        state = lin.att.weight_state.copy()
-        base = at_base(obj, state, lin.att.smoothing, "clip")
-        assert not np.any(_fd_gradient(obj, state, lin.att.smoothing, "clip", base))
+@pytest.mark.parametrize("plan", PLANS)
+def test_bound_search_takes_the_moves_of_the_move_by_move_search(plan):
+    moved = 0
+    for layer_id, obj, state, _ in layer_points(plan):
+        loss = obj.eval(state)
+        got, got_loss = _search_bounds(obj, state.copy(), loss)
+        want, want_loss = greedy_bound_search(obj, state.copy(), loss, _INNER_STEPS)
+        assert np.array_equal(got.clip_lo, want.clip_lo), layer_id
+        assert np.array_equal(got.clip_hi, want.clip_hi), layer_id
+        assert got_loss == want_loss == obj.eval(got), layer_id
+        moved += int(got_loss < loss)
+    assert moved > 0
+
+
+@pytest.mark.parametrize("bits", [2, 3], ids=["W2A16g16", "W3A16g16"])
+def test_weight_only_calibration_lowers_the_loss_of_the_default_model(bits):
+    config = ModelConfig()
+    model = build_model(config, QuantPlan(bits, None, group_size=16), seed=0)
+    train, _ = ingest_corpus(default_corpus_path(), config.context, 0)
+    rows = calibrate_model(model, capture_activations(model, train[:2]), epochs=2)
+    assert len(rows) == 12
+    assert all(r["loss_after"] <= r["loss_before"] for r in rows)
+    assert sum(r["loss_after"] < r["loss_before"] for r in rows) >= 10
 
 
 @pytest.mark.parametrize("plan", PLANS)
