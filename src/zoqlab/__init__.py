@@ -6,8 +6,9 @@ Modules:
   smoothing     channel-wise scale/shift outlier migration: the activation
                 side and the weight-side fold, each written once
   model         toy decoder-only transformer with attachments; linear_forward
-                is the one smoothed, quantized linear, and freeze_linear the
-                one fold-and-freeze path
+                is the one smoothed, quantized linear, freeze_linear the one
+                fold-and-freeze path, and ModelGraph.tensors the one tensor
+                layout, walked by the checkpoint and the ZO view
   calibration   layer-wise reconstruction init and the RTN baseline
   zo            two-point zeroth-order estimator and ZO-SGD
   theory        Monte-Carlo/quadrature verification of the estimator theory

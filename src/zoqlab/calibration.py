@@ -29,7 +29,9 @@ from .errors import DataError, NumericError
 from .model import ModelGraph, freeze_linear, regrid_weight_state
 from .numerics import to_groups
 from .quantizer import QuantSpec, QuantState, clamp_bounds, fake_quant, init_range, quant_codes
-from .smoothing import SCALE_FLOOR, SmoothingParams, fold_smoothing, smooth_activation, smooth_weight
+from .smoothing import (
+    SCALE_CEIL, SCALE_FLOOR, SmoothingParams, fold_smoothing, smooth_activation, smooth_weight,
+)
 
 # gradient steps or bound-search passes per block per epoch, and the fixed
 # step-size ladder tried at each gradient step (first improvement wins)
@@ -179,7 +181,7 @@ def _block_vector(smoothing, block):
 def _apply_block(obj, smoothing, block, vec):
     """Write vec into the live smoothing block and refresh the objective caches."""
     if block == "log_scale":
-        smoothing.scale = np.clip(np.exp(vec), SCALE_FLOOR, 1e4)
+        smoothing.scale = np.clip(np.exp(vec), SCALE_FLOOR, SCALE_CEIL)
     else:
         smoothing.shift = vec.copy()
     obj.set_smoothing(smoothing)
@@ -241,7 +243,7 @@ def _fd_gradient(obj, state, smoothing, block, base):
     for sign in (1.0, -1.0):
         moved_val = base + sign * _FD_H
         if block == "log_scale":
-            scale = np.clip(np.exp(moved_val), SCALE_FLOOR, 1e4)
+            scale = np.clip(np.exp(moved_val), SCALE_FLOOR, SCALE_CEIL)
             probe = SmoothingParams(scale, smoothing.shift)
         else:
             probe = SmoothingParams(smoothing.scale, moved_val)

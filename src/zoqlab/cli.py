@@ -33,7 +33,6 @@ from .errors import (
     ZoqlabError,
 )
 from .model import (
-    LINEAR_NAMES,
     LayerAttachment,
     ModelConfig,
     ModelGraph,
@@ -169,9 +168,9 @@ class RunConfig:
         return "weight_only" if self.a_bits is None or self.a_bits >= 16 else "weight_activation"
 
     def quant_plan(self) -> QuantPlan | None:
-        if self.w_bits is None:
+        if self.mode is None:
             return None
-        a = None if (self.a_bits is None or self.a_bits >= 16) else self.a_bits
+        a = self.a_bits if self.mode == "weight_activation" else None
         return QuantPlan(
             w_bits=self.w_bits, a_bits=a, scheme=self.scheme, group_size=self.group_size
         )
@@ -301,41 +300,16 @@ def sample_batch(train, batch_size: int, seed: int, step: int):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _model_entries(model: ModelGraph):
-    """(name, owner, attribute) of every tensor, in a fixed order.
-
-    This is the one statement of the checkpoint's tensor layout: saving reads
-    getattr(owner, attribute), loading assigns it, and the manifest records
-    the names.
-    """
-    yield "embed", model, "embed"
-    yield "pos", model, "pos"
-    for bi, block in enumerate(model.blocks):
-        for part in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
-            yield f"block{bi}.{part}", block, part
-        for name in LINEAR_NAMES:
-            lin = block.linears[name]
-            base = f"block{bi}.{name}"
-            yield f"{base}.w", lin, "w"
-            yield f"{base}.b", lin, "b"
-            att = lin.att
-            if att.smoothing is not None:
-                for part in ("scale", "shift"):
-                    yield f"{base}.smoothing.{part}", att.smoothing, part
-            if att.weight_state is not None:
-                for part in ("step", "zero_point", "clip_lo", "clip_hi"):
-                    yield f"{base}.state.{part}", att.weight_state, part
-    yield "ln_f_gain", model, "ln_f_gain"
-    yield "ln_f_bias", model, "ln_f_bias"
-
-
 def save_checkpoint(path: str, cfg: RunConfig, model: ModelGraph, step: int) -> None:
-    """Atomic single-file checkpoint: manifest plus tensor containers."""
-    entries = [(name, getattr(owner, attr)) for name, owner, attr in _model_entries(model)]
+    """Atomic single-file checkpoint: manifest plus tensor containers.
+
+    The tensors are those of model.tensors(), in its order; the manifest
+    records their names.
+    """
+    entries = [(name, getattr(owner, attr)) for name, _, owner, attr in model.tensors()]
     atts = {}
     for layer_id, lin in model.iter_attachments():
         atts[layer_id] = {
-            "trainable": lin.att.trainable,
             "pre_quantized": lin.att.pre_quantized,
             "has_smoothing": lin.att.smoothing is not None,
             "has_state": lin.att.weight_state is not None,
@@ -396,7 +370,12 @@ def load_checkpoint(path: str):
 
 
 def _restore_model(path: str, manifest: dict, tensors: dict):
-    """Rebuild the model, apply the attachment metadata, then assign the tensors."""
+    """Rebuild the model, apply the attachment metadata, then assign the tensors.
+
+    Tensors are assigned by name, so a file may hold them in any order. Older
+    manifests carry a per-layer "trainable" flag; it is ignored, since a
+    layer trains unless it is pre-quantized.
+    """
     try:
         cfg = RunConfig.from_dict(manifest["config"])
     except UsageError as e:  # a bad config in a file is bad data, not bad usage
@@ -405,18 +384,16 @@ def _restore_model(path: str, manifest: dict, tensors: dict):
     for layer_id, lin in model.iter_attachments():
         meta = manifest["attachments"][layer_id]
         if not meta["quantized"]:
-            lin.att = LayerAttachment(trainable=meta["trainable"])
-            continue
+            lin.att = LayerAttachment()
         if not meta["has_smoothing"]:
             lin.att.smoothing = None
         if not meta["has_state"]:
             lin.att.weight_state = None
-        lin.att.trainable = meta["trainable"]
         lin.att.pre_quantized = meta["pre_quantized"]
-    slots = list(_model_entries(model))
-    if [name for name, _, _ in slots] != manifest["tensors"]:
+    slots = list(model.tensors())
+    if sorted(name for name, *_ in slots) != sorted(manifest["tensors"]):
         raise ValueError("the tensor list does not match the config and attachments")
-    for name, owner, attr in slots:
+    for name, _, owner, attr in slots:
         setattr(owner, attr, tensors[name])
     for layer_id, lin in model.iter_attachments():
         sm = lin.att.smoothing

@@ -17,6 +17,7 @@ from .errors import DataError, DimensionError
 from .numerics import RngStream, Tensor, per_channel, per_group, per_token
 from .quantizer import QuantSpec, QuantState, fake_quant, init_range
 from .smoothing import (
+    SCALE_CEIL,
     SCALE_FLOOR,
     SmoothingParams,
     apply_smoothing,
@@ -24,7 +25,7 @@ from .smoothing import (
     smooth_activation,
     smooth_weight,
 )
-from .zo import ParamView
+from .zo import GROUP_ORDER, ParamView
 
 LINEAR_NAMES = ("attn_q", "attn_k", "attn_v", "attn_o", "mlp_up", "mlp_down")
 LIGHTWEIGHT_TRAINABLE = ("attn_q", "attn_v")
@@ -87,23 +88,14 @@ class LayerAttachment:
 
     Activation ranges are per-token and derived dynamically each forward.
     pre_quantized means the stored weight (and bias) already include
-    smoothing and quantization.
+    smoothing and quantization; a pre-quantized layer never trains.
     """
 
     weight_spec: QuantSpec | None = None
     weight_state: QuantState | None = None
     act_spec: QuantSpec | None = None
     smoothing: SmoothingParams | None = None
-    trainable: bool = True
     pre_quantized: bool = False
-
-    def __post_init__(self):
-        if self.pre_quantized and self.trainable:
-            raise DataError("a pre-quantized layer cannot be trainable")
-
-    def freeze(self) -> None:
-        self.trainable = False
-        self.pre_quantized = True
 
     @property
     def bypassed(self) -> bool:
@@ -215,71 +207,78 @@ class ModelGraph:
         logits = self.forward(batch, mode=mode)
         return cross_entropy(logits[:, :-1, :], batch[:, 1:])
 
-    # -- trainable parameter view -------------------------------------------
+    # -- tensor layout -------------------------------------------------------
+
+    def tensors(self):
+        """(name, label, owner, attribute) of every tensor the model holds.
+
+        This is the one statement of the model's tensor layout: the
+        checkpoint saves and loads every entry by name, and
+        trainable_parameters keeps the labelled ones. label is the tensor's
+        ZO group, or None for a tensor that does not train: pos, a
+        pre-quantized linear, and in lightweight mode everything but the
+        attention query/value weights.
+        """
+        light = self.lightweight
+        full = None if light else "weights"
+        yield "embed", full, self, "embed"
+        yield "pos", None, self, "pos"
+        for bi, block in enumerate(self.blocks):
+            for part in ("ln1_gain", "ln1_bias"):
+                yield f"block{bi}.{part}", full, block, part
+            for name in LINEAR_NAMES:
+                lin = block.linears[name]
+                att = lin.att
+                base = f"block{bi}.{name}"
+                trains = not (light or att.pre_quantized)
+                w_trains = name in LIGHTWEIGHT_TRAINABLE if light else trains
+                yield f"{base}.w", "weights" if w_trains else None, lin, "w"
+                yield f"{base}.b", "weights" if trains else None, lin, "b"
+                if att.smoothing is not None:
+                    label = "smoothing" if trains else None
+                    for part in ("scale", "shift"):
+                        yield f"{base}.smoothing.{part}", label, att.smoothing, part
+                if att.weight_state is not None:
+                    for part in ("step", "zero_point", "clip_lo", "clip_hi"):
+                        label = "clipping" if part.startswith("clip") else "quant_affine"
+                        yield f"{base}.state.{part}", label if trains else None, att.weight_state, part
+            for part in ("ln2_gain", "ln2_bias"):
+                yield f"block{bi}.{part}", full, block, part
+        yield "ln_f_gain", full, self, "ln_f_gain"
+        yield "ln_f_bias", full, self, "ln_f_bias"
 
     def trainable_parameters(self, include_quant_affine: bool = True) -> ParamView:
         """Flat labeled view over exactly the trainable scalars.
 
-        Group order is weights, smoothing, clipping, quant_affine. In
-        lightweight mode only the attention query/value matrices remain.
+        The labelled tensors in walk order, stable-sorted into the group
+        order weights, smoothing, clipping, quant_affine.
         """
-        entries = []
-        if self.lightweight:
-            for block in self.blocks:
-                for name in LIGHTWEIGHT_TRAINABLE:
-                    entries.append(("weights", block.linears[name].w))
-            return ParamView(entries)
-        entries.append(("weights", self.embed))
-        for block in self.blocks:
-            entries.append(("weights", block.ln1_gain))
-            entries.append(("weights", block.ln1_bias))
-            for name in LINEAR_NAMES:
-                lin = block.linears[name]
-                if lin.att.trainable:
-                    entries.append(("weights", lin.w))
-                    entries.append(("weights", lin.b))
-            entries.append(("weights", block.ln2_gain))
-            entries.append(("weights", block.ln2_bias))
-        entries.append(("weights", self.ln_f_gain))
-        entries.append(("weights", self.ln_f_bias))
-        for label, fields in (
-            ("smoothing", ("scale", "shift")),
-            ("clipping", ("clip_lo", "clip_hi")),
-            ("quant_affine", ("step", "zero_point")),
-        ):
-            if label == "quant_affine" and not include_quant_affine:
-                continue
-            for block in self.blocks:
-                for name in LINEAR_NAMES:
-                    att = block.linears[name].att
-                    if not att.trainable:
-                        continue
-                    holder = att.smoothing if label == "smoothing" else att.weight_state
-                    if holder is None:
-                        continue
-                    for f in fields:
-                        entries.append((label, getattr(holder, f)))
+        entries = [
+            (label, getattr(owner, attr))
+            for _, label, owner, attr in self.tensors()
+            if label is not None and (include_quant_affine or label != "quant_affine")
+        ]
+        entries.sort(key=lambda e: GROUP_ORDER.index(e[0]))
         return ParamView(entries)
 
     def clamp_parameters(self) -> None:
         """Project learnable quantizer/smoothing state back into valid ranges."""
-        for block in self.blocks:
-            for lin in block.linears.values():
-                att = lin.att
-                if not att.trainable:
-                    continue
-                if att.smoothing is not None:
-                    np.clip(att.smoothing.scale, SCALE_FLOOR, 1e4, out=att.smoothing.scale)
-                if att.weight_state is not None:
-                    st = att.weight_state
-                    np.maximum(st.step, _STEP_FLOOR, out=st.step)
-                    np.minimum(st.clip_lo, _below(st.clip_hi, 1e-6), out=st.clip_lo)
+        for _, lin in self.iter_attachments():
+            att = lin.att
+            if att.pre_quantized:
+                continue
+            if att.smoothing is not None:
+                np.clip(att.smoothing.scale, SCALE_FLOOR, SCALE_CEIL, out=att.smoothing.scale)
+            if att.weight_state is not None:
+                st = att.weight_state
+                np.maximum(st.step, _STEP_FLOOR, out=st.step)
+                np.minimum(st.clip_lo, _below(st.clip_hi, 1e-6), out=st.clip_lo)
 
     def rederive_quant_states(self) -> None:
         """Re-derive step/zero from the current (smoothed) weights, keeping clipping."""
         for _, lin in self.iter_attachments():
             att = lin.att
-            if att.weight_spec is None or att.pre_quantized or not att.trainable:
+            if att.weight_spec is None or att.pre_quantized:
                 continue
             w_s = lin.w if att.smoothing is None else smooth_weight(lin.w, att.smoothing)
             att.weight_state = regrid_weight_state(w_s, att.weight_spec, att.weight_state)
@@ -309,7 +308,7 @@ def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
     side runs.
     """
     att = lin.att
-    if mode == "fp" or (att.bypassed and not att.pre_quantized):
+    if mode == "fp" or att.bypassed:
         out = x2d @ lin.w
         out += lin.b
         return out
@@ -378,7 +377,7 @@ def freeze_linear(lin: Linear) -> None:
         lin.w, lin.b = fold_smoothing(lin.w, lin.b, att.smoothing)
     if att.weight_spec is not None:
         lin.w = fake_quant(lin.w, att.weight_spec, att.weight_state)
-    att.freeze()
+    att.pre_quantized = True
 
 
 def _layer_norm(x, gain, bias):
@@ -506,7 +505,7 @@ def set_lightweight(model: ModelGraph) -> ModelGraph:
         for name in LINEAR_NAMES:
             lin = block.linears[name]
             if name in LIGHTWEIGHT_TRAINABLE:
-                lin.att = LayerAttachment(trainable=True)
+                lin.att = LayerAttachment()
             elif not lin.att.pre_quantized:
                 freeze_linear(lin)
     model.lightweight = True

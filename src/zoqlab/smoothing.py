@@ -18,9 +18,11 @@ from .errors import DimensionError
 from .numerics import Tensor
 
 
-# Smallest smoothing scale; clamp_parameters projects the learnable scale onto
-# [SCALE_FLOOR, 1e4] and application floors a transiently perturbed copy here.
+# Range of the smoothing scale. clamp_parameters and calibration project the
+# learnable scale onto [SCALE_FLOOR, SCALE_CEIL]; application floors a
+# transiently perturbed copy at SCALE_FLOOR.
 SCALE_FLOOR = 1e-4
+SCALE_CEIL = 1e4
 
 
 @dataclass

@@ -6,6 +6,7 @@ distance exactly, the reference transformer walks positions and heads one at
 a time, the calibration gradient takes a full layer evaluation per probe, the
 clamp-bound search a full layer evaluation per bound move, and the forward's
 elementwise helpers are written out of place, one new array per operation.
+The order of the ZO view is a walk over the model written out by hand.
 The per-group (min, max, absmax) reduction lives here too: only tests use it.
 """
 
@@ -18,6 +19,7 @@ from numpy.random import Generator, Philox
 from scipy.special import erf, ndtri
 
 from zoqlab.calibration import _FD_H, _MOVES, _apply_block
+from zoqlab.model import LIGHTWEIGHT_TRAINABLE, LINEAR_NAMES
 from zoqlab.numerics import to_groups
 from zoqlab.quantizer import clamp_bounds
 
@@ -136,6 +138,53 @@ def reference_transformer_logits(model, tokens):
         [[sum(v[j] * model.embed[tok, j] for j in range(d)) for tok in range(cfg.vocab_size)] for v in final]
     )
     return logits
+
+
+def reference_trainable_entries(model, include_quant_affine):
+    """(label, array) of every trainable tensor in ZO order, by a walk written out by hand.
+
+    Weights first (embed; per block ln1, each trainable linear's w and b,
+    ln2; the final norm), then per group every trainable linear's smoothing,
+    clipping and quant-affine parts. In lightweight mode only the attention
+    query/value weights train. A pre-quantized linear never trains.
+    """
+    entries = []
+    if model.lightweight:
+        for block in model.blocks:
+            for name in LIGHTWEIGHT_TRAINABLE:
+                entries.append(("weights", block.linears[name].w))
+        return entries
+    entries.append(("weights", model.embed))
+    for block in model.blocks:
+        entries.append(("weights", block.ln1_gain))
+        entries.append(("weights", block.ln1_bias))
+        for name in LINEAR_NAMES:
+            lin = block.linears[name]
+            if not lin.att.pre_quantized:
+                entries.append(("weights", lin.w))
+                entries.append(("weights", lin.b))
+        entries.append(("weights", block.ln2_gain))
+        entries.append(("weights", block.ln2_bias))
+    entries.append(("weights", model.ln_f_gain))
+    entries.append(("weights", model.ln_f_bias))
+    for label, fields in (
+        ("smoothing", ("scale", "shift")),
+        ("clipping", ("clip_lo", "clip_hi")),
+        ("quant_affine", ("step", "zero_point")),
+    ):
+        if label == "quant_affine" and not include_quant_affine:
+            continue
+        for block in model.blocks:
+            for name in LINEAR_NAMES:
+                att = block.linears[name].att
+                if att.pre_quantized:
+                    continue
+                holder = att.smoothing if label == "smoothing" else att.weight_state
+                if holder is None:
+                    continue
+                for f in fields:
+                    entries.append((label, getattr(holder, f)))
+    return entries
 
 
 def hand_cross_entropy(logits, targets):

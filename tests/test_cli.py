@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 import struct
@@ -7,7 +8,8 @@ import pytest
 
 from zoqlab import cli, theory
 from zoqlab.errors import NumericError
-from zoqlab.model import ModelConfig
+from zoqlab.model import ModelConfig, QuantPlan, build_model, set_lightweight
+from zoqlab.numerics import read_tensor, write_tensor
 from zoqlab.zo import ZoConfig
 
 TINY_INI = """\
@@ -53,7 +55,7 @@ def test_resumed_train_equals_uninterrupted_run(tiny_config, tmp_path):
     _, straight, _ = cli.load_checkpoint(str(tmp_path / "straight" / "ckpt" / "final.ckpt"))
     _, resumed, step = cli.load_checkpoint(str(tmp_path / "resumed" / "ckpt" / "final.ckpt"))
     assert step == 4
-    for (name, *a), (_, *b) in zip(cli._model_entries(straight), cli._model_entries(resumed)):
+    for (name, _, *a), (_, _, *b) in zip(straight.tensors(), resumed.tensors()):
         assert getattr(*a).tobytes() == getattr(*b).tobytes(), name
 
 
@@ -319,3 +321,69 @@ def test_failed_verification_exits_4(tmp_path, monkeypatch, capsys):
     assert err.startswith("verification failure: ") and "zo_unbiasedness" in err
     assert "Traceback" not in err
     assert (tmp_path / "verification.csv").is_file()
+
+
+def earlier_layout(raw):
+    """The checkpoint as earlier versions wrote it.
+
+    Each block's ln2 tensors come right after its ln1 tensors, before the
+    linears, and every attachment carries "trainable" (not pre_quantized).
+    """
+    start, end = manifest_span(raw)
+    manifest = json.loads(raw[start:end])
+    body = io.BytesIO(raw[end:])
+    tensors = {name: read_tensor(body) for name in manifest["tensors"]}
+    order = []
+    for name in manifest["tensors"]:
+        if ".ln2_" not in name:
+            order.append(name)
+        if name.endswith(".ln1_bias"):
+            block = name.split(".")[0]
+            order += [f"{block}.ln2_gain", f"{block}.ln2_bias"]
+    assert sorted(order) == sorted(manifest["tensors"]) and order != manifest["tensors"]
+    manifest["tensors"] = order
+    for meta in manifest["attachments"].values():
+        meta["trainable"] = not meta["pre_quantized"]
+    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    out = io.BytesIO()
+    out.write(raw[:16] + struct.pack("<Q", len(blob)) + blob)
+    for name in order:
+        write_tensor(out, tensors[name])
+    return out.getvalue()
+
+
+def lightweight_checkpoint(tmp_path, plan):
+    config = ModelConfig(d_model=16, n_layers=2, n_heads=2, context=32)
+    model = set_lightweight(build_model(config, plan, seed=3))
+    w_bits, a_bits, group_size = (plan.w_bits, plan.a_bits or 16, plan.group_size) if plan else (None,) * 3
+    cfg = cli.RunConfig(model=config, w_bits=w_bits, a_bits=a_bits, group_size=group_size, seed=3)
+    path = tmp_path / "light.ckpt"
+    cli.save_checkpoint(str(path), cfg, model, 0)
+    return path.read_bytes()
+
+
+def attachment_flags(att):
+    return att.pre_quantized, att.weight_spec, att.act_spec, att.smoothing is None, att.weight_state is None
+
+
+LIGHTWEIGHT_PLANS = {"lightweight W4A16g16": QuantPlan(4, None, group_size=16), "lightweight fp": None}
+
+
+@pytest.mark.parametrize("case", ["trained W4A4", *LIGHTWEIGHT_PLANS])
+def test_checkpoint_in_the_earlier_layout_loads_to_the_same_tensors(
+    trained_checkpoint, tmp_path, case
+):
+    if case in LIGHTWEIGHT_PLANS:
+        raw = lightweight_checkpoint(tmp_path, LIGHTWEIGHT_PLANS[case])
+    else:
+        raw = trained_checkpoint
+    (tmp_path / "new.ckpt").write_bytes(raw)
+    (tmp_path / "old.ckpt").write_bytes(earlier_layout(raw))
+    new_cfg, new, new_step = cli.load_checkpoint(str(tmp_path / "new.ckpt"))
+    old_cfg, old, old_step = cli.load_checkpoint(str(tmp_path / "old.ckpt"))
+    assert (old_cfg, old_step, old.lightweight) == (new_cfg, new_step, new.lightweight)
+    got = {name: (label, getattr(owner, attr).tobytes()) for name, label, owner, attr in old.tensors()}
+    want = {name: (label, getattr(owner, attr).tobytes()) for name, label, owner, attr in new.tensors()}
+    assert got == want
+    for (layer_id, a), (_, b) in zip(old.iter_attachments(), new.iter_attachments()):
+        assert attachment_flags(a.att) == attachment_flags(b.att), layer_id

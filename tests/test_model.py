@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import zoqlab.model
-from zoqlab.calibration import calibrate_model, capture_activations
-from zoqlab.cli import _model_entries, default_corpus_path, ingest_corpus
+from zoqlab.calibration import calibrate_model, capture_activations, rtn_quantize
+from zoqlab.cli import default_corpus_path, ingest_corpus
 from zoqlab.diagnostics import layer_reconstruction_loss, memory_report, track, transient_forward_bytes
 from zoqlab.model import (
     LIGHTWEIGHT_TRAINABLE,
@@ -33,6 +33,7 @@ from oracles import (
     out_of_place_layer_norm,
     out_of_place_smooth_activation,
     out_of_place_softmax,
+    reference_trainable_entries,
     reference_transformer_logits,
 )
 
@@ -217,7 +218,7 @@ def test_forward_writes_no_array_it_does_not_own(monkeypatch, mode, lightweight)
     if lightweight:
         set_lightweight(model)
     seqs = tokens(2, seed=11)
-    arrays_before = [(name, getattr(o, a).copy()) for name, o, a in _model_entries(model)]
+    arrays_before = [(name, getattr(o, a).copy()) for name, _, o, a in model.tensors()]
     tokens_before = seqs.copy()
     capture = {}
     model.forward(seqs, mode=mode, capture=capture)
@@ -231,7 +232,7 @@ def test_forward_writes_no_array_it_does_not_own(monkeypatch, mode, lightweight)
 
     monkeypatch.setattr(zoqlab.model, "linear_forward", recording)
     model.forward(seqs, mode=mode, capture=capture)
-    for (name, before), (_, owner, attr) in zip(arrays_before, _model_entries(model)):
+    for (name, before), (_, _, owner, attr) in zip(arrays_before, model.tensors()):
         assert getattr(owner, attr).tobytes() == before.tobytes(), name
     assert seqs.tobytes() == tokens_before.tobytes()
     assert capture.keys() == seen.keys() == dict(model.iter_attachments()).keys()
@@ -299,6 +300,34 @@ def test_memory_report_counts_the_scalars_zo_step_trains(monkeypatch, train_quan
     assert memory_report(model, cfg)["parameters"] == 8 * views[0].size
     with_affine = trainable(include_quant_affine=True).size
     assert (views[0].size < with_affine) != train_quant_affine
+
+
+ORDER_CONFIG = ModelConfig(vocab_size=128, d_model=16, n_layers=2, n_heads=2, context=16)
+ORDER_PLANS = {
+    "fp": None,
+    "W4A4": QuantPlan(4, 4),
+    "W4A16g16": QuantPlan(4, None, group_size=16),
+    "W3A8-symmetric": QuantPlan(3, 8, scheme="symmetric"),
+}
+STAGES = {"built": lambda model: model, "lightweight": set_lightweight, "rtn": rtn_quantize}
+
+
+def memory_span(a):
+    return a.__array_interface__["data"][0], a.nbytes
+
+
+@pytest.mark.parametrize("include_quant_affine", [True, False], ids=["affine", "no-affine"])
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("plan", ORDER_PLANS)
+def test_trainable_view_keeps_the_order_of_the_reference_walk(plan, stage, include_quant_affine):
+    """Position k of a ZO direction perturbs the same scalar as in the hand-written walk."""
+    model = STAGES[stage](build_model(ORDER_CONFIG, ORDER_PLANS[plan], seed=0))
+    view = model.trainable_parameters(include_quant_affine=include_quant_affine)
+    want = reference_trainable_entries(model, include_quant_affine)
+    got = [(label, flat) for label, flat, _, _ in view._segments]
+    assert [label for label, _ in got] == [label for label, _ in want]
+    assert [memory_span(a) for _, a in got] == [memory_span(a) for _, a in want]
+    assert view.size == sum(a.size for _, a in want)
 
 
 EVAL_PLANS = {
