@@ -1,8 +1,10 @@
 """Forward-only quantization-aware training laboratory.
 
 Modules:
-  numerics      tensors, counter-based Gaussian streams, group tiling
-  quantizer     uniform fake-quantization with learnable clipping
+  numerics      tensors, counter-based Gaussian streams, tensor files
+  quantizer     uniform fake-quantization with learnable clipping; a
+                quantizer's tiling follows from its role: activations per
+                token, weights per output channel or in groups of input rows
   smoothing     channel-wise scale/shift outlier migration: the activation
                 side and the weight-side fold, each written once
   model         toy decoder-only transformer with attachments; linear_forward
@@ -12,8 +14,11 @@ Modules:
   calibration   layer-wise reconstruction init and the RTN baseline
   zo            two-point zeroth-order estimator and ZO-SGD
   theory        Monte-Carlo/quadrature verification of the estimator theory
-  diagnostics   reconstruction-vs-perplexity tracking, memory accounting
-  cli           train / eval / verify / quantize / calibrate / diag
+  diagnostics   eval perplexity with per-layer reconstruction, memory
+                accounting; returns records and writes no file
+  cli           train / eval / verify / quantize / calibrate / diag, and the
+                one CSV writer of every metrics file, each row flushed as it
+                is produced
 """
 
 from .errors import (
@@ -25,16 +30,7 @@ from .errors import (
     VerificationError,
     ZoqlabError,
 )
-from .numerics import (
-    Granularity,
-    RngStream,
-    Tensor,
-    gaussian,
-    per_channel,
-    per_group,
-    per_tensor,
-    per_token,
-)
+from .numerics import RngStream, Tensor, gaussian
 from .quantizer import QuantSpec, QuantState, fake_quant, init_range, quant_error
 from .smoothing import SmoothingParams, apply_smoothing
 from .model import (
@@ -54,6 +50,6 @@ from .calibration import (
     rtn_quantize,
 )
 from .zo import Direction, ParamGroup, ParamView, ZoConfig, optimizer_state_size, zo_gradient_scale, zo_step
-from .diagnostics import TrackRecord, inconsistency_score, memory_report, track
+from .diagnostics import TrackRecord, memory_report, track
 
 __version__ = "0.1.0"

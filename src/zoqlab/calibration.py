@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .model import ModelGraph, freeze_linear, regrid_weight_state
-from .numerics import to_groups
-from .quantizer import QuantSpec, QuantState, clamp_bounds, fake_quant, init_range, quant_codes
+from .quantizer import QuantSpec, QuantState, clamp_bounds, fake_quant, init_range, quant_codes, to_groups
 from .smoothing import (
     SCALE_CEIL, SCALE_FLOOR, SmoothingParams, fold_smoothing, smooth_activation, smooth_weight,
 )
@@ -329,25 +328,21 @@ def _moved_row_changes(obj, wq, resid, xs_probe, dx, w_rows, dw, db, rows, cols)
 class _BoundGrid:
     """The weight groups as the bound search moves them, and the exact score of a move.
 
-    Group g is output column g // slots over the input rows of slot g % slots,
-    as QuantPlan tiles: per output channel one slot spans every row, per
-    group along the input axis each slot is one block of rows. codes are the
-    smoothed weight's codes clamped only to [q_n, q_p], which no bound move
-    changes; gram is xq' xq.
+    Group g is output column g // slots over the input rows of slot g % slots:
+    per output channel one slot spans every row, with a group_size each slot
+    is one block of group_size rows (QuantSpec's weight tiling). codes are
+    the smoothed weight's codes clamped only to [q_n, q_p], which no bound
+    move changes; gram is xq' xq.
     """
 
     def __init__(self, obj, state):
         spec = self.spec = obj.wspec
         d_in, d_out = obj.w_s.shape
-        cells = to_groups(np.arange(d_in * d_out, dtype=np.float64).reshape(d_in, d_out), spec.granularity)
-        n, self.size = cells.shape
-        self.slots = max(n // d_out, 1)
-        g = np.arange(n)[:, None]
-        slot_cells = ((g % self.slots) * self.size + np.arange(self.size)) * d_out + g // self.slots
-        if n % d_out or np.any(cells != slot_cells):
-            raise DataError("calibration needs weight groups that are column slices")
+        self.size = spec.group_size or d_in
+        self.slots = d_in // self.size
+        n = d_out * self.slots
         full = QuantState(state.step, state.zero_point, np.full(n, spec.q_n / spec.q_p), np.ones(n))
-        self.codes = to_groups(quant_codes(obj.w_s, spec, full), spec.granularity)
+        self.codes = to_groups(quant_codes(obj.w_s, spec, full), spec)
         self.step, self.gram = state.step, obj.xq.T @ obj.xq
 
     def changes(self, lo, hi, corr, k):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import os
@@ -44,7 +45,10 @@ from .numerics import read_exact, read_tensor, uniforms_at, write_tensor
 from .zo import ZoConfig, zo_step
 
 _CKPT_MAGIC = b"ZQLB-CKP"
-_CKPT_VERSION = 1
+# Version 2 dropped the per-layer "trainable" flag, which version 1 readers
+# require; this loader reads both.
+_CKPT_VERSION = 2
+_CKPT_READABLE = (1, 2)
 
 # stream-id namespaces of the master seed; direction streams occupy
 # (step << 32) | i with step < 2^31, so the high bits below cannot collide
@@ -355,9 +359,10 @@ def load_checkpoint(path: str):
             if len(header) != 16 or header[:8] != _CKPT_MAGIC:
                 raise DataError(f"{path} is not a checkpoint (bad magic)")
             version, _ = struct.unpack("<II", header[8:])
-            if version != _CKPT_VERSION:
+            if version not in _CKPT_READABLE:
                 raise DataError(
-                    f"checkpoint version {version} unsupported (expected {_CKPT_VERSION}); refusing"
+                    f"checkpoint version {version} unsupported "
+                    f"(expected {' or '.join(map(str, _CKPT_READABLE))}); refusing"
                 )
             (mlen,) = struct.unpack("<Q", read_exact(f, 8))
             manifest = json.loads(read_exact(f, mlen).decode("utf-8"))
@@ -407,12 +412,28 @@ def _restore_model(path: str, manifest: dict, tensors: dict):
 # Metric writers
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header, rows):
+@contextlib.contextmanager
+def _csv_log(path, header):
+    """The one metrics writer: opens path, writes header, yields write(rows).
+
+    Every write is flushed, so a run that stops early leaves each row
+    written so far on disk.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+
+        def write(rows):
+            writer.writerows(rows)
+            f.flush()
+
+        write([header])
+        yield write
+
+
+def _write_csv(path, header, rows):
+    with _csv_log(path, header) as write:
+        write(rows)
 
 
 def _write_calibration_csv(metrics_dir: str, calib_rows) -> None:
@@ -498,34 +519,33 @@ def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = No
         _write_calibration_csv(cfg.metrics_dir, calib_rows)
     probe = dict(list(captures.captures.items())[:4]) if captures is not None else None
     eval_batch = _eval_batch(eval_set)
-    records = [diagnostics.track(model, eval_batch, probe, step=start_step, cfg=cfg.zo)]
-    print(f"step {start_step}: eval ppl {records[-1].eval_ppl:.4f}")
-    train_rows = []
-    for step in range(start_step, cfg.zo.steps):
-        batch = sample_batch(train, cfg.zo.batch_size, cfg.seed, step)
-        report = zo_step(model, batch, cfg.zo, step)
-        train_rows.append(_train_row(report))
-        if cfg.eval_interval > 0 and (step + 1) % cfg.eval_interval == 0:
-            records.append(
-                diagnostics.track(
-                    model, eval_batch, probe, step=step + 1, train_loss=report.loss, cfg=cfg.zo
+    with (
+        _csv_log(os.path.join(cfg.metrics_dir, "train.csv"), TRAIN_HEADER) as write_train,
+        _csv_log(os.path.join(cfg.metrics_dir, "diagnostics.csv"), diagnostics.DIAG_HEADER) as write_diag,
+    ):
+
+        def snapshot(step, train_loss=float("nan")):
+            record = diagnostics.track(model, eval_batch, probe, step, train_loss, cfg=cfg.zo)
+            write_diag(record.csv_rows())
+            return record
+
+        record = snapshot(start_step)
+        print(f"step {start_step}: eval ppl {record.eval_ppl:.4f}")
+        for step in range(start_step, cfg.zo.steps):
+            batch = sample_batch(train, cfg.zo.batch_size, cfg.seed, step)
+            report = zo_step(model, batch, cfg.zo, step)
+            write_train([_train_row(report)])
+            if cfg.eval_interval > 0 and (step + 1) % cfg.eval_interval == 0:
+                record = snapshot(step + 1, report.loss)
+                print(
+                    f"step {step + 1}: train loss {report.loss:.4f} "
+                    f"eval ppl {record.eval_ppl:.4f}"
                 )
-            )
-            print(
-                f"step {step + 1}: train loss {report.loss:.4f} "
-                f"eval ppl {records[-1].eval_ppl:.4f}"
-            )
-    if cfg.zo.steps > start_step and records[-1].step != cfg.zo.steps:
-        records.append(
-            diagnostics.track(model, eval_batch, probe, step=cfg.zo.steps, cfg=cfg.zo)
-        )
-    _write_csv(os.path.join(cfg.metrics_dir, "train.csv"), TRAIN_HEADER, train_rows)
-    diagnostics.write_diagnostics_csv(
-        os.path.join(cfg.metrics_dir, "diagnostics.csv"), records
-    )
+        if cfg.zo.steps > start_step and record.step != cfg.zo.steps:
+            record = snapshot(cfg.zo.steps)
     ckpt = os.path.join(cfg.checkpoint_dir, "final.ckpt")
     save_checkpoint(ckpt, cfg, model, cfg.zo.steps)
-    print(f"final eval ppl {records[-1].eval_ppl:.4f}")
+    print(f"final eval ppl {record.eval_ppl:.4f}")
     print(f"checkpoint {ckpt}")
     return EXIT_OK
 
@@ -544,9 +564,8 @@ def cmd_eval(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> in
     cfg, model, step, eval_batch, captures = _load_for_eval(checkpoint, corpus, metrics_dir)
     probe = dict(list(captures.items())[:4])
     record = diagnostics.track(model, eval_batch, probe, step=step, cfg=cfg.zo)
-    diagnostics.write_diagnostics_csv(
-        os.path.join(cfg.metrics_dir, "eval_diagnostics.csv"), [record]
-    )
+    path = os.path.join(cfg.metrics_dir, "eval_diagnostics.csv")
+    _write_csv(path, diagnostics.DIAG_HEADER, record.csv_rows())
     print(f"eval ppl {record.eval_ppl!r}")
     return EXIT_OK
 
@@ -554,11 +573,8 @@ def cmd_eval(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> in
 def cmd_verify(quick: bool, seed: int, metrics_dir: str) -> int:
     report = theory.run_verification(quick=quick, seed=seed)
     print(report.text())
-    _write_csv(
-        os.path.join(metrics_dir, "verification.csv"),
-        next(report.csv_rows()),
-        list(report.csv_rows())[1:],
-    )
+    header, *rows = report.csv_rows()
+    _write_csv(os.path.join(metrics_dir, "verification.csv"), header, rows)
     with open(os.path.join(metrics_dir, "verification.txt"), "w") as f:
         f.write(report.text() + "\n")
     if not report.passed:
@@ -599,9 +615,8 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 def cmd_diag(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> int:
     cfg, model, step, eval_batch, captures = _load_for_eval(checkpoint, corpus, metrics_dir)
     record = diagnostics.track(model, eval_batch, captures, step=step, cfg=cfg.zo)
-    diagnostics.write_diagnostics_csv(
-        os.path.join(cfg.metrics_dir, "diagnostics.csv"), [record]
-    )
+    path = os.path.join(cfg.metrics_dir, "diagnostics.csv")
+    _write_csv(path, diagnostics.DIAG_HEADER, record.csv_rows())
     mem = diagnostics.memory_report(model, cfg.zo)
     chunk = eval_batch[: cfg.zo.batch_size]
     peaks = diagnostics.measured_peaks(model, chunk, cfg.zo)

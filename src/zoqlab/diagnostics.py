@@ -1,8 +1,8 @@
-"""Training-dynamics probes: reconstruction-vs-perplexity tracking and memory accounting.
+"""Training-dynamics probes: eval perplexity, layer reconstruction and memory accounting.
 
-Layer reconstruction losses and eval perplexity form paired series; their
-sign-disagreement rate quantifies how often local layer improvements fail to
-move the task metric the same way.
+Each snapshot (`track`) pairs the eval perplexity with the reconstruction
+loss of the probed layers, so a run's metrics show whether the two move
+together. The module returns records and their CSV rows; cli writes them.
 
 Memory is modeled analytically (exact functions of the configuration); the
 forward activation term is a lower bound at the training batch size. The eval
@@ -14,16 +14,27 @@ tracemalloc peaks to set beside it.
 from __future__ import annotations
 
 import copy
-import csv
-import os
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .model import ModelGraph, linear_forward, token_cross_entropy
 from .zo import ZoConfig, optimizer_state_size, zo_step
+
+
+DIAG_HEADER = (
+    "step",
+    "layer_id",
+    "recon_loss",
+    "train_loss",
+    "eval_ppl",
+    "bytes_params",
+    "bytes_frozen",
+    "bytes_opt",
+    "bytes_fwd",
+)
 
 
 @dataclass
@@ -38,9 +49,20 @@ class TrackRecord:
     bytes_opt: int
     bytes_fwd: int
 
-    @property
-    def recon_total(self) -> float:
-        return float(sum(self.recon_losses.values()))
+    def csv_rows(self):
+        """The record's rows under DIAG_HEADER: one per probed layer, or one with no layer."""
+        for layer_id, recon in sorted(self.recon_losses.items()) or [("", float("nan"))]:
+            yield (
+                self.step,
+                layer_id,
+                repr(recon),
+                repr(self.train_loss),
+                repr(self.eval_ppl),
+                self.bytes_params,
+                self.bytes_frozen,
+                self.bytes_opt,
+                self.bytes_fwd,
+            )
 
 
 def layer_reconstruction_loss(lin, captures) -> float:
@@ -101,22 +123,6 @@ def track(
         bytes_opt=mem["optimizer_state"],
         bytes_fwd=mem["transient_forward"],
     )
-
-
-def inconsistency_score(records) -> float:
-    """Fraction of steps where reconstruction and perplexity move in opposite directions.
-
-    Sign-based, so it is invariant under strictly monotone rescaling of
-    either series. 0 means the two series always agree in direction.
-    """
-    records = list(records)
-    if len(records) < 2:
-        raise DataError("inconsistency_score needs at least 2 records")
-    recon = np.array([r.recon_total for r in records])
-    ppl = np.array([r.eval_ppl for r in records])
-    dr = np.sign(np.diff(recon))
-    dp = np.sign(np.diff(ppl))
-    return float(np.mean(dr != dp))
 
 
 def transient_forward_bytes(config, batch_size: int) -> int:
@@ -191,39 +197,3 @@ def measured_peaks(model: ModelGraph, batch, cfg: ZoConfig) -> dict[str, int]:
         finally:
             tracemalloc.stop()
     return peaks
-
-
-DIAG_HEADER = (
-    "step",
-    "layer_id",
-    "recon_loss",
-    "train_loss",
-    "eval_ppl",
-    "bytes_params",
-    "bytes_frozen",
-    "bytes_opt",
-    "bytes_fwd",
-)
-
-
-def write_diagnostics_csv(path, records) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(DIAG_HEADER)
-        for r in records:
-            layer_items = sorted(r.recon_losses.items()) or [("", float("nan"))]
-            for layer_id, recon in layer_items:
-                writer.writerow(
-                    (
-                        r.step,
-                        layer_id,
-                        repr(recon),
-                        repr(r.train_loss),
-                        repr(r.eval_ppl),
-                        r.bytes_params,
-                        r.bytes_frozen,
-                        r.bytes_opt,
-                        r.bytes_fwd,
-                    )
-                )

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DataError, DimensionError
-from .numerics import RngStream, Tensor, per_channel, per_group, per_token
+from .numerics import RngStream, Tensor
 from .quantizer import QuantSpec, QuantState, fake_quant, init_range
 from .smoothing import (
     SCALE_CEIL,
@@ -55,9 +55,9 @@ class QuantPlan:
     """How quantizers are attached to linear layers.
 
     a_bits None selects weight-only mode (no activation quantizers, no
-    smoothing). group_size None selects per-channel weight quantization;
-    otherwise weights are grouped along the input axis in chunks of
-    group_size.
+    smoothing). group_size goes to the weight quantizers
+    (QuantSpec.group_size): None quantizes each output channel whole,
+    otherwise in chunks of group_size input rows.
     """
 
     w_bits: int = 4
@@ -70,16 +70,12 @@ class QuantPlan:
         return "weight_activation" if self.a_bits is not None else "weight_only"
 
     def weight_spec(self) -> QuantSpec:
-        if self.group_size is not None:
-            gran = per_group(axis=0, group_size=self.group_size)
-        else:
-            gran = per_channel(axis=1)
-        return QuantSpec(self.w_bits, self.scheme, gran, role="weight")
+        return QuantSpec(self.w_bits, self.scheme, "weight", self.group_size)
 
     def act_spec(self) -> QuantSpec | None:
         if self.a_bits is None:
             return None
-        return QuantSpec(self.a_bits, self.scheme, per_token(), role="activation")
+        return QuantSpec(self.a_bits, self.scheme, "activation")
 
 
 @dataclass

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import DataError, DimensionError
+from .errors import DataError
 
 Tensor = np.ndarray
 
@@ -172,109 +172,6 @@ def normals_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
     """
     u = uniforms_at(seed, stream_id, position, n)
     return ndtri(u, out=u)
-
-
-# ---------------------------------------------------------------------------
-# Granularity and grouping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Granularity:
-    """Describes how a tensor is tiled into quantization groups.
-
-    kind:
-      per_tensor  -- one group covering everything
-      per_channel -- one group per index of ``axis``
-      per_token   -- one group per row, features on the last axis
-      per_group   -- contiguous chunks of ``group_size`` along ``axis``
-    """
-
-    kind: str
-    axis: int = 0
-    group_size: int = 0
-
-    _KINDS = ("per_tensor", "per_channel", "per_token", "per_group")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise DataError(f"unknown granularity kind {self.kind!r}")
-        if self.kind == "per_group" and self.group_size < 1:
-            raise DataError("per_group granularity requires group_size >= 1")
-
-
-def per_tensor() -> Granularity:
-    return Granularity("per_tensor")
-
-
-def per_channel(axis: int) -> Granularity:
-    return Granularity("per_channel", axis=axis)
-
-
-def per_token() -> Granularity:
-    return Granularity("per_token")
-
-
-def per_group(axis: int, group_size: int) -> Granularity:
-    return Granularity("per_group", axis=axis, group_size=group_size)
-
-
-def _check_axis(shape: tuple[int, ...], axis: int) -> int:
-    if not -len(shape) <= axis < len(shape):
-        raise DimensionError(f"axis {axis} out of range for shape {shape}")
-    return axis % len(shape)
-
-
-def to_groups(x: Tensor, gran: Granularity) -> Tensor:
-    """Reshape x into a (n_groups, elems_per_group) matrix.
-
-    Groups tile the tensor exactly; ``from_groups`` is the inverse.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise DataError("cannot group an empty tensor")
-    if gran.kind == "per_tensor":
-        return x.reshape(1, -1)
-    if gran.kind == "per_token":
-        if x.ndim < 2:
-            raise DimensionError(f"per_token needs >= 2-D input, got shape {x.shape}")
-        return x.reshape(-1, x.shape[-1])
-    if gran.kind == "per_channel":
-        ax = _check_axis(x.shape, gran.axis)
-        return np.moveaxis(x, ax, 0).reshape(x.shape[ax], -1)
-    # per_group
-    ax = _check_axis(x.shape, gran.axis)
-    if x.shape[ax] % gran.group_size != 0:
-        raise DimensionError(
-            f"group size {gran.group_size} does not divide axis length {x.shape[ax]}"
-        )
-    return np.moveaxis(x, ax, -1).reshape(-1, gran.group_size)
-
-
-def from_groups(g: Tensor, shape: tuple[int, ...], gran: Granularity) -> Tensor:
-    """Inverse of ``to_groups`` for a tensor of the given shape."""
-    if gran.kind in ("per_tensor", "per_token"):
-        return g.reshape(shape)
-    ax = _check_axis(shape, gran.axis)
-    if gran.kind == "per_channel":
-        moved = tuple(np.moveaxis(np.empty(shape), ax, 0).shape)
-        return np.moveaxis(g.reshape(moved), 0, ax)
-    moved = tuple(np.moveaxis(np.empty(shape), ax, -1).shape)
-    return np.ascontiguousarray(np.moveaxis(g.reshape(moved), -1, ax))
-
-
-def group_count(shape: tuple[int, ...], gran: Granularity) -> int:
-    if gran.kind == "per_tensor":
-        return 1
-    if gran.kind == "per_token":
-        return int(np.prod(shape[:-1]))
-    ax = _check_axis(shape, gran.axis)
-    if gran.kind == "per_channel":
-        return shape[ax]
-    if shape[ax] % gran.group_size != 0:
-        raise DimensionError(
-            f"group size {gran.group_size} does not divide axis length {shape[ax]}"
-        )
-    return int(np.prod(shape)) // gran.group_size
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ the natural code range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DataError, DimensionError, InvalidStateError
-from .numerics import Granularity, Tensor, from_groups, group_count, to_groups
+from .numerics import Tensor
 
 SCHEMES = ("symmetric", "asymmetric")
 ROLES = ("weight", "activation")
@@ -27,12 +27,18 @@ ROLES = ("weight", "activation")
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Static configuration of one quantizer: bit width, scheme, tiling, role."""
+    """Static configuration of one quantizer: bit width, scheme, role, weight group size.
+
+    The role fixes the tiling. An activation quantizer has one group per
+    row of a (..., features) input. A weight quantizer takes a 2-D
+    (d_in, d_out) weight and cuts each output column into groups of
+    group_size consecutive input rows; None means one group per column.
+    """
 
     bits: int
     scheme: str
-    granularity: Granularity
-    role: str = "weight"
+    role: str
+    group_size: int | None = None
 
     def __post_init__(self):
         if self.bits < 2:
@@ -41,8 +47,11 @@ class QuantSpec:
             raise DataError(f"unknown scheme {self.scheme!r}")
         if self.role not in ROLES:
             raise DataError(f"unknown role {self.role!r}")
-        if self.role == "activation" and self.granularity.kind == "per_group":
-            raise DataError("activation quantizers do not support per_group granularity")
+        if self.group_size is not None:
+            if self.role == "activation":
+                raise DataError("activation quantizers take no group_size: their groups are rows")
+            if self.group_size < 1:
+                raise DataError(f"group_size must be >= 1, got {self.group_size}")
 
     @property
     def q_n(self) -> int:
@@ -51,6 +60,37 @@ class QuantSpec:
     @property
     def q_p(self) -> int:
         return 2**self.bits - 1 if self.scheme == "asymmetric" else 2 ** (self.bits - 1) - 1
+
+
+def to_groups(x: Tensor, spec: QuantSpec) -> Tensor:
+    """x as the (n_groups, group) matrix of spec's tiling; from_groups inverts it.
+
+    Activation groups are the rows of x. Weight groups run column by column,
+    each column's groups in row order: w.T.reshape(-1, size).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise DataError("cannot group an empty tensor")
+    if spec.role == "activation":
+        return x.reshape(-1, x.shape[-1])
+    if x.ndim != 2:
+        raise DimensionError(f"a weight quantizer needs a 2-D (d_in, d_out) weight, got shape {x.shape}")
+    size = spec.group_size or x.shape[0]
+    if x.shape[0] % size:
+        raise DimensionError(f"group size {size} does not divide d_in {x.shape[0]}")
+    return x.T.reshape(-1, size)
+
+
+def from_groups(g: Tensor, shape: tuple[int, ...], spec: QuantSpec) -> Tensor:
+    """The C-contiguous tensor of the given shape whose to_groups matrix is g.
+
+    For a C-contiguous weight quantized whole per column, fake_quant's g
+    keeps the weight's transposed layout, so the transpose back is already
+    C-contiguous and is not copied; a g of smaller groups is copied once.
+    """
+    if spec.role == "activation":
+        return g.reshape(shape)
+    return np.ascontiguousarray(g.reshape(shape[::-1]).T)
 
 
 @dataclass
@@ -98,7 +138,7 @@ def init_range(x: Tensor, spec: QuantSpec) -> QuantState:
     (clip_lo = q_n / q_p, clip_hi = 1). A constant group gets step = 1 and a
     zero point that round-trips the constant's nearest integer.
     """
-    step, zero = _range_grid(to_groups(x, spec.granularity), spec)  # to_groups rejects an empty x
+    step, zero = _range_grid(to_groups(x, spec), spec)  # to_groups rejects an empty x
     n = step.shape[0]
     clip_lo = np.full(n, spec.q_n / spec.q_p)
     clip_hi = np.ones(n)
@@ -145,15 +185,13 @@ def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, 
 
     Returns (index, spare, step, zero), the last two as (n_groups, 1) columns.
     """
-    x = np.asarray(x, dtype=np.float64)
     state.validate()
-    expected = group_count(x.shape, spec.granularity)
-    if state.n_groups != expected:
+    g = to_groups(x, spec)
+    if state.n_groups != g.shape[0]:
         raise DimensionError(
-            f"state has {state.n_groups} groups but {spec.granularity.kind} tiling of shape "
-            f"{x.shape} needs {expected}"
+            f"state has {state.n_groups} groups but the {spec.role} tiling of shape "
+            f"{np.shape(x)} needs {g.shape[0]}"
         )
-    g = to_groups(x, spec.granularity)
     step = state.step[:, None]
     zero = np.rint(state.zero_point)[:, None]
     lo, hi = clamp_bounds(spec, state)
@@ -209,7 +247,7 @@ def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState | None = None) -> T
     that state.
     """
     if state is None:
-        g = to_groups(x, spec.granularity)
+        g = to_groups(x, spec)
         step, zero = _range_grid(g, spec)
         step, zero = step[:, None], zero[:, None]
         # a fresh state's clamp bounds are the whole code range in either role
@@ -220,14 +258,14 @@ def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState | None = None) -> T
     # of the zo_w4a4 benchmark at 124.9-125.0 MiB; into index it read
     # 126.2-126.4 MiB (two runs each).
     np.multiply(index, step, out=out)
-    return from_groups(out, np.shape(x), spec.granularity)
+    return from_groups(out, np.shape(x), spec)
 
 
 def quant_codes(x: Tensor, spec: QuantSpec, state: QuantState) -> np.ndarray:
     """Integer codes produced by fake_quant, same shape as x (int64)."""
     index, _, _, zero = _grid_index(x, spec, state)
     index += zero
-    return from_groups(index, np.shape(x), spec.granularity).astype(np.int64)
+    return from_groups(index, np.shape(x), spec).astype(np.int64)
 
 
 def quant_error(x: Tensor, spec: QuantSpec, state: QuantState) -> float:

@@ -310,7 +310,7 @@ def mse_bound(G: float, d: int, q: int, quant_step: float, epsilon: float) -> fl
 
 
 def check_mse_bound(
-    obj: SmoothedObjective, w, q: int, trials: int, seed: int = 0, oracle_samples: int = 400_000
+    obj: SmoothedObjective, w, q: int, trials: int, oracle_samples: int, seed: int = 0
 ) -> CheckRow:
     """Empirical MSE of the q-direction zo estimator against the MC oracle."""
     if trials < 1000:
@@ -339,11 +339,11 @@ def check_mse_bound(
 
 
 def mse_q_scaling_slope(
-    obj: SmoothedObjective, w, qs, trials: int, seed: int = 0, oracle_samples: int = 400_000
+    obj: SmoothedObjective, w, qs, trials: int, oracle_samples: int, seed: int = 0
 ) -> CheckRow:
     """Log-log slope of the MSE against q, which should sit within 0.15 of -1."""
     mses = [
-        check_mse_bound(obj, w, q, trials, seed + 7 * q, oracle_samples).measured for q in qs
+        check_mse_bound(obj, w, q, trials, oracle_samples, seed + 7 * q).measured for q in qs
     ]
     slope = float(np.polyfit(np.log(qs), np.log(mses), 1)[0])
     return CheckRow(
@@ -492,14 +492,14 @@ def run_verification(quick: bool = False, seed: int = 0) -> VerificationReport:
     # MSE bound grid and 1/q scaling
     for d in (1, 2, 4):
         obj, w = SmoothedObjective("linear", dim=d, epsilon=1e-2), np.linspace(0.05, 0.35, d)
-        rows += [check_mse_bound(obj, w, q, trials, seed=seed + d * 31 + q) for q in (1, 4, 16)]
+        rows += [check_mse_bound(obj, w, q, trials, oracle_n, seed=seed + d * 31 + q) for q in (1, 4, 16)]
     # coordinate 0 one eps below a threshold, so that +-eps probes cross it
     obj_q = SmoothedObjective("linear", dim=2, epsilon=1e-3, quant_step=0.1)
     w_q = [place_at_distance(0.1, 1.0, 1e-3), 0.21]
-    rows.append(check_mse_bound(obj_q, w_q, 1, trials, seed=seed + 77))
+    rows.append(check_mse_bound(obj_q, w_q, 1, trials, oracle_n, seed=seed + 77))
     obj_s = SmoothedObjective("quadratic", dim=4, epsilon=1e-2, lipschitz=4.0)
     w_s = np.linspace(-0.4, 0.5, 4)
-    rows.append(mse_q_scaling_slope(obj_s, w_s, (1, 2, 4, 8, 16), trials, seed=seed + 303))
+    rows.append(mse_q_scaling_slope(obj_s, w_s, (1, 2, 4, 8, 16), trials, oracle_n, seed=seed + 303))
 
     # Gaussian tail identities and Mills' bound
     rows += [gaussian_tail_identities(t) for t in (0.0, 0.5, 1.0, 2.0, 5.0)]

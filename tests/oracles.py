@@ -20,8 +20,7 @@ from scipy.special import erf, ndtri
 
 from zoqlab.calibration import _FD_H, _MOVES, _apply_block
 from zoqlab.model import LIGHTWEIGHT_TRAINABLE, LINEAR_NAMES
-from zoqlab.numerics import to_groups
-from zoqlab.quantizer import clamp_bounds
+from zoqlab.quantizer import clamp_bounds, to_groups
 
 
 def naive_matmul(a, b):
@@ -241,9 +240,9 @@ class GroupStats:
         return iter(zip(self.mins, self.maxs, self.absmaxs))
 
 
-def reduce_stats(x, gran):
-    """Per-group (min, max, absmax) under the given granularity."""
-    g = to_groups(x, gran)
+def reduce_stats(x, spec):
+    """Per-group (min, max, absmax) under the spec's tiling."""
+    g = to_groups(x, spec)
     mins = g.min(axis=1)
     maxs = g.max(axis=1)
     return GroupStats(mins=mins, maxs=maxs, absmaxs=np.maximum(np.abs(mins), np.abs(maxs)))

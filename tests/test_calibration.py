@@ -21,8 +21,7 @@ from zoqlab.calibration import (
 from zoqlab.cli import default_corpus_path, ingest_corpus
 from zoqlab.errors import DataError
 from zoqlab.model import ModelConfig, QuantPlan, build_model, regrid_weight_state
-from zoqlab.numerics import per_tensor
-from zoqlab.quantizer import QuantSpec, clamp_bounds, init_range
+from zoqlab.quantizer import clamp_bounds
 
 from oracles import bound_move_changes, coordinate_fd_gradient, greedy_bound_search
 
@@ -239,12 +238,3 @@ def test_empty_captures_are_a_data_error():
         reconstruct_layer(lin.w, lin.b, [], lin.att)
     with pytest.raises(DataError, match="empty calibration corpus"):
         capture_activations(model, np.zeros((0, 8), dtype=np.int64))
-
-
-def test_weight_groups_across_columns_are_a_data_error():
-    model, calib = model_and_captures("W4A4")
-    lin = model.blocks[0].linears["attn_q"]
-    spec = QuantSpec(4, "asymmetric", per_tensor())
-    lin.att.weight_spec, lin.att.weight_state = spec, init_range(lin.w, spec)
-    with pytest.raises(DataError, match="column slices"):
-        reconstruct_layer(lin.w, lin.b, calib.captures["block0.attn_q"], lin.att)

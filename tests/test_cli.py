@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from zoqlab import cli, theory
+from zoqlab import cli, diagnostics, theory
 from zoqlab.errors import NumericError
 from zoqlab.model import ModelConfig, QuantPlan, build_model, set_lightweight
 from zoqlab.numerics import read_tensor, write_tensor
@@ -311,6 +311,44 @@ def test_numeric_failure_exits_3(tiny_config, tmp_path, monkeypatch, capsys):
     assert err.startswith("numeric failure: ") and "Traceback" not in err
 
 
+def test_a_numeric_failure_leaves_the_rows_written_before_it(tiny_config, tmp_path, monkeypatch, capsys):
+    metrics = tmp_path / "run" / "metrics"
+    on_disk = {}
+    zo_step = cli.zo_step
+
+    def failing_at_step_2(model, batch, cfg, step):
+        if step < 2:
+            return zo_step(model, batch, cfg, step)
+        # what a crash here would leave: the files as they stand, not yet closed
+        for name in ("train.csv", "diagnostics.csv"):
+            on_disk[name] = list(csv.reader(io.StringIO((metrics / name).read_text())))
+        raise NumericError("non-finite loss at +eps, step 2 direction 0")
+
+    monkeypatch.setattr(cli, "zo_step", failing_at_step_2)
+    assert train(tiny_config, tmp_path / "run", "--steps", "4") == cli.EXIT_NUMERIC
+    for name, rows in on_disk.items():
+        with open(metrics / name, newline="") as f:
+            assert list(csv.reader(f)) == rows, name
+    train_rows = on_disk["train.csv"]
+    assert train_rows[0] == list(cli.TRAIN_HEADER)
+    assert [row[0] for row in train_rows[1:]] == ["0", "1"]
+    diag_rows = on_disk["diagnostics.csv"]
+    assert diag_rows[0] == list(diagnostics.DIAG_HEADER)
+    assert len(diag_rows) > 1 and {row[0] for row in diag_rows[1:]} == {"0"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_checkpoint_of_another_version_is_refused(trained_checkpoint, tmp_path, capsys):
+    raw = trained_checkpoint
+    assert struct.unpack("<II", raw[8:16]) == (2, 0)
+    path = tmp_path / "v3.ckpt"
+    path.write_bytes(raw[:8] + struct.pack("<II", 3, 0) + raw[16:])
+    capsys.readouterr()
+    assert cli.main(["eval", str(path)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "unsupported" in err and "Traceback" not in err
+
+
 def test_failed_verification_exits_4(tmp_path, monkeypatch, capsys):
     row = theory.CheckRow("zo_unbiasedness", "d=8", 4.0, reference=3.0, margin=-1.0, passed=False)
     report = theory.VerificationReport([row])
@@ -324,7 +362,7 @@ def test_failed_verification_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def earlier_layout(raw):
-    """The checkpoint as earlier versions wrote it.
+    """The checkpoint as earlier versions wrote it: format version 1.
 
     Each block's ln2 tensors come right after its ln1 tensors, before the
     linears, and every attachment carries "trainable" (not pre_quantized).
@@ -346,7 +384,7 @@ def earlier_layout(raw):
         meta["trainable"] = not meta["pre_quantized"]
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     out = io.BytesIO()
-    out.write(raw[:16] + struct.pack("<Q", len(blob)) + blob)
+    out.write(raw[:8] + struct.pack("<IIQ", 1, 0, len(blob)) + blob)
     for name in order:
         write_tensor(out, tensors[name])
     return out.getvalue()

@@ -12,19 +12,8 @@ import pytest
 import zoqlab
 from zoqlab import numerics
 from zoqlab.errors import DataError, DimensionError
-from zoqlab.numerics import (
-    RngStream,
-    from_groups,
-    gaussian,
-    normals_at,
-    per_channel,
-    per_group,
-    per_tensor,
-    per_token,
-    read_tensor,
-    to_groups,
-    write_tensor,
-)
+from zoqlab.numerics import RngStream, gaussian, normals_at, read_tensor, write_tensor
+from zoqlab.quantizer import QuantSpec, from_groups, to_groups
 
 from oracles import naive_matmul, philox_normals_reference, reduce_stats
 
@@ -250,45 +239,60 @@ class TestHeapThresholds:
         assert numerics.pin_heap_thresholds() is False
 
 
+ROWS = QuantSpec(4, "asymmetric", "activation")
+COLUMNS = QuantSpec(4, "asymmetric", "weight")
+
+
+def column_groups(size):
+    return QuantSpec(4, "asymmetric", "weight", group_size=size)
+
+
 class TestReduceStats:
-    def test_per_tensor(self):
-        stats = reduce_stats(np.array([-1.0, 0.5, 2.0]), per_tensor())
+    def test_one_row_is_one_group(self):
+        stats = reduce_stats(np.array([-1.0, 0.5, 2.0]), ROWS)
         assert list(stats) == [(-1.0, 2.0, 2.0)]
 
     def test_per_channel_columns(self):
-        stats = reduce_stats(np.array([[1.0, -3.0], [2.0, 4.0]]), per_channel(axis=1))
+        stats = reduce_stats(np.array([[1.0, -3.0], [2.0, 4.0]]), COLUMNS)
         assert list(stats) == [(1.0, 2.0, 2.0), (-3.0, 4.0, 4.0)]
 
     def test_per_group_chunks(self):
-        stats = reduce_stats(np.array([1.0, 2.0, 3.0, 8.0]), per_group(axis=0, group_size=2))
+        stats = reduce_stats(np.array([[1.0], [2.0], [3.0], [8.0]]), column_groups(2))
         assert list(stats) == [(1.0, 2.0, 2.0), (3.0, 8.0, 8.0)]
 
     def test_per_token_rows(self):
-        stats = reduce_stats(np.array([[1.0, -2.0], [5.0, 0.0]]), per_token())
+        stats = reduce_stats(np.array([[1.0, -2.0], [5.0, 0.0]]), ROWS)
         assert list(stats) == [(-2.0, 1.0, 2.0), (0.0, 5.0, 5.0)]
 
     def test_ragged_groups_rejected(self):
         with pytest.raises(DimensionError, match="does not divide"):
-            reduce_stats(np.arange(6, dtype=np.float64), per_group(axis=0, group_size=4))
+            reduce_stats(np.arange(6, dtype=np.float64).reshape(6, 1), column_groups(4))
 
     @pytest.mark.parametrize(
-        "shape,gran",
+        "shape,spec",
         [
-            ((6,), per_tensor()),
-            ((4, 6), per_token()),
-            ((4, 6), per_channel(axis=0)),
-            ((4, 6), per_channel(axis=1)),
-            ((4, 6), per_group(axis=0, group_size=2)),
-            ((4, 6), per_group(axis=1, group_size=3)),
-            ((2, 3, 4), per_channel(axis=2)),
+            ((6,), ROWS),
+            ((4, 6), ROWS),
+            ((2, 3, 4), ROWS),
+            ((4, 6), COLUMNS),
+            ((4, 6), column_groups(2)),
+            ((4, 6), column_groups(4)),
         ],
+        ids=["one-row", "rows", "rows-3d", "columns", "column-groups", "whole-column-groups"],
     )
-    def test_groups_partition_tensor(self, shape, gran):
-        rng = np.random.default_rng(hash(gran.kind) % 1000)
-        x = rng.normal(size=shape)
-        groups = to_groups(x, gran)
+    def test_groups_partition_tensor(self, shape, spec):
+        x = np.random.default_rng(len(shape)).normal(size=shape)
+        groups = to_groups(x, spec)
         assert groups.size == x.size
-        assert np.array_equal(from_groups(groups, x.shape, gran), x)
+        back = from_groups(groups, x.shape, spec)
+        assert np.array_equal(back, x)
+        assert back.flags.c_contiguous
+
+    def test_weight_groups_are_column_slices_in_row_order(self):
+        w = np.arange(24, dtype=np.float64).reshape(6, 4)
+        want = [w[r : r + 2, c] for c in range(4) for r in range(0, 6, 2)]
+        assert np.array_equal(to_groups(w, column_groups(2)), want)
+        assert np.array_equal(to_groups(w, COLUMNS), w.T)
 
 
 class TestTensorContainer:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoqlab.errors import DataError, DimensionError, InvalidStateError
-from zoqlab.numerics import per_channel, per_group, per_tensor, per_token, to_groups
 from zoqlab.quantizer import (
     QuantSpec,
     QuantState,
@@ -19,7 +18,13 @@ from oracles import nearest_code, nearest_code_dequant, scalar_range_init
 
 
 def spec_pt(bits, scheme, role="weight"):
-    return QuantSpec(bits, scheme, per_tensor(), role=role)
+    """A single-group spec: a weight spec takes one column, an activation spec one row."""
+    return QuantSpec(bits, scheme, role)
+
+
+def column(values):
+    """values as the one column of a (n, 1) weight: one group under a weight spec."""
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1)
 
 
 class TestQuantSpec:
@@ -30,31 +35,55 @@ class TestQuantSpec:
         assert (sym.q_n, sym.q_p) == (-4, 3)
 
     def test_activation_rejects_per_group(self):
-        with pytest.raises(DataError):
-            QuantSpec(4, "asymmetric", per_group(axis=0, group_size=2), role="activation")
+        with pytest.raises(DataError, match="activation quantizers take no group_size"):
+            QuantSpec(4, "asymmetric", "activation", group_size=2)
+
+    @pytest.mark.parametrize("group_size", [0, -4])
+    def test_group_size_below_one_rejected(self, group_size):
+        with pytest.raises(DataError, match="group_size must be >= 1"):
+            QuantSpec(4, "asymmetric", "weight", group_size=group_size)
 
     def test_bit_floor(self):
         with pytest.raises(DataError):
             spec_pt(1, "asymmetric")
 
 
+class TestTiling:
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
+    def test_weight_that_is_not_2d_rejected(self, shape):
+        spec = QuantSpec(4, "asymmetric", "weight")
+        with pytest.raises(DimensionError, match="2-D"):
+            init_range(np.ones(shape), spec)
+        with pytest.raises(DimensionError, match="2-D"):
+            fake_quant(np.ones(shape), spec)
+
+    def test_group_size_that_does_not_divide_d_in_rejected(self):
+        spec = QuantSpec(4, "asymmetric", "weight", group_size=4)
+        w = np.ones((6, 3))
+        with pytest.raises(DimensionError, match="does not divide"):
+            init_range(w, spec)
+        state = init_range(w[:4], spec)
+        with pytest.raises(DimensionError, match="does not divide"):
+            fake_quant(w, spec, state)
+
+
 class TestInitRange:
     def test_asymmetric_two_bit_example(self):
         x = np.array([-1.0, 0.5, 2.0])
         spec = spec_pt(2, "asymmetric")
-        state = init_range(x, spec)
+        state = init_range(column(x), spec)
         step, zero, _, _ = scalar_range_init(x, 2, "asymmetric")
         assert state.step[0] == step == 1.0
         assert state.zero_point[0] == zero == 1.0
 
     def test_symmetric_three_bit_example(self):
-        state = init_range(np.array([-2.0, 1.0]), spec_pt(3, "symmetric"))
+        state = init_range(column([-2.0, 1.0]), spec_pt(3, "symmetric"))
         step, zero, _, _ = scalar_range_init([-2.0, 1.0], 3, "symmetric")
         assert state.step[0] == pytest.approx(step) == pytest.approx(2 / 3)
         assert state.zero_point[0] == 0.0
 
     def test_all_zeros_round_trips_exactly(self):
-        x = np.zeros(5)
+        x = np.zeros((5, 1))
         spec = spec_pt(2, "asymmetric")
         state = init_range(x, spec)
         assert state.step[0] == 1.0
@@ -63,7 +92,7 @@ class TestInitRange:
 
     def test_clipping_starts_inactive(self):
         spec = spec_pt(4, "asymmetric")
-        state = init_range(np.array([0.0, 1.0]), spec)
+        state = init_range(column([0.0, 1.0]), spec)
         assert state.clip_lo[0] == spec.q_n / spec.q_p
         assert state.clip_hi[0] == 1.0
 
@@ -77,7 +106,7 @@ class TestInitRange:
         rng = np.random.default_rng(bits * 7 + len(scheme))
         for _ in range(50):
             x = rng.uniform(-3, 3, size=rng.integers(2, 9))
-            state = init_range(x, spec_pt(bits, scheme))
+            state = init_range(column(x), spec_pt(bits, scheme))
             step, zero, _, _ = scalar_range_init(x, bits, scheme)
             assert state.step[0] == pytest.approx(step, rel=1e-15)
             assert state.zero_point[0] == zero
@@ -95,7 +124,7 @@ class TestFakeQuant:
         spec = spec_pt(8, "asymmetric")
         state = QuantState(step=[0.25], zero_point=[17.0], clip_lo=[0.0], clip_hi=[1.0])
         codes = np.arange(0, 256, dtype=np.float64)
-        x = 0.25 * (codes - 17.0)
+        x = column(0.25 * (codes - 17.0))
         assert np.array_equal(fake_quant(x, spec, state), x)
 
     def test_inactive_clipping_equals_activation_clamp(self):
@@ -103,20 +132,20 @@ class TestFakeQuant:
         x = rng.normal(size=64)
         w_spec = spec_pt(4, "asymmetric", role="weight")
         a_spec = spec_pt(4, "asymmetric", role="activation")
-        state = init_range(x, w_spec)
-        assert np.array_equal(fake_quant(x, w_spec, state), fake_quant(x, a_spec, state))
+        state = init_range(column(x), w_spec)
+        assert np.array_equal(fake_quant(column(x), w_spec, state)[:, 0], fake_quant(x, a_spec, state))
 
     def test_nonpositive_step_rejected(self):
         spec = spec_pt(4, "asymmetric")
         state = QuantState(step=[0.0], zero_point=[0.0], clip_lo=[0.0], clip_hi=[1.0])
         with pytest.raises(InvalidStateError):
-            fake_quant(np.ones(3), spec, state)
+            fake_quant(np.ones((3, 1)), spec, state)
 
     def test_idempotent_bitwise(self):
         rng = np.random.default_rng(9)
         for scheme in ("symmetric", "asymmetric"):
-            for gran in (per_tensor(), per_channel(axis=1), per_group(axis=0, group_size=4)):
-                spec = QuantSpec(3, scheme, gran)
+            for role, group_size in (("activation", None), ("weight", None), ("weight", 4)):
+                spec = QuantSpec(3, scheme, role, group_size)
                 x = rng.normal(size=(8, 6)) * 3
                 state = init_range(x, spec)
                 once = fake_quant(x, spec, state)
@@ -129,7 +158,7 @@ class TestFakeQuant:
         # -1e-3 / step rounds to index -0.0, which meets the +0.0 bound of code 0;
         # which zero comes out depends on the shape, and must be np.clip's
         x = np.tile([[-1e-3, 1.0, -0.0, 0.5]], (n_rows, 1))
-        spec = QuantSpec(2, "asymmetric", per_token(), role="activation")
+        spec = QuantSpec(2, "asymmetric", "activation")
         fresh = init_range(x, spec)
         step, zero = fresh.step[:, None], fresh.zero_point[:, None]
         assert np.all(zero == 0.0)
@@ -139,7 +168,7 @@ class TestFakeQuant:
 
     def test_fractional_zero_point_rounded_at_use(self):
         spec = spec_pt(4, "asymmetric")
-        x = np.linspace(-1, 1, 9)
+        x = column(np.linspace(-1, 1, 9))
         base = QuantState(step=[0.1], zero_point=[7.0], clip_lo=[0.0], clip_hi=[1.0])
         drifted = QuantState(step=[0.1], zero_point=[7.2], clip_lo=[0.0], clip_hi=[1.0])
         assert np.array_equal(fake_quant(x, spec, base), fake_quant(x, spec, drifted))
@@ -149,13 +178,13 @@ class TestQuantError:
     def test_on_grid_is_zero(self):
         spec = spec_pt(4, "asymmetric")
         state = QuantState(step=[0.5], zero_point=[3.0], clip_lo=[0.0], clip_hi=[1.0])
-        x = 0.5 * (np.arange(16.0) - 3.0)
+        x = column(0.5 * (np.arange(16.0) - 3.0))
         assert quant_error(x, spec, state) == 0.0
 
     def test_half_step_off_grid(self):
         spec = spec_pt(4, "asymmetric")
         state = QuantState(step=[0.5], zero_point=[0.0], clip_lo=[0.0], clip_hi=[1.0])
-        x = np.array([0.25])  # step/2 off a grid point, inside the range
+        x = column([0.25])  # step/2 off a grid point, inside the range
         assert quant_error(x, spec, state) == pytest.approx((0.25) ** 2)
 
     def test_inrange_elements_bounded_by_half_step(self):
@@ -176,7 +205,7 @@ class TestAgainstNearestCodeOracle:
     @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("bits", [2, 3])
     def test_exhaustive_low_bit_grids(self, scheme, bits):
-        spec = QuantSpec(bits, scheme, per_tensor(), role="activation")
+        spec = QuantSpec(bits, scheme, "activation")
         state = QuantState(step=[0.3], zero_point=[1.0], clip_lo=[spec.q_n / spec.q_p], clip_hi=[1.0])
         # dense sweep covering every cell, every boundary, and out-of-range
         xs = np.linspace(0.3 * (spec.q_n - 4), 0.3 * (spec.q_p + 4), 4001)
@@ -187,12 +216,12 @@ class TestAgainstNearestCodeOracle:
         assert np.array_equal(got, want)
 
     def test_exhaustive_grid_with_clipping(self):
-        spec = QuantSpec(3, "asymmetric", per_tensor(), role="weight")
+        spec = QuantSpec(3, "asymmetric", "weight")
         state = QuantState(step=[0.5], zero_point=[2.0], clip_lo=[0.25], clip_hi=[0.8])
         lo = round(0.25 * spec.q_p)
         hi = round(0.8 * spec.q_p)
         xs = np.linspace(-4, 4, 2001)
-        got = fake_quant(xs, spec, state)
+        got = fake_quant(column(xs), spec, state)[:, 0]
         want = np.array([nearest_code_dequant(x, 0.5, 2.0, lo, hi) for x in xs])
         assert np.array_equal(got, want)
 
@@ -209,7 +238,7 @@ class TestQuotientRoundedOntoHalf:
         ],
     )
     def test_nearer_neighbour_wins(self, bits, scheme, x, want_code):
-        spec = QuantSpec(bits, scheme, per_tensor(), role="activation")
+        spec = QuantSpec(bits, scheme, "activation")
         state = QuantState(step=[0.3], zero_point=[1.0], clip_lo=[spec.q_n / spec.q_p], clip_hi=[1.0])
         assert x / 0.3 % 1.0 == 0.5
         assert nearest_code(x, 0.3, 1.0, spec.q_n, spec.q_p) == want_code
@@ -217,13 +246,13 @@ class TestQuotientRoundedOntoHalf:
         assert fake_quant(np.array([x]), spec, state).tolist() == [0.3 * (want_code - 1.0)]
 
     def test_non_finite_element_does_not_hide_the_half(self):
-        spec = QuantSpec(2, "asymmetric", per_tensor(), role="activation")
+        spec = QuantSpec(2, "asymmetric", "activation")
         state = QuantState(step=[0.3], zero_point=[1.0], clip_lo=[0.0], clip_hi=[1.0])
         got = fake_quant(np.array([np.nan, np.inf, 0.44999999999999996]), spec, state)
         assert got[2] == 0.3
 
     def test_quant_codes_match_oracle_and_dequantize_to_fake_quant(self):
-        spec = QuantSpec(2, "asymmetric", per_tensor(), role="activation")
+        spec = QuantSpec(2, "asymmetric", "activation")
         state = QuantState(step=[0.3], zero_point=[1.0], clip_lo=[0.0], clip_hi=[1.0])
         xs = np.linspace(0.3 * (spec.q_n - 4), 0.3 * (spec.q_p + 4), 4001)
         codes = quant_codes(xs, spec, state)
@@ -231,9 +260,9 @@ class TestQuotientRoundedOntoHalf:
         assert codes.tolist() == want
         assert np.array_equal(0.3 * (codes - 1.0), fake_quant(xs, spec, state))
 
-    @pytest.mark.parametrize("gran", [per_token(), per_channel(axis=1)])
-    def test_quant_codes_rejects_wrong_group_count(self, gran):
-        spec = QuantSpec(4, "asymmetric", gran, role="weight")
+    @pytest.mark.parametrize("role", ["activation", "weight"])
+    def test_quant_codes_rejects_wrong_group_count(self, role):
+        spec = QuantSpec(4, "asymmetric", role)
         state = QuantState(step=[0.1] * 3, zero_point=[0.0] * 3, clip_lo=[0.0] * 3, clip_hi=[1.0] * 3)
         with pytest.raises(DimensionError):
             quant_codes(np.ones((4, 6)), spec, state)
@@ -248,7 +277,7 @@ class TestQuotientRoundedOntoHalf:
         extremes = [1.2345e-300, 3.3e-200, 7.77e250, 1.2345e300]
         for step in [*rng.uniform(0.05, 2.0, size=100), *extremes]:
             for bits, scheme, zero in ((2, "asymmetric", 1.0), (3, "symmetric", 0.0), (4, "asymmetric", 1.0)):
-                spec = QuantSpec(bits, scheme, per_tensor(), role="activation")
+                spec = QuantSpec(bits, scheme, "activation")
                 clip_lo = spec.q_n / spec.q_p
                 state = QuantState(step=[step], zero_point=[zero], clip_lo=[clip_lo], clip_hi=[1.0])
                 mids = step * (np.arange(spec.q_n - zero, spec.q_p - zero) + 0.5)
@@ -267,49 +296,53 @@ class TestInvariants:
     @settings(max_examples=300, deadline=None)
     def test_monotone_in_input(self, x, y, bits, scheme):
         lo, hi = min(x, y), max(x, y)
-        spec = QuantSpec(bits, scheme, per_tensor())
+        spec = QuantSpec(bits, scheme, "weight")
         state = QuantState(step=[0.37], zero_point=[1.0], clip_lo=[spec.q_n / spec.q_p], clip_hi=[1.0])
-        a = fake_quant(np.array([lo]), spec, state)[0]
-        b = fake_quant(np.array([hi]), spec, state)[0]
+        a = fake_quant(column([lo]), spec, state)[0, 0]
+        b = fake_quant(column([hi]), spec, state)[0, 0]
         assert a <= b
 
     def test_tightening_never_adds_codes(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=512)
+        x = column(rng.normal(size=512))
         spec = spec_pt(4, "asymmetric")
         state = init_range(x, spec)
         loose = len(np.unique(quant_codes(x, spec, state)))
         tight = tighten_state(state, clip_lo=0.2, clip_hi=0.7)
         assert len(np.unique(quant_codes(x, spec, tight))) <= loose
 
-    def test_per_group_full_axis_equals_per_channel(self):
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    def test_whole_column_group_equals_per_channel(self, scheme):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(8, 5))
-        g_spec = QuantSpec(4, "asymmetric", per_group(axis=0, group_size=8))
-        c_spec = QuantSpec(4, "asymmetric", per_channel(axis=1))
-        out_g = fake_quant(x, g_spec, init_range(x, g_spec))
-        out_c = fake_quant(x, c_spec, init_range(x, c_spec))
-        assert np.array_equal(out_g, out_c)
+        g_spec = QuantSpec(4, scheme, "weight", group_size=8)
+        c_spec = QuantSpec(4, scheme, "weight")
+        state, g_state = init_range(x, c_spec), init_range(x, g_spec)
+        for field in ("step", "zero_point", "clip_lo", "clip_hi"):
+            assert getattr(g_state, field).tobytes() == getattr(state, field).tobytes(), field
+        assert fake_quant(x, g_spec, state).tobytes() == fake_quant(x, c_spec, state).tobytes()
+        assert fake_quant(x, g_spec).tobytes() == fake_quant(x, c_spec).tobytes()
+        assert quant_codes(x, g_spec, state).tobytes() == quant_codes(x, c_spec, state).tobytes()
 
-    def test_per_channel_single_channel_equals_per_tensor(self):
+    def test_one_column_weight_equals_one_row_activation(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 1))
-        c_spec = QuantSpec(4, "asymmetric", per_channel(axis=1))
-        t_spec = QuantSpec(4, "asymmetric", per_tensor())
+        c_spec = QuantSpec(4, "asymmetric", "weight")
+        r_spec = QuantSpec(4, "asymmetric", "activation")
         out_c = fake_quant(x, c_spec, init_range(x, c_spec))
-        out_t = fake_quant(x, t_spec, init_range(x, t_spec))
-        assert np.array_equal(out_c, out_t)
+        out_r = fake_quant(x.T, r_spec, init_range(x.T, r_spec))
+        assert np.array_equal(out_c, out_r.T)
 
     def test_per_token_groups_are_rows(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 6))
-        spec = QuantSpec(4, "asymmetric", per_token(), role="activation")
+        spec = QuantSpec(4, "asymmetric", "activation")
         state = init_range(x, spec)
         assert state.n_groups == 4
         row_quant = [
             fake_quant(
                 row,
-                QuantSpec(4, "asymmetric", per_tensor(), role="activation"),
+                spec,
                 QuantState(
                     step=state.step[i : i + 1],
                     zero_point=state.zero_point[i : i + 1],
@@ -366,7 +399,7 @@ class TestRangeFromX:
     @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_equals_the_range_init_state(self, bits, scheme, rows):
-        spec = QuantSpec(bits, scheme, per_token(), role="activation")
+        spec = QuantSpec(bits, scheme, "activation")
         rng = np.random.default_rng(bits)
         width = 3 * 2**bits + 8
         x = {
@@ -384,17 +417,13 @@ class TestRangeFromX:
         assert fake_quant(x, spec, None).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
-    @pytest.mark.parametrize(
-        "gran",
-        [per_tensor(), per_channel(axis=1), per_group(axis=0, group_size=4)],
-        ids=["per_tensor", "per_channel", "per_group"],
-    )
-    def test_equals_the_range_init_state_for_weight_groups(self, scheme, gran):
-        spec = QuantSpec(3, scheme, gran, role="weight")
+    @pytest.mark.parametrize("group_size", [None, 4], ids=["per_channel", "per_group"])
+    def test_equals_the_range_init_state_for_weight_groups(self, scheme, group_size):
+        spec = QuantSpec(3, scheme, "weight", group_size)
         x = np.random.default_rng(12).standard_t(3, size=(16, 6))
         want = fake_quant(x, spec, init_range(x, spec))
         assert fake_quant(x, spec).tobytes() == want.tobytes()
 
     def test_empty_tensor_rejected(self):
         with pytest.raises(DataError):
-            fake_quant(np.zeros((0, 4)), QuantSpec(4, "asymmetric", per_token(), role="activation"))
+            fake_quant(np.zeros((0, 4)), QuantSpec(4, "asymmetric", "activation"))

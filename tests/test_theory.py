@@ -41,7 +41,7 @@ def test_quantized_mse_row_measures_probes_that_cross_a_threshold():
     # as run_verification builds it: coordinate 0 one eps below a threshold
     obj = theory.SmoothedObjective("linear", dim=2, epsilon=1e-3, quant_step=0.1)
     w = [theory.place_at_distance(0.1, 1.0, 1e-3), 0.21]
-    row = theory.check_mse_bound(obj, w, 1, trials=1000, seed=77)
+    row = theory.check_mse_bound(obj, w, 1, QUICK_TRIALS, QUICK_ORACLE_SAMPLES, seed=77)
     assert row.passed and row.measured > 0
 
 
@@ -94,22 +94,25 @@ def test_model_and_zo_bind_every_name_the_benchmark_tracer_patches():
 def test_estimator_driven_rows_keep_their_bytes():
     """repr(measured) of three estimator-driven rows of `verify --quick --seed 0`.
 
-    The rows are built as run_verification builds them. The values were
+    The rows are built as run_verification builds them. The formula gap was
     recorded before the view cached a whole step's chunks and normals_at
     re-keyed Philox in place; a faster estimator path must keep these bytes.
+    The two MSE rows were re-recorded when their oracle moved to the quick
+    size, QUICK_ORACLE_SAMPLES.
     """
     obj0 = theory.SmoothedObjective("quadratic", dim=8, epsilon=1e-2, quant_step=0.1, lipschitz=4.0)
     gap = theory.zo_formula_gap(obj0, theory._W8, estimates=256, seed=0)
     obj4 = theory.SmoothedObjective("linear", dim=4, epsilon=1e-2)
-    mse4 = theory.check_mse_bound(obj4, np.linspace(0.05, 0.35, 4), 16, QUICK_TRIALS, seed=4 * 31 + 16)
+    w4 = np.linspace(0.05, 0.35, 4)
+    mse4 = theory.check_mse_bound(obj4, w4, 16, QUICK_TRIALS, QUICK_ORACLE_SAMPLES, seed=4 * 31 + 16)
     obj_q = theory.SmoothedObjective("linear", dim=2, epsilon=1e-3, quant_step=0.1)
     w_q = [theory.place_at_distance(0.1, 1.0, 1e-3), 0.21]
-    mse_q = theory.check_mse_bound(obj_q, w_q, 1, QUICK_TRIALS, seed=77)
+    mse_q = theory.check_mse_bound(obj_q, w_q, 1, QUICK_TRIALS, QUICK_ORACLE_SAMPLES, seed=77)
     got = [(row.config, repr(row.measured)) for row in (gap, mse4, mse_q)]
     assert got == [
         ("d=8 quadratic step=0.1", "0.0"),
-        ("d=4 q=16 step=0", "0.28784530204050474"),
-        ("d=2 q=1 step=0.1 eps=0.001", "2098.814996563207"),
+        ("d=4 q=16 step=0", "0.28774629039453803"),
+        ("d=2 q=1 step=0.1 eps=0.001", "2098.63156899008"),
     ]
 
 
@@ -123,7 +126,7 @@ def test_mse_bound_draws_each_direction_once(monkeypatch):
     monkeypatch.setattr(zoqlab.zo, "normals_at", counting)
     obj = theory.SmoothedObjective("linear", dim=1, epsilon=1e-2)
     q = 16
-    theory.check_mse_bound(obj, [0.2], q, QUICK_TRIALS, seed=3, oracle_samples=1000)
+    theory.check_mse_bound(obj, [0.2], q, QUICK_TRIALS, 1000, seed=3)
     assert len(calls) == q * QUICK_TRIALS
     assert len(set(calls)) == len(calls)
 
