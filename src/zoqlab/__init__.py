@@ -1,7 +1,8 @@
 """Forward-only quantization-aware training laboratory.
 
 Modules:
-  numerics      tensors, counter-based Gaussian streams, tensor files
+  numerics      tensors, tensor files, and the one stream reader: every
+                draw is normals_at/uniforms_at(seed, stream, position, n)
   quantizer     uniform fake-quantization with learnable clipping; a
                 quantizer's tiling follows from its role: activations per
                 token, weights per output channel or in groups of input rows
@@ -12,13 +13,14 @@ Modules:
                 fold-and-freeze path, and ModelGraph.tensors the one tensor
                 layout, walked by the checkpoint and the ZO view
   calibration   layer-wise reconstruction init and the RTN baseline
-  zo            two-point zeroth-order estimator and ZO-SGD
+  zo            two-point zeroth-order estimator and ZO-SGD; GROUP_ORDER
+                is the one list of trainable groups
   theory        Monte-Carlo/quadrature verification of the estimator theory
   diagnostics   eval perplexity with per-layer reconstruction, memory
                 accounting; returns records and writes no file
-  cli           train / eval / verify / quantize / calibrate / diag, and the
-                one CSV writer of every metrics file, each row flushed as it
-                is produced
+  cli           train / eval / verify / quantize / calibrate / diag, each
+                run by its subparser's `run` default, and the one CSV writer
+                of every metrics file, each row flushed as it is produced
 """
 
 from .errors import (
@@ -30,7 +32,7 @@ from .errors import (
     VerificationError,
     ZoqlabError,
 )
-from .numerics import RngStream, Tensor, gaussian
+from .numerics import Tensor, normals_at
 from .quantizer import QuantSpec, QuantState, fake_quant, init_range, quant_error
 from .smoothing import SmoothingParams, apply_smoothing
 from .model import (
@@ -45,11 +47,10 @@ from .calibration import (
     CalibSet,
     capture_activations,
     calibrate_model,
-    delta_loss,
     reconstruct_layer,
     rtn_quantize,
 )
-from .zo import Direction, ParamGroup, ParamView, ZoConfig, optimizer_state_size, zo_gradient_scale, zo_step
+from .zo import GROUP_ORDER, Direction, ParamView, ZoConfig, optimizer_state_size, zo_gradient_scale, zo_step
 from .diagnostics import TrackRecord, memory_report, track
 
 __version__ = "0.1.0"

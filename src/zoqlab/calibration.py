@@ -64,23 +64,12 @@ def capture_activations(model: ModelGraph, corpus_sample) -> CalibSet:
     return CalibSet(captures=captures)
 
 
-def delta_loss(before: float, after: float) -> float:
-    """Relative loss reduction (before - after) / before; negative means regression."""
-    if before <= 0:
-        raise DataError(f"delta_loss requires before > 0, got {before}")
-    return (before - after) / before
-
-
 @dataclass
 class ReconstructionResult:
     smoothing: SmoothingParams | None
     quant_state: QuantState
     loss_before: float
     loss_after: float
-
-    @property
-    def delta_loss(self) -> float:
-        return delta_loss(self.loss_before, self.loss_after)
 
 
 class _LayerObjective:
@@ -405,7 +394,8 @@ def calibrate_model(model: ModelGraph, calib: CalibSet, epochs: int) -> list[dic
     """Run reconstruct_layer on every attached linear; returns per-layer rows.
 
     Mutates the attachments in place; each row carries layer_id,
-    loss_before, loss_after, delta_loss for the calibration CSV.
+    loss_before, loss_after and delta_loss, the relative loss drop
+    (before - after) / before (0 where before is 0), for the calibration CSV.
     """
     rows = []
     for layer_id, lin in model.iter_attachments():
@@ -415,12 +405,13 @@ def calibrate_model(model: ModelGraph, calib: CalibSet, epochs: int) -> list[dic
         result = reconstruct_layer(lin.w, lin.b, calib.captures[layer_id], att, epochs=epochs)
         att.smoothing = result.smoothing
         att.weight_state = result.quant_state
+        before, after = result.loss_before, result.loss_after
         rows.append(
             {
                 "layer_id": layer_id,
-                "loss_before": result.loss_before,
-                "loss_after": result.loss_after,
-                "delta_loss": result.delta_loss if result.loss_before > 0 else 0.0,
+                "loss_before": before,
+                "loss_after": after,
+                "delta_loss": (before - after) / before if before > 0 else 0.0,
             }
         )
     return rows

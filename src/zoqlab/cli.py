@@ -42,7 +42,7 @@ from .model import (
     set_lightweight,
 )
 from .numerics import read_exact, read_tensor, uniforms_at, write_tensor
-from .zo import ZoConfig, zo_step
+from .zo import GROUP_ORDER, ZoConfig, zo_step
 
 _CKPT_MAGIC = b"ZQLB-CKP"
 # Version 2 dropped the per-layer "trainable" flag, which version 1 readers
@@ -61,16 +61,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-TRAIN_HEADER = (
-    "step",
-    "loss",
-    "upd_weights",
-    "upd_smoothing",
-    "upd_clipping",
-    "upd_quant_affine",
-    "wall_ms",
-    "rng_cursor",
-)
+TRAIN_HEADER = ("step", "loss", *(f"upd_{label}" for label in GROUP_ORDER), "wall_ms", "rng_cursor")
 CALIB_HEADER = ("layer_id", "loss_before", "loss_after", "delta_loss")
 
 
@@ -112,8 +103,8 @@ _SCHEMA = {
         "eval_interval": "eval_interval",
         **{
             k: f"zo.{k}"
-            for k in ("steps", "batch_size", "epsilon", "directions", "lr_weights", "lr_smoothing",
-                      "lr_clipping", "lr_quant_affine", "lr_schedule", "train_quant_affine")
+            for k in ("steps", "batch_size", "epsilon", "directions",
+                      *(f"lr_{label}" for label in GROUP_ORDER), "lr_schedule", "train_quant_affine")
         },
     },
     "calib": {"epochs": "calib_epochs", "samples": "calib_samples"},
@@ -164,17 +155,11 @@ class RunConfig:
         if self.zo.seed != self.seed:
             self.zo = replace(self.zo, seed=self.seed)
 
-    @property
-    def mode(self) -> str | None:
-        """weight_only / weight_activation / None (full precision)."""
+    def quant_plan(self) -> QuantPlan | None:
+        """None in full precision; a_bits of None or 16 and more is weight-only."""
         if self.w_bits is None:
             return None
-        return "weight_only" if self.a_bits is None or self.a_bits >= 16 else "weight_activation"
-
-    def quant_plan(self) -> QuantPlan | None:
-        if self.mode is None:
-            return None
-        a = self.a_bits if self.mode == "weight_activation" else None
+        a = self.a_bits if self.a_bits is not None and self.a_bits < 16 else None
         return QuantPlan(
             w_bits=self.w_bits, a_bits=a, scheme=self.scheme, group_size=self.group_size
         )
@@ -182,7 +167,8 @@ class RunConfig:
     def effective_calib_epochs(self) -> int:
         if self.calib_epochs is not None:
             return self.calib_epochs
-        return 2 if self.mode == "weight_activation" else 4
+        plan = self.quant_plan()
+        return 2 if plan is not None and plan.mode == "weight_activation" else 4
 
     def to_dict(self) -> dict:
         """The manifest's config: one dict per section, [run] keys at the top level."""
@@ -442,17 +428,8 @@ def _write_calibration_csv(metrics_dir: str, calib_rows) -> None:
 
 
 def _train_row(report):
-    n = report.update_norms
-    return (
-        report.step,
-        repr(report.loss),
-        repr(n.get("weights", 0.0)),
-        repr(n.get("smoothing", 0.0)),
-        repr(n.get("clipping", 0.0)),
-        repr(n.get("quant_affine", 0.0)),
-        f"{report.wall_ms:.3f}",
-        report.rng_cursor,
-    )
+    norms = (repr(report.update_norms.get(label, 0.0)) for label in GROUP_ORDER)
+    return (report.step, repr(report.loss), *norms, f"{report.wall_ms:.3f}", report.rng_cursor)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +519,7 @@ def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = No
                     f"eval ppl {record.eval_ppl:.4f}"
                 )
         if cfg.zo.steps > start_step and record.step != cfg.zo.steps:
-            record = snapshot(cfg.zo.steps)
+            record = snapshot(cfg.zo.steps, report.loss)
     ckpt = os.path.join(cfg.checkpoint_dir, "final.ckpt")
     save_checkpoint(ckpt, cfg, model, cfg.zo.steps)
     print(f"final eval ppl {record.eval_ppl:.4f}")
@@ -652,31 +629,38 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="zoqlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand's parser sets run(args), the call main makes
     p_train = sub.add_parser("train", help="calibrate + ZO-train + checkpoint")
     _add_config_flags(p_train)
     p_train.add_argument("--lightweight", action="store_true", help="freeze all but attention q/v")
     p_train.add_argument("--resume", help="checkpoint to resume from")
+    p_train.set_defaults(run=lambda a: cmd_train(_config_from_args(a), a.lightweight, a.resume))
 
     p_eval = sub.add_parser("eval", help="perplexity + diagnostics of a checkpoint")
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("--corpus")
     p_eval.add_argument("--metrics-dir")
+    p_eval.set_defaults(run=lambda a: cmd_eval(a.checkpoint, a.corpus, a.metrics_dir))
 
     p_verify = sub.add_parser("verify", help="run the estimator theory suite")
     p_verify.add_argument("--quick", action="store_true", help="reduced sample sizes")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--metrics-dir", default=RunConfig.metrics_dir)
+    p_verify.set_defaults(run=lambda a: cmd_verify(a.quick, a.seed, a.metrics_dir))
 
     p_quant = sub.add_parser("quantize", help="round-to-nearest baseline checkpoint")
     _add_config_flags(p_quant)
+    p_quant.set_defaults(run=lambda a: cmd_quantize(_config_from_args(a)))
 
     p_calib = sub.add_parser("calibrate", help="reconstruction init only")
     _add_config_flags(p_calib)
+    p_calib.set_defaults(run=lambda a: cmd_calibrate(_config_from_args(a)))
 
     p_diag = sub.add_parser("diag", help="diagnostics of a checkpoint")
     p_diag.add_argument("checkpoint")
     p_diag.add_argument("--corpus")
     p_diag.add_argument("--metrics-dir")
+    p_diag.set_defaults(run=lambda a: cmd_diag(a.checkpoint, a.corpus, a.metrics_dir))
     return parser
 
 
@@ -692,26 +676,9 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "train":
-            return cmd_train(_config_from_args(args), args.lightweight, args.resume)
-        if args.command == "eval":
-            return cmd_eval(args.checkpoint, args.corpus, args.metrics_dir)
-        if args.command == "verify":
-            return cmd_verify(args.quick, args.seed, args.metrics_dir)
-        if args.command == "quantize":
-            return cmd_quantize(_config_from_args(args))
-        if args.command == "calibrate":
-            return cmd_calibrate(_config_from_args(args))
-        if args.command == "diag":
-            return cmd_diag(args.checkpoint, args.corpus, args.metrics_dir)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

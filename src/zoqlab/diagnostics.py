@@ -171,7 +171,7 @@ def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
     return {
         "parameters": params,
         "quantized_frozen": frozen,
-        "optimizer_state": optimizer_state_size(cfg, model),
+        "optimizer_state": optimizer_state_size(cfg),
         "transient_forward": transient_forward_bytes(model.config, cfg.batch_size),
     }
 

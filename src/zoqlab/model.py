@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DataError, DimensionError
-from .numerics import RngStream, Tensor
+from .numerics import Tensor, normals_at
 from .quantizer import QuantSpec, QuantState, fake_quant, init_range
 from .smoothing import (
     SCALE_CEIL,
@@ -446,11 +446,14 @@ def sinusoidal_table(context: int, d_model: int) -> Tensor:
 
 def build_model(config: ModelConfig, plan: QuantPlan | None = None, seed: int = 0) -> ModelGraph:
     """Construct a seeded model; plan None builds a plain full-precision model."""
-    stream = RngStream(seed, _INIT_STREAM)
     d = config.d_model
+    position = 0  # the tensors are consecutive slices of the stream (seed, _INIT_STREAM)
 
     def draw(shape, scale):
-        return scale * stream.gaussian(int(np.prod(shape))).reshape(shape)
+        nonlocal position
+        n = int(np.prod(shape))
+        position += n
+        return scale * normals_at(seed, _INIT_STREAM, position - n, n).reshape(shape)
 
     embed = draw((config.vocab_size, d), 0.02)
     pos = sinusoidal_table(config.context, d) * 0.1

@@ -43,7 +43,6 @@ import os
 import struct
 import sys
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
@@ -114,49 +113,15 @@ pin_heap_thresholds()
 # Counter-based Gaussian streams
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RngStream:
-    """A replayable Gaussian stream addressed by (seed, stream_id, position).
-
-    Identical (seed, stream_id) pairs produce identical sequences on every
-    platform; distinct stream_ids are statistically independent Philox
-    counter streams. ``position`` counts individual draws.
-    """
-
-    seed: int
-    stream_id: int = 0
-    position: int = 0
-
-    def gaussian(self, n: int) -> Tensor:
-        out = normals_at(self.seed, self.stream_id, self.position, n)
-        self.position += int(n)
-        return out
-
-    def state(self) -> tuple[int, int, int]:
-        return (self.seed, self.stream_id, self.position)
-
-
-def gaussian(stream: RngStream, n: int) -> Tensor:
-    """Draw n i.i.d. standard normals, advancing the stream by n."""
-    if n < 1:
-        raise DataError(f"gaussian draw count must be >= 1, got {n}")
-    return stream.gaussian(n)
-
-
-def raw_draws_at(seed: int, stream_id: int, position: int, n: int) -> np.ndarray:
-    """Uint64 draws [position, position + n) of the given Philox stream."""
+def uniforms_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
+    """Uniform(0, 1) draws; one 64-bit draw per value, endpoints excluded."""
     block, offset = divmod(int(position), _PHILOX_BLOCK)
     with _PHILOX_LOCK:
         _COUNTER[0] = block
         _KEY[0] = seed
         _KEY[1] = stream_id
         _PHILOX.state = _STATE
-        return _PHILOX.random_raw(offset + int(n))[offset:]
-
-
-def uniforms_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
-    """Uniform(0, 1) draws; one 64-bit draw per value, endpoints excluded."""
-    raw = raw_draws_at(seed, stream_id, position, n)
+        raw = _PHILOX.random_raw(offset + int(n))[offset:]
     # top 53 bits, centered into the open interval so ndtri stays finite
     u = (raw >> _SHIFT).astype(np.float64)
     u += 0.5

@@ -177,7 +177,7 @@ def clamp_bounds(spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor]:
         return lo, hi
     lo = np.clip(np.rint(state.clip_lo * spec.q_p), spec.q_n, spec.q_p)
     hi = np.clip(np.rint(state.clip_hi * spec.q_p), spec.q_n, spec.q_p)
-    return lo, np.maximum(hi, lo)
+    return lo, hi  # lo <= hi: rint and clip are monotone, and validate holds clip_lo < clip_hi
 
 
 def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor, Tensor, Tensor]:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DataError, NumericError
 from .numerics import normals_at
 
+# the one list of trainable groups, in view order; ZoConfig holds an lr_{label} for each
 GROUP_ORDER = ("weights", "smoothing", "clipping", "quant_affine")
 
 _STEP_SHIFT = 32
@@ -29,19 +30,6 @@ def direction_stream_id(step: int, i: int) -> int:
     if not 0 <= i < _MAX_DIRECTIONS:
         raise DataError(f"direction index {i} out of range")
     return (int(step) << _STEP_SHIFT) | int(i)
-
-
-@dataclass(frozen=True)
-class ParamGroup:
-    """A labeled contiguous slice of the flat trainable view."""
-
-    label: str
-    start: int
-    stop: int
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
 
 
 class ParamView:
@@ -75,7 +63,7 @@ class ParamView:
     def __init__(self, entries):
         self._segments = []  # (label, 1-D live view, start, stop)
         pos = 0
-        labels_seen = []
+        self.labels = []  # the groups present, in GROUP_ORDER
         for label, arr in entries:
             if label not in GROUP_ORDER:
                 raise DataError(f"unknown parameter group label {label!r}")
@@ -84,17 +72,12 @@ class ParamView:
             flat = arr.reshape(-1)
             self._segments.append((label, flat, pos, pos + flat.shape[0]))
             pos += flat.shape[0]
-            if not labels_seen or labels_seen[-1] != label:
-                labels_seen.append(label)
-        order = [GROUP_ORDER.index(l) for l in labels_seen]
-        if order != sorted(order) or len(set(labels_seen)) != len(labels_seen):
-            raise DataError(f"parameter groups out of order: {labels_seen}")
+            if not self.labels or self.labels[-1] != label:
+                self.labels.append(label)
+        order = [GROUP_ORDER.index(l) for l in self.labels]
+        if order != sorted(order) or len(set(self.labels)) != len(self.labels):
+            raise DataError(f"parameter groups out of order: {self.labels}")
         self.size = pos
-        self.groups: list[ParamGroup] = []
-        for label in GROUP_ORDER:
-            spans = [(a, b) for l, _, a, b in self._segments if l == label]
-            if spans:
-                self.groups.append(ParamGroup(label, spans[0][0], spans[-1][1]))
         self._plans = {}  # chunk_size -> [(lo, hi, [(label, live piece, chunk slice)])]
         self._chunks = {}  # (seed, stream_id, lo, hi) -> drawn chunk, least recently used first
         self._chunks_step = None  # (seed, stream_id >> _STEP_SHIFT) of the cached chunks
@@ -175,7 +158,7 @@ class ParamView:
                 live += piece
                 chunk_sq.append((label, float(piece @ piece)))
             piece_sq[lo] = chunk_sq
-        sq = {g.label: 0.0 for g in self.groups}
+        sq = dict.fromkeys(self.labels, 0.0)
         for lo in sorted(piece_sq):
             for label, v in piece_sq[lo]:
                 sq[label] += v
@@ -212,19 +195,14 @@ class ZoConfig:
             raise DataError("direction count must be >= 1")
         if self.chunk_size < 1:
             raise DataError("chunk_size must be >= 1")
-        for name in ("lr_weights", "lr_smoothing", "lr_clipping", "lr_quant_affine"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be nonnegative")
+        for label in GROUP_ORDER:
+            if getattr(self, f"lr_{label}") < 0:
+                raise DataError(f"lr_{label} must be nonnegative")
         if self.lr_schedule not in ("constant", "linear_decay"):
             raise DataError(f"unknown lr schedule {self.lr_schedule!r}")
 
     def lr_for(self, label: str, step: int) -> float:
-        base = {
-            "weights": self.lr_weights,
-            "smoothing": self.lr_smoothing,
-            "clipping": self.lr_clipping,
-            "quant_affine": self.lr_quant_affine,
-        }[label]
+        base = getattr(self, f"lr_{label}")
         if self.lr_schedule == "linear_decay" and self.steps > 0:
             return base * max(0.0, 1.0 - step / self.steps)
         return base
@@ -282,14 +260,15 @@ def zo_gradient_scale(loss_fn, params: ParamView, cfg: ZoConfig, step: int) -> l
 def zo_step(model, batch, cfg: ZoConfig, step: int) -> StepReport:
     """One ZO-SGD update: estimate, stream the update per group, report.
 
-    The model only needs loss(batch) and trainable_parameters(); no gradient
-    entry point exists anywhere in the loop.
+    The model is a ModelGraph, used through loss(batch), its trainable view
+    and its clamp/re-derive passes; no gradient entry point exists anywhere
+    in the loop.
     """
     t0 = time.perf_counter()
     view = model.trainable_parameters(include_quant_affine=cfg.train_quant_affine)
     directions = zo_gradient_scale(lambda: model.loss(batch), view, cfg, step)
     q = len(directions)
-    lr_by_label = {g.label: cfg.lr_for(g.label, step) for g in view.groups}
+    lr_by_label = {label: cfg.lr_for(label, step) for label in view.labels}
     norms = view.apply_directions(
         cfg.seed,
         [d.stream_id for d in directions],
@@ -297,9 +276,8 @@ def zo_step(model, batch, cfg: ZoConfig, step: int) -> StepReport:
         lr_by_label,
         cfg.chunk_size,
     )
-    if hasattr(model, "clamp_parameters"):
-        model.clamp_parameters()
-    if not cfg.train_quant_affine and hasattr(model, "rederive_quant_states"):
+    model.clamp_parameters()
+    if not cfg.train_quant_affine:
         model.rederive_quant_states()
     loss = float(np.mean([(d.loss_plus + d.loss_minus) / 2 for d in directions]))
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -307,12 +285,11 @@ def zo_step(model, batch, cfg: ZoConfig, step: int) -> StepReport:
     return StepReport(step=step, loss=loss, update_norms=norms, wall_ms=wall_ms, rng_cursor=cursor)
 
 
-def optimizer_state_size(cfg: ZoConfig, model=None) -> int:
+def optimizer_state_size(cfg: ZoConfig) -> int:
     """Bytes of persistent optimizer state beyond the parameters themselves.
 
     Per direction: one coefficient and one stream id (8 bytes each), plus the
     base seed and the step counter. Independent of model and batch size by
-    construction; `model` is accepted only to make that explicit at call
-    sites.
+    construction.
     """
     return 16 * cfg.directions + 16

@@ -338,6 +338,41 @@ def test_a_numeric_failure_leaves_the_rows_written_before_it(tiny_config, tmp_pa
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_the_last_diagnostics_row_holds_the_last_training_loss(tiny_config, tmp_path):
+    """6 steps at eval_interval 4: the closing step-6 snapshot records step 5's loss."""
+    config = tmp_path / "six.ini"
+    config.write_text(TINY_INI.replace("eval_interval = 0", "eval_interval = 4"))
+    assert train(str(config), tmp_path / "run", "--steps", "6") == cli.EXIT_OK
+    metrics = tmp_path / "run" / "metrics"
+    with open(metrics / "train.csv", newline="") as f:
+        losses = {row["step"]: row["loss"] for row in csv.DictReader(f)}
+    with open(metrics / "diagnostics.csv", newline="") as f:
+        diag = list(csv.DictReader(f))
+    assert {row["step"] for row in diag} == {"0", "4", "6"}
+    assert {row["train_loss"] for row in diag if row["step"] == "4"} == {losses["3"]}
+    assert {row["train_loss"] for row in diag if row["step"] == "6"} == {losses["5"]}
+
+
+@pytest.mark.parametrize(
+    "fields,plan,epochs",
+    [
+        ({}, QuantPlan(4, 4), 2),
+        ({"a_bits": 16}, QuantPlan(4, None), 4),
+        ({"a_bits": None}, QuantPlan(4, None), 4),
+        ({"w_bits": None}, None, 4),
+        ({"w_bits": 3, "a_bits": 8, "group_size": 16, "scheme": "symmetric"}, QuantPlan(3, 8, "symmetric", 16), 2),
+        ({"calib_epochs": 7}, QuantPlan(4, 4), 7),
+        ({"a_bits": None, "calib_epochs": 0}, QuantPlan(4, None), 0),
+    ],
+    ids=["W4A4", "A16-is-weight-only", "no-A-is-weight-only", "full-precision", "W3A8g16-symmetric",
+         "epochs-set", "weight-only-epochs-set"],
+)
+def test_run_config_maps_bits_to_a_plan_and_calibration_epochs(fields, plan, epochs):
+    cfg = cli.RunConfig(**fields)
+    assert cfg.quant_plan() == plan
+    assert cfg.effective_calib_epochs() == epochs
+
+
 def test_checkpoint_of_another_version_is_refused(trained_checkpoint, tmp_path, capsys):
     raw = trained_checkpoint
     assert struct.unpack("<II", raw[8:16]) == (2, 0)

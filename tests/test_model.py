@@ -10,6 +10,7 @@ from zoqlab.cli import default_corpus_path, ingest_corpus
 from zoqlab.diagnostics import layer_reconstruction_loss, memory_report, track, transient_forward_bytes
 from zoqlab.model import (
     LIGHTWEIGHT_TRAINABLE,
+    LINEAR_NAMES,
     ModelConfig,
     QuantPlan,
     _applied_state,
@@ -22,6 +23,7 @@ from zoqlab.model import (
     linear_forward,
     set_lightweight,
 )
+from zoqlab.numerics import normals_at
 from zoqlab.quantizer import fake_quant, init_range
 from zoqlab.smoothing import SCALE_FLOOR, SmoothingParams, apply_smoothing, smooth_activation
 from zoqlab.zo import ZoConfig, zo_step
@@ -101,6 +103,25 @@ def test_qat_linear_equals_the_stateful_composition():
         xq = fake_quant(xs, att.act_spec, init_range(xs, att.act_spec))
         want = xq @ fake_quant(ws, att.weight_spec, att.weight_state) + bs
         assert linear_forward(x, lin, "qat").tobytes() == want.tobytes(), layer_id
+
+
+def test_init_weights_are_consecutive_slices_of_the_init_stream():
+    """embed, then each block's linears in LINEAR_NAMES order, read the stream
+    (seed, _INIT_STREAM) one after another, scaled as build_model scales them."""
+    config = ModelConfig(vocab_size=50, d_model=16, n_layers=2, n_heads=2, context=16)
+    model = build_model(config, PLANS["W4A4"], seed=5)
+    tensors = [(model.embed, 0.02)]
+    for block in model.blocks:
+        for name in LINEAR_NAMES:
+            w = block.linears[name].w
+            tensors.append((w, 1.0 / np.sqrt(w.shape[0])))
+    total = sum(t.size for t, _ in tensors)
+    stream = normals_at(5, zoqlab.model._INIT_STREAM, 0, total)
+    start = 0
+    for t, scale in tensors:
+        want = scale * stream[start : start + t.size].reshape(t.shape)
+        assert t.tobytes() == want.tobytes()
+        start += t.size
 
 
 def test_fp_forward_matches_reference_transformer():

@@ -12,7 +12,7 @@ import pytest
 import zoqlab
 from zoqlab import numerics
 from zoqlab.errors import DataError, DimensionError
-from zoqlab.numerics import RngStream, gaussian, normals_at, read_tensor, write_tensor
+from zoqlab.numerics import normals_at, read_tensor, write_tensor
 from zoqlab.quantizer import QuantSpec, from_groups, to_groups
 
 from oracles import naive_matmul, philox_normals_reference, reduce_stats
@@ -49,27 +49,24 @@ class TestMatmul:
 
 class TestGaussianStreams:
     def test_same_seed_stream_bitwise_identical(self):
-        a = gaussian(RngStream(7, 0), 100)
-        b = gaussian(RngStream(7, 0), 100)
+        a = normals_at(7, 0, 0, 100)
+        b = normals_at(7, 0, 0, 100)
         assert np.array_equal(a, b)
 
     def test_moments_one_million_draws(self):
-        z = gaussian(RngStream(12345, 0), 10**6)
+        z = normals_at(12345, 0, 0, 10**6)
         assert abs(z.mean()) <= 4 / np.sqrt(10**6)
         assert abs(z.var() - 1.0) <= 0.01
 
     def test_streams_uncorrelated(self):
-        a = gaussian(RngStream(7, 0), 10**5)
-        b = gaussian(RngStream(7, 1), 10**5)
+        a = normals_at(7, 0, 0, 10**5)
+        b = normals_at(7, 1, 0, 10**5)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.01
 
     def test_replay_from_recorded_position(self):
-        stream = RngStream(3, 9)
-        gaussian(stream, 137)
-        state = stream.state()
-        expected = gaussian(stream, 50)
-        replay = gaussian(RngStream(*state), 50)
+        expected = normals_at(3, 9, 0, 137 + 50)[137:]
+        replay = normals_at(3, 9, 137, 50)
         assert np.array_equal(expected, replay)
 
     def test_chunked_draws_equal_one_shot(self):
@@ -77,18 +74,9 @@ class TestGaussianStreams:
         parts = [normals_at(11, 2, p, n) for p, n in ((0, 63), (63, 1), (64, 100), (164, 36))]
         assert np.array_equal(whole, np.concatenate(parts))
 
-    def test_position_advances_by_n(self):
-        stream = RngStream(1, 0)
-        gaussian(stream, 17)
-        assert stream.position == 17
-
     def test_draws_always_finite(self):
-        z = gaussian(RngStream(0, 0), 10**5)
+        z = normals_at(0, 0, 0, 10**5)
         assert np.all(np.isfinite(z))
-
-    def test_zero_draws_rejected(self):
-        with pytest.raises(DataError):
-            gaussian(RngStream(0, 0), 0)
 
 
 class TestStreamsMatchFreshGenerator:

@@ -64,19 +64,25 @@ def test_grad_decay_monotone_row_measures_its_far_side():
     assert row.passed and row.measured > 0
 
 
-def test_model_and_zo_bind_every_name_the_benchmark_tracer_patches():
-    """Each (owner, name) the tracer patches in zoqlab.model or zoqlab.zo exists there.
+def test_zoqlab_modules_bind_every_name_the_benchmark_tracer_patches():
+    """Each (owner, name) the tracer patches exists on its owner.
 
-    Owners are the modules themselves or classes the tracer imports from
-    them; a binding that a refactor drops would silently lose its span.
+    Owners are the zoqlab modules the tracer imports and the classes it
+    imports from them. Tracer._patch reads each name with getattr, so a
+    binding that a refactor drops would crash the traced benchmark run.
     """
     tracer = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text())
-    modules = {name: importlib.import_module(name) for name in ("zoqlab.model", "zoqlab.zo")}
-    owners = dict(modules)  # an owner's source text in the tracer -> the object
+    owners = {}  # an owner's source text in the tracer -> the object
     for node in tracer.body:
-        if isinstance(node, ast.ImportFrom) and node.module in modules:
+        if isinstance(node, ast.Import):
             for alias in node.names:
-                owners[alias.asname or alias.name] = getattr(modules[node.module], alias.name)
+                if alias.name.startswith("zoqlab."):
+                    owners[alias.name] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("zoqlab."):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                owners[alias.asname or alias.name] = getattr(module, alias.name)
+    assert {"zoqlab.calibration", "zoqlab.diagnostics", "zoqlab.model", "zoqlab.zo"} <= set(owners)
     patched = [
         (ast.unparse(node.elts[0]), node.elts[1].value)
         for node in ast.walk(tracer)

@@ -5,7 +5,6 @@ import pytest
 
 import zoqlab.zo
 from zoqlab.errors import DataError
-from zoqlab.model import ModelConfig, QuantPlan, build_model
 from zoqlab.numerics import normals_at
 from zoqlab.zo import (
     ParamView,
@@ -260,10 +259,7 @@ class TestRoundTripDrift:
 
 class TestOptimizerState:
     def test_size_does_not_depend_on_model(self):
-        cfg = ZoConfig(directions=3)
-        tiny = build_model(ModelConfig(d_model=16, n_layers=1, n_heads=2, context=32), QuantPlan(4, 4))
-        default = build_model(ModelConfig(), QuantPlan(4, 4))
-        assert {optimizer_state_size(cfg, m) for m in (None, tiny, default)} == {16 * 3 + 16}
+        assert optimizer_state_size(ZoConfig(directions=3)) == 16 * 3 + 16
 
 
 class TestLrSchedule:
