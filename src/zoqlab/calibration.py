@@ -1,22 +1,22 @@
 """Layer-wise reconstruction initialization and the round-to-nearest baseline.
 
 Before ZO training, each attached linear layer gets its smoothing and
-clipping parameters initialized by derivative-free block-coordinate descent
-on the layer reconstruction error (full-precision output vs quantized
-smoothed output over captured calibration activations). Improvements are
-accepted only when measured, so the returned parameters never score worse
+clipping parameters initialized on the layer reconstruction error
+(full-precision output vs quantized smoothed output over captured
+calibration activations). Every candidate is scored by a full evaluation and
+kept only if it scores lower, so the returned parameters never score worse
 than the starting point.
 
-The smoothing blocks take central differences in every coordinate, their
-probes scored in one batch from the residual at the base point: a probe
-moves one column of the smoothed input and one row of the smoothed weight,
-a low-rank update of the cached residual. The loss depends on the clipping
-coefficients only through each group's integer clamp bounds
-rint(clip * q_p), so it is piecewise constant in them; the clip block
-searches those bounds directly, scoring each one-code move from the weights
-at or beyond the moved bound. Every quantized value a probe or a move sees
-is the one a full evaluation would compute; only the order of the sums
-differs.
+The smoothing is chosen once, in closed form: the layer's current smoothing
+competes with SmoothQuant's migration of activation range into the weights
+(Xiao et al., arXiv 2211.10438) at several strengths alpha, each with no
+shift and with Outlier Suppression+'s per-channel midpoint shift (Wei et
+al., arXiv 2304.09145). The loss then depends on the clipping coefficients
+only through each group's integer clamp bounds rint(clip * q_p), so it is
+piecewise constant in them; the clip search moves those bounds directly,
+scoring each one-code move from the weights at or beyond the moved bound.
+Every quantized value a move sees is the one a full evaluation would
+compute; only the order of the sums differs.
 """
 
 from __future__ import annotations
@@ -28,18 +28,12 @@ import numpy as np
 from .errors import DataError, NumericError
 from .model import ModelGraph, freeze_linear, regrid_weight_state
 from .quantizer import QuantSpec, QuantState, clamp_bounds, fake_quant, init_range, quant_codes, to_groups
-from .smoothing import (
-    SCALE_CEIL, SCALE_FLOOR, SmoothingParams, fold_smoothing, smooth_activation, smooth_weight,
-)
+from .smoothing import SCALE_CEIL, SCALE_FLOOR, SmoothingParams, fold_smoothing, smooth_activation
 
-# gradient steps or bound-search passes per block per epoch, and the fixed
-# step-size ladder tried at each gradient step (first improvement wins)
+# bound-search passes per epoch
 _INNER_STEPS = 2
-_STEP_LADDER = (1.0, 0.25, 0.0625)
-_FD_H = 1e-3
-# (row, probe) pairs re-quantized together; bounds the transient memory of a
-# probe batch
-_PROBE_CHUNK = 256
+# migration strengths of the closed-form smoothing candidates
+_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # (d_lo, d_hi) of the four one-code moves of a group's clamp bounds
 _MOVES = np.array([[0, 1], [0, -1], [-1, 0], [1, 0]])
 
@@ -78,7 +72,7 @@ class _LayerObjective:
     Evaluates the layer as model.linear_forward composes it, with the pieces
     that depend only on the smoothing (smoothed and quantized input, the
     input's per-token quantizer state, smoothed weight and bias) cached, so
-    the bound search and the weight re-grid skip the activation re-quantization.
+    the bound search skips the activation re-quantization.
     """
 
     def __init__(self, x, w, b, weight_spec: QuantSpec, act_spec: QuantSpec | None, smoothing=None):
@@ -107,9 +101,13 @@ class _LayerObjective:
         wq = fake_quant(self.w_s, self.wspec, state)
         return wq, self.y_fp - (self.xq @ wq + self.b_s)
 
-    def eval(self, state: QuantState) -> float:
+    def scored(self, state: QuantState) -> tuple[float, np.ndarray]:
+        """(loss, y_fp - quantized output) under the weight state."""
         _, diff = self.residual(state)
-        return float(np.mean(diff * diff))
+        return float(np.mean(diff * diff)), diff
+
+    def eval(self, state: QuantState) -> float:
+        return self.scored(state)[0]
 
 
 def reconstruct_layer(
@@ -117,17 +115,16 @@ def reconstruct_layer(
 ) -> ReconstructionResult:
     """Minimize layer reconstruction error over (scale, shift, clip_lo, clip_hi).
 
-    Block-coordinate zeroth-order descent. Per epoch, the smoothing blocks
-    (log-scale, shift) take central-difference gradient steps from a fixed
-    step ladder, accepted only if the measured loss improves; the 2d probes
-    of a gradient are scored together from the residual at the base point
-    (_fd_gradient). The clipping block then searches each group's integer
-    clamp bounds one code at a time (_search_bounds). Ladder candidates,
-    search passes and the returned losses are full evaluations, so
-    loss_after is the layer's reconstruction loss exactly. The quantizer
-    step/zero are re-derived from the smoothed weight after every epoch
-    (again accept-if-improved). epochs=0 returns the range-initialized
-    parameters untouched.
+    With epochs > 0, a layer with smoothing first takes the best of its
+    current smoothing and the closed-form candidates (_choose_smoothing),
+    each scored by a full evaluation on a weight grid range-initialized on
+    its smoothed weight. The smoothing is then fixed, and so is that grid's
+    step and zero point: each epoch only searches the integer clamp bounds,
+    up to _INNER_STEPS passes of one-code moves (_search_bounds). A pass is
+    kept only if a full evaluation shows the loss dropped, and a pass that
+    does not drop it ends the search, since every later pass would repeat
+    it. loss_after is the layer's reconstruction loss exactly. epochs=0
+    returns the range-initialized parameters untouched.
     """
     if not captures:
         raise DataError("reconstruct_layer needs at least one capture")
@@ -139,179 +136,58 @@ def reconstruct_layer(
     smoothing = attachment.smoothing.copy() if attachment.smoothing is not None else None
     obj = _LayerObjective(x, w, b, attachment.weight_spec, attachment.act_spec, smoothing)
     state = regrid_weight_state(obj.w_s, obj.wspec, attachment.weight_state)
-    loss_before = loss = obj.eval(state)
-    if not np.isfinite(loss):
+    loss_before, resid = obj.scored(state)
+    if not np.isfinite(loss_before):
         raise NumericError("non-finite reconstruction loss at initialization")
-
-    act_scale = float(np.mean(np.abs(x))) + 1e-3
-
-    for epoch in range(epochs):
-        if smoothing is not None:
-            loss = _descend_block(obj, state, smoothing, "log_scale", 1.0, loss)
-            loss = _descend_block(obj, state, smoothing, "shift", act_scale, loss)
-        state, loss = _search_bounds(obj, state, loss)
-        # refresh the affine grid for the current smoothing, keep if better
-        candidate = regrid_weight_state(obj.w_s, obj.wspec, state)
-        cand_loss = obj.eval(candidate)
-        if cand_loss < loss:
-            state, loss = candidate, cand_loss
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite reconstruction loss at epoch {epoch}")
+    if epochs <= 0:
+        return ReconstructionResult(smoothing, state, loss_before, loss_before)
+    loss = loss_before
+    if smoothing is not None:
+        smoothing, state, loss, resid = _choose_smoothing(obj, smoothing, state, loss, resid)
+    state, loss = _search_bounds(obj, state, loss, resid, passes=epochs * _INNER_STEPS)
     return ReconstructionResult(smoothing, state, loss_before, loss)
 
 
-def _block_vector(smoothing, block):
-    if block == "log_scale":
-        return np.log(smoothing.scale)
-    return smoothing.shift.copy()
+def _smoothing_candidates(x, w):
+    """The closed-form smoothings of a layer with input x (n, d_in) and weight w (d_in, d_out).
+
+    For shift 0 and for the per-channel midpoint (min_j + max_j) / 2 of x,
+    and for every alpha in _ALPHAS, scale_j = a_j^alpha / w_j^(1 - alpha)
+    clipped to [SCALE_FLOOR, SCALE_CEIL], where a_j = max |x_j - shift_j|
+    and w_j is the largest |w| of row j. Both maxima are floored at the
+    smallest normal float, so an all-zero channel or row gives a finite
+    scale rather than 0/0.
+    """
+    tiny = np.finfo(np.float64).tiny
+    w_max = np.maximum(np.abs(w).max(axis=1), tiny)
+    for shift in (np.zeros(x.shape[1]), (x.min(axis=0) + x.max(axis=0)) / 2):
+        a_max = np.maximum(np.abs(x - shift).max(axis=0), tiny)
+        for alpha in _ALPHAS:
+            scale = np.clip(a_max**alpha / w_max ** (1 - alpha), SCALE_FLOOR, SCALE_CEIL)
+            yield SmoothingParams(scale, shift)
 
 
-def _apply_block(obj, smoothing, block, vec):
-    """Write vec into the live smoothing block and refresh the objective caches."""
-    if block == "log_scale":
-        smoothing.scale = np.clip(np.exp(vec), SCALE_FLOOR, SCALE_CEIL)
-    else:
-        smoothing.shift = vec.copy()
-    obj.set_smoothing(smoothing)
+def _choose_smoothing(obj, smoothing, state, loss, resid):
+    """The lowest-loss of the current smoothing and _smoothing_candidates; leaves it applied.
 
-
-def _descend_block(obj, state, smoothing, block, ref_scale, loss):
-    for _ in range(_INNER_STEPS):
-        base = _block_vector(smoothing, block)
-        # the point every probe moves one coordinate away from
-        _apply_block(obj, smoothing, block, base)
-        grad = _fd_gradient(obj, state, smoothing, block, base)
-        norm = float(np.linalg.norm(grad))
-        if norm == 0.0:
-            return loss
-        for mu in _STEP_LADDER:
-            cand = base - mu * ref_scale * grad / norm
-            _apply_block(obj, smoothing, block, cand)
-            cand_loss = obj.eval(state)
-            if cand_loss < loss:
-                loss = cand_loss
-                break
-        else:
-            _apply_block(obj, smoothing, block, base)
-            return loss
-    return loss
+    obj holds smoothing, and (state, loss, resid) are its weight grid, loss
+    and residual. Each candidate's grid is range-initialized on its smoothed
+    weight, with state's clipping coefficients. Returns (smoothing, state,
+    loss, resid) of the winner.
+    """
+    best = smoothing, state, loss, resid
+    for cand in _smoothing_candidates(obj.x, obj.w):
+        obj.set_smoothing(cand)
+        cand_state = regrid_weight_state(obj.w_s, obj.wspec, state)
+        cand_loss, cand_resid = obj.scored(cand_state)
+        if cand_loss < best[2]:
+            best = cand, cand_state, cand_loss, cand_resid
+    obj.set_smoothing(best[0])
+    return best
 
 
 def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
-
-
-def _coldot(a, b):
-    return np.einsum("ij,ij->j", a, b)
-
-
-def _fd_gradient(obj, state, smoothing, block, base):
-    """Central differences (L(base + h e_j) - L(base - h e_j)) / 2h for every j of a smoothing block.
-
-    obj, state and smoothing must hold base. Each probe's loss change is
-    computed from the residual at base; the quantized values are those of a
-    full evaluation at the probe, the sums run in another order.
-
-    Probe j moves column j of the smoothed input and, for log_scale, row j of
-    the smoothed weight; a shift probe also moves the folded bias by
-    dshift_j * w[j]. In a row whose per-token range stays put, the output
-    changes by the rank-3 term dx_j r_j' + xq_j dw_j' + 1 db_j', where r_j is
-    the probe's quantized weight row and dx_j, dw_j, db_j its changes. Rows
-    whose range moves are re-quantized in full.
-    """
-    wq, resid = obj.residual(state)
-    n_rows = resid.shape[0]
-    xq = obj.xq
-    xq_resid = xq.T @ resid
-    resid_sum = resid.sum(axis=0)
-    xq_sq = _coldot(xq, xq)
-    xq_sum = xq.sum(axis=0)
-    extremes = _row_extremes(obj.xs) if obj.aspec is not None else None
-    changes = []
-    for sign in (1.0, -1.0):
-        moved_val = base + sign * _FD_H
-        if block == "log_scale":
-            scale = np.clip(np.exp(moved_val), SCALE_FLOOR, SCALE_CEIL)
-            probe = SmoothingParams(scale, smoothing.shift)
-        else:
-            probe = SmoothingParams(smoothing.scale, moved_val)
-        # column j / row j of these hold probe j's smoothed input / quantized weight
-        xs_probe = smooth_activation(obj.x, probe)
-        if obj.aspec is not None:
-            dx = fake_quant(xs_probe, obj.aspec, obj.act_state)
-        else:
-            dx = xs_probe.copy()
-        dx -= xq
-        w_rows = fake_quant(smooth_weight(obj.w, probe), obj.wspec, state)
-        dw = w_rows - wq
-        db = (probe.shift - smoothing.shift)[:, None] * obj.w
-        inner = _rowdot(dx.T @ resid, w_rows) + _rowdot(xq_resid, dw) + db @ resid_sum
-        sq = (
-            _coldot(dx, dx) * _rowdot(w_rows, w_rows)
-            + xq_sq * _rowdot(dw, dw)
-            + n_rows * _rowdot(db, db)
-            + 2 * _coldot(dx, xq) * _rowdot(w_rows, dw)
-            + 2 * dx.sum(axis=0) * _rowdot(w_rows, db)
-            + 2 * xq_sum * _rowdot(dw, db)
-        )
-        change = sq - 2 * inner
-        if extremes is not None:
-            rows, cols = _range_moves(extremes, xs_probe)
-            change += _moved_row_changes(obj, wq, resid, xs_probe, dx, w_rows, dw, db, rows, cols)
-        changes.append(change)
-    return (changes[0] - changes[1]) / (resid.size * 2 * _FD_H)
-
-
-def _row_extremes(xs):
-    """Per row: the min and max, where they sit, and the runner-up min and max.
-
-    The runner-up is the extreme of the row without the extreme's cell, so it
-    equals the extreme when that value occurs twice (inf for a 1-wide row).
-    """
-    rows = np.arange(xs.shape[0])
-    lo_at, hi_at = xs.argmin(axis=1), xs.argmax(axis=1)
-    lo, hi = xs[rows, lo_at], xs[rows, hi_at]
-    rest = xs.copy()
-    rest[rows, lo_at] = np.inf
-    lo2 = rest.min(axis=1)
-    rest[rows, lo_at] = lo
-    rest[rows, hi_at] = -np.inf
-    hi2 = rest.max(axis=1)
-    return lo, lo_at, lo2, hi, hi_at, hi2
-
-
-def _range_moves(extremes, xs_probe):
-    """(row, probe) pairs whose per-token min or max moves when column j becomes xs_probe's.
-
-    Where neither moves, the per-token quantizer state is bitwise that of the
-    base row.
-    """
-    lo, lo_at, lo2, hi, hi_at, hi2 = extremes
-    rows = np.arange(lo.shape[0])
-    bound = np.minimum(xs_probe, lo[:, None])
-    bound[rows, lo_at] = np.minimum(xs_probe[rows, lo_at], lo2)
-    moved = bound != lo[:, None]
-    np.maximum(xs_probe, hi[:, None], out=bound)
-    bound[rows, hi_at] = np.maximum(xs_probe[rows, hi_at], hi2)
-    moved |= bound != hi[:, None]
-    return np.nonzero(moved)
-
-
-def _moved_row_changes(obj, wq, resid, xs_probe, dx, w_rows, dw, db, rows, cols):
-    """Per probe, the full re-quantization of its moved rows minus their low-rank estimate."""
-    out = np.zeros(xs_probe.shape[1])
-    for start in range(0, rows.shape[0], _PROBE_CHUNK):
-        i, j = rows[start : start + _PROBE_CHUNK], cols[start : start + _PROBE_CHUNK]
-        k = np.arange(i.shape[0])
-        xs_rows = obj.xs[i]
-        xs_rows[k, j] = xs_probe[i, j]
-        xq_rows = fake_quant(xs_rows, obj.aspec)
-        xq_j = xq_rows[k, j]
-        xq_rows -= obj.xq[i]
-        full = resid[i] - (xq_rows @ wq + xq_j[:, None] * dw[j] + db[j])
-        low_rank = resid[i] - (dx[i, j][:, None] * w_rows[j] + obj.xq[i, j][:, None] * dw[j] + db[j])
-        out += np.bincount(j, _rowdot(full, full) - _rowdot(low_rank, low_rank), out.shape[0])
-    return out
 
 
 class _BoundGrid:
@@ -357,22 +233,25 @@ class _BoundGrid:
         return change, dw
 
 
-def _search_bounds(obj, state, loss):
+def _search_bounds(obj, state, loss, resid=None, passes=_INNER_STEPS):
     """Move each group's integer clamp bounds one code at a time; returns (state, loss).
 
-    Per pass, slot by slot, every group of the slot takes its best move that
-    lowers the loss. The groups of a slot sit in distinct output columns, so
-    their changes add up; the moves update resid' xq through gram before the
-    next slot is scored. A pass is kept only if a full evaluation shows the
-    loss dropped. Only a moved group's clip coefficients are rewritten, as
-    bound / q_p: writing back a collapsed group (lo == hi) would break
-    clip_lo < clip_hi.
+    resid is y_fp minus the output at state, as the caller's last full
+    evaluation of state left it; it is computed when not given. Per pass,
+    slot by slot, every group of the slot takes its best move that lowers
+    the loss. The groups of a slot sit in distinct output columns, so their
+    changes add up; the moves update resid' xq through gram before the next
+    slot is scored. A pass is kept only if a full evaluation shows the loss
+    dropped; the first that does not ends the search. Only a moved group's
+    clip coefficients are rewritten, as bound / q_p: writing back a
+    collapsed group (lo == hi) would break clip_lo < clip_hi.
     """
     spec = obj.wspec
     grid = _BoundGrid(obj, state)
-    _, resid = obj.residual(state)
+    if resid is None:
+        _, resid = obj.residual(state)
     corr = resid.T @ obj.xq
-    for _ in range(_INNER_STEPS):
+    for _ in range(passes):
         lo, hi = clamp_bounds(spec, state)
         cand = state.copy()
         for k in range(grid.slots):

@@ -73,19 +73,11 @@ _QUANT_RE = re.compile(r"^W(\d+)A(\d+)(?:g(\d+))?$")
 
 
 def parse_quant_notation(text: str) -> tuple[int, int, int | None]:
-    """'W4A4' / 'W2A16g128' -> (w_bits, a_bits, group_size)."""
+    """'W4A4' / 'W2A16g128' -> (w_bits, a_bits, group_size); RunConfig checks their ranges."""
     m = _QUANT_RE.match(text.strip())
     if not m:
         raise UsageError(f"bad quantization notation {text!r} (expected W{{w}}A{{a}}[g{{gs}}])")
-    w, a = int(m.group(1)), int(m.group(2))
-    g = int(m.group(3)) if m.group(3) else None
-    if not 2 <= w <= 16:
-        raise UsageError(f"w_bits must be in [2, 16], got {w}")
-    if not 2 <= a <= 16:
-        raise UsageError(f"a_bits must be in [2, 16], got {a}")
-    if g is not None and g < 1:
-        raise UsageError(f"group size must be >= 1, got {g}")
-    return w, a, g
+    return int(m.group(1)), int(m.group(2)), int(m.group(3)) if m.group(3) else None
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +140,12 @@ class RunConfig:
     seed: int = 0  # also the ZO direction seed: zo.seed follows it
 
     def __post_init__(self):
+        for name in ("w_bits", "a_bits"):
+            bits = getattr(self, name)
+            if bits is not None and not 2 <= bits <= 16:
+                raise UsageError(f"{name} must be in [2, 16], got {bits}")
+        if self.group_size is not None and self.group_size < 1:
+            raise UsageError(f"group size must be >= 1, got {self.group_size}")
         if self.group_size is not None and self.model.d_model % self.group_size != 0:
             raise UsageError(
                 f"group size {self.group_size} does not divide d_model {self.model.d_model}"
@@ -156,7 +154,7 @@ class RunConfig:
             self.zo = replace(self.zo, seed=self.seed)
 
     def quant_plan(self) -> QuantPlan | None:
-        """None in full precision; a_bits of None or 16 and more is weight-only."""
+        """None in full precision; a_bits of None or 16 is weight-only."""
         if self.w_bits is None:
             return None
         a = self.a_bits if self.a_bits is not None and self.a_bits < 16 else None

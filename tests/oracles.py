@@ -3,9 +3,10 @@
 These deliberately avoid the library's vectorized code paths: matmul is a
 triple loop, quantization enumerates every integer code and measures its
 distance exactly, the reference transformer walks positions and heads one at
-a time, the calibration gradient takes a full layer evaluation per probe, the
-clamp-bound search a full layer evaluation per bound move, and the forward's
-elementwise helpers are written out of place, one new array per operation.
+a time, the closed-form smoothing candidates are written channel by channel
+and scored by a full layer evaluation each, the clamp-bound search takes a
+full layer evaluation per bound move, and the forward's elementwise helpers
+are written out of place, one new array per operation.
 The order of the ZO view is a walk over the model written out by hand.
 The per-group (min, max, absmax) reduction lives here too: only tests use it.
 """
@@ -18,9 +19,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import erf, ndtri
 
-from zoqlab.calibration import _FD_H, _MOVES, _apply_block
-from zoqlab.model import LIGHTWEIGHT_TRAINABLE, LINEAR_NAMES
+from zoqlab.calibration import _MOVES, _LayerObjective
+from zoqlab.model import LIGHTWEIGHT_TRAINABLE, LINEAR_NAMES, regrid_weight_state
 from zoqlab.quantizer import clamp_bounds, to_groups
+from zoqlab.smoothing import SCALE_CEIL, SCALE_FLOOR, SmoothingParams
 
 
 def naive_matmul(a, b):
@@ -264,25 +266,37 @@ def philox_normals_reference(seed, stream_id, position, n):
     return ndtri(u)
 
 
-def coordinate_fd_gradient(obj, state, smoothing, block, base):
-    """Central differences of a calibration block, one full evaluation per probe.
+def closed_form_candidate_losses(x, w, b, att):
+    """(smoothing, loss) of the attachment's smoothing and of every closed-form candidate, in order.
 
-    Each +h and -h probe writes the whole block vector into the live
-    objective and evaluates the layer in full; calibration._fd_gradient
-    scores the same probes in one batch. Leaves base applied.
+    The candidates are written out channel by channel: shift_j is 0, then
+    the midpoint (min + max) / 2 of input channel j; for each shift and for
+    alpha in 0, 1/4, 1/2, 3/4, 1, scale_j = max|x_j - shift_j|^alpha /
+    max|w_j|^(1 - alpha), w_j row j of w, clipped to [SCALE_FLOOR,
+    SCALE_CEIL]. Each is scored by one full evaluation of a fresh layer
+    objective, on a weight grid range-initialized on its smoothed weight
+    with the attachment's clipping.
     """
-    grad = np.zeros_like(base)
-    for j in range(base.shape[0]):
-        probe = base.copy()
-        probe[j] = base[j] + _FD_H
-        _apply_block(obj, smoothing, block, probe)
-        up = obj.eval(state)
-        probe[j] = base[j] - _FD_H
-        _apply_block(obj, smoothing, block, probe)
-        down = obj.eval(state)
-        grad[j] = (up - down) / (2 * _FD_H)
-    _apply_block(obj, smoothing, block, base)
-    return grad
+    n_rows, d_in = x.shape
+    candidates = [att.smoothing.copy()]
+    for midpoint in (False, True):
+        shift = np.zeros(d_in)
+        if midpoint:
+            for j in range(d_in):
+                shift[j] = (min(x[i, j] for i in range(n_rows)) + max(x[i, j] for i in range(n_rows))) / 2
+        for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+            scale = np.zeros(d_in)
+            for j in range(d_in):
+                a_max = max(abs(float(x[i, j]) - shift[j]) for i in range(n_rows))
+                w_max = max(abs(float(v)) for v in w[j])
+                scale[j] = min(max(a_max**alpha / w_max ** (1 - alpha), SCALE_FLOOR), SCALE_CEIL)
+            candidates.append(SmoothingParams(scale, shift.copy()))
+    scored = []
+    for smoothing in candidates:
+        obj = _LayerObjective(x, w, b, att.weight_spec, att.act_spec, smoothing)
+        state = regrid_weight_state(obj.w_s, obj.wspec, att.weight_state)
+        scored.append((smoothing, obj.eval(state)))
+    return scored
 
 
 def moved_bounds(spec, state, group, move):

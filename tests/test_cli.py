@@ -137,6 +137,27 @@ def test_unknown_or_unparsable_config_entries_are_usage_errors(tmp_path, capsys,
     assert all(word in err for word in named), err
 
 
+@pytest.mark.parametrize(
+    "quant, flags, message",
+    [
+        ("w_bits = 40", [], "w_bits must be in [2, 16], got 40"),
+        ("a_bits = 40", [], "a_bits must be in [2, 16], got 40"),
+        ("w_bits = 1", [], "w_bits must be in [2, 16], got 1"),
+        ("group_size = 0", [], "group size must be >= 1, got 0"),
+        ("", ["--quant", "W40A4"], "w_bits must be in [2, 16], got 40"),
+        ("", ["--quant", "W4A40"], "a_bits must be in [2, 16], got 40"),
+    ],
+    ids=["file w_bits", "file a_bits", "file w_bits low", "file group size", "flag w_bits", "flag a_bits"],
+)
+def test_bit_widths_are_range_checked_from_a_config_file_and_from_the_flag(tmp_path, capsys, quant, flags, message):
+    config = tmp_path / "bits.ini"
+    config.write_text(TINY_INI + f"\n[quant]\n{quant}\n")
+    assert train(str(config), tmp_path / "run", *flags) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert message in err, err
+
+
 def test_config_file_keys_reach_their_fields(tmp_path):
     config = tmp_path / "full.ini"
     extra = "[quant]\nnotation = W2A16g8\nw_bits = 3\n\n[run]\nseed = 7\n"
