@@ -70,9 +70,9 @@ class _LayerObjective:
     """Mean squared reconstruction error of one quantized linear layer.
 
     Evaluates the layer as model.linear_forward composes it, with the pieces
-    that depend only on the smoothing (smoothed and quantized input, the
-    input's per-token quantizer state, smoothed weight and bias) cached, so
-    the bound search skips the activation re-quantization.
+    that depend only on the smoothing (smoothed and quantized input, smoothed
+    weight and bias) cached, so the bound search skips the activation
+    re-quantization.
     """
 
     def __init__(self, x, w, b, weight_spec: QuantSpec, act_spec: QuantSpec | None, smoothing=None):
@@ -90,11 +90,7 @@ class _LayerObjective:
         else:
             self.xs = smooth_activation(self.x, smoothing)
             self.w_s, self.b_s = fold_smoothing(self.w, self.b, smoothing)
-        if self.aspec is not None:
-            self.act_state = init_range(self.xs, self.aspec)
-            self.xq = fake_quant(self.xs, self.aspec, self.act_state)
-        else:
-            self.xq = self.xs
+        self.xq = self.xs if self.aspec is None else fake_quant(self.xs, self.aspec)
 
     def residual(self, state: QuantState) -> tuple[np.ndarray, np.ndarray]:
         """(quantized weight, y_fp - quantized output) under the weight state."""

@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import diagnostics, theory
-from .calibration import calibrate_model, capture_activations, rtn_quantize
+from .calibration import CalibSet, calibrate_model, capture_activations, rtn_quantize
 from .errors import (
     DataError,
     NumericError,
@@ -50,8 +50,8 @@ _CKPT_MAGIC = b"ZQLB-CKP"
 _CKPT_VERSION = 2
 _CKPT_READABLE = (1, 2)
 
-# stream-id namespaces of the master seed; direction streams occupy
-# (step << 32) | i with step < 2^31, so the high bits below cannot collide
+# stream-id namespaces of the master seed; direction streams (step << 32) | i
+# stay below 2^62, since zo.direction_stream_id refuses steps of 2^30 or more
 _SPLIT_STREAM = 1 << 62
 _BATCH_STREAM = 1 << 63  # ORed with the step index
 
@@ -60,6 +60,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
+
+# a snapshot's eval ppl above this multiple of the first's, or not finite, stops train
+_DIVERGENCE_FACTOR = 10.0
 
 TRAIN_HEADER = ("step", "loss", *(f"upd_{label}" for label in GROUP_ORDER), "wall_ms", "rng_cursor")
 CALIB_HEADER = ("layer_id", "loss_before", "loss_after", "delta_loss")
@@ -435,6 +438,7 @@ def _train_row(report):
 # ---------------------------------------------------------------------------
 
 def _prepare_data(cfg: RunConfig):
+    """(train split, eval batch): the batch every snapshot scores is the first 16 eval sequences."""
     corpus = cfg.corpus or default_corpus_path()
     train, eval_set = ingest_corpus(corpus, cfg.model.context, cfg.seed)
     if train.shape[0] == 0 or eval_set.shape[0] == 0:
@@ -445,29 +449,36 @@ def _prepare_data(cfg: RunConfig):
             f"corpus token {top} exceeds model vocab {cfg.model.vocab_size}; "
             "use an ASCII corpus or raise vocab_size"
         )
-    return train, eval_set
+    return train, eval_set[:16]
 
 
-def _eval_batch(eval_set, limit: int = 16):
-    return eval_set[: min(eval_set.shape[0], limit)]
+def _seed_model(cfg: RunConfig, train):
+    """The model build_model makes from (config, seed) and its full-precision linear
+    inputs on train[:calib_samples], None in full precision: what calibration starts
+    from and every run's layer probe reads."""
+    model = build_model(cfg.model, cfg.quant_plan(), cfg.seed)
+    if cfg.quant_plan() is None:
+        return model, None
+    return model, capture_activations(model, train[: cfg.calib_samples]).captures
+
+
+def _probe(captures):
+    """The layer probe of train and eval: the first 4 linears' captures; diag probes all."""
+    return None if captures is None else dict(list(captures.items())[:4])
 
 
 def _initialize(cfg: RunConfig, train, lightweight: bool):
     """Build + calibrate (or clipping-only init) per the configured mode."""
-    model = build_model(cfg.model, cfg.quant_plan(), cfg.seed)
+    model, captures = _seed_model(cfg, train)
     calib_rows = []
-    captures = None
-    if cfg.quant_plan() is not None:
-        sample = train[: cfg.calib_samples]
-        captures = capture_activations(model, sample)
-        calib_rows = calibrate_model(model, captures, cfg.effective_calib_epochs())
+    if captures is not None:
+        calib_rows = calibrate_model(model, CalibSet(captures), cfg.effective_calib_epochs())
     if lightweight:
         set_lightweight(model)
     return model, captures, calib_rows
 
 
 def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = None) -> int:
-    train, eval_set = _prepare_data(cfg)
     if resume is not None:
         cfg_loaded, model, start_step = load_checkpoint(resume)
         if cfg_loaded.zo.lr_schedule != "constant" and cfg.zo.steps != cfg_loaded.zo.steps:
@@ -485,26 +496,33 @@ def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = No
             checkpoint_dir=cfg.checkpoint_dir,
             corpus=cfg.corpus,
         )
-        captures = capture_activations(model, train[: cfg.calib_samples])
-        calib_rows = []
+    train, eval_batch = _prepare_data(cfg)
+    if resume is not None:
+        _, captures = _seed_model(cfg, train)
     else:
         model, captures, calib_rows = _initialize(cfg, train, lightweight)
         start_step = 0
-    if calib_rows:
-        _write_calibration_csv(cfg.metrics_dir, calib_rows)
-    probe = dict(list(captures.captures.items())[:4]) if captures is not None else None
-    eval_batch = _eval_batch(eval_set)
+        if calib_rows:
+            _write_calibration_csv(cfg.metrics_dir, calib_rows)
+    probe = _probe(captures)
     with (
         _csv_log(os.path.join(cfg.metrics_dir, "train.csv"), TRAIN_HEADER) as write_train,
         _csv_log(os.path.join(cfg.metrics_dir, "diagnostics.csv"), diagnostics.DIAG_HEADER) as write_diag,
     ):
+        limit = sys.float_info.max  # until the first snapshot; nan and inf exceed it
 
         def snapshot(step, train_loss=float("nan")):
             record = diagnostics.track(model, eval_batch, probe, step, train_loss, cfg=cfg.zo)
             write_diag(record.csv_rows())
+            if not record.eval_ppl <= limit:
+                raise NumericError(
+                    f"eval ppl {record.eval_ppl:.6g} at step {step} is not finite or exceeds "
+                    f"{_DIVERGENCE_FACTOR:g}x the first snapshot's: the run diverged"
+                )
             return record
 
         record = snapshot(start_step)
+        limit = _DIVERGENCE_FACTOR * record.eval_ppl
         print(f"step {start_step}: eval ppl {record.eval_ppl:.4f}")
         for step in range(start_step, cfg.zo.steps):
             batch = sample_batch(train, cfg.zo.batch_size, cfg.seed, step)
@@ -527,18 +545,17 @@ def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = No
 
 def _load_for_eval(checkpoint: str, corpus: str | None, metrics_dir: str | None):
     """Shared start of eval and diag: the checkpoint with the overrides, its
-    eval batch, and activations captured on up to 4 train sequences."""
+    eval batch, and the captures of _seed_model."""
     cfg, model, step = load_checkpoint(checkpoint)
     cfg = replace(cfg, corpus=corpus or cfg.corpus, metrics_dir=metrics_dir or cfg.metrics_dir)
-    train, eval_set = _prepare_data(cfg)
-    captures = capture_activations(model, train[:4])
-    return cfg, model, step, _eval_batch(eval_set), captures.captures
+    train, eval_batch = _prepare_data(cfg)
+    _, captures = _seed_model(cfg, train)
+    return cfg, model, step, eval_batch, captures
 
 
 def cmd_eval(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> int:
     cfg, model, step, eval_batch, captures = _load_for_eval(checkpoint, corpus, metrics_dir)
-    probe = dict(list(captures.items())[:4])
-    record = diagnostics.track(model, eval_batch, probe, step=step, cfg=cfg.zo)
+    record = diagnostics.track(model, eval_batch, _probe(captures), step=step, cfg=cfg.zo)
     path = os.path.join(cfg.metrics_dir, "eval_diagnostics.csv")
     _write_csv(path, diagnostics.DIAG_HEADER, record.csv_rows())
     print(f"eval ppl {record.eval_ppl!r}")
@@ -559,10 +576,10 @@ def cmd_verify(quick: bool, seed: int, metrics_dir: str) -> int:
 
 
 def cmd_quantize(cfg: RunConfig) -> int:
-    train, eval_set = _prepare_data(cfg)
+    _, eval_batch = _prepare_data(cfg)
     model = build_model(cfg.model, cfg.quant_plan(), cfg.seed)
     rtn_quantize(model)
-    record = diagnostics.track(model, _eval_batch(eval_set), None, cfg=cfg.zo)
+    record = diagnostics.track(model, eval_batch, None, cfg=cfg.zo)
     ckpt = os.path.join(cfg.checkpoint_dir, "rtn.ckpt")
     save_checkpoint(ckpt, cfg, model, 0)
     print(f"rtn eval ppl {record.eval_ppl:.4f}")
@@ -571,10 +588,10 @@ def cmd_quantize(cfg: RunConfig) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
-    train, eval_set = _prepare_data(cfg)
-    model, captures, calib_rows = _initialize(cfg, train, lightweight=False)
+    train, eval_batch = _prepare_data(cfg)
+    model, _, calib_rows = _initialize(cfg, train, lightweight=False)
     _write_calibration_csv(cfg.metrics_dir, calib_rows)
-    record = diagnostics.track(model, _eval_batch(eval_set), None, cfg=cfg.zo)
+    record = diagnostics.track(model, eval_batch, None, cfg=cfg.zo)
     ckpt = os.path.join(cfg.checkpoint_dir, "calibrated.ckpt")
     save_checkpoint(ckpt, cfg, model, 0)
     print(f"calibrated eval ppl {record.eval_ppl:.4f}")

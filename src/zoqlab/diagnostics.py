@@ -3,12 +3,9 @@
 Each snapshot (`track`) pairs the eval perplexity with the reconstruction
 loss of the probed layers, so a run's metrics show whether the two move
 together. The module returns records and their CSV rows; cli writes them.
-
-Memory is modeled analytically (exact functions of the configuration); the
-forward activation term is a lower bound at the training batch size. The eval
-in `track` runs cfg.batch_size sequences per forward, like a training step,
-so that bound covers eval forwards too. `measured_peaks` gives the
-tracemalloc peaks to set beside it.
+Memory is counted from the arrays the model holds, except the forward
+activations, which `transient_forward_bytes` bounds from below and
+`measured_peaks` measures.
 """
 
 from __future__ import annotations
@@ -151,23 +148,20 @@ def transient_forward_bytes(config, batch_size: int) -> int:
 
 
 def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
-    """Analytic byte breakdown of a training setup.
+    """Byte breakdown of a training setup.
 
     parameters: the scalars zo_step trains under cfg, at 8 bytes (the
     quant-affine steps count only with cfg.train_quant_affine);
-    quantized_frozen: pre-quantized weight matrices at bits/8 packed;
+    quantized_frozen: the nbytes of the pre-quantized weight matrices, as
+    held (float64);
     optimizer_state: the ZO coefficients and stream cursors;
-    transient_forward: a lower bound on the peak forward activations at the
-    configured batch size (transient_forward_bytes). How far a measured
-    forward exceeds it depends on the config: at the default ModelConfig and
-    batch 4 one forward peaks at 1.5-1.8x it, on the tiny config of the CLI
-    tests (d_model 16, 1 layer, context 32) at 3.7x. Only
-    transient_forward depends on batch size.
-    Training and track's eval both run cfg.batch_size sequences per forward,
-    so the bound covers both.
+    transient_forward: transient_forward_bytes at cfg.batch_size, the only
+    term that depends on it. A measured forward peaks at 1.5-1.8x it at the
+    default ModelConfig and batch 4, and at 3.7x on the tiny config of the
+    CLI tests (d_model 16, 1 layer, context 32).
     """
     params = model.trainable_parameters(include_quant_affine=cfg.train_quant_affine).size * 8
-    frozen = sum(count * bits // 8 for count, bits in model.frozen_quantized_scalars())
+    frozen = sum(lin.w.nbytes for _, lin in model.iter_attachments() if lin.att.pre_quantized)
     return {
         "parameters": params,
         "quantized_frozen": frozen,

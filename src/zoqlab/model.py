@@ -286,14 +286,6 @@ class ModelGraph:
             for name in LINEAR_NAMES:
                 yield f"block{bi}.{name}", block.linears[name]
 
-    def frozen_quantized_scalars(self) -> list[tuple[int, int]]:
-        """(scalar count, bits) of every pre-quantized weight matrix."""
-        out = []
-        for _, lin in self.iter_attachments():
-            if lin.att.pre_quantized and lin.att.weight_spec is not None:
-                out.append((lin.w.size, lin.att.weight_spec.bits))
-        return out
-
 
 def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
     """One attached linear layer; fp mode bypasses the attachment entirely.

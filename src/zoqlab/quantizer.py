@@ -180,10 +180,10 @@ def clamp_bounds(spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor]:
     return lo, hi  # lo <= hi: rint and clip are monotone, and validate holds clip_lo < clip_hi
 
 
-def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor, Tensor]:
     """Clamped grid indices (code - zero) of x under `state`; see _nearest_index.
 
-    Returns (index, spare, step, zero), the last two as (n_groups, 1) columns.
+    Returns (index, step, zero), the last two as (n_groups, 1) columns.
     """
     state.validate()
     g = to_groups(x, spec)
@@ -195,22 +195,21 @@ def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, 
     step = state.step[:, None]
     zero = np.rint(state.zero_point)[:, None]
     lo, hi = clamp_bounds(spec, state)
-    index, spare = _nearest_index(g, step, lo[:, None] - zero, hi[:, None] - zero)
-    return index, spare, step, zero
+    index = _nearest_index(g, step, lo[:, None] - zero, hi[:, None] - zero)
+    return index, step, zero
 
 
-def _nearest_index(g: Tensor, step: Tensor, lo: Tensor, hi: Tensor) -> tuple[Tensor, Tensor]:
-    """Clamped grid indices of the grouped matrix g, and a spare matrix of its shape.
+def _nearest_index(g: Tensor, step: Tensor, lo: Tensor, hi: Tensor) -> Tensor:
+    """Clamped grid indices of the grouped matrix g, as a new matrix of its shape.
 
     step, lo and hi are (n_groups, 1) columns; lo and hi bound the index
-    (code - zero), and the caller may overwrite the spare matrix. Each index
-    is that of the grid value nearest to x, an exact tie going to the even
-    index. rint of the float quotient x / step gets this right except where
-    the quotient has rounded onto a half k + 1/2: there x may lie on either
-    side of the midpoint step * (k + 1/2), so the exact sign of
-    x - step * (k + 1/2), in rational arithmetic, decides. Float distances
-    would not do: they round, and can name the farther neighbour. Such
-    quotients are rare, so a loop over them is cheap.
+    (code - zero). Each index is that of the grid value nearest to x, an
+    exact tie going to the even index. rint of the float quotient x / step
+    gets this right except where the quotient has rounded onto a half
+    k + 1/2: there x may lie on either side of the midpoint step * (k + 1/2),
+    so the exact sign of x - step * (k + 1/2), in rational arithmetic,
+    decides. Float distances would not do: they round, and can name the
+    farther neighbour. Such quotients are rare, so a loop over them is cheap.
     """
     frac = g / step
     index = np.rint(frac)
@@ -231,7 +230,7 @@ def _nearest_index(g: Tensor, step: Tensor, lo: Tensor, hi: Tensor) -> tuple[Ten
     # bound, each returns either zero depending on the array's shape, and
     # only the same call keeps every sign of zero.
     np.clip(index, lo, hi, out=index)
-    return index, frac
+    return index
 
 
 def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState | None = None) -> Tensor:
@@ -244,26 +243,24 @@ def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState | None = None) -> T
 
     With no state, each group's range comes from x itself: the result is
     fake_quant(x, spec, init_range(x, spec)) bit for bit, without building
-    that state.
+    that state. The dequantized values overwrite the index matrix, which
+    from_groups then lays out in x's shape.
     """
     if state is None:
         g = to_groups(x, spec)
         step, zero = _range_grid(g, spec)
         step, zero = step[:, None], zero[:, None]
         # a fresh state's clamp bounds are the whole code range in either role
-        index, out = _nearest_index(g, step, spec.q_n - zero, spec.q_p - zero)
+        index = _nearest_index(g, step, spec.q_n - zero, spec.q_p - zero)
     else:
-        index, out, step, _ = _grid_index(x, spec, state)
-    # Writing into the spare matrix rather than into index keeps the peak RSS
-    # of the zo_w4a4 benchmark at 124.9-125.0 MiB; into index it read
-    # 126.2-126.4 MiB (two runs each).
-    np.multiply(index, step, out=out)
-    return from_groups(out, np.shape(x), spec)
+        index, step, _ = _grid_index(x, spec, state)
+    index *= step
+    return from_groups(index, np.shape(x), spec)
 
 
 def quant_codes(x: Tensor, spec: QuantSpec, state: QuantState) -> np.ndarray:
     """Integer codes produced by fake_quant, same shape as x (int64)."""
-    index, _, _, zero = _grid_index(x, spec, state)
+    index, _, zero = _grid_index(x, spec, state)
     index += zero
     return from_groups(index, np.shape(x), spec).astype(np.int64)
 

@@ -23,12 +23,14 @@ GROUP_ORDER = ("weights", "smoothing", "clipping", "quant_affine")
 
 _STEP_SHIFT = 32
 _MAX_DIRECTIONS = 1 << _STEP_SHIFT
+# below 2^30 steps, direction stream ids stay below the cli's namespaces at 2^62
+_STEP_LIMIT = 1 << 30
 
 
 def direction_stream_id(step: int, i: int) -> int:
     """Stream id of direction i at step `step` under the seed schedule."""
-    if not 0 <= i < _MAX_DIRECTIONS:
-        raise DataError(f"direction index {i} out of range")
+    if not (0 <= step < _STEP_LIMIT and 0 <= i < _MAX_DIRECTIONS):
+        raise DataError(f"direction {i} of step {step} out of range: steps < 2^30, directions < 2^32")
     return (int(step) << _STEP_SHIFT) | int(i)
 
 
@@ -281,7 +283,8 @@ def zo_step(model, batch, cfg: ZoConfig, step: int) -> StepReport:
         model.rederive_quant_states()
     loss = float(np.mean([(d.loss_plus + d.loss_minus) / 2 for d in directions]))
     wall_ms = (time.perf_counter() - t0) * 1e3
-    cursor = f"{cfg.seed}:{direction_stream_id(step + 1, 0)}"
+    # the next step's first stream, written out: at the last step the next is out of range
+    cursor = f"{cfg.seed}:{(step + 1) << _STEP_SHIFT}"
     return StepReport(step=step, loss=loss, update_norms=norms, wall_ms=wall_ms, rng_cursor=cursor)
 
 

@@ -3,10 +3,12 @@ import io
 import json
 import re
 import struct
+from dataclasses import replace
 
 import pytest
 
 from zoqlab import cli, diagnostics, theory
+from zoqlab.calibration import rtn_quantize
 from zoqlab.errors import NumericError
 from zoqlab.model import ModelConfig, QuantPlan, build_model, set_lightweight
 from zoqlab.numerics import read_tensor, write_tensor
@@ -481,3 +483,152 @@ def test_checkpoint_in_the_earlier_layout_loads_to_the_same_tensors(
     assert got == want
     for (layer_id, a), (_, b) in zip(old.iter_attachments(), new.iter_attachments()):
         assert attachment_flags(a.att) == attachment_flags(b.att), layer_id
+
+
+CALIBRATED_INI = TINY_INI.replace("eval_interval = 0", "eval_interval = 2").replace(
+    "samples = 1\nepochs = 0", "samples = 2\nepochs = 1"
+)
+
+
+def run(command, config, run_dir, *extra):
+    dirs = ["--checkpoint-dir", str(run_dir / "ckpt"), "--metrics-dir", str(run_dir / "metrics")]
+    config_flag = ["--config", config] if config else []
+    return cli.main([command, *config_flag, *dirs, *extra])
+
+
+def diagnostics_lines(path):
+    """The data lines of a diagnostics CSV, as written, by step."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(diagnostics.DIAG_HEADER)
+    by_step = {}
+    for line in lines[1:]:
+        by_step.setdefault(int(line.split(",")[0]), []).append(line)
+    return by_step
+
+
+@pytest.mark.parametrize("flags", [[], ["--lightweight"]], ids=["W4A4", "lightweight W4A4"])
+def test_a_resumed_run_writes_the_diagnostics_rows_of_the_uninterrupted_run(tmp_path, flags):
+    """Calibrated, eval_interval 2: 4 steps straight, and 2 steps resumed to 4.
+
+    The resume is run twice: with the run's config file, and with none, where
+    the model, data split and probe come from the checkpoint's config alone.
+    """
+    config = tmp_path / "calibrated.ini"
+    config.write_text(CALIBRATED_INI)
+    assert run("train", str(config), tmp_path / "straight", "--steps", "4", *flags) == cli.EXIT_OK
+    assert run("train", str(config), tmp_path / "first", "--steps", "2", *flags) == cli.EXIT_OK
+    first = str(tmp_path / "first" / "ckpt" / "final.ckpt")
+    assert run("train", str(config), tmp_path / "resumed", "--steps", "4", "--resume", first) == cli.EXIT_OK
+    assert run("train", None, tmp_path / "bare", "--steps", "4", "--resume", first) == cli.EXIT_OK
+
+    straight = diagnostics_lines(tmp_path / "straight" / "metrics" / "diagnostics.csv")
+    assert sorted(straight) == [0, 2, 4] and len(straight[4]) == 4
+    final = (tmp_path / "straight" / "ckpt" / "final.ckpt").read_bytes()
+    for name in ("resumed", "bare"):
+        resumed = diagnostics_lines(tmp_path / name / "metrics" / "diagnostics.csv")
+        assert sorted(resumed) == [2, 4], name
+        assert resumed[4] == straight[4], name
+        assert (tmp_path / name / "ckpt" / "final.ckpt").read_bytes() == final, name
+
+
+FINAL_CHECKPOINT_CASES = {
+    "W4A4": ({}, False),
+    "lightweight W4A4": ({}, True),
+    "full precision": ({"w_bits": None}, False),
+}
+
+
+@pytest.mark.parametrize("case", FINAL_CHECKPOINT_CASES)
+def test_eval_and_diag_of_a_final_checkpoint_write_the_last_snapshot_rows(tmp_path, case):
+    """eval's rows are the run's last snapshot's but for train_loss; diag's hold them for every layer."""
+    fields, lightweight = FINAL_CHECKPOINT_CASES[case]
+    config = tmp_path / "calibrated.ini"
+    config.write_text(CALIBRATED_INI)
+    cfg = cli.load_config_file(str(config))
+    cfg = replace(
+        cfg,
+        **fields,
+        zo=replace(cfg.zo, steps=4),
+        checkpoint_dir=str(tmp_path / "ckpt"),
+        metrics_dir=str(tmp_path / "metrics"),
+    )
+    assert cli.cmd_train(cfg, lightweight) == cli.EXIT_OK
+    ckpt = str(tmp_path / "ckpt" / "final.ckpt")
+    assert cli.main(["eval", ckpt, "--metrics-dir", str(tmp_path / "eval")]) == cli.EXIT_OK
+    assert cli.main(["diag", ckpt, "--metrics-dir", str(tmp_path / "diag")]) == cli.EXIT_OK
+
+    def rows(path):
+        with open(path, newline="") as f:
+            return list(csv.DictReader(f))
+
+    last = [row for row in rows(tmp_path / "metrics" / "diagnostics.csv") if row["step"] == "4"]
+    evaluated = rows(tmp_path / "eval" / "eval_diagnostics.csv")
+    assert len(evaluated) == (1 if case == "full precision" else 4)
+    assert {row["train_loss"] for row in evaluated} == {"nan"} and last[0]["train_loss"] != "nan"
+    assert [{**row, "train_loss": "nan"} for row in last] == evaluated
+    diagnosed = rows(tmp_path / "diag" / "diagnostics.csv")
+    assert len(diagnosed) == (1 if case == "full precision" else 6)
+    assert [row for row in diagnosed if row["layer_id"] in {r["layer_id"] for r in evaluated}] == evaluated
+
+
+def test_a_diverging_run_exits_3_and_keeps_the_rows_written_before_it(tmp_path, capsys):
+    """lr_weights 1e-1 on the calibrated tiny config: eval ppl 126.8 at step 0, 9.8e8 at step 4."""
+    config = tmp_path / "diverging.ini"
+    config.write_text(
+        CALIBRATED_INI.replace("eval_interval = 2", "eval_interval = 1").replace(
+            "lr_weights = 1e-5", "lr_weights = 1e-1"
+        )
+    )
+    capsys.readouterr()
+    assert run("train", str(config), tmp_path, "--steps", "8") == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "diverged" in err and "Traceback" not in err
+    with open(tmp_path / "metrics" / "diagnostics.csv", newline="") as f:
+        ppl = {int(row["step"]): float(row["eval_ppl"]) for row in csv.DictReader(f)}
+    assert sorted(ppl) == [0, 1, 2, 3, 4]
+    assert max(ppl[s] for s in range(4)) <= cli._DIVERGENCE_FACTOR * ppl[0] < ppl[4]
+    with open(tmp_path / "metrics" / "train.csv", newline="") as f:
+        assert [row["step"] for row in csv.DictReader(f)] == ["0", "1", "2", "3"]
+    assert not (tmp_path / "ckpt").exists()
+
+
+def test_calibrate_writes_the_checkpoint_and_rows_a_zero_step_train_starts_from(tmp_path):
+    config = tmp_path / "calibrated.ini"
+    config.write_text(CALIBRATED_INI)
+    assert run("calibrate", str(config), tmp_path / "calibrate", "--steps", "0") == cli.EXIT_OK
+    assert run("train", str(config), tmp_path / "train", "--steps", "0") == cli.EXIT_OK
+    calibrated = tmp_path / "calibrate" / "ckpt" / "calibrated.ckpt"
+    assert calibrated.read_bytes() == (tmp_path / "train" / "ckpt" / "final.ckpt").read_bytes()
+    written = (tmp_path / "calibrate" / "metrics" / "calibration.csv").read_text()
+    assert written == (tmp_path / "train" / "metrics" / "calibration.csv").read_text()
+    rows = list(csv.DictReader(io.StringIO(written)))
+    assert len(rows) == 6
+    assert all(float(row["loss_after"]) <= float(row["loss_before"]) for row in rows)
+
+
+def test_quantize_writes_the_round_to_nearest_model_and_its_eval_ppl(tiny_config, tmp_path, capsys):
+    capsys.readouterr()
+    assert run("quantize", tiny_config, tmp_path) == cli.EXIT_OK
+    printed = re.search(r"^rtn eval ppl (\S+)$", capsys.readouterr().out, re.M).group(1)
+    cfg, model, step = cli.load_checkpoint(str(tmp_path / "ckpt" / "rtn.ckpt"))
+    assert step == 0
+    want = rtn_quantize(build_model(cfg.model, cfg.quant_plan(), cfg.seed))
+    assert all(lin.att.pre_quantized for _, lin in model.iter_attachments())
+    for (name, _, *a), (_, _, *b) in zip(model.tensors(), want.tensors(), strict=True):
+        assert getattr(*a).tobytes() == getattr(*b).tobytes(), name
+    _, eval_batch = cli._prepare_data(cfg)
+    assert printed == f"{diagnostics.track(model, eval_batch, None, cfg=cfg.zo).eval_ppl:.4f}"
+
+
+def test_lightweight_train_moves_only_the_query_and_value_weights(tiny_config, tmp_path):
+    assert run("train", tiny_config, tmp_path / "start", "--steps", "0", "--lightweight") == cli.EXIT_OK
+    assert run("train", tiny_config, tmp_path / "run", "--steps", "2", "--lightweight") == cli.EXIT_OK
+    _, start, _ = cli.load_checkpoint(str(tmp_path / "start" / "ckpt" / "final.ckpt"))
+    _, end, _ = cli.load_checkpoint(str(tmp_path / "run" / "ckpt" / "final.ckpt"))
+    assert start.lightweight and end.lightweight
+    trained = []
+    for (name, label, *a), (_, _, *b) in zip(start.tensors(), end.tensors(), strict=True):
+        if getattr(*a).tobytes() != getattr(*b).tobytes():
+            trained.append(name)
+        assert (name in trained) == (label is not None), name
+    assert trained == ["block0.attn_q.w", "block0.attn_v.w"]

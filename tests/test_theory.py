@@ -1,6 +1,7 @@
 """Tier-1 checks of the theory suite at `zoqlab verify --quick` sample sizes."""
 
 import ast
+import csv
 import dataclasses
 import importlib
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import zoqlab.zo
-from zoqlab import theory
+from zoqlab import cli, theory
 from zoqlab.numerics import normals_at
 
 QUICK_ESTIMATES, QUICK_ORACLE_SAMPLES = 20_000, 100_000
@@ -147,3 +148,32 @@ def test_loss_of_a_point_is_its_batch_loss(kind, quant_step):
         got = obj.loss(point)
         assert type(got) is float
         assert np.float64(got).tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def quick_report():
+    """`zoqlab verify --quick` at its default seed, run once for the module."""
+    return theory.run_verification(quick=True, seed=0)
+
+
+def test_every_row_of_verify_quick_passes(quick_report):
+    assert quick_report.rows and quick_report.passed, [r.line() for r in quick_report.rows if not r.passed]
+
+
+def test_verify_writes_its_report_and_exits_0_when_every_row_passes(quick_report, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def run_verification(quick, seed):
+        calls.append((quick, seed))
+        return quick_report
+
+    monkeypatch.setattr(theory, "run_verification", run_verification)
+    capsys.readouterr()
+    assert cli.main(["verify", "--quick", "--metrics-dir", str(tmp_path)]) == cli.EXIT_OK
+    assert calls == [(True, 0)]
+    text = quick_report.text()
+    assert text.endswith("ALL CHECKS PASSED")
+    assert capsys.readouterr().out == text + "\n"
+    assert (tmp_path / "verification.txt").read_text() == text + "\n"
+    with open(tmp_path / "verification.csv", newline="") as f:
+        assert list(csv.reader(f)) == [list(row) for row in quick_report.csv_rows()]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import zoqlab.zo
-from zoqlab.errors import DataError
+from zoqlab import cli
+from zoqlab.errors import DataError, NumericError
+from zoqlab.model import ModelConfig, QuantPlan, build_model
 from zoqlab.numerics import normals_at
 from zoqlab.zo import (
     ParamView,
@@ -12,9 +14,11 @@ from zoqlab.zo import (
     direction_stream_id,
     optimizer_state_size,
     zo_gradient_scale,
+    zo_step,
 )
 
 SEED = 17
+TINY = ModelConfig(d_model=16, n_layers=1, n_heads=2, context=32)
 EPS = 1e-3
 LRS = {"weights": 0.1, "smoothing": 0.0, "clipping": 0.05, "quant_affine": 0.2}
 
@@ -256,6 +260,28 @@ class TestRoundTripDrift:
         half_ulps = np.spacing(np.abs(theta0) + 2 * EPS * u_max) / 2
         assert np.all(np.abs(theta - theta0) <= 3 * k * half_ulps)
 
+    @pytest.mark.parametrize("failing_call", [0, 1], ids=["+eps", "-eps"])
+    def test_a_non_finite_loss_restores_the_parameters_up_to_rounding(self, failing_call):
+        """On the tiny W4A4 model's view: a NaN loss at +eps or -eps raises NumericError.
+
+        The restore adds the opposite moves, so as in a completed direction
+        only the additions round: 2 at +eps, 3 at -eps, each within half an
+        ulp of |theta| + 2 eps |u|. It is not bit for bit: 240 of the 6,224
+        parameters differ in their last bits after a +eps failure, 2,655
+        after a -eps one. Bit identity would need a copy of the trainable
+        parameters, which the estimator exists to avoid.
+        """
+        view = build_model(TINY, QuantPlan(4, 4), 0).trainable_parameters()
+        theta0 = np.concatenate([flat for _, flat, *_ in view._segments])
+        cfg = ZoConfig(epsilon=EPS, directions=1, steps=1, seed=SEED)
+        losses = iter([1.0][:failing_call] + [float("nan")])
+        with pytest.raises(NumericError, match=["[+]eps", "-eps"][failing_call]):
+            zo_gradient_scale(lambda: next(losses), view, cfg, 0)
+        u = np.abs(view.direction(SEED, direction_stream_id(0, 0), cfg.chunk_size))
+        theta = np.concatenate([flat for _, flat, *_ in view._segments])
+        half_ulps = np.spacing(np.abs(theta0) + 2 * EPS * u) / 2
+        assert np.all(np.abs(theta - theta0) <= (2 + failing_call) * half_ulps)
+
 
 class TestOptimizerState:
     def test_size_does_not_depend_on_model(self):
@@ -302,3 +328,19 @@ class TestValidation:
     def test_config_rejects_empty_chunks(self, chunk_size):
         with pytest.raises(DataError, match="chunk_size"):
             ZoConfig(chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("step", [-1, 1 << 30])
+    def test_step_out_of_range(self, step):
+        with pytest.raises(DataError, match="out of range"):
+            direction_stream_id(step, 0)
+
+    def test_the_last_step_stays_below_the_cli_stream_namespaces(self):
+        assert direction_stream_id((1 << 30) - 1, (1 << 32) - 1) == (1 << 62) - 1 < cli._SPLIT_STREAM
+        model = build_model(TINY, QuantPlan(4, 4), 0)
+        batch = np.arange(64).reshape(2, 32) % 128
+        report = zo_step(model, batch, ZoConfig(steps=1, seed=SEED), (1 << 30) - 1)
+        assert report.rng_cursor == f"{SEED}:{1 << 62}"
+        held = [getattr(owner, attr).tobytes() for _, _, owner, attr in model.tensors()]
+        with pytest.raises(DataError, match="out of range"):
+            zo_step(model, batch, ZoConfig(steps=1, seed=SEED), 1 << 30)
+        assert [getattr(owner, attr).tobytes() for _, _, owner, attr in model.tensors()] == held
