@@ -109,12 +109,14 @@ def track(
             if layer_id in layer_probe_set:
                 recon[layer_id] = layer_reconstruction_loss(lin, layer_probe_set[layer_id])
     mem = memory_report(model, cfg)
+    with np.errstate(over="ignore"):  # ppl is inf once the loss passes ~709.78 nats
+        eval_ppl = float(np.exp(eval_loss))
     return TrackRecord(
         step=step,
         recon_losses=recon,
         train_loss=train_loss,
         eval_loss=eval_loss,
-        eval_ppl=float(np.exp(eval_loss)),
+        eval_ppl=eval_ppl,
         bytes_params=mem["parameters"],
         bytes_frozen=mem["quantized_frozen"],
         bytes_opt=mem["optimizer_state"],

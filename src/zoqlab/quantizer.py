@@ -3,8 +3,12 @@
 Quantization is simulated: quantize to integer codes, clamp, and dequantize
 back to reals in one pass (values live on the grid step * (code - zero)).
 Each value maps to the grid value nearest to it, ties to the even grid
-index; where x / step rounds onto a half in floating point, the exact sign
-of x - step * (k + 1/2) decides between the two neighbouring grid values.
+index. Where x / step rounds onto a half k + 1/2 in floating point, the
+exact sign of x - step * (k + 1/2) decides between the two neighbouring
+grid values. One vectorized pass finds it with no rounding anywhere: the
+remainder |np.fmod(x, step)| is exact, and it is compared with step / 2
+as rem against step * 0.5 where step >= 1 and as 2 * rem against step
+where step < 1 (see _nearest_index).
 Weight quantizers additionally honor per-group clipping coefficients
 (clip_lo, clip_hi) that scale the positive clamp level, so the integer clamp
 range becomes [round(clip_lo * q_p), round(clip_hi * q_p)] intersected with
@@ -14,7 +18,6 @@ the natural code range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -206,10 +209,22 @@ def _nearest_index(g: Tensor, step: Tensor, lo: Tensor, hi: Tensor) -> Tensor:
     (code - zero). Each index is that of the grid value nearest to x, an
     exact tie going to the even index. rint of the float quotient x / step
     gets this right except where the quotient has rounded onto a half
-    k + 1/2: there x may lie on either side of the midpoint step * (k + 1/2),
-    so the exact sign of x - step * (k + 1/2), in rational arithmetic,
-    decides. Float distances would not do: they round, and can name the
-    farther neighbour. Such quotients are rare, so a loop over them is cheap.
+    mid = k + 1/2: there x may lie on either side of the midpoint
+    step * mid, and float distances would not do, since they round and can
+    name the farther neighbour. One exact pass over those elements decides:
+
+    - rem = |fmod(x, step)| is exact, as IEEE fmod never rounds.
+    - |mid| = n + 1/2 with n < 2**52, so the true quotient |x| / step,
+      which rounded to it, lies strictly between n and n + 1. fmod
+      truncates it to n: rem = |x| - n * step, and x - step * mid has the
+      sign of x times the sign of rem - step / 2.
+    - rem is compared with step / 2 without rounding: as rem against
+      step * 0.5 where step >= 1, since halving a normal float is exact,
+      and as 2 * rem against step where step < 1, since doubling cannot
+      round below overflow.
+
+    Past the midpoint the index steps away from zero, short of it toward
+    zero (mid +- 1/2, both exact), and an exact tie keeps rint's even index.
     """
     frac = g / step
     index = np.rint(frac)
@@ -219,12 +234,15 @@ def _nearest_index(g: Tensor, step: Tensor, lo: Tensor, hi: Tensor) -> Tensor:
     with np.errstate(invalid="ignore"):  # inf - inf for an infinite x
         np.subtract(frac, index, out=frac)
     if np.fmax.reduce(frac, axis=None) == 0.5 or np.fmin.reduce(frac, axis=None) == -0.5:
-        for r, c in zip(*np.nonzero(np.abs(frac) == 0.5)):
-            x_rc, step_r = g[r, c], step[r, 0]
-            mid = x_rc / step_r  # exactly k + 1/2
-            past = Fraction(x_rc) - Fraction(step_r) * Fraction(mid)
-            if past:  # an exact tie keeps rint's even index
-                index[r, c] = mid + 0.5 if past > 0 else mid - 0.5
+        r, c = np.nonzero(np.abs(frac) == 0.5)
+        x, s = g[r, c], step[r, 0]  # fancy indexing: fresh copies
+        mid = x / s  # exactly k + 1/2
+        rem = np.abs(np.fmod(x, s))
+        small = s < 1.0
+        rem[small] *= 2.0
+        s[~small] *= 0.5
+        past = np.sign(rem - s) * np.sign(x)  # the sign of x - step * mid
+        index[r, c] = np.where(past == 0, index[r, c], mid + 0.5 * past)
     # Integer-valued floats, so clamping the index is exact. np.clip, not an
     # in-place np.maximum and np.minimum: where a -0.0 index meets a +0.0
     # bound, each returns either zero depending on the array's shape, and

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's vectorized code paths: matmul is a
 triple loop, quantization enumerates every integer code and measures its
-distance exactly, the reference transformer walks positions and heads one at
+distance exactly, or settles each quotient that rounds onto a half with
+one Fraction, the reference transformer walks positions and heads one at
 a time, the closed-form smoothing candidates are written channel by channel
 and scored by a full layer evaluation each, the clamp-bound search takes a
 full layer evaluation per bound move, and the forward's elementwise helpers
@@ -64,6 +65,28 @@ def nearest_code(x, step, zero, lo, hi):
 
 def nearest_code_dequant(x, step, zero, lo, hi):
     return step * (nearest_code(x, step, zero, lo, hi) - zero)
+
+
+def nearest_index_by_fractions(g, step, lo, hi):
+    """quantizer._nearest_index with each half quotient settled in rational arithmetic.
+
+    rint of g / step, except where the float quotient is a half mid = k + 1/2:
+    there the exact sign of x - step * mid, one Fraction per element, moves
+    the index to mid + 1/2 or mid - 1/2, and an exact tie keeps rint's even
+    index. The index is then clamped by the same np.clip call.
+    """
+    frac = g / step
+    index = np.rint(frac)
+    with np.errstate(invalid="ignore"):  # inf - inf for an infinite x
+        np.subtract(frac, index, out=frac)
+    for r, c in zip(*np.nonzero(np.abs(frac) == 0.5)):
+        x_rc, step_r = g[r, c], step[r, 0]
+        mid = x_rc / step_r
+        past = Fraction(x_rc) - Fraction(step_r) * Fraction(mid)
+        if past:
+            index[r, c] = mid + 0.5 if past > 0 else mid - 0.5
+    np.clip(index, lo, hi, out=index)
+    return index
 
 
 def scalar_range_init(values, bits, scheme):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zoqlab import quantizer
 from zoqlab.calibration import (
     _INNER_STEPS,
     _BoundGrid,
@@ -17,7 +18,12 @@ from zoqlab.model import ModelConfig, QuantPlan, build_model, regrid_weight_stat
 from zoqlab.quantizer import clamp_bounds
 from zoqlab.smoothing import SCALE_CEIL, SCALE_FLOOR, SmoothingParams
 
-from oracles import bound_move_changes, closed_form_candidate_losses, greedy_bound_search
+from oracles import (
+    bound_move_changes,
+    closed_form_candidate_losses,
+    greedy_bound_search,
+    nearest_index_by_fractions,
+)
 
 TINY = ModelConfig(vocab_size=128, d_model=16, n_layers=1, n_heads=2, context=16)
 
@@ -196,6 +202,32 @@ def test_closed_form_calibration_reconstructs_the_default_model_better_than_the_
     assert len(rows) == 12
     assert all(r["loss_after"] <= r["loss_before"] for r in rows)
     assert np.mean([r["loss_after"] / r["loss_before"] for r in rows]) < 0.634
+
+
+def test_calibration_is_bytes_equal_under_the_fraction_oracle(monkeypatch):
+    # The calib_w4a4 benchmark set-up. Its alpha = 1 candidates put per-token
+    # quotients exactly onto halves, which _nearest_index settles with np.fmod
+    # and the oracle with one Fraction each.
+    config = ModelConfig()
+    train, _ = ingest_corpus(default_corpus_path(), config.context, 0)
+
+    def calibrated():
+        model = build_model(config, QuantPlan(4, 4), seed=0)
+        rows = calibrate_model(model, capture_activations(model, train[:2]), epochs=2)
+        hex_rows = [{k: v if isinstance(v, str) else float(v).hex() for k, v in row.items()} for row in rows]
+        return hex_rows, {name: getattr(owner, attr).tobytes() for name, _, owner, attr in model.tensors()}
+
+    fast = calibrated()
+    halves = []
+
+    def oracle(g, step, lo, hi):
+        frac = g / step
+        halves.append(np.count_nonzero(np.abs(frac - np.rint(frac)) == 0.5))
+        return nearest_index_by_fractions(g, step, lo, hi)
+
+    monkeypatch.setattr(quantizer, "_nearest_index", oracle)
+    assert calibrated() == fast
+    assert sum(halves) > 0
 
 
 def test_degenerate_channels_give_finite_scales():

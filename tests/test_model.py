@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -397,3 +398,19 @@ def test_chunked_eval_loss_is_the_bytes_of_one_forward(eval_models, plan, n_seqs
     for batch_size in (4, 3, 1):
         got = track(model, seqs, None, cfg=ZoConfig(batch_size=batch_size)).eval_loss
         assert got.hex() == whole.hex(), batch_size
+
+
+@pytest.mark.parametrize("plan", [None, QuantPlan(4, 4)], ids=["fp", "W4A4"])
+def test_eval_ppl_past_the_float_range_is_inf_without_a_warning(plan):
+    model = build_model(TINY, plan, seed=0)
+    seqs = tokens(2)
+    record = track(model, seqs, None)
+    assert record.eval_ppl.hex() == float(np.exp(record.eval_loss)).hex()
+    # tied embeddings: the logits grow with the embedding, and so does the loss
+    while model.loss(seqs, mode="qat") <= 710:
+        model.embed *= 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = track(model, seqs, None)
+    assert record.eval_loss > 710
+    assert record.eval_ppl == np.inf

@@ -1,12 +1,16 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zoqlab.errors import DataError, DimensionError, InvalidStateError
 from zoqlab.quantizer import (
     QuantSpec,
     QuantState,
+    _nearest_index,
     fake_quant,
     init_range,
     quant_codes,
@@ -14,7 +18,7 @@ from zoqlab.quantizer import (
     tighten_state,
 )
 
-from oracles import nearest_code, nearest_code_dequant, scalar_range_init
+from oracles import nearest_code, nearest_code_dequant, nearest_index_by_fractions, scalar_range_init
 
 
 def spec_pt(bits, scheme, role="weight"):
@@ -25,6 +29,32 @@ def spec_pt(bits, scheme, role="weight"):
 def column(values):
     """values as the one column of a (n, 1) weight: one group under a weight spec."""
     return np.asarray(values, dtype=np.float64).reshape(-1, 1)
+
+
+def near_half(step, k):
+    """x = step * (k + 1/2) in float and its two float neighbours: quotients that round onto a half."""
+    x = step * (k + 0.5)
+    return np.array([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+
+
+def half_count(g, step):
+    """How many quotients g / step round onto a half, the elements _nearest_index settles exactly."""
+    frac = g / step
+    return int(np.count_nonzero(np.abs(frac - np.rint(frac)) == 0.5))
+
+
+def exact_tie_count(g, step):
+    """How many x in g lie exactly on a midpoint step * (k + 1/2), checked in Fractions."""
+    return sum(
+        Fraction(x) == Fraction(s) * Fraction(x / s) for x, s in np.broadcast(g, step) if x / s % 1 == 0.5
+    )
+
+
+# Steps from the smallest subnormal to ~2**1000, and midpoint indices k: the
+# halves +-1/2 of k in {-1, 0}, small |k|, and |k| up to 2**40.
+SUBNORMAL_STEPS = st.builds(math.ldexp, st.integers(1, 2**52 - 1), st.just(-1074))
+NORMAL_STEPS = st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), st.integers(-1074, 947))
+HALF_KS = st.one_of(st.sampled_from([-1, 0]), st.integers(-8, 8), st.integers(-(2**40), 2**40))
 
 
 class TestQuantSpec:
@@ -267,6 +297,65 @@ class TestQuotientRoundedOntoHalf:
         with pytest.raises(DimensionError):
             quant_codes(np.ones((4, 6)), spec, state)
 
+    @given(step=st.one_of(SUBNORMAL_STEPS, NORMAL_STEPS), k=HALF_KS)
+    @example(step=math.ldexp(1247007123360901, -1074), k=5)  # an odd subnormal step: step * 0.5 rounds
+    @settings(max_examples=400, deadline=None)
+    def test_half_quotients_match_the_fraction_oracle(self, step, k):
+        xs = near_half(step, k)
+        assume(np.all(np.isfinite(xs)))
+        g = np.stack([xs, -xs])  # -(k + 1/2) is the half of -k - 1
+        steps = np.full((2, 1), step)
+        lo, hi = np.full((2, 1), -(2.0**41)), np.full((2, 1), 2.0**41)
+        got = _nearest_index(g, steps, lo, hi)
+        assert got.tobytes() == nearest_index_by_fractions(g, steps, lo, hi).tobytes()
+
+        # codes 0..3 span indices k - 1 .. k + 2 under zero point 1 - k
+        spec = QuantSpec(2, "asymmetric", "activation")
+        zeros = [1.0 - k, 2.0 + k]
+        state = QuantState(step=[step, step], zero_point=zeros, clip_lo=[0.0] * 2, clip_hi=[1.0] * 2)
+        want = [[nearest_code(x, step, z, spec.q_n, spec.q_p) for x in row] for row, z in zip(g, zeros)]
+        assert quant_codes(g, spec, state).tolist() == want
+
+        # a symmetric range whose init step s puts k + 1/2 on the grid
+        spec = QuantSpec((abs(k) + 1).bit_length() + 2, "symmetric", "activation")
+        top = step * spec.q_p
+        assume(math.isfinite(top))
+        s = top / spec.q_p  # init_range's step for a row whose absmax is top
+        xs = near_half(s, k)
+        row = np.concatenate([[top, -top], xs, -xs])[None, :]
+        want = fake_quant(row, spec, init_range(row, spec))
+        assert fake_quant(row, spec).tobytes() == want.tobytes()
+        s_col = np.array([[s]])
+        index = nearest_index_by_fractions(row, s_col, spec.q_n, spec.q_p)
+        assert want.tobytes() == (index * s_col).tobytes()
+
+    def test_adversarial_halves_match_the_fraction_oracle(self):
+        # Odd subnormal steps, whose halves round; random normal steps; steps
+        # near the top of the float range; exact ties and both neighbours of
+        # every midpoint, at |k| from 0 to 2**40.
+        rng = np.random.default_rng(18)
+        small_ks = np.array([-3, -2, -1, 0, 1, 2])
+        big_ks = np.array([2**40, -(2**40), *rng.integers(-(2**40), 2**40, size=8)])
+        all_ks = np.concatenate([small_ks, big_ks])
+        mantissas = rng.integers(2**52, 2**53, size=48)
+        cases = [
+            (np.ldexp(rng.integers(1, 2**52, size=40) | 1, -1074), all_ks),
+            (np.ldexp(mantissas[:40], rng.integers(-1074, 928, size=40)), all_ks),
+            (np.ldexp(mantissas[40:], rng.integers(960, 966, size=8)), small_ks),
+        ]
+        halves = ties = 0
+        for steps, ks in cases:
+            step = steps[:, None]
+            xs = near_half(step, ks[None, :]).transpose(1, 0, 2).reshape(len(steps), -1)
+            g = np.concatenate([xs, -xs], axis=1)
+            assert np.all(np.isfinite(g))
+            lo, hi = np.full_like(step, -(2.0**41)), np.full_like(step, 2.0**41)
+            want = nearest_index_by_fractions(g, step, lo, hi)
+            assert _nearest_index(g, step, lo, hi).tobytes() == want.tobytes()
+            halves += half_count(g, step)
+            ties += exact_tie_count(g, step)
+        assert halves > 1000
+        assert ties > 100
 
     def test_random_steps_near_every_midpoint(self):
         # Midpoints step * (j + 1/2) and their float neighbours, on random
