@@ -25,6 +25,12 @@ the zo_matches_two_point_formula row pins zo_gradient_scale's coefficient
 to that formula on the production draws, and tier-1 tests pin the draws:
 normals_at's moments and streams, and ParamView.direction's zero mean and
 identity covariance across steps.
+
+The quadrature oracle, scipy.integrate, is imported by the first
+gaussian_tail_identities call, not by this module. Importing it costs about
+25 MiB of resident memory and 0.3 s, and cli imports this module, so at module
+level every command (train, eval, calibrate, quantize, diag) would pay for a
+library only verify uses.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erfc, erfcinv
 
 from .errors import DataError
@@ -361,9 +366,15 @@ def mse_q_scaling_slope(
 # ---------------------------------------------------------------------------
 
 def gaussian_tail_identities(t: float) -> CheckRow:
-    """E[|U| 1{|U|>=t}], E[U^2 1{|U|>=t}], P(|U|>=t): closed form vs quadrature."""
+    """E[|U| 1{|U|>=t}], E[U^2 1{|U|>=t}], P(|U|>=t): closed form vs quadrature.
+
+    The first call imports scipy.integrate (about 25 MiB and 0.3 s), which no
+    other command needs; see the module docstring.
+    """
     if t < 0:
         raise DataError("tail threshold must be nonnegative")
+    from scipy import integrate
+
     analytic = (
         2.0 * float(norm_pdf(t)),
         2.0 * (t * float(norm_pdf(t)) + float(norm_sf(t))),

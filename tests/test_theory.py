@@ -4,6 +4,9 @@ import ast
 import csv
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +124,40 @@ def test_estimator_driven_rows_keep_their_bytes():
         ("d=4 q=16 step=0", "0.28774629039453803"),
         ("d=2 q=1 step=0.1 eps=0.001", "2098.63156899008"),
     ]
+
+
+def test_tail_identity_rows_keep_their_bytes():
+    """repr(measured) of the five gaussian_tail_identities rows of `verify`."""
+    got = {t: repr(theory.gaussian_tail_identities(t).measured) for t in (0.0, 0.5, 1.0, 2.0, 5.0)}
+    assert got == {
+        0.0: "2.220446049250313e-16",
+        0.5: "1.1102230246251565e-16",
+        1.0: "1.1102230246251565e-16",
+        2.0: "2.7755575615628914e-17",
+        5.0: "1.3552527156068805e-20",
+    }
+
+
+IMPORTS_INTEGRATE = """
+import sys
+import zoqlab, zoqlab.cli, zoqlab.theory
+print("scipy.integrate" in sys.modules)
+zoqlab.theory.gaussian_tail_identities(0.5)
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_only_the_tail_identity_row_imports_scipy_integrate():
+    # a fresh interpreter, because other tests load scipy.integrate into this one;
+    # at module level it would cost every command ~25 MiB of peak RSS
+    env = dict(os.environ)
+    src = str(Path(zoqlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORTS_INTEGRATE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert run.stdout.split() == ["False", "True"]
 
 
 def test_mse_bound_draws_each_direction_once(monkeypatch):
