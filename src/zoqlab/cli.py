@@ -618,6 +618,7 @@ def cmd_diag(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> in
     print(f"measured, tracemalloc peak on one eval chunk of {chunk.shape[0]} sequences:")
     print(f"  forward: {peaks['forward']} bytes (modelled transient_forward {mem['transient_forward']})")
     print(f"  zo_step: {peaks['zo_step']} bytes (on a copy of the model)")
+    print(f"peak RSS: {diagnostics.peak_rss()} bytes (whole process, with the interpreter and imports tracemalloc cannot see)")
     return EXIT_OK
 
 

@@ -5,19 +5,25 @@ loss of the probed layers, so a run's metrics show whether the two move
 together. The module returns records and their CSV rows; cli writes them.
 Memory is counted from the arrays the model holds, except the forward
 activations, which `transient_forward_bytes` bounds from below and
-`measured_peaks` measures.
+`measured_peaks` measures. The forward streams its wide stages (attention
+one sequence at a time, activation scratch one row block at a time), so the
+bound counts one sequence's attention matrix and one row block, and stays
+within 1.6x of the measured peak at the default ModelConfig. `peak_rss`
+reads the whole process, which tracemalloc cannot see.
 """
 
 from __future__ import annotations
 
 import copy
+import resource
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .model import ModelGraph, linear_forward, token_cross_entropy
+from .model import ModelGraph, linear_forward, row_blocks, token_cross_entropy
 from .zo import ZoConfig, optimizer_state_size, zo_step
 
 
@@ -131,22 +137,29 @@ def transient_forward_bytes(config, batch_size: int) -> int:
     zo_step's, and track's, which scores the eval set that many sequences
     at a time.
 
-    Residual stream plus the largest concurrent stage (qkv projections,
-    attention matrices, mlp hidden, or logits), all float64. Temporaries are
-    not counted: the quantizers' scratch matrices, the layer norm's centred
-    copy, GELU's erf buffer. For the default ModelConfig at batch 4 the model
-    gives 4.5 MiB, while the tracemalloc peak of one W4A4 qat forward measured
-    11.0 MiB with out-of-place elementwise passes and 8.2 MiB with in-place
-    ones (7.0 MiB in lightweight mode).
+    The residual stream plus the largest stage live with it, all float64,
+    over n = batch_size * context rows. The forward drops each activation
+    after its last reader and streams its wide stages, so the stages are:
+    the normed input with q, k and v; q, k, v and the context with one
+    sequence's (heads, t, t) attention matrix; the (n, 4 d) mlp hidden
+    with its output, or with one row block of scratch (model.row_blocks:
+    GELU's erf buffer, mlp_down's activation quantizer), whichever is
+    larger; and the logits. Other temporaries are not counted: the
+    quantizers' weight-side scratch, the layer norm's centred copy. For the
+    default ModelConfig at batch 4 the model gives 1.75 MiB, while the
+    tracemalloc peak of one qat forward measured 2.66 MiB in W4A4 and 1.96
+    MiB in lightweight W4A16g16.
     """
     t, d, h, v = config.context, config.d_model, config.n_heads, config.vocab_size
+    n = batch_size * t
+    block = max(rows.stop - rows.start for rows in row_blocks(n, 4 * d)) * 4 * d
     stages = (
-        t * d + 3 * t * d,  # normed input + q, k, v
-        t * d + 2 * h * t * t,  # scores and attention weights
-        t * d + 2 * 4 * t * d,  # mlp hidden and activation
-        t * v,  # logits
+        4 * n * d,  # normed input + q, k, v
+        4 * n * d + h * t * t,  # q, k, v, context + one sequence's attention matrix
+        4 * n * d + max(n * d, block),  # mlp hidden + its output or one row block of scratch
+        n * v,  # logits
     )
-    return 8 * batch_size * (t * d + max(stages))
+    return 8 * (n * d + max(stages))
 
 
 def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
@@ -158,9 +171,11 @@ def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
     held (float64);
     optimizer_state: the ZO coefficients and stream cursors;
     transient_forward: transient_forward_bytes at cfg.batch_size, the only
-    term that depends on it. A measured forward peaks at 1.5-1.8x it at the
-    default ModelConfig and batch 4, and at 3.7x on the tiny config of the
-    CLI tests (d_model 16, 1 layer, context 32).
+    term that depends on it. At the default ModelConfig and batch 4 a
+    measured forward peaks at 1.5x it in W4A4 and 1.1x in lightweight
+    W4A16g16; on the tiny config of the CLI tests (d_model 16, 1 layer,
+    context 32), at 3.1x in W4A4, where the weight-side quantizer scratch
+    dominates.
     """
     params = model.trainable_parameters(include_quant_affine=cfg.train_quant_affine).size * 8
     frozen = sum(lin.w.nbytes for _, lin in model.iter_attachments() if lin.att.pre_quantized)
@@ -193,3 +208,14 @@ def measured_peaks(model: ModelGraph, batch, cfg: ZoConfig) -> dict[str, int]:
         finally:
             tracemalloc.stop()
     return peaks
+
+
+def peak_rss() -> int:
+    """The process's peak resident set size so far, in bytes.
+
+    getrusage's ru_maxrss, which Linux reports in KiB and macOS in bytes. It
+    includes the interpreter, the imported libraries and freed heap the
+    allocator kept, none of which tracemalloc sees.
+    """
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss if sys.platform == "darwin" else rss * 1024

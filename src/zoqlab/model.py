@@ -33,6 +33,12 @@ LIGHTWEIGHT_TRAINABLE = ("attn_q", "attn_v")
 _INIT_STREAM = 0x494E4954  # weight initialization namespace
 _LN_EPS = 1e-5
 _STEP_FLOOR = 1e-8  # quantizer step projected here at application time
+# Row blocks of the activation side of a linear and of GELU's erf buffer
+# hold about this many floats. np.clip returns a different sign of zero for
+# 1 or 2 rows than for 3 or more, so a block of per-token quantization has
+# at least _MIN_BLOCK_ROWS rows and gives the bytes of the whole matrix.
+_BLOCK_FLOATS = 2**15
+_MIN_BLOCK_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,15 @@ class ModelGraph:
 
         capture, when given, is a dict filled with per-linear input
         activations keyed by "block{i}.{name}".
+
+        The forward holds only live activations: each is dropped after its
+        last reader, attention runs one sequence at a time (_attention), and
+        the linears' activation side and GELU's erf buffer run over row
+        blocks (row_blocks). Each linear is still called once with all
+        bsz * t rows. The bytes are those of the all-rows composition:
+        per-token quantization, softmax and GELU work row by row, and each
+        sequence's matmuls are the 2-D (sequence, head) products numpy runs
+        for the batched form.
         """
         tokens = np.asarray(tokens)
         squeeze = tokens.ndim == 1
@@ -154,7 +169,6 @@ class ModelGraph:
         bsz, t = tokens.shape
         d = self.config.d_model
         h = self.config.n_heads
-        dh = d // h
 
         # Elementwise work runs in place on arrays this call allocated (the
         # residual stream, the scores, the linears' outputs); model arrays,
@@ -164,23 +178,21 @@ class ModelGraph:
         keep = np.tri(t, dtype=bool)  # the causal mask: position i sees positions <= i
         causal = np.where(keep, 0.0, -np.inf)
         for bi, block in enumerate(self.blocks):
-            a = _layer_norm(x, block.ln1_gain, block.ln1_bias)
-            flat = a.reshape(bsz * t, d)
-            q = self._linear(flat, block, bi, "attn_q", mode, capture)
-            k = self._linear(flat, block, bi, "attn_k", mode, capture)
-            v = self._linear(flat, block, bi, "attn_v", mode, capture)
-            q = q.reshape(bsz, t, h, dh).transpose(0, 2, 1, 3)
-            k = k.reshape(bsz, t, h, dh).transpose(0, 2, 1, 3)
-            v = v.reshape(bsz, t, h, dh).transpose(0, 2, 1, 3)
-            scores = q @ k.transpose(0, 1, 3, 2)
-            scores /= np.sqrt(dh)
-            scores += causal
-            attn = _softmax(scores, keep)
-            ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(bsz * t, d)
+            a = _layer_norm(x, block.ln1_gain, block.ln1_bias).reshape(bsz * t, d)
+            q = self._linear(a, block, bi, "attn_q", mode, capture)
+            k = self._linear(a, block, bi, "attn_k", mode, capture)
+            v = self._linear(a, block, bi, "attn_v", mode, capture)
+            del a
+            ctx = _attention(q, k, v, bsz, h, keep, causal)
+            del q, k, v
             x += self._linear(ctx, block, bi, "attn_o", mode, capture).reshape(bsz, t, d)
+            del ctx
             m = _layer_norm(x, block.ln2_gain, block.ln2_bias).reshape(bsz * t, d)
-            u = _gelu(self._linear(m, block, bi, "mlp_up", mode, capture))
+            u = self._linear(m, block, bi, "mlp_up", mode, capture)
+            del m
+            u = _gelu(u)
             x += self._linear(u, block, bi, "mlp_down", mode, capture).reshape(bsz, t, d)
+            del u
         x = _layer_norm(x, self.ln_f_gain, self.ln_f_bias)
         logits = x @ self.embed.T
         return logits[0] if squeeze else logits
@@ -294,6 +306,14 @@ def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
     fake-quant, weight fake-quant, GEMM plus bias. A pre-quantized layer
     already carries the weight side (freeze_linear), so only the activation
     side runs.
+
+    The weight side (smoothing fold, weight fake-quant) is prepared once.
+    The activation side and the GEMM then run over row blocks (row_blocks)
+    that write into one output, so the activation scratch is one block, not
+    the whole matrix. The bytes are those of one pass over every row:
+    smoothing is elementwise, each row is its own quantizer group, and each
+    output row is the same GEMM row. A layer with no activation side runs
+    one GEMM.
     """
     att = lin.att
     if mode == "fp" or att.bypassed:
@@ -302,19 +322,63 @@ def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
         return out
     if mode != "qat":
         raise DataError(f"unknown forward mode {mode!r}")
-    if att.smoothing is None:
-        xs, ws, bs = x2d, lin.w, lin.b
-    elif att.pre_quantized:
-        xs, ws, bs = smooth_activation(x2d, att.smoothing), lin.w, lin.b
+    ws, bs = lin.w, lin.b
+    if not att.pre_quantized:
+        if att.smoothing is not None:
+            # the shape checks and the weight side; the activation side runs per block below
+            _, ws, bs = apply_smoothing(x2d[:0], ws, bs, att.smoothing)
+        if att.weight_spec is not None:
+            ws = fake_quant(ws, att.weight_spec, _applied_state(att.weight_state))
+    if att.smoothing is None and att.act_spec is None:
+        out = x2d @ ws
     else:
-        xs, ws, bs = apply_smoothing(x2d, lin.w, lin.b, att.smoothing)
-    if att.act_spec is not None:
-        xs = fake_quant(xs, att.act_spec)
-    if att.weight_spec is not None and not att.pre_quantized:
-        ws = fake_quant(ws, att.weight_spec, _applied_state(att.weight_state))
-    out = xs @ ws
+        out = np.empty((x2d.shape[0], ws.shape[1]))
+        for rows in row_blocks(*x2d.shape):
+            xs = x2d[rows]
+            if att.smoothing is not None:
+                xs = smooth_activation(xs, att.smoothing)
+            if att.act_spec is not None:
+                xs = fake_quant(xs, att.act_spec)
+            np.matmul(xs, ws, out=out[rows])
     out += bs
     return out
+
+
+def row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Consecutive row slices covering n_rows rows, each about _BLOCK_FLOATS floats of width columns.
+
+    No block has fewer than _MIN_BLOCK_ROWS rows, unless n_rows itself
+    does: a shorter tail joins the block before it.
+    """
+    size = max(_BLOCK_FLOATS // width, _MIN_BLOCK_ROWS)
+    starts = list(range(0, n_rows, size)) or [0]
+    if len(starts) > 1 and n_rows - starts[-1] < _MIN_BLOCK_ROWS:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])]
+
+
+def _attention(q, k, v, bsz, h, keep, causal):
+    """Causal attention of (bsz * t, d) projections q, k, v; returns the (bsz * t, d) context.
+
+    One sequence at a time: its (h, t, t) scores are scaled, masked,
+    softmaxed and applied before the next sequence's are computed. Each
+    matmul is one of the 2-D (sequence, head) products numpy runs for the
+    batched (bsz, h, t, t) form, so the bytes are those of that form.
+    """
+    n, d = q.shape
+    t, dh = n // bsz, d // h
+    ctx = np.empty((bsz, t, h, dh))
+    scores = np.empty((h, t, t))  # one buffer for every sequence's scores
+    for s in range(bsz):
+        rows = slice(s * t, (s + 1) * t)
+        qs = q[rows].reshape(t, h, dh).transpose(1, 0, 2)
+        ks = k[rows].reshape(t, h, dh).transpose(1, 0, 2)
+        vs = v[rows].reshape(t, h, dh).transpose(1, 0, 2)
+        np.matmul(qs, ks.transpose(0, 2, 1), out=scores)
+        scores /= np.sqrt(dh)
+        scores += causal
+        np.matmul(_softmax(scores, keep), vs, out=ctx[s].transpose(1, 0, 2))
+    return ctx.reshape(n, d)
 
 
 def _applied_state(state: QuantState) -> QuantState:
@@ -401,13 +465,21 @@ def _softmax(x, keep=None):
 
 
 def _gelu(x):
-    """Exact GELU 0.5 * x * (1 + erf(x / sqrt 2)), computed in x and returned."""
-    t = x / np.sqrt(2.0)
-    erf(t, out=t)
-    t += 1.0
-    x *= 0.5
-    x *= t
-    return x
+    """Exact GELU 0.5 * x * (1 + erf(x / sqrt 2)), returned; computed in x where x is C-contiguous.
+
+    The erf buffer covers one row block (row_blocks) of x's last axis at a
+    time, not all of x; every step is elementwise, so the bytes are those
+    of one pass.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    for block in row_blocks(*rows.shape):
+        xb = rows[block]
+        t = xb / np.sqrt(2.0)
+        erf(t, out=t)
+        t += 1.0
+        xb *= 0.5
+        xb *= t
+    return rows.reshape(x.shape)
 
 
 def token_cross_entropy(logits: Tensor, targets) -> Tensor:

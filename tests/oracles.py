@@ -7,7 +7,9 @@ one Fraction, the reference transformer walks positions and heads one at
 a time, the closed-form smoothing candidates are written channel by channel
 and scored by a full layer evaluation each, the clamp-bound search takes a
 full layer evaluation per bound move, and the forward's elementwise helpers
-are written out of place, one new array per operation.
+are written out of place, one new array per operation. The batched forward
+is the all-rows composition: every sequence's attention matrices at once
+and one pass of each linear over every row.
 The order of the ZO view is a walk over the model written out by hand.
 The per-group (min, max, absmax) reduction lives here too: only tests use it.
 """
@@ -21,9 +23,9 @@ from numpy.random import Generator, Philox
 from scipy.special import erf, ndtri
 
 from zoqlab.calibration import _MOVES, _LayerObjective
-from zoqlab.model import LIGHTWEIGHT_TRAINABLE, LINEAR_NAMES, regrid_weight_state
-from zoqlab.quantizer import clamp_bounds, to_groups
-from zoqlab.smoothing import SCALE_CEIL, SCALE_FLOOR, SmoothingParams
+from zoqlab.model import LIGHTWEIGHT_TRAINABLE, LINEAR_NAMES, _applied_state, regrid_weight_state
+from zoqlab.quantizer import clamp_bounds, fake_quant, to_groups
+from zoqlab.smoothing import SCALE_CEIL, SCALE_FLOOR, SmoothingParams, apply_smoothing, smooth_activation
 
 
 def naive_matmul(a, b):
@@ -162,6 +164,63 @@ def reference_transformer_logits(model, tokens):
         [[sum(v[j] * model.embed[tok, j] for j in range(d)) for tok in range(cfg.vocab_size)] for v in final]
     )
     return logits
+
+
+def all_rows_linear(x2d, lin, mode):
+    """One linear as one pass over every row: smoothing, per-token fake-quant of the whole matrix, one GEMM.
+
+    The composition of model.linear_forward before it streamed row blocks.
+    """
+    att = lin.att
+    if mode == "fp" or att.bypassed:
+        return x2d @ lin.w + lin.b
+    xs, ws, bs = x2d, lin.w, lin.b
+    if att.smoothing is not None:
+        if att.pre_quantized:
+            xs = smooth_activation(x2d, att.smoothing)
+        else:
+            xs, ws, bs = apply_smoothing(x2d, lin.w, lin.b, att.smoothing)
+    if att.act_spec is not None:
+        xs = fake_quant(xs, att.act_spec)
+    if att.weight_spec is not None and not att.pre_quantized:
+        ws = fake_quant(ws, att.weight_spec, _applied_state(att.weight_state))
+    return xs @ ws + bs
+
+
+def batched_forward(model, tokens, mode="qat", capture=None):
+    """(bsz, t, vocab) logits of (bsz, t) or (t,) tokens from the all-rows composition of the forward.
+
+    Every sequence's (bsz, h, t, t) attention matrices are computed at once,
+    each linear is all_rows_linear over all bsz * t rows, and the elementwise
+    helpers are the out-of-place formulas. capture, when given, collects
+    each linear's input as ModelGraph.forward does.
+    """
+    tokens = np.atleast_2d(tokens)
+    bsz, t = tokens.shape
+    d, h = model.config.d_model, model.config.n_heads
+    dh = d // h
+    causal = np.where(np.tri(t, dtype=bool), 0.0, -np.inf)
+
+    def heads(y):
+        return y.reshape(bsz, t, h, dh).transpose(0, 2, 1, 3)
+
+    x = model.embed[tokens] + model.pos[:t]
+    for bi, block in enumerate(model.blocks):
+
+        def linear(x2d, name):
+            if capture is not None:
+                capture.setdefault(f"block{bi}.{name}", []).append(x2d.copy())
+            return all_rows_linear(x2d, block.linears[name], mode)
+
+        a = out_of_place_layer_norm(x, block.ln1_gain, block.ln1_bias).reshape(bsz * t, d)
+        q, k, v = (heads(linear(a, name)) for name in ("attn_q", "attn_k", "attn_v"))
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + causal
+        ctx = (out_of_place_softmax(scores) @ v).transpose(0, 2, 1, 3).reshape(bsz * t, d)
+        x = x + linear(ctx, "attn_o").reshape(bsz, t, d)
+        m = out_of_place_layer_norm(x, block.ln2_gain, block.ln2_bias).reshape(bsz * t, d)
+        u = out_of_place_gelu(linear(m, "mlp_up"))
+        x = x + linear(u, "mlp_down").reshape(bsz, t, d)
+    return out_of_place_layer_norm(x, model.ln_f_gain, model.ln_f_bias) @ model.embed.T
 
 
 def reference_trainable_entries(model, include_quant_affine):

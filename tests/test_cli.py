@@ -206,6 +206,19 @@ def test_diag_prints_measured_memory_next_to_the_model(trained_checkpoint, tmp_p
     assert modelled <= int(forward.group(1)) <= int(step.group(1))
 
 
+def test_diag_prints_the_peak_rss_after_the_tracemalloc_peaks(trained_checkpoint, tmp_path, capsys):
+    ckpt = tmp_path / "final.ckpt"
+    ckpt.write_bytes(trained_checkpoint)
+    capsys.readouterr()
+    assert cli.main(["diag", str(ckpt), "--metrics-dir", str(tmp_path / "m")]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    rss = re.fullmatch(r"peak RSS: (\d+) bytes \(whole process, with the interpreter and imports .*\)", lines[-1])
+    forward = re.fullmatch(r"  forward: (\d+) bytes .*", lines[-3])
+    assert rss and forward and lines[-2].startswith("  zo_step: "), lines[-3:]
+    # the process holds at least what one forward allocated
+    assert int(rss.group(1)) >= int(forward.group(1))
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
 def test_checkpoint_with_a_bad_smoothing_scale_is_refused(tiny_config, tmp_path, bad):
     assert train(tiny_config, tmp_path / "run") == cli.EXIT_OK
