@@ -74,6 +74,9 @@ _STATE = {
     "uinteger": 0,
 }
 _SHIFT = np.uint64(11)  # 64 - 53: keep the top 53 bits of a draw
+# float64 scalars: an in-place op with a Python float converts it on every call
+_HALF = np.float64(0.5)
+_ULP53 = np.float64(2.0**-53)
 
 # mallopt parameter numbers from glibc's <malloc.h>, and the pinned values
 _M_TRIM_THRESHOLD = -1
@@ -124,8 +127,8 @@ def uniforms_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
         raw = _PHILOX.random_raw(offset + int(n))[offset:]
     # top 53 bits, centered into the open interval so ndtri stays finite
     u = (raw >> _SHIFT).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
+    u += _HALF
+    u *= _ULP53
     return u
 
 

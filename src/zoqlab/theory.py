@@ -26,11 +26,13 @@ to that formula on the production draws, and tier-1 tests pin the draws:
 normals_at's moments and streams, and ParamView.direction's zero mean and
 identity covariance across steps.
 
-The quadrature oracle, scipy.integrate, is imported by the first
-gaussian_tail_identities call, not by this module. Importing it costs about
-25 MiB of resident memory and 0.3 s, and cli imports this module, so at module
-level every command (train, eval, calibrate, quantize, diag) would pay for a
-library only verify uses.
+The oracles' memory is bounded. The Monte-Carlo oracle reduces each chunk of
+samples in blocks of at most _BLOCK_FLOATS floats when the dimension is 2 or
+more, with the bytes of the whole-chunk sum; a 1-D oracle keeps whole chunks,
+because numpy sums a column pairwise and a split would change its bytes (see
+oracle_grad_smoothed). The quadrature oracle is a fixed Gauss-Legendre rule
+in numpy (tail_quadrature). No command loads scipy.integrate, which would add
+about 25 MiB of resident memory and 0.3 s to every process that imported it.
 """
 
 from __future__ import annotations
@@ -195,7 +197,9 @@ class OracleEstimate:
         return float(np.linalg.norm(self.grad))
 
 
+# Samples per chunk, and floats per block of a chunk; see oracle_grad_smoothed.
 _CHUNK = 1 << 17
+_BLOCK_FLOATS = 1 << 15
 
 
 def oracle_grad_smoothed(
@@ -207,6 +211,16 @@ def oracle_grad_smoothed(
     subtracted constant leaves the mean untouched (E[U] = 0) and tames the
     variance. form 'antithetic' averages the symmetric two-point difference
     quotient times U, the same formula the production estimator uses.
+
+    Samples are summed in chunks of _CHUNK. When dim >= 2, each chunk is
+    drawn and reduced in blocks of at most _BLOCK_FLOATS floats, so a call
+    holds O(_BLOCK_FLOATS) floats whatever the sample count; the sums carried
+    from a chunk's earlier blocks are added to the first row of the next
+    block's terms and squares. numpy sums axis 0 of a C-contiguous (m, dim)
+    array row by row, and PCG64 draws are sequential, so the result has the
+    bytes of one block per chunk. An (m, 1) column is summed pairwise
+    instead, and splitting it would change the bytes, so dim 1 keeps whole
+    chunks.
     """
     if samples < 1000:
         raise DataError("oracle needs at least 1e3 samples")
@@ -215,25 +229,41 @@ def oracle_grad_smoothed(
     w = np.asarray(w, dtype=np.float64)
     rng = np.random.default_rng(seed)
     d = obj.dim
+    block = _CHUNK if d == 1 else max(1, _BLOCK_FLOATS // d)
     s1 = np.zeros(d)
     s2 = np.zeros(d)
     base = obj.loss(w)
     done = 0
     while done < samples:
         m = min(_CHUNK, samples - done)
-        u = rng.normal(size=(m, d))
-        lp = obj.loss_batch(w + obj.epsilon * u)
-        if form == "score":
-            terms = ((lp - base) / obj.epsilon)[:, None] * u
-        else:
-            lm = obj.loss_batch(w - obj.epsilon * u)
-            terms = ((lp - lm) / (2 * obj.epsilon))[:, None] * u
-        s1 += terms.sum(axis=0)
-        s2 += (terms * terms).sum(axis=0)
+        sums = None
+        for lo in range(0, m, block):
+            u = rng.normal(size=(min(block, m - lo), d))
+            sums = _block_sums(obj, w, base, form, u, sums)
+        s1 += sums[0]
+        s2 += sums[1]
         done += m
     mean = s1 / samples
     var = np.maximum(s2 / samples - mean * mean, 0.0)
     return OracleEstimate(grad=mean, se=np.sqrt(var / samples), samples=samples)
+
+
+def _block_sums(obj: SmoothedObjective, w, base: float, form: str, u, carried):
+    """Column sums of the terms and squares of the block drawn in u, continuing carried's.
+
+    A function of its own, so that no array of a block outlives it.
+    """
+    lp = obj.loss_batch(w + obj.epsilon * u)
+    if form == "score":
+        terms = ((lp - base) / obj.epsilon)[:, None] * u
+    else:
+        lm = obj.loss_batch(w - obj.epsilon * u)
+        terms = ((lp - lm) / (2 * obj.epsilon))[:, None] * u
+    squares = terms * terms
+    if carried is not None:
+        terms[0] += carried[0]
+        squares[0] += carried[1]
+    return terms.sum(axis=0), squares.sum(axis=0)
 
 
 def _worst_z(a: OracleEstimate, b: OracleEstimate) -> float:
@@ -365,30 +395,48 @@ def mse_q_scaling_slope(
 # Gaussian tail identities
 # ---------------------------------------------------------------------------
 
-def gaussian_tail_identities(t: float) -> CheckRow:
-    """E[|U| 1{|U|>=t}], E[U^2 1{|U|>=t}], P(|U|>=t): closed form vs quadrature.
+# Unit panels of the tail quadrature, on [t, t + _TAIL_PANELS]; phi(t + 40)
+# < 1e-300, so the truncated tail is below float64 resolution of the integrals.
+_TAIL_PANELS = 40
 
-    The first call imports scipy.integrate (about 25 MiB and 0.3 s), which no
-    other command needs; see the module docstring.
-    """
-    if t < 0:
-        raise DataError("tail threshold must be nonnegative")
-    from scipy import integrate
 
-    analytic = (
+def tail_closed_forms(t: float) -> tuple[float, float, float]:
+    """E[|U| 1{|U|>=t}], E[U^2 1{|U|>=t}] and P(|U|>=t), from phi and erfc."""
+    return (
         2.0 * float(norm_pdf(t)),
         2.0 * (t * float(norm_pdf(t)) + float(norm_sf(t))),
         2.0 * float(norm_sf(t)),
     )
-    quad = tuple(
-        2.0 * integrate.quad(f, t, np.inf, epsabs=1e-13, epsrel=1e-13)[0]
-        for f in (
-            lambda u: u * norm_pdf(u),
-            lambda u: u * u * norm_pdf(u),
-            lambda u: norm_pdf(u),
-        )
-    )
-    diff = max(abs(a - b) for a, b in zip(analytic, quad))
+
+
+def tail_quadrature(t: float, nodes: int = 32) -> tuple[float, float, float]:
+    """tail_closed_forms' three integrals by Gauss-Legendre quadrature of phi.
+
+    A nodes-point rule on each of _TAIL_PANELS unit panels of [t, t + 40].
+    It integrates phi = exp(-u^2/2)/sqrt(2 pi) directly and uses no erfc, so
+    it is independent of the closed forms it checks. numpy.polynomial is
+    imported here, not at module level, so that no command pays for it at
+    import even where scipy.special does not load it already.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    x, weights = leggauss(nodes)
+    u = t + np.arange(_TAIL_PANELS)[:, None] + 0.5 * (x + 1.0)
+    panel_weights = 0.5 * weights
+    phi = norm_pdf(u)
+    return tuple(2.0 * float(np.sum(f * panel_weights)) for f in (u * phi, u * u * phi, phi))
+
+
+def gaussian_tail_identities(t: float) -> CheckRow:
+    """E[|U| 1{|U|>=t}], E[U^2 1{|U|>=t}], P(|U|>=t): closed form vs quadrature.
+
+    The row measures the largest of the three differences between
+    tail_closed_forms and tail_quadrature; a correct closed form sits within
+    rounding of the quadrature, far under the 1e-10 limit.
+    """
+    if t < 0:
+        raise DataError("tail threshold must be nonnegative")
+    diff = max(abs(a - b) for a, b in zip(tail_closed_forms(t), tail_quadrature(t)))
     return _at_most("gaussian_tail_identities", f"t={t}", diff, 1e-10)
 
 

@@ -12,6 +12,8 @@ is the all-rows composition: every sequence's attention matrices at once
 and one pass of each linear over every row.
 The order of the ZO view is a walk over the model written out by hand.
 The per-group (min, max, absmax) reduction lives here too: only tests use it.
+The Monte-Carlo theory oracle is here as it was before it reduced in blocks:
+one (m, d) array per chunk of samples.
 """
 
 import math
@@ -444,3 +446,28 @@ def greedy_bound_search(obj, state, loss, passes):
             break
         state, loss = cand, cand_loss
     return state, loss
+
+
+def whole_chunk_oracle(obj, w, samples, seed, form, chunk):
+    """theory.oracle_grad_smoothed's (grad, se), drawing and summing each chunk at once."""
+    w = np.asarray(w, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    s1 = np.zeros(obj.dim)
+    s2 = np.zeros(obj.dim)
+    base = obj.loss(w)
+    done = 0
+    while done < samples:
+        m = min(chunk, samples - done)
+        u = rng.normal(size=(m, obj.dim))
+        lp = obj.loss_batch(w + obj.epsilon * u)
+        if form == "score":
+            terms = ((lp - base) / obj.epsilon)[:, None] * u
+        else:
+            lm = obj.loss_batch(w - obj.epsilon * u)
+            terms = ((lp - lm) / (2 * obj.epsilon))[:, None] * u
+        s1 += terms.sum(axis=0)
+        s2 += (terms * terms).sum(axis=0)
+        done += m
+    mean = s1 / samples
+    var = np.maximum(s2 / samples - mean * mean, 0.0)
+    return mean, np.sqrt(var / samples)

@@ -7,6 +7,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 import zoqlab.zo
 from zoqlab import cli, theory
 from zoqlab.numerics import normals_at
+
+from oracles import whole_chunk_oracle
 
 QUICK_ESTIMATES, QUICK_ORACLE_SAMPLES = 20_000, 100_000
 QUICK_TRIALS = 1000
@@ -127,37 +130,139 @@ def test_estimator_driven_rows_keep_their_bytes():
 
 
 def test_tail_identity_rows_keep_their_bytes():
-    """repr(measured) of the five gaussian_tail_identities rows of `verify`."""
+    """repr(measured) of the five gaussian_tail_identities rows of `verify`.
+
+    Re-recorded when the quadrature oracle moved from scipy.integrate.quad to
+    tail_quadrature's fixed Gauss-Legendre rule; the 1e-10 limit is unchanged.
+    """
     got = {t: repr(theory.gaussian_tail_identities(t).measured) for t in (0.0, 0.5, 1.0, 2.0, 5.0)}
     assert got == {
-        0.0: "2.220446049250313e-16",
+        0.0: "1.1102230246251565e-16",
         0.5: "1.1102230246251565e-16",
-        1.0: "1.1102230246251565e-16",
-        2.0: "2.7755575615628914e-17",
-        5.0: "1.3552527156068805e-20",
+        1.0: "0.0",
+        2.0: "0.0",
+        5.0: "2.0328790734103208e-20",
     }
 
 
-IMPORTS_INTEGRATE = """
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_closed_form_off_by_1e_9_fails_the_tail_row(monkeypatch, t, k):
+    closed_forms = theory.tail_closed_forms
+
+    def off(t):
+        values = list(closed_forms(t))
+        values[k] += 1e-9
+        return tuple(values)
+
+    monkeypatch.setattr(theory, "tail_closed_forms", off)
+    row = theory.gaussian_tail_identities(t)
+    assert not row.passed and row.measured > 9e-10, row.line()
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 5.0])
+def test_the_tail_rule_agrees_with_one_of_twice_the_nodes(t):
+    got, finer = theory.tail_quadrature(t), theory.tail_quadrature(t, nodes=64)
+    assert max(abs(a - b) for a, b in zip(got, finer)) <= 1e-15
+
+
+NO_SCIPY_INTEGRATE = """
 import sys
+import numpy, scipy.special
+
+def polynomial():
+    return sorted(name for name in sys.modules if name.startswith("numpy.polynomial"))
+
+# scipy.special may load numpy.polynomial itself; zoqlab must add none of it
+loaded_by_scipy = polynomial()
 import zoqlab, zoqlab.cli, zoqlab.theory
-print("scipy.integrate" in sys.modules)
-zoqlab.theory.gaussian_tail_identities(0.5)
+assert polynomial() == loaded_by_scipy, polynomial()
+for t in (0.0, 0.5, 1.0, 2.0, 5.0):
+    assert zoqlab.theory.gaussian_tail_identities(t).passed
+zoqlab.theory.mills_bound_gap(numpy.linspace(1e-3, 10.0, 2000))
 print("scipy.integrate" in sys.modules)
 """
 
 
-def test_only_the_tail_identity_row_imports_scipy_integrate():
-    # a fresh interpreter, because other tests load scipy.integrate into this one;
-    # at module level it would cost every command ~25 MiB of peak RSS
+def test_no_command_loads_scipy_integrate():
+    # a fresh interpreter, because other modules' tests may load scipy.integrate
+    # into this one; it would cost a process ~25 MiB of peak RSS
     env = dict(os.environ)
     src = str(Path(zoqlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", IMPORTS_INTEGRATE],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        [sys.executable, "-c", NO_SCIPY_INTEGRATE],
+        env=env, capture_output=True, text=True, timeout=120,
     )
-    assert run.stdout.split() == ["False", "True"]
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
+
+
+def test_oracle_rows_keep_their_bytes(quick_report):
+    """repr(measured) of the Monte-Carlo oracle's rows of `verify --quick --seed 0`.
+
+    Recorded with whole-chunk oracle sums, before the oracle reduced chunks
+    in blocks; a block size must not change them.
+    """
+    got = [
+        (row.config.split(" alpha=")[0], repr(row.measured))
+        for row in quick_report.rows
+        if row.name in ("zo_unbiasedness", "oracle_self_consistency")
+    ]
+    assert got == [
+        ("kind=linear d=8 step=0.0 eps=0.01", "1.3373647923662335"),
+        ("kind=linear d=8 step=0.1 eps=0.01", "2.6391432805612927"),
+        ("kind=quadratic d=8 step=0.0 eps=0.01", "1.743300968495485"),
+        ("kind=quadratic d=8 step=0.1 eps=0.01", "1.8837961437374824"),
+        ("d=4 linear step=0.1", "1.0248969565651276"),
+    ]
+
+
+def _objectives(dim):
+    return (
+        theory.SmoothedObjective("linear", dim=dim, epsilon=1e-2, quant_step=0.1, lipschitz=2.0),
+        theory.SmoothedObjective("quadratic", dim=dim, epsilon=1e-2),
+    )
+
+
+@pytest.mark.parametrize("chunk", [theory._CHUNK, 100])
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("form", ["score", "antithetic"])
+def test_blocked_oracle_keeps_the_bytes_of_one_block_per_chunk(monkeypatch, chunk, rows, dim, form):
+    # 1,003 samples: no multiple of 3, 7 or 100, so the last block and chunk are partial;
+    # dim 1 keeps whole chunks whatever the block size
+    monkeypatch.setattr(theory, "_CHUNK", chunk)
+    monkeypatch.setattr(theory, "_BLOCK_FLOATS", rows * dim)
+    w = np.linspace(-0.3, 0.4, dim)
+    for obj in _objectives(dim):
+        blocked = theory.oracle_grad_smoothed(obj, w, 1003, seed=9, form=form)
+        grad, se = whole_chunk_oracle(obj, w, 1003, 9, form, chunk)
+        assert blocked.grad.tobytes() == grad.tobytes()
+        assert blocked.se.tobytes() == se.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_the_oracle_keeps_its_bytes_across_full_chunks(dim):
+    # the default block and chunk sizes, over two full chunks and a partial third
+    samples = 2 * theory._CHUNK + 4099
+    w = np.linspace(-0.3, 0.4, dim)
+    for obj in _objectives(dim):
+        got = theory.oracle_grad_smoothed(obj, w, samples, seed=4, form="antithetic")
+        grad, se = whole_chunk_oracle(obj, w, samples, 4, "antithetic", theory._CHUNK)
+        assert (got.grad.tobytes(), got.se.tobytes()) == (grad.tobytes(), se.tobytes())
+
+
+def test_an_oracle_call_holds_a_bounded_block():
+    # the whole-chunk oracle peaked at 25.9 MiB here: 100k samples of d=8 at once
+    obj = theory.SmoothedObjective("quadratic", dim=8, epsilon=1e-2, quant_step=0.1)
+    tracemalloc.start()
+    try:
+        theory.oracle_grad_smoothed(obj, theory._W8, 100_000, seed=3, form="antithetic")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
 
 
 def test_mse_bound_draws_each_direction_once(monkeypatch):
