@@ -92,14 +92,9 @@ class _LayerObjective:
             self.w_s, self.b_s = fold_smoothing(self.w, self.b, smoothing)
         self.xq = self.xs if self.aspec is None else fake_quant(self.xs, self.aspec)
 
-    def residual(self, state: QuantState) -> tuple[np.ndarray, np.ndarray]:
-        """(quantized weight, y_fp - quantized output) under the weight state."""
-        wq = fake_quant(self.w_s, self.wspec, state)
-        return wq, self.y_fp - (self.xq @ wq + self.b_s)
-
     def scored(self, state: QuantState) -> tuple[float, np.ndarray]:
         """(loss, y_fp - quantized output) under the weight state."""
-        _, diff = self.residual(state)
+        diff = self.y_fp - (self.xq @ fake_quant(self.w_s, self.wspec, state) + self.b_s)
         return float(np.mean(diff * diff)), diff
 
     def eval(self, state: QuantState) -> float:
@@ -245,7 +240,7 @@ def _search_bounds(obj, state, loss, resid=None, passes=_INNER_STEPS):
     spec = obj.wspec
     grid = _BoundGrid(obj, state)
     if resid is None:
-        _, resid = obj.residual(state)
+        resid = obj.scored(state)[1]
     corr = resid.T @ obj.xq
     for _ in range(passes):
         lo, hi = clamp_bounds(spec, state)

@@ -45,10 +45,12 @@ from .numerics import read_exact, read_tensor, uniforms_at, write_tensor
 from .zo import GROUP_ORDER, ZoConfig, zo_step
 
 _CKPT_MAGIC = b"ZQLB-CKP"
-# Version 2 dropped the per-layer "trainable" flag, which version 1 readers
-# require; this loader reads both.
-_CKPT_VERSION = 2
-_CKPT_READABLE = (1, 2)
+# Version 2 dropped the per-layer "trainable" flag, and version 3 the flags
+# "quantized", "has_smoothing" and "has_state" and the "rng" entry, all of
+# which the config and the tensor list already state. Earlier readers require
+# them; one reader serves versions 1 to 3, since it reads none of them.
+_CKPT_VERSION = 3
+_CKPT_READABLE = (1, 2, 3)
 
 # stream-id namespaces of the master seed; direction streams (step << 32) | i
 # stay below 2^62, since zo.direction_stream_id refuses steps of 2^30 or more
@@ -153,6 +155,8 @@ class RunConfig:
             raise UsageError(
                 f"group size {self.group_size} does not divide d_model {self.model.d_model}"
             )
+        if self.calib_samples < 1:
+            raise UsageError(f"calibration samples must be >= 1, got {self.calib_samples}")
         if self.zo.seed != self.seed:
             self.zo = replace(self.zo, seed=self.seed)
 
@@ -295,23 +299,20 @@ def save_checkpoint(path: str, cfg: RunConfig, model: ModelGraph, step: int) -> 
     """Atomic single-file checkpoint: manifest plus tensor containers.
 
     The tensors are those of model.tensors(), in its order; the manifest
-    records their names.
+    records their names, the config, the step, the lightweight flag and each
+    layer's pre_quantized flag. Nothing else is stored: the rest of a layer's
+    structure follows from the config and the tensor list (_restore_model),
+    and the ZO streams from the config's seed and the step.
     """
     entries = [(name, getattr(owner, attr)) for name, _, owner, attr in model.tensors()]
-    atts = {}
-    for layer_id, lin in model.iter_attachments():
-        atts[layer_id] = {
-            "pre_quantized": lin.att.pre_quantized,
-            "has_smoothing": lin.att.smoothing is not None,
-            "has_state": lin.att.weight_state is not None,
-            "quantized": lin.att.weight_spec is not None,
-        }
     manifest = {
         "config": cfg.to_dict(),
         "step": step,
         "lightweight": model.lightweight,
-        "rng": {"seed": cfg.seed, "next_step": step},
-        "attachments": atts,
+        "attachments": {
+            layer_id: {"pre_quantized": lin.att.pre_quantized}
+            for layer_id, lin in model.iter_attachments()
+        },
         "tensors": [name for name, _ in entries],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -336,9 +337,8 @@ def load_checkpoint(path: str):
     """Returns (RunConfig, ModelGraph, step). Refuses version mismatches.
 
     A malformed file raises DataError: a truncated one, a manifest that does
-    not parse, a manifest config that fails validation, and a manifest whose
-    config fields, attachments and tensor list do not match the file or one
-    another.
+    not parse, a manifest config that fails validation, and a tensor list
+    that does not match, by name and shape, the slots the config builds.
     """
     try:
         with open(path, "rb") as f:
@@ -362,30 +362,32 @@ def load_checkpoint(path: str):
 
 
 def _restore_model(path: str, manifest: dict, tensors: dict):
-    """Rebuild the model, apply the attachment metadata, then assign the tensors.
+    """Build the config's seed model, then assign the file's tensors to its slots.
 
-    Tensors are assigned by name, so a file may hold them in any order. Older
-    manifests carry a per-layer "trainable" flag; it is ignored, since a
-    layer trains unless it is pre-quantized.
+    One rule serves versions 1 to 3, reading no manifest flag but
+    pre_quantized: a layer whose file lists no state step gets a bare
+    attachment, since every layer with a weight quantizer holds a state and
+    the plan says which have smoothing. Each slot of model.tensors() must
+    then find a tensor of its name and shape, in any order, and no other.
+    A version 1 or 2 file's extra flags and "rng" entry are ignored.
     """
     try:
         cfg = RunConfig.from_dict(manifest["config"])
     except UsageError as e:  # a bad config in a file is bad data, not bad usage
         raise DataError(f"{path}: malformed checkpoint ({e})") from e
     model = build_model(cfg.model, cfg.quant_plan(), cfg.seed)
+    names = manifest["tensors"]
     for layer_id, lin in model.iter_attachments():
-        meta = manifest["attachments"][layer_id]
-        if not meta["quantized"]:
+        if f"{layer_id}.state.step" not in names:
             lin.att = LayerAttachment()
-        if not meta["has_smoothing"]:
-            lin.att.smoothing = None
-        if not meta["has_state"]:
-            lin.att.weight_state = None
-        lin.att.pre_quantized = meta["pre_quantized"]
+        lin.att.pre_quantized = manifest["attachments"][layer_id]["pre_quantized"]
     slots = list(model.tensors())
-    if sorted(name for name, *_ in slots) != sorted(manifest["tensors"]):
-        raise ValueError("the tensor list does not match the config and attachments")
+    if sorted(name for name, *_ in slots) != sorted(names):
+        raise ValueError("the tensor list does not match the config")
     for name, _, owner, attr in slots:
+        want = getattr(owner, attr).shape
+        if tensors[name].shape != want:
+            raise DataError(f"{path}: malformed checkpoint ({name} has shape {tensors[name].shape}; the config builds {want})")
         setattr(owner, attr, tensors[name])
     for layer_id, lin in model.iter_attachments():
         sm = lin.att.smoothing

@@ -27,12 +27,12 @@ normals_at's moments and streams, and ParamView.direction's zero mean and
 identity covariance across steps.
 
 The oracles' memory is bounded. The Monte-Carlo oracle reduces each chunk of
-samples in blocks of at most _BLOCK_FLOATS floats when the dimension is 2 or
-more, with the bytes of the whole-chunk sum; a 1-D oracle keeps whole chunks,
-because numpy sums a column pairwise and a split would change its bytes (see
-oracle_grad_smoothed). The quadrature oracle is a fixed Gauss-Legendre rule
-in numpy (tail_quadrature). No command loads scipy.integrate, which would add
-about 25 MiB of resident memory and 0.3 s to every process that imported it.
+samples in blocks of at most _BLOCK_FLOATS floats, with the bytes of the
+whole-chunk sum at dimension 2 or more and within a few ulps of it at
+dimension 1 (see oracle_grad_smoothed). The quadrature oracle is a fixed
+Gauss-Legendre rule in numpy (tail_quadrature). No command loads
+scipy.integrate, which would add about 25 MiB of resident memory and 0.3 s
+to every process that imported it.
 """
 
 from __future__ import annotations
@@ -212,15 +212,15 @@ def oracle_grad_smoothed(
     variance. form 'antithetic' averages the symmetric two-point difference
     quotient times U, the same formula the production estimator uses.
 
-    Samples are summed in chunks of _CHUNK. When dim >= 2, each chunk is
-    drawn and reduced in blocks of at most _BLOCK_FLOATS floats, so a call
-    holds O(_BLOCK_FLOATS) floats whatever the sample count; the sums carried
-    from a chunk's earlier blocks are added to the first row of the next
-    block's terms and squares. numpy sums axis 0 of a C-contiguous (m, dim)
-    array row by row, and PCG64 draws are sequential, so the result has the
-    bytes of one block per chunk. An (m, 1) column is summed pairwise
-    instead, and splitting it would change the bytes, so dim 1 keeps whole
-    chunks.
+    Samples are summed in chunks of _CHUNK. Each chunk is drawn and reduced
+    in blocks of at most _BLOCK_FLOATS floats, so a call holds
+    O(_BLOCK_FLOATS) floats whatever the sample count; the sums carried from
+    a chunk's earlier blocks are added to the first row of the next block's
+    terms and squares. numpy sums axis 0 of a C-contiguous (m, dim) array
+    row by row when dim >= 2, and PCG64 draws are sequential, so the result
+    has the bytes of one block per chunk. An (m, 1) column is summed
+    pairwise instead, so at dim 1 the blocked sum differs from the
+    whole-chunk sum in the last few bits.
     """
     if samples < 1000:
         raise DataError("oracle needs at least 1e3 samples")
@@ -229,7 +229,7 @@ def oracle_grad_smoothed(
     w = np.asarray(w, dtype=np.float64)
     rng = np.random.default_rng(seed)
     d = obj.dim
-    block = _CHUNK if d == 1 else max(1, _BLOCK_FLOATS // d)
+    block = max(1, _BLOCK_FLOATS // d)
     s1 = np.zeros(d)
     s2 = np.zeros(d)
     base = obj.loss(w)
@@ -300,17 +300,13 @@ def check_unbiasedness(
     estimates: int,
     oracle_samples: int,
     seed: int = 0,
-    estimator=None,
 ) -> CheckRow:
     """Mean of two-point estimates vs the score-function oracle, componentwise Z SE.
 
-    estimator defaults to the antithetic sampler sharing the production
-    formula; passing a different callable (the mutation-test hook) must make
-    the check fail.
+    The two-point estimates come from the antithetic sampler, which shares
+    the production formula.
     """
-    if estimator is None:
-        estimator = lambda o, point, m, s: oracle_grad_smoothed(o, point, m, seed=s, form="antithetic")
-    est = estimator(obj, w, estimates, seed + 1)
+    est = oracle_grad_smoothed(obj, w, estimates, seed=seed + 1, form="antithetic")
     ref = oracle_grad_smoothed(obj, w, oracle_samples, seed=seed + 2, form="score")
     config = f"kind={obj.kind} d={obj.dim} step={obj.quant_step} eps={obj.epsilon} {_FAMILY}"
     return _at_most("zo_unbiasedness", config, _worst_z(est, ref), Z)
@@ -319,7 +315,7 @@ def check_unbiasedness(
 _W8 = np.linspace(-0.61, 0.77, 8)
 
 
-def unbiasedness_rows(seed: int, estimates: int, oracle_samples: int, estimator=None):
+def unbiasedness_rows(seed: int, estimates: int, oracle_samples: int):
     """The suite's zo_unbiasedness rows: linear and quadratic losses, quantizer off and on."""
     return [
         check_unbiasedness(
@@ -328,7 +324,6 @@ def unbiasedness_rows(seed: int, estimates: int, oracle_samples: int, estimator=
             estimates,
             oracle_samples,
             seed=seed + 50 * ki + int(step * 10) + 101,
-            estimator=estimator,
         )
         for ki, kind in enumerate(("linear", "quadratic"))
         for step in (0.0, 0.1)

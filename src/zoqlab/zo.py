@@ -195,6 +195,10 @@ class ZoConfig:
             raise DataError("epsilon must be positive")
         if self.directions < 1:
             raise DataError("direction count must be >= 1")
+        if self.batch_size < 1:
+            raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.steps < 0:
+            raise DataError(f"steps must be >= 0, got {self.steps}")
         if self.chunk_size < 1:
             raise DataError("chunk_size must be >= 1")
         for label in GROUP_ORDER:

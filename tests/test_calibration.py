@@ -89,7 +89,7 @@ def layer_points(plan):
 def base_bound_changes(obj, state):
     """Every group's move changes as the search scores them, all from the residual at state."""
     grid = _BoundGrid(obj, state)
-    _, resid = obj.residual(state)
+    resid = obj.scored(state)[1]
     lo, hi = clamp_bounds(obj.wspec, state)
     change = np.empty((4, state.n_groups))
     for k in range(grid.slots):

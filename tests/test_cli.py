@@ -5,10 +5,11 @@ import re
 import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from zoqlab import cli, diagnostics, theory
-from zoqlab.calibration import rtn_quantize
+from zoqlab.calibration import calibrate_model, capture_activations, rtn_quantize
 from zoqlab.errors import NumericError
 from zoqlab.model import ModelConfig, QuantPlan, build_model, set_lightweight
 from zoqlab.numerics import read_tensor, write_tensor
@@ -160,6 +161,27 @@ def test_bit_widths_are_range_checked_from_a_config_file_and_from_the_flag(tmp_p
     assert message in err, err
 
 
+@pytest.mark.parametrize(
+    "command, old, new, code, message",
+    [
+        ("train", "steps = 2", "steps = 2\nbatch_size = 0", cli.EXIT_DATA, "batch_size must be >= 1, got 0"),
+        ("train", "steps = 2", "steps = 2\nbatch_size = -2", cli.EXIT_DATA, "batch_size must be >= 1, got -2"),
+        ("train", "steps = 2", "steps = -1", cli.EXIT_DATA, "steps must be >= 0, got -1"),
+        ("calibrate", "samples = 1", "samples = -3", cli.EXIT_USAGE, "calibration samples must be >= 1, got -3"),
+    ],
+    ids=["batch size 0", "batch size -2", "steps -1", "calibration samples -3"],
+)
+def test_out_of_range_run_sizes_exit_with_their_code(tmp_path, capsys, command, old, new, code, message):
+    config = tmp_path / "sizes.ini"
+    config.write_text(TINY_INI.replace(old, new))
+    dirs = ["--checkpoint-dir", str(tmp_path / "ckpt"), "--metrics-dir", str(tmp_path / "metrics")]
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config), *dirs]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+    assert not (tmp_path / "ckpt").exists()
+
+
 def test_config_file_keys_reach_their_fields(tmp_path):
     config = tmp_path / "full.ini"
     extra = "[quant]\nnotation = W2A16g8\nw_bits = 3\n\n[run]\nseed = 7\n"
@@ -288,16 +310,20 @@ def edit_manifest(raw, edit):
         lambda m: m.pop("attachments"),
         lambda m: m["config"]["model"].update(width=3),
         lambda m: m.update(tensors=7),
-        lambda m: m["attachments"]["block0.attn_q"].update(has_smoothing=False),
+        lambda m: [m["tensors"].remove(f"block0.attn_k.smoothing.{part}") for part in ("scale", "shift")],
         lambda m: m["config"]["quant"].update(group_size=5),
+        lambda m: m["tensors"].__setitem__(0, 7),
+        lambda m: m["config"]["quant"].update(a_bits=16),
     ],
     ids=[
         "missing tensor",
         "missing attachments",
         "unknown config field",
         "tensors not a list",
-        "attachments disagree with tensors",
+        "quantized layer without its smoothing",
         "group size does not divide d_model",
+        "tensor name not a string",
+        "smoothing the weight-only config does not build",
     ],
 )
 def test_checkpoint_with_a_bad_manifest_is_a_data_error(trained_checkpoint, tmp_path, capsys, edit):
@@ -411,9 +437,9 @@ def test_run_config_maps_bits_to_a_plan_and_calibration_epochs(fields, plan, epo
 
 def test_checkpoint_of_another_version_is_refused(trained_checkpoint, tmp_path, capsys):
     raw = trained_checkpoint
-    assert struct.unpack("<II", raw[8:16]) == (2, 0)
-    path = tmp_path / "v3.ckpt"
-    path.write_bytes(raw[:8] + struct.pack("<II", 3, 0) + raw[16:])
+    assert struct.unpack("<II", raw[8:16]) == (3, 0)
+    path = tmp_path / "v4.ckpt"
+    path.write_bytes(raw[:8] + struct.pack("<II", 4, 0) + raw[16:])
     capsys.readouterr()
     assert cli.main(["eval", str(path)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
@@ -496,6 +522,89 @@ def test_checkpoint_in_the_earlier_layout_loads_to_the_same_tensors(
     assert got == want
     for (layer_id, a), (_, b) in zip(old.iter_attachments(), new.iter_attachments()):
         assert attachment_flags(a.att) == attachment_flags(b.att), layer_id
+
+
+def with_tensor(raw, name, array):
+    """raw with the tensor called name replaced by array, in place in the tensor order."""
+    start, end = manifest_span(raw)
+    manifest = json.loads(raw[start:end])
+    body, out = io.BytesIO(raw[end:]), io.BytesIO()
+    out.write(raw[:end])
+    for listed in manifest["tensors"]:
+        tensor = read_tensor(body)
+        write_tensor(out, array if listed == name else tensor)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", ["embed", "block0.ln1_gain", "block0.attn_q.w", "block0.attn_q.state.step"])
+def test_checkpoint_with_a_tensor_of_the_wrong_shape_is_a_data_error(trained_checkpoint, tmp_path, capsys, name):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(with_tensor(trained_checkpoint, name, np.zeros(7)))
+    with pytest.raises(cli.DataError, match=rf"malformed checkpoint \({re.escape(name)} has shape \(7,\)"):
+        cli.load_checkpoint(str(path))
+    assert_eval_refuses(path, capsys)
+
+
+def as_version_2(raw, cfg, model, step):
+    """raw, the version-3 file of (cfg, model, step), as version 2 wrote it.
+
+    Version 2 stored four flags per layer and an "rng" entry; version 3
+    keeps only pre_quantized.
+    """
+    start, end = manifest_span(raw)
+    manifest = json.loads(raw[start:end])
+    manifest["rng"] = {"seed": cfg.seed, "next_step": step}
+    for layer_id, lin in model.iter_attachments():
+        manifest["attachments"][layer_id].update(
+            has_smoothing=lin.att.smoothing is not None,
+            has_state=lin.att.weight_state is not None,
+            quantized=lin.att.weight_spec is not None,
+        )
+    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    return raw[:8] + struct.pack("<IIQ", 2, 0, len(blob)) + blob + raw[end:]
+
+
+def calibrated(model):
+    tokens = np.arange(2 * model.config.context).reshape(2, -1) % model.config.vocab_size
+    calibrate_model(model, capture_activations(model, tokens), epochs=1)
+
+
+ROUND_TRIP_PLANS = {
+    "W4A4": {},
+    "W4A16g16": {"a_bits": 16, "group_size": 16},
+    "W3A8g16 symmetric": {"w_bits": 3, "a_bits": 8, "group_size": 16, "scheme": "symmetric"},
+    "fp": {"w_bits": None},
+}
+ROUND_TRIP_STAGES = {
+    "fresh": (),
+    "calibrated": (calibrated,),
+    "lightweight": (set_lightweight,),
+    "RTN": (rtn_quantize,),
+    "RTN then lightweight": (rtn_quantize, set_lightweight),
+    "calibrated then lightweight": (calibrated, set_lightweight),
+}
+
+
+def saved_state(cfg, model, step):
+    tensors = {name: (label, getattr(owner, attr).tobytes()) for name, label, owner, attr in model.tensors()}
+    attachments = {layer_id: attachment_flags(lin.att) for layer_id, lin in model.iter_attachments()}
+    return cfg, step, model.lightweight, tensors, attachments
+
+
+@pytest.mark.parametrize("stage", ROUND_TRIP_STAGES)
+@pytest.mark.parametrize("plan", ROUND_TRIP_PLANS)
+def test_a_checkpoint_in_either_version_loads_to_the_model_saved(tmp_path, plan, stage):
+    config = ModelConfig(d_model=16, n_layers=2, n_heads=2, context=32)
+    cfg = cli.RunConfig(model=config, seed=3, **ROUND_TRIP_PLANS[plan])
+    model = build_model(config, cfg.quant_plan(), cfg.seed)
+    for apply in ROUND_TRIP_STAGES[stage]:
+        apply(model)
+    path, old = tmp_path / "v3.ckpt", tmp_path / "v2.ckpt"
+    cli.save_checkpoint(str(path), cfg, model, 5)
+    old.write_bytes(as_version_2(path.read_bytes(), cfg, model, 5))
+    saved = saved_state(cfg, model, 5)
+    assert saved_state(*cli.load_checkpoint(str(path))) == saved
+    assert saved_state(*cli.load_checkpoint(str(old))) == saved
 
 
 CALIBRATED_INI = TINY_INI.replace("eval_interval = 0", "eval_interval = 2").replace(
