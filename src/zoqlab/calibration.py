@@ -40,21 +40,39 @@ _MOVES = np.array([[0, 1], [0, -1], [-1, 0], [1, 0]])
 
 @dataclass
 class CalibSet:
-    """Per-layer input activations recorded from full-precision forwards."""
+    """Per-layer input activations recorded from full-precision forwards.
 
-    captures: dict[str, list[np.ndarray]]
+    captures maps each attached linear's id to its (rows, d_in) inputs, the
+    sequences' rows in order. Layers that read one input share one array:
+    a block's attn_q, attn_k and attn_v entries are the same object.
+    """
+
+    captures: dict[str, np.ndarray]
 
 
 def capture_activations(model: ModelGraph, corpus_sample) -> CalibSet:
-    """Record each attached linear's full-precision inputs, one capture per sequence."""
+    """Record each attached linear's full-precision inputs, one forward per sequence.
+
+    Each distinct input of the forward fills one preallocated (rows, d_in)
+    array, so a forward's own arrays are held only until they are copied in.
+    """
     corpus_sample = np.asarray(corpus_sample)
     if corpus_sample.size == 0:
         raise DataError("empty calibration corpus")
     if corpus_sample.ndim == 1:
         corpus_sample = corpus_sample[None, :]
-    captures: dict[str, list[np.ndarray]] = {}
-    for row in corpus_sample:
-        model.forward(row, mode="fp", capture=captures)
+    n, t = corpus_sample.shape
+    captures: dict[str, np.ndarray] = {}
+    for i, row in enumerate(corpus_sample):
+        seen: dict[str, list[np.ndarray]] = {}
+        model.forward(row, mode="fp", capture=seen)
+        first_reader: dict[int, str] = {}  # id of an input array -> the first layer that read it
+        for layer_id, (x,) in seen.items():
+            owner = first_reader.setdefault(id(x), layer_id)
+            if i == 0:
+                captures[layer_id] = np.empty((n * t, x.shape[1])) if owner == layer_id else captures[owner]
+            if owner == layer_id:
+                captures[layer_id][i * t : (i + 1) * t] = x
     return CalibSet(captures=captures)
 
 
@@ -70,7 +88,7 @@ class _LayerObjective:
     """Mean squared reconstruction error of one quantized linear layer.
 
     Evaluates the layer as model.linear_forward composes it, with the pieces
-    that depend only on the smoothing (smoothed and quantized input, smoothed
+    that depend only on the smoothing (quantized smoothed input, smoothed
     weight and bias) cached, so the bound search skips the activation
     re-quantization.
     """
@@ -85,43 +103,47 @@ class _LayerObjective:
         self.set_smoothing(smoothing)
 
     def set_smoothing(self, smoothing: SmoothingParams | None):
+        # the old quantized input goes before the new one is built, and
+        # the smoothed input only while it is quantized
+        self.xq = None
         if smoothing is None:
-            self.xs, self.w_s, self.b_s = self.x, self.w, self.b
+            xs, self.w_s, self.b_s = self.x, self.w, self.b
         else:
-            self.xs = smooth_activation(self.x, smoothing)
+            xs = smooth_activation(self.x, smoothing)
             self.w_s, self.b_s = fold_smoothing(self.w, self.b, smoothing)
-        self.xq = self.xs if self.aspec is None else fake_quant(self.xs, self.aspec)
+        self.xq = xs if self.aspec is None else fake_quant(xs, self.aspec)
 
     def scored(self, state: QuantState) -> tuple[float, np.ndarray]:
         """(loss, y_fp - quantized output) under the weight state."""
-        diff = self.y_fp - (self.xq @ fake_quant(self.w_s, self.wspec, state) + self.b_s)
+        diff = self.xq @ fake_quant(self.w_s, self.wspec, state)
+        diff += self.b_s
+        np.subtract(self.y_fp, diff, out=diff)
         return float(np.mean(diff * diff)), diff
 
     def eval(self, state: QuantState) -> float:
         return self.scored(state)[0]
 
 
-def reconstruct_layer(
-    w, b, captures: list[np.ndarray], attachment, epochs: int = 2
-) -> ReconstructionResult:
+def reconstruct_layer(w, b, x, attachment, epochs: int = 2) -> ReconstructionResult:
     """Minimize layer reconstruction error over (scale, shift, clip_lo, clip_hi).
 
-    With epochs > 0, a layer with smoothing first takes the best of its
-    current smoothing and the closed-form candidates (_choose_smoothing),
-    each scored by a full evaluation on a weight grid range-initialized on
-    its smoothed weight. The smoothing is then fixed, and so is that grid's
-    step and zero point: each epoch only searches the integer clamp bounds,
-    up to _INNER_STEPS passes of one-code moves (_search_bounds). A pass is
-    kept only if a full evaluation shows the loss dropped, and a pass that
-    does not drop it ends the search, since every later pass would repeat
-    it. loss_after is the layer's reconstruction loss exactly. epochs=0
+    x is the layer's (rows, d_in) captured input (CalibSet.captures), read
+    in place, not copied. With epochs > 0, a layer with smoothing first
+    takes the best of its current smoothing and the closed-form candidates
+    (_choose_smoothing), each scored by a full evaluation on a weight grid
+    range-initialized on its smoothed weight. The smoothing is then fixed,
+    and so is that grid's step and zero point: each epoch only searches the
+    integer clamp bounds, up to _INNER_STEPS passes of one-code moves
+    (_search_bounds). A pass is kept only if a full evaluation shows the
+    loss dropped, and a pass that does not drop it ends the search, since
+    every later pass would repeat it. loss_after is the layer's reconstruction loss exactly. epochs=0
     returns the range-initialized parameters untouched.
     """
-    if not captures:
-        raise DataError("reconstruct_layer needs at least one capture")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise DataError(f"reconstruct_layer needs at least one capture row (rows, d_in), got {x.shape}")
     if attachment.weight_spec is None:
         raise DataError("reconstruct_layer needs a weight quantizer attachment")
-    x = np.concatenate([np.asarray(c, dtype=np.float64) for c in captures], axis=0)
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     smoothing = attachment.smoothing.copy() if attachment.smoothing is not None else None
@@ -147,12 +169,16 @@ def _smoothing_candidates(x, w):
     clipped to [SCALE_FLOOR, SCALE_CEIL], where a_j = max |x_j - shift_j|
     and w_j is the largest |w| of row j. Both maxima are floored at the
     smallest normal float, so an all-zero channel or row gives a finite
-    scale rather than 0/0.
+    scale rather than 0/0. a_j is max(|hi_j - shift_j|, |lo_j - shift_j|)
+    over the channel's extremes lo_j and hi_j, which is exact: rounded
+    subtraction of a fixed shift is monotone, so the extremes of x_j -
+    shift_j are those of x_j shifted.
     """
     tiny = np.finfo(np.float64).tiny
     w_max = np.maximum(np.abs(w).max(axis=1), tiny)
-    for shift in (np.zeros(x.shape[1]), (x.min(axis=0) + x.max(axis=0)) / 2):
-        a_max = np.maximum(np.abs(x - shift).max(axis=0), tiny)
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    for shift in (np.zeros(x.shape[1]), (lo + hi) / 2):
+        a_max = np.maximum(np.maximum(np.abs(hi - shift), np.abs(lo - shift)), tiny)
         for alpha in _ALPHAS:
             scale = np.clip(a_max**alpha / w_max ** (1 - alpha), SCALE_FLOOR, SCALE_CEIL)
             yield SmoothingParams(scale, shift)
@@ -202,26 +228,34 @@ class _BoundGrid:
         self.step, self.gram = state.step, obj.xq.T @ obj.xq
 
     def changes(self, lo, hi, corr, k):
-        """Summed squared-residual change of every move of slot k's groups, and its weight change.
+        """Summed squared-residual change of every move of slot k's groups, and which weights each moves.
 
         lo and hi are every group's clamp bounds, corr is resid' xq at them.
         Move m of column c's group shifts the weights at or beyond the moved
-        bound by one step, dw[m, c], so over the slot's rows the change is
-        dw' gram dw - 2 corr[c] dw. A move that leaves [q_n, q_p] or breaks
-        lo < hi scores inf.
+        bound by one step, dw = weight_change(beyond, m, c, k), so over the
+        slot's rows the change is dw' gram dw - 2 corr[c] dw. A move that
+        leaves [q_n, q_p] or breaks lo < hi scores inf. Returns (change,
+        beyond): change is (4, columns), beyond[m, c] the mask of the
+        weights move m shifts. The moves are scored one at a time, so only
+        one move's products are held.
         """
         r = slice(k * self.size, (k + 1) * self.size)
         codes, lo, hi = self.codes[k :: self.slots], lo[k :: self.slots, None], hi[k :: self.slots, None]
         beyond = np.stack([codes > hi, codes >= hi, codes < lo, codes <= lo])
-        dw = beyond * (_MOVES.sum(axis=1)[:, None, None] * self.step[k :: self.slots, None])
         new_lo, new_hi = lo.T + _MOVES[:, :1], hi.T + _MOVES[:, 1:]
         feasible = (new_lo >= self.spec.q_n) & (new_hi <= self.spec.q_p) & (new_lo < new_hi)
         change = np.where(feasible, 0.0, np.inf)
         # only moves that change a weight need the products
-        m, c = np.nonzero(feasible & beyond.any(axis=2))
-        live = dw[m, c]
-        change[m, c] = _rowdot(live, live @ self.gram[r, r] - 2 * corr[c, r])
-        return change, dw
+        live = feasible & beyond.any(axis=2)
+        for m in range(len(_MOVES)):
+            (c,) = np.nonzero(live[m])
+            dw = self.weight_change(beyond, m, c, k)
+            change[m, c] = _rowdot(dw, dw @ self.gram[r, r] - 2 * corr[c, r])
+        return change, beyond
+
+    def weight_change(self, beyond, m, c, k):
+        """(len(c), size) weight change of move m (one, or one per column) of slot k's column-c groups."""
+        return beyond[m, c] * (_MOVES.sum(axis=1)[m, None] * self.step[k :: self.slots][c, None])
 
 
 def _search_bounds(obj, state, loss, resid=None, passes=_INNER_STEPS):
@@ -246,13 +280,14 @@ def _search_bounds(obj, state, loss, resid=None, passes=_INNER_STEPS):
         lo, hi = clamp_bounds(spec, state)
         cand = state.copy()
         for k in range(grid.slots):
-            change, dw = grid.changes(lo, hi, corr, k)
+            change, beyond = grid.changes(lo, hi, corr, k)
             best = np.argmin(change, axis=0)
             cols = np.nonzero(change[best, np.arange(best.shape[0])] < 0)[0]
             g, move = cols * grid.slots + k, _MOVES[best[cols]]
             cand.clip_lo[g] = (lo[g] + move[:, 0]) / spec.q_p
             cand.clip_hi[g] = (hi[g] + move[:, 1]) / spec.q_p
-            corr[cols] -= dw[best[cols], cols] @ grid.gram[k * grid.size : (k + 1) * grid.size]
+            dw = grid.weight_change(beyond, best[cols], cols, k)
+            corr[cols] -= dw @ grid.gram[k * grid.size : (k + 1) * grid.size]
         cand_loss = obj.eval(cand)
         if not cand_loss < loss:
             break

@@ -157,6 +157,7 @@ class RunConfig:
             )
         if self.calib_samples < 1:
             raise UsageError(f"calibration samples must be >= 1, got {self.calib_samples}")
+        _check_seed(self.seed)
         if self.zo.seed != self.seed:
             self.zo = replace(self.zo, seed=self.seed)
 
@@ -201,6 +202,12 @@ class RunConfig:
                 if attr not in _OUTPUT_PATHS:
                     updates[attr] = value
         return _updated(cls(), updates)
+
+
+def _check_seed(seed: int) -> None:
+    """Seeds lie in [0, 2^63): Philox keys are uint64, and the theory suite adds up to 303 to its seed."""
+    if not 0 <= seed < 1 << 63:
+        raise UsageError(f"seed must be in [0, 2^63), got {seed}")
 
 
 def _cast(attr: str, text: str):
@@ -260,9 +267,10 @@ def default_corpus_path() -> str:
 def ingest_corpus(path: str, context: int = 128, seed: int = 0):
     """Byte-tokenize a UTF-8 text file into shuffled train/eval chunks (90/10).
 
-    Returns (train, eval) int64 arrays of shape (n, context). The shuffle is
-    a seeded Philox permutation, so the split is a pure function of
-    (file, context, seed).
+    Returns (train, eval) uint8 arrays of shape (n, context): a byte is its
+    own token id, and the embedding lookup and the loss index with uint8
+    exactly as with int64. The shuffle is a seeded Philox permutation, so
+    the split is a pure function of (file, context, seed).
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -272,7 +280,7 @@ def ingest_corpus(path: str, context: int = 128, seed: int = 0):
         data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise DataError(f"corpus {path} is not UTF-8 at byte offset {e.start}") from e
-    tokens = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+    tokens = np.frombuffer(data, dtype=np.uint8)
     n_chunks = tokens.shape[0] // context
     if n_chunks < 1:
         raise DataError(
@@ -470,14 +478,18 @@ def _probe(captures):
 
 
 def _initialize(cfg: RunConfig, train, lightweight: bool):
-    """Build + calibrate (or clipping-only init) per the configured mode."""
+    """Build + calibrate (or clipping-only init) per the configured mode.
+
+    Returns (model, probe, calibration rows). Of the captures only the
+    probe's outlive calibration.
+    """
     model, captures = _seed_model(cfg, train)
     calib_rows = []
     if captures is not None:
         calib_rows = calibrate_model(model, CalibSet(captures), cfg.effective_calib_epochs())
     if lightweight:
         set_lightweight(model)
-    return model, captures, calib_rows
+    return model, _probe(captures), calib_rows
 
 
 def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = None) -> int:
@@ -500,13 +512,12 @@ def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = No
         )
     train, eval_batch = _prepare_data(cfg)
     if resume is not None:
-        _, captures = _seed_model(cfg, train)
+        probe = _probe(_seed_model(cfg, train)[1])
     else:
-        model, captures, calib_rows = _initialize(cfg, train, lightweight)
+        model, probe, calib_rows = _initialize(cfg, train, lightweight)
         start_step = 0
         if calib_rows:
             _write_calibration_csv(cfg.metrics_dir, calib_rows)
-    probe = _probe(captures)
     with (
         _csv_log(os.path.join(cfg.metrics_dir, "train.csv"), TRAIN_HEADER) as write_train,
         _csv_log(os.path.join(cfg.metrics_dir, "diagnostics.csv"), diagnostics.DIAG_HEADER) as write_diag,
@@ -565,6 +576,7 @@ def cmd_eval(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> in
 
 
 def cmd_verify(quick: bool, seed: int, metrics_dir: str) -> int:
+    _check_seed(seed)
     report = theory.run_verification(quick=quick, seed=seed)
     print(report.text())
     header, *rows = report.csv_rows()

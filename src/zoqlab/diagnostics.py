@@ -68,13 +68,14 @@ class TrackRecord:
             )
 
 
-def layer_reconstruction_loss(lin, captures) -> float:
-    """Mean squared gap between the layer's full-precision and quantized outputs.
+def layer_reconstruction_loss(lin, x) -> float:
+    """Mean squared gap between the layer's full-precision and quantized outputs on input x.
 
-    The full-precision reference uses the layer's current master weights; for
+    x is the layer's (rows, d_in) captured input (CalibSet.captures). The
+    full-precision reference uses the layer's current master weights; for
     a bypassed attachment the gap is exactly zero.
     """
-    x = np.concatenate([np.asarray(c, dtype=np.float64) for c in captures], axis=0)
+    x = np.asarray(x, dtype=np.float64)
     y_fp = x @ lin.w + lin.b
     y_q = linear_forward(x, lin, mode="qat")
     diff = y_fp - y_q
@@ -84,7 +85,7 @@ def layer_reconstruction_loss(lin, captures) -> float:
 def track(
     model: ModelGraph,
     eval_set,
-    layer_probe_set: dict[str, list] | None,
+    layer_probe_set: dict[str, np.ndarray] | None,
     step: int = 0,
     train_loss: float = float("nan"),
     cfg: ZoConfig | None = None,

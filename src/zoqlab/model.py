@@ -50,6 +50,9 @@ class ModelConfig:
     context: int = 128
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "context"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise DataError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -137,8 +140,11 @@ class ModelGraph:
     def forward(self, tokens, mode: str = "qat", capture=None) -> Tensor:
         """Causal forward pass; returns logits of shape tokens.shape + (vocab,).
 
-        capture, when given, is a dict filled with per-linear input
-        activations keyed by "block{i}.{name}".
+        capture, when given, is a dict of lists keyed by "block{i}.{name}":
+        each linear appends the (bsz * t, d_in) input it read. These are the
+        forward's own arrays, not copies; the forward never writes one after
+        its linear reads it. attn_q, attn_k and attn_v read one normed input,
+        so their lists get the same array.
 
         The forward holds only live activations: each is dropped after its
         last reader, attention runs one sequence at a time (_attention), and
@@ -200,7 +206,7 @@ class ModelGraph:
     def _linear(self, x2d, block, block_idx, name, mode, capture):
         lin = block.linears[name]
         if capture is not None:
-            capture.setdefault(f"block{block_idx}.{name}", []).append(x2d.copy())
+            capture.setdefault(f"block{block_idx}.{name}", []).append(x2d)
         return linear_forward(x2d, lin, mode)
 
     def loss(self, batch, mode: str = "qat") -> float:

@@ -77,6 +77,7 @@ _SHIFT = np.uint64(11)  # 64 - 53: keep the top 53 bits of a draw
 # float64 scalars: an in-place op with a Python float converts it on every call
 _HALF = np.float64(0.5)
 _ULP53 = np.float64(2.0**-53)
+_BELOW_ONE = np.float64(1.0 - 2.0**-53)  # the largest float64 below 1
 
 # mallopt parameter numbers from glibc's <malloc.h>, and the pinned values
 _M_TRIM_THRESHOLD = -1
@@ -117,7 +118,13 @@ pin_heap_thresholds()
 # ---------------------------------------------------------------------------
 
 def uniforms_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
-    """Uniform(0, 1) draws; one 64-bit draw per value, endpoints excluded."""
+    """Uniform(0, 1) draws; one 64-bit draw per value, endpoints excluded.
+
+    The top 53 bits k of a draw map to (k + 1/2) * 2^-53. For k = 2^53 - 1
+    (draws from 2^64 - 2^11 up) the sum rounds to 2^53, so that value is
+    clamped to the largest float below 1 and ndtri stays finite. Every
+    other k maps to at most 1 - 2^-52, which the clamp leaves as it is.
+    """
     block, offset = divmod(int(position), _PHILOX_BLOCK)
     with _PHILOX_LOCK:
         _COUNTER[0] = block
@@ -129,7 +136,7 @@ def uniforms_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
     u = (raw >> _SHIFT).astype(np.float64)
     u += _HALF
     u *= _ULP53
-    return u
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def normals_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:

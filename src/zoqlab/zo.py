@@ -191,8 +191,8 @@ class ZoConfig:
     train_quant_affine: bool = True
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DataError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:  # also false for NaN
+            raise DataError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.directions < 1:
             raise DataError("direction count must be >= 1")
         if self.batch_size < 1:

@@ -195,7 +195,8 @@ def batched_forward(model, tokens, mode="qat", capture=None):
     Every sequence's (bsz, h, t, t) attention matrices are computed at once,
     each linear is all_rows_linear over all bsz * t rows, and the elementwise
     helpers are the out-of-place formulas. capture, when given, collects
-    each linear's input as ModelGraph.forward does.
+    each linear's input as ModelGraph.forward does: the array itself, one
+    array for attn_q, attn_k and attn_v.
     """
     tokens = np.atleast_2d(tokens)
     bsz, t = tokens.shape
@@ -211,7 +212,7 @@ def batched_forward(model, tokens, mode="qat", capture=None):
 
         def linear(x2d, name):
             if capture is not None:
-                capture.setdefault(f"block{bi}.{name}", []).append(x2d.copy())
+                capture.setdefault(f"block{bi}.{name}", []).append(x2d)
             return all_rows_linear(x2d, block.linears[name], mode)
 
         a = out_of_place_layer_norm(x, block.ln1_gain, block.ln1_bias).reshape(bsz * t, d)

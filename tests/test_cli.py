@@ -3,6 +3,7 @@ import io
 import json
 import re
 import struct
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from zoqlab.calibration import calibrate_model, capture_activations, rtn_quantiz
 from zoqlab.errors import NumericError
 from zoqlab.model import ModelConfig, QuantPlan, build_model, set_lightweight
 from zoqlab.numerics import read_tensor, write_tensor
-from zoqlab.zo import ZoConfig
+from zoqlab.zo import ZoConfig, zo_step
 
 TINY_INI = """\
 [model]
@@ -180,6 +181,66 @@ def test_out_of_range_run_sizes_exit_with_their_code(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err, err
     assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, flags, code, message",
+    [
+        ("epochs = 0", "epochs = 0\n\n[run]\nseed = -1", [], cli.EXIT_USAGE, "seed must be in [0, 2^63), got -1"),
+        ("epochs = 0", f"epochs = 0\n\n[run]\nseed = {2**63}", [], cli.EXIT_USAGE, f"got {2**63}"),
+        ("", "", ["--seed", "-1"], cli.EXIT_USAGE, "seed must be in [0, 2^63), got -1"),
+        ("n_heads = 2", "n_heads = 0", [], cli.EXIT_DATA, "n_heads must be >= 1, got 0"),
+        ("context = 32", "context = 0", [], cli.EXIT_DATA, "context must be >= 1, got 0"),
+        ("steps = 2", "steps = 2\nepsilon = nan", [], cli.EXIT_DATA, "epsilon must be positive and finite, got nan"),
+        ("steps = 2", "steps = 2\nepsilon = inf", [], cli.EXIT_DATA, "epsilon must be positive and finite, got inf"),
+    ],
+    ids=["seed -1", "seed 2^63", "flag seed -1", "n_heads 0", "context 0", "epsilon nan", "epsilon inf"],
+)
+def test_config_values_that_crashed_exit_with_their_code(tmp_path, capsys, old, new, flags, code, message):
+    config = tmp_path / "values.ini"
+    config.write_text(TINY_INI.replace(old, new))
+    capsys.readouterr()
+    assert train(str(config), tmp_path / "run", *flags) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63])
+def test_verify_refuses_a_seed_outside_the_key_range(tmp_path, capsys, seed):
+    capsys.readouterr()
+    assert cli.main(["verify", "--quick", "--seed", str(seed), "--metrics-dir", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"seed must be in [0, 2^63), got {seed}" in err and "Traceback" not in err, err
+    assert not (tmp_path / "verification.csv").exists()
+
+
+def test_train_holds_only_the_probe_captures_through_the_zo_loop(tmp_path, monkeypatch):
+    """At the first zo_step, fresh and resumed, block1.mlp_down's capture is gone; the probe's are not."""
+    config = tmp_path / "two_blocks.ini"
+    config.write_text(TINY_INI.replace("n_layers = 1", "n_layers = 2"))
+    refs = []
+
+    def capturing(model, sample):
+        calib = capture_activations(model, sample)
+        refs.append({key: weakref.ref(calib.captures[key]) for key in ("block0.attn_q", "block1.mlp_down")})
+        return calib
+
+    first_steps = []
+
+    def stepping(model, batch, cfg, step):
+        if len(first_steps) < len(refs):
+            first_steps.append(step)
+            assert refs[-1]["block1.mlp_down"]() is None
+            assert refs[-1]["block0.attn_q"]() is not None
+        return zo_step(model, batch, cfg, step)
+
+    monkeypatch.setattr(cli, "capture_activations", capturing)
+    monkeypatch.setattr(cli, "zo_step", stepping)
+    assert train(str(config), tmp_path / "first") == cli.EXIT_OK
+    resume = ["--steps", "4", "--resume", str(tmp_path / "first" / "ckpt" / "final.ckpt")]
+    assert train(str(config), tmp_path / "resumed", *resume) == cli.EXIT_OK
+    assert first_steps == [0, 2]
 
 
 def test_config_file_keys_reach_their_fields(tmp_path):

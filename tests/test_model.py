@@ -82,7 +82,7 @@ class TestQuantizedLinear:
             if layer_id.split(".")[1] in LIGHTWEIGHT_TRAINABLE:
                 continue
             assert lin.att.pre_quantized
-            x = np.concatenate(calib.captures[layer_id], axis=0)
+            x = calib.captures[layer_id]
             assert np.array_equal(linear_forward(x, lin, "qat"), linear_forward(x, live_lin, "qat"))
             frozen += 1
         assert frozen == 4

@@ -78,6 +78,22 @@ class TestGaussianStreams:
         z = normals_at(0, 0, 0, 10**5)
         assert np.all(np.isfinite(z))
 
+    def test_words_map_into_the_open_unit_interval(self, monkeypatch):
+        """(top 53 bits + 1/2) * 2^-53, except the top word range, which would round to 1."""
+        words = np.array([0, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
+
+        class CraftedWords:
+            state = None
+
+            def random_raw(self, n):
+                return words[:n].copy()
+
+        monkeypatch.setattr(numerics, "_PHILOX", CraftedWords())
+        u = numerics.uniforms_at(0, 0, 0, len(words))
+        below_one = np.nextafter(1.0, 0.0)
+        assert u.tolist() == [2.0**-54, 1.0 - 2.0**-52, below_one, below_one]
+        assert np.all(np.isfinite(normals_at(0, 0, 0, len(words))))
+
 
 class TestStreamsMatchFreshGenerator:
     """normals_at re-keys one shared generator; each read must equal a fresh one."""
