@@ -1,8 +1,9 @@
 """Forward-only quantization-aware training laboratory.
 
 Modules:
-  numerics      tensors, tensor files, and the one stream reader: every
-                draw is normals_at/uniforms_at(seed, stream, position, n)
+  numerics      tensors, typed tensor files (float64 and 8/16-bit integer
+                codes), and the one stream reader: every draw is
+                normals_at/uniforms_at(seed, stream, position, n)
   quantizer     uniform fake-quantization with learnable clipping; a
                 quantizer's tiling follows from its role: activations per
                 token, weights per output channel or in groups of input rows
@@ -10,8 +11,10 @@ Modules:
                 side and the weight-side fold, each written once
   model         toy decoder-only transformer with attachments; linear_forward
                 is the one smoothed, quantized linear, freeze_linear the one
-                fold-and-freeze path, and ModelGraph.tensors the one tensor
-                layout, walked by the checkpoint and the ZO view
+                fold-and-freeze path (a frozen weight is held as integer
+                codes, read through dequantized_weight), and
+                ModelGraph.tensors the one tensor layout, walked by the
+                checkpoint and the ZO view
   calibration   layer-wise reconstruction init and the RTN baseline
   zo            two-point zeroth-order estimator and ZO-SGD; GROUP_ORDER
                 is the one list of trainable groups

@@ -39,7 +39,10 @@ from .model import (
     ModelGraph,
     QuantPlan,
     build_model,
+    dequantized_weight,
+    holds_codes,
     set_lightweight,
+    weight_codes,
 )
 from .numerics import read_exact, read_tensor, uniforms_at, write_tensor
 from .zo import GROUP_ORDER, ZoConfig, zo_step
@@ -48,9 +51,11 @@ _CKPT_MAGIC = b"ZQLB-CKP"
 # Version 2 dropped the per-layer "trainable" flag, and version 3 the flags
 # "quantized", "has_smoothing" and "has_state" and the "rng" entry, all of
 # which the config and the tensor list already state. Earlier readers require
-# them; one reader serves versions 1 to 3, since it reads none of them.
-_CKPT_VERSION = 3
-_CKPT_READABLE = (1, 2, 3)
+# them; one reader serves every version, since it reads none of them. Version
+# 4 stores a frozen layer's weight as its integer codes, where earlier
+# versions stored the float64 fake-quantized weight.
+_CKPT_VERSION = 4
+_CKPT_READABLE = (1, 2, 3, 4)
 
 # stream-id namespaces of the master seed; direction streams (step << 32) | i
 # stay below 2^62, since zo.direction_stream_id refuses steps of 2^30 or more
@@ -306,7 +311,8 @@ def sample_batch(train, batch_size: int, seed: int, step: int):
 def save_checkpoint(path: str, cfg: RunConfig, model: ModelGraph, step: int) -> None:
     """Atomic single-file checkpoint: manifest plus tensor containers.
 
-    The tensors are those of model.tensors(), in its order; the manifest
+    The tensors are those of model.tensors(), in its order and each in its
+    own dtype, so a frozen layer's weight is stored as its codes; the manifest
     records their names, the config, the step, the lightweight flag and each
     layer's pre_quantized flag. Nothing else is stored: the rest of a layer's
     structure follows from the config and the tensor list (_restore_model),
@@ -346,7 +352,8 @@ def load_checkpoint(path: str):
 
     A malformed file raises DataError: a truncated one, a manifest that does
     not parse, a manifest config that fails validation, and a tensor list
-    that does not match, by name and shape, the slots the config builds.
+    that does not match, by name, shape and dtype, the slots the config
+    builds.
     """
     try:
         with open(path, "rb") as f:
@@ -362,22 +369,28 @@ def load_checkpoint(path: str):
             (mlen,) = struct.unpack("<Q", read_exact(f, 8))
             manifest = json.loads(read_exact(f, mlen).decode("utf-8"))
             tensors = {name: read_tensor(f) for name in manifest["tensors"]}
-        return _restore_model(path, manifest, tensors)
+        return _restore_model(path, version, manifest, tensors)
     except ZoqlabError:
         raise
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from e
 
 
-def _restore_model(path: str, manifest: dict, tensors: dict):
+def _restore_model(path: str, version: int, manifest: dict, tensors: dict):
     """Build the config's seed model, then assign the file's tensors to its slots.
 
-    One rule serves versions 1 to 3, reading no manifest flag but
+    One rule serves every version, reading no manifest flag but
     pre_quantized: a layer whose file lists no state step gets a bare
     attachment, since every layer with a weight quantizer holds a state and
     the plan says which have smoothing. Each slot of model.tensors() must
-    then find a tensor of its name and shape, in any order, and no other.
-    A version 1 or 2 file's extra flags and "rng" entry are ignored.
+    then find a tensor of its name, shape and dtype, in any order, and no
+    other. Every slot is float64 but the weight of a frozen layer with a
+    weight quantizer (holds_codes): from version 4 on that holds the
+    spec's code_dtype, every code in [q_n, q_p]. Earlier versions stored it
+    as the float64 fake-quantized weight, which is on its state's grid, so
+    weight_codes turns it back into the codes exactly; a weight off the
+    grid is malformed. A version 1 or 2 file's extra flags and "rng" entry
+    are ignored.
     """
     try:
         cfg = RunConfig.from_dict(manifest["config"])
@@ -392,11 +405,24 @@ def _restore_model(path: str, manifest: dict, tensors: dict):
     slots = list(model.tensors())
     if sorted(name for name, *_ in slots) != sorted(names):
         raise ValueError("the tensor list does not match the config")
+    frozen = {f"{layer_id}.w": lin for layer_id, lin in model.iter_attachments() if holds_codes(lin)}
     for name, _, owner, attr in slots:
-        want = getattr(owner, attr).shape
-        if tensors[name].shape != want:
-            raise DataError(f"{path}: malformed checkpoint ({name} has shape {tensors[name].shape}; the config builds {want})")
-        setattr(owner, attr, tensors[name])
+        tensor, want = tensors[name], getattr(owner, attr).shape
+        if tensor.shape != want:
+            raise DataError(f"{path}: malformed checkpoint ({name} has shape {tensor.shape}; the config builds {want})")
+        spec = frozen[name].att.weight_spec if name in frozen and version >= 4 else None
+        dtype = spec.code_dtype if spec is not None else np.dtype(np.float64)
+        if tensor.dtype != dtype:
+            raise DataError(f"{path}: malformed checkpoint ({name} holds {tensor.dtype}; the config builds {dtype})")
+        if spec is not None and not spec.q_n <= tensor.min() <= tensor.max() <= spec.q_p:
+            raise DataError(f"{path}: malformed checkpoint ({name} holds a code outside [{spec.q_n}, {spec.q_p}])")
+        setattr(owner, attr, tensor)
+    if version < 4:
+        for name, lin in frozen.items():
+            weight = lin.w
+            lin.w = weight_codes(weight, lin.att)
+            if not np.array_equal(dequantized_weight(lin), weight):
+                raise DataError(f"{path}: malformed checkpoint ({name} is off its quantization grid)")
     for layer_id, lin in model.iter_attachments():
         sm = lin.att.smoothing
         if sm is not None and not np.all(np.isfinite(sm.scale) & (sm.scale > 0)):

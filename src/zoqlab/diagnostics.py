@@ -7,8 +7,9 @@ Memory is counted from the arrays the model holds, except the forward
 activations, which `transient_forward_bytes` bounds from below and
 `measured_peaks` measures. The forward streams its wide stages (attention
 one sequence at a time, activation scratch one row block at a time), so the
-bound counts one sequence's attention matrix and one row block, and stays
-within 1.6x of the measured peak at the default ModelConfig. `peak_rss`
+bound counts one sequence's attention matrix, one row block and the float64
+weight a quantized or frozen mlp linear's GEMM reads. It stays within 1.6x
+of the measured peak at d_model 64 (the default) and 256. `peak_rss`
 reads the whole process, which tracemalloc cannot see.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import ModelGraph, linear_forward, row_blocks, token_cross_entropy
+from .model import ModelGraph, dequantized_weight, linear_forward, row_blocks, token_cross_entropy
 from .zo import ZoConfig, optimizer_state_size, zo_step
 
 
@@ -72,11 +73,12 @@ def layer_reconstruction_loss(lin, x) -> float:
     """Mean squared gap between the layer's full-precision and quantized outputs on input x.
 
     x is the layer's (rows, d_in) captured input (CalibSet.captures). The
-    full-precision reference uses the layer's current master weights; for
-    a bypassed attachment the gap is exactly zero.
+    full-precision reference uses the layer's current master weights, for a
+    frozen layer its dequantized codes (dequantized_weight); for a bypassed
+    attachment the gap is exactly zero.
     """
     x = np.asarray(x, dtype=np.float64)
-    y_fp = x @ lin.w + lin.b
+    y_fp = x @ dequantized_weight(lin) + lin.b
     y_q = linear_forward(x, lin, mode="qat")
     diff = y_fp - y_q
     return float(np.mean(diff * diff))
@@ -142,14 +144,19 @@ def transient_forward_bytes(config, batch_size: int) -> int:
     over n = batch_size * context rows. The forward drops each activation
     after its last reader and streams its wide stages, so the stages are:
     the normed input with q, k and v; q, k, v and the context with one
-    sequence's (heads, t, t) attention matrix; the (n, 4 d) mlp hidden
-    with its output, or with one row block of scratch (model.row_blocks:
-    GELU's erf buffer, mlp_down's activation quantizer), whichever is
-    larger; and the logits. Other temporaries are not counted: the
-    quantizers' weight-side scratch, the layer norm's centred copy. For the
-    default ModelConfig at batch 4 the model gives 1.75 MiB, while the
-    tracemalloc peak of one qat forward measured 2.66 MiB in W4A4 and 1.96
-    MiB in lightweight W4A16g16.
+    sequence's (heads, t, t) attention matrix; the (n, 4 d) mlp hidden with
+    one row block of scratch (model.row_blocks: GELU's erf buffer); the mlp
+    hidden with its output and the float64 (4 d, d) weight the GEMM reads,
+    which a quantized layer builds each call by fake-quantizing its weight
+    and a frozen one by dequantizing its codes; and the logits. The bound
+    is for a model whose linears quantize or are frozen; in full precision
+    the GEMM reads the held weight. Other temporaries are not counted: the
+    rest of fake_quant's scratch, mlp_down's activation quantizer block, the
+    layer norm's centred copy. At batch 4 the model gives 1.75 MiB for the
+    default ModelConfig, where the attention stage is the largest, and 8.0
+    MiB at d_model 256, where the weight stage is; one qat forward's
+    tracemalloc peak measured 2.66 and 11.28 MiB in W4A4, and 1.96 and
+    8.21 MiB in lightweight W4A16g16.
     """
     t, d, h, v = config.context, config.d_model, config.n_heads, config.vocab_size
     n = batch_size * t
@@ -157,7 +164,8 @@ def transient_forward_bytes(config, batch_size: int) -> int:
     stages = (
         4 * n * d,  # normed input + q, k, v
         4 * n * d + h * t * t,  # q, k, v, context + one sequence's attention matrix
-        4 * n * d + max(n * d, block),  # mlp hidden + its output or one row block of scratch
+        4 * n * d + block,  # mlp hidden + one row block of scratch
+        5 * n * d + 4 * d * d,  # mlp hidden + its output + the weight the GEMM reads
         n * v,  # logits
     )
     return 8 * (n * d + max(stages))
@@ -168,8 +176,8 @@ def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
 
     parameters: the scalars zo_step trains under cfg, at 8 bytes (the
     quant-affine steps count only with cfg.train_quant_affine);
-    quantized_frozen: the nbytes of the pre-quantized weight matrices, as
-    held (float64);
+    quantized_frozen: the nbytes of the pre-quantized weight matrices as
+    held, integer codes (freeze_linear);
     optimizer_state: the ZO coefficients and stream cursors;
     transient_forward: transient_forward_bytes at cfg.batch_size, the only
     term that depends on it. At the default ModelConfig and batch 4 a

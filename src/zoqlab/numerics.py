@@ -1,7 +1,10 @@
 """Deterministic float64 tensor arithmetic and counter-based Gaussian streams.
 
 Tensors are plain C-contiguous ``numpy.ndarray`` objects with dtype float64;
-every public operation in the package preserves that representation. Random
+every public operation in the package preserves that representation. The
+one exception is a frozen layer's weight, held as its integer codes
+(``model.freeze_linear``), so the tensor container (``write_tensor``) stores
+float64 and the 8- and 16-bit integer dtypes. Random
 draws come from Philox counter streams keyed by ``(seed, stream_id)``, so any
 slice of a stream can be regenerated from ``(seed, stream_id, position)``
 without storing the values. That regenerability is what keeps the
@@ -85,8 +88,9 @@ _M_MMAP_THRESHOLD = -3
 _MMAP_BYTES = 32 << 20  # M_MMAP_THRESHOLD's largest value on 64-bit glibc
 _TRIM_BYTES = 64 << 20  # twice it, as glibc's own adjustment sets it
 
-_TENSOR_MAGIC = b"ZQLB-TNS"  # 8 bytes, followed by u32 version + u32 reserved
+_TENSOR_MAGIC = b"ZQLB-TNS"  # 8 bytes, followed by u32 version + u32 dtype code
 _TENSOR_VERSION = 1
+_TENSOR_DTYPES = ("f8", "u1", "i1", "u2", "i2")  # by dtype code; 0, float64, is every older file's
 
 
 def pin_heap_thresholds() -> bool:
@@ -154,17 +158,25 @@ def normals_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def write_tensor(f, x: Tensor) -> None:
-    """Write one tensor container: 16-byte header, u64 rank, u64 dims, f64 data.
+    """Write one tensor container: 16-byte header, u64 rank, u64 dims, data.
 
-    All integers and reals are little-endian.
+    The header is the magic, the u32 container version and a u32 dtype code,
+    the index of the data's dtype in _TENSOR_DTYPES: 0 float64, 1 uint8,
+    2 int8, 3 uint16, 4 int16. Files written before the code existed hold 0
+    there and read as float64. Any other dtype is a DataError, not a cast.
+    The data follows in C order. All integers and reals are little-endian.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    kind = x.dtype.str[1:]  # the dtype without its byte order
+    if kind not in _TENSOR_DTYPES:
+        names = ", ".join(np.dtype(k).name for k in _TENSOR_DTYPES)
+        raise DataError(f"a tensor container holds {names}, not {x.dtype}")
     f.write(_TENSOR_MAGIC)
-    f.write(struct.pack("<II", _TENSOR_VERSION, 0))
+    f.write(struct.pack("<II", _TENSOR_VERSION, _TENSOR_DTYPES.index(kind)))
     f.write(struct.pack("<Q", x.ndim))
     for d in x.shape:
         f.write(struct.pack("<Q", d))
-    f.write(x.astype("<f8", copy=False).tobytes(order="C"))
+    f.write(x.astype("<" + kind, copy=False).tobytes(order="C"))
 
 
 def read_exact(f, n: int) -> bytes:
@@ -176,15 +188,19 @@ def read_exact(f, n: int) -> bytes:
 
 
 def read_tensor(f) -> Tensor:
+    """One tensor container (write_tensor), in its dtype, native byte order."""
     header = f.read(16)
     if len(header) != 16 or header[:8] != _TENSOR_MAGIC:
         raise DataError("not a tensor container (bad magic)")
-    version, _ = struct.unpack("<II", header[8:])
+    version, code = struct.unpack("<II", header[8:])
     if version != _TENSOR_VERSION:
         raise DataError(f"unsupported tensor container version {version}")
+    if code >= len(_TENSOR_DTYPES):
+        raise DataError(f"unknown tensor dtype code {code}")
+    dtype = np.dtype("<" + _TENSOR_DTYPES[code])
     (rank,) = struct.unpack("<Q", read_exact(f, 8))
     shape = tuple(struct.unpack("<Q", read_exact(f, 8))[0] for _ in range(rank))
     count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(read_exact(f, 8 * count), dtype="<f8", count=count)
+    data = np.frombuffer(read_exact(f, dtype.itemsize * count), dtype=dtype, count=count)
     # a copy: frombuffer views are read-only, and loaded tensors get trained
-    return data.reshape(shape).copy()
+    return data.reshape(shape).astype(dtype.newbyteorder("="))

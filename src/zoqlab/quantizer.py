@@ -64,6 +64,15 @@ class QuantSpec:
     def q_p(self) -> int:
         return 2**self.bits - 1 if self.scheme == "asymmetric" else 2 ** (self.bits - 1) - 1
 
+    @property
+    def code_dtype(self) -> np.dtype:
+        """The smallest integer dtype holding every code in [q_n, q_p]: 8-bit up to 8 bits, 16-bit up to 16."""
+        for dtype in (np.uint8, np.int8, np.uint16, np.int16):
+            info = np.iinfo(dtype)
+            if info.min <= self.q_n and self.q_p <= info.max:
+                return np.dtype(dtype)
+        raise DataError(f"{self.bits}-bit codes fit no 8- or 16-bit integer")
+
 
 def to_groups(x: Tensor, spec: QuantSpec) -> Tensor:
     """x as the (n_groups, group) matrix of spec's tiling; from_groups inverts it.

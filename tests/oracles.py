@@ -25,7 +25,7 @@ from numpy.random import Generator, Philox
 from scipy.special import erf, ndtri
 
 from zoqlab.calibration import _MOVES, _LayerObjective
-from zoqlab.model import LIGHTWEIGHT_TRAINABLE, LINEAR_NAMES, _applied_state, regrid_weight_state
+from zoqlab.model import LIGHTWEIGHT_TRAINABLE, LINEAR_NAMES, _applied_state, dequantized_weight, regrid_weight_state
 from zoqlab.quantizer import clamp_bounds, fake_quant, to_groups
 from zoqlab.smoothing import SCALE_CEIL, SCALE_FLOOR, SmoothingParams, apply_smoothing, smooth_activation
 
@@ -122,7 +122,8 @@ def reference_transformer_logits(model, tokens):
         var = sum((x - mu) ** 2 for x in vec) / d
         return [(x - mu) / math.sqrt(var + 1e-5) * g + b for x, g, b in zip(vec, gain, bias)]
 
-    def linear(vec, w, b):
+    def linear(vec, lin):
+        w, b = dequantized_weight(lin), lin.b
         return [sum(vec[i] * w[i, j] for i in range(len(vec))) + b[j] for j in range(w.shape[1])]
 
     def gelu(v):
@@ -134,9 +135,9 @@ def reference_transformer_logits(model, tokens):
     ]
     for block in model.blocks:
         normed = [layer_norm(x, block.ln1_gain, block.ln1_bias) for x in xs]
-        qs = [linear(v, block.linears["attn_q"].w, block.linears["attn_q"].b) for v in normed]
-        ks = [linear(v, block.linears["attn_k"].w, block.linears["attn_k"].b) for v in normed]
-        vs = [linear(v, block.linears["attn_v"].w, block.linears["attn_v"].b) for v in normed]
+        qs = [linear(v, block.linears["attn_q"]) for v in normed]
+        ks = [linear(v, block.linears["attn_k"]) for v in normed]
+        vs = [linear(v, block.linears["attn_v"]) for v in normed]
         ctx = []
         for t in range(t_len):
             out = [0.0] * d
@@ -155,11 +156,11 @@ def reference_transformer_logits(model, tokens):
                         weights[s] * vs[s][head * dh + j] for s in range(t + 1)
                     )
             ctx.append(out)
-        att_out = [linear(v, block.linears["attn_o"].w, block.linears["attn_o"].b) for v in ctx]
+        att_out = [linear(v, block.linears["attn_o"]) for v in ctx]
         xs = [[a + b for a, b in zip(x, o)] for x, o in zip(xs, att_out)]
         normed2 = [layer_norm(x, block.ln2_gain, block.ln2_bias) for x in xs]
-        hidden = [gelu(linear(v, block.linears["mlp_up"].w, block.linears["mlp_up"].b)) for v in normed2]
-        mlp_out = [linear(v, block.linears["mlp_down"].w, block.linears["mlp_down"].b) for v in hidden]
+        hidden = [gelu(linear(v, block.linears["mlp_up"])) for v in normed2]
+        mlp_out = [linear(v, block.linears["mlp_down"]) for v in hidden]
         xs = [[a + b for a, b in zip(x, o)] for x, o in zip(xs, mlp_out)]
     final = [layer_norm(x, model.ln_f_gain, model.ln_f_bias) for x in xs]
     logits = np.array(
@@ -175,8 +176,8 @@ def all_rows_linear(x2d, lin, mode):
     """
     att = lin.att
     if mode == "fp" or att.bypassed:
-        return x2d @ lin.w + lin.b
-    xs, ws, bs = x2d, lin.w, lin.b
+        return x2d @ dequantized_weight(lin) + lin.b
+    xs, ws, bs = x2d, dequantized_weight(lin), lin.b
     if att.smoothing is not None:
         if att.pre_quantized:
             xs = smooth_activation(x2d, att.smoothing)

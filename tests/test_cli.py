@@ -12,8 +12,18 @@ import pytest
 from zoqlab import cli, diagnostics, theory
 from zoqlab.calibration import calibrate_model, capture_activations, rtn_quantize
 from zoqlab.errors import NumericError
-from zoqlab.model import ModelConfig, QuantPlan, build_model, set_lightweight
+from zoqlab.model import (
+    LayerAttachment,
+    Linear,
+    ModelConfig,
+    QuantPlan,
+    build_model,
+    dequantized_weight,
+    holds_codes,
+    set_lightweight,
+)
 from zoqlab.numerics import read_tensor, write_tensor
+from zoqlab.quantizer import QuantState
 from zoqlab.zo import ZoConfig, zo_step
 
 TINY_INI = """\
@@ -498,9 +508,9 @@ def test_run_config_maps_bits_to_a_plan_and_calibration_epochs(fields, plan, epo
 
 def test_checkpoint_of_another_version_is_refused(trained_checkpoint, tmp_path, capsys):
     raw = trained_checkpoint
-    assert struct.unpack("<II", raw[8:16]) == (3, 0)
-    path = tmp_path / "v4.ckpt"
-    path.write_bytes(raw[:8] + struct.pack("<II", 4, 0) + raw[16:])
+    assert struct.unpack("<II", raw[8:16]) == (4, 0)
+    path = tmp_path / "v5.ckpt"
+    path.write_bytes(raw[:8] + struct.pack("<II", 5, 0) + raw[16:])
     capsys.readouterr()
     assert cli.main(["eval", str(path)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
@@ -548,21 +558,21 @@ def earlier_layout(raw):
     return out.getvalue()
 
 
-def lightweight_checkpoint(tmp_path, plan):
-    config = ModelConfig(d_model=16, n_layers=2, n_heads=2, context=32)
-    model = set_lightweight(build_model(config, plan, seed=3))
-    w_bits, a_bits, group_size = (plan.w_bits, plan.a_bits or 16, plan.group_size) if plan else (None,) * 3
-    cfg = cli.RunConfig(model=config, w_bits=w_bits, a_bits=a_bits, group_size=group_size, seed=3)
+def lightweight_checkpoint(tmp_path, config=ModelConfig(d_model=16, n_layers=2, n_heads=2, context=32), **fields):
+    """(file bytes, model) of the lightweight model of RunConfig(**fields) at seed 3, saved at step 0."""
+    cfg = cli.RunConfig(model=config, seed=3, **fields)
+    model = set_lightweight(build_model(config, cfg.quant_plan(), cfg.seed))
     path = tmp_path / "light.ckpt"
     cli.save_checkpoint(str(path), cfg, model, 0)
-    return path.read_bytes()
+    return path.read_bytes(), model
 
 
 def attachment_flags(att):
     return att.pre_quantized, att.weight_spec, att.act_spec, att.smoothing is None, att.weight_state is None
 
 
-LIGHTWEIGHT_PLANS = {"lightweight W4A16g16": QuantPlan(4, None, group_size=16), "lightweight fp": None}
+WEIGHT_ONLY = {"a_bits": 16, "group_size": 16}
+LIGHTWEIGHT_PLANS = {"lightweight W4A16g16": WEIGHT_ONLY, "lightweight fp": {"w_bits": None, "a_bits": None}}
 
 
 @pytest.mark.parametrize("case", ["trained W4A4", *LIGHTWEIGHT_PLANS])
@@ -570,11 +580,11 @@ def test_checkpoint_in_the_earlier_layout_loads_to_the_same_tensors(
     trained_checkpoint, tmp_path, case
 ):
     if case in LIGHTWEIGHT_PLANS:
-        raw = lightweight_checkpoint(tmp_path, LIGHTWEIGHT_PLANS[case])
+        raw, _ = lightweight_checkpoint(tmp_path, **LIGHTWEIGHT_PLANS[case])
     else:
         raw = trained_checkpoint
     (tmp_path / "new.ckpt").write_bytes(raw)
-    (tmp_path / "old.ckpt").write_bytes(earlier_layout(raw))
+    (tmp_path / "old.ckpt").write_bytes(earlier_layout(as_version_3(raw)))
     new_cfg, new, new_step = cli.load_checkpoint(str(tmp_path / "new.ckpt"))
     old_cfg, old, old_step = cli.load_checkpoint(str(tmp_path / "old.ckpt"))
     assert (old_cfg, old_step, old.lightweight) == (new_cfg, new_step, new.lightweight)
@@ -583,6 +593,25 @@ def test_checkpoint_in_the_earlier_layout_loads_to_the_same_tensors(
     assert got == want
     for (layer_id, a), (_, b) in zip(old.iter_attachments(), new.iter_attachments()):
         assert attachment_flags(a.att) == attachment_flags(b.att), layer_id
+
+
+def as_version_3(raw):
+    """raw, a version-4 checkpoint, as version 3 wrote it: each frozen weight as float64 values, not codes."""
+    start, end = manifest_span(raw)
+    manifest = json.loads(raw[start:end])
+    body = io.BytesIO(raw[end:])
+    tensors = {name: read_tensor(body) for name in manifest["tensors"]}
+    plan = cli.RunConfig.from_dict(manifest["config"]).quant_plan()
+    out = io.BytesIO()
+    out.write(raw[:8] + struct.pack("<II", 3, 0) + raw[16:end])
+    for name, tensor in tensors.items():
+        if tensor.dtype != np.float64:
+            layer = name.removesuffix(".w")
+            state = QuantState(*(tensors[f"{layer}.state.{part}"] for part in ("step", "zero_point", "clip_lo", "clip_hi")))
+            att = LayerAttachment(weight_spec=plan.weight_spec(), weight_state=state, pre_quantized=True)
+            tensor = dequantized_weight(Linear(tensor, tensors[f"{layer}.b"], att))
+        write_tensor(out, tensor)
+    return out.getvalue()
 
 
 def with_tensor(raw, name, array):
@@ -604,6 +633,46 @@ def test_checkpoint_with_a_tensor_of_the_wrong_shape_is_a_data_error(trained_che
     with pytest.raises(cli.DataError, match=rf"malformed checkpoint \({re.escape(name)} has shape \(7,\)"):
         cli.load_checkpoint(str(path))
     assert_eval_refuses(path, capsys)
+
+
+def out_of_range(codes, code):
+    bad = codes.copy()
+    bad[1, 2] = code
+    return bad
+
+
+MALFORMED = {  # case: (config fields, version 3 layout, tensor name, its replacement from the model)
+    "float64 codes": (WEIGHT_ONLY, False, "block0.attn_k.w", lambda lin, m: dequantized_weight(lin)),
+    "int8 codes for uint8": (WEIGHT_ONLY, False, "block0.attn_k.w", lambda lin, m: lin.w.astype(np.int8)),
+    "uint8 embed": (WEIGHT_ONLY, False, "embed", lambda lin, m: np.zeros(m.embed.shape, np.uint8)),
+    "code above q_p": (WEIGHT_ONLY, False, "block0.attn_k.w", lambda lin, m: out_of_range(lin.w, 16)),
+    "code below q_n": ({"scheme": "symmetric"}, False, "block1.mlp_up.w", lambda lin, m: out_of_range(lin.w, -9)),
+    "codes in version 3": (WEIGHT_ONLY, True, "block0.attn_k.w", lambda lin, m: lin.w),
+    "off the grid in version 3": (
+        WEIGHT_ONLY, True, "block0.attn_k.w", lambda lin, m: dequantized_weight(lin) + 1e-3
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_frozen_weight_of_the_wrong_dtype_or_off_its_grid_is_malformed(tmp_path, capsys, case):
+    fields, version_3, name, replacement = MALFORMED[case]
+    raw, model = lightweight_checkpoint(tmp_path, **fields)
+    layer_id = name.removesuffix(".w")
+    lin = dict(model.iter_attachments()).get(layer_id)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(with_tensor(as_version_3(raw) if version_3 else raw, name, replacement(lin, model)))
+    with pytest.raises(cli.DataError, match=rf"malformed checkpoint \({re.escape(name)} "):
+        cli.load_checkpoint(str(path))
+    assert_eval_refuses(path, capsys)
+
+
+def test_the_default_lightweight_checkpoint_stores_one_byte_per_frozen_weight(tmp_path):
+    """81,920 frozen W4A16g16 entries: 7 bytes fewer each than the version 3 file's float64."""
+    raw, model = lightweight_checkpoint(tmp_path, ModelConfig(), **WEIGHT_ONLY)
+    assert len(as_version_3(raw)) - len(raw) == 573_440
+    frozen = [lin.w for _, lin in model.iter_attachments() if holds_codes(lin)]
+    assert sum(w.nbytes for w in frozen) == 81_920
 
 
 def as_version_2(raw, cfg, model, step):
@@ -660,12 +729,13 @@ def test_a_checkpoint_in_either_version_loads_to_the_model_saved(tmp_path, plan,
     model = build_model(config, cfg.quant_plan(), cfg.seed)
     for apply in ROUND_TRIP_STAGES[stage]:
         apply(model)
-    path, old = tmp_path / "v3.ckpt", tmp_path / "v2.ckpt"
+    path, v3, v2 = tmp_path / "v4.ckpt", tmp_path / "v3.ckpt", tmp_path / "v2.ckpt"
     cli.save_checkpoint(str(path), cfg, model, 5)
-    old.write_bytes(as_version_2(path.read_bytes(), cfg, model, 5))
+    v3.write_bytes(as_version_3(path.read_bytes()))
+    v2.write_bytes(as_version_2(v3.read_bytes(), cfg, model, 5))
     saved = saved_state(cfg, model, 5)
-    assert saved_state(*cli.load_checkpoint(str(path))) == saved
-    assert saved_state(*cli.load_checkpoint(str(old))) == saved
+    for file in (path, v3, v2):
+        assert saved_state(*cli.load_checkpoint(str(file))) == saved, file.name
 
 
 CALIBRATED_INI = TINY_INI.replace("eval_interval = 0", "eval_interval = 2").replace(

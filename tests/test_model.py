@@ -327,14 +327,14 @@ def test_memory_report_counts_the_scalars_zo_step_trains(monkeypatch, train_quan
 @pytest.mark.parametrize(
     "plan, freeze, held",
     [
-        (QuantPlan(4, None, group_size=16), set_lightweight, 655_360),
-        (QuantPlan(4, 4), rtn_quantize, 786_432),
+        (QuantPlan(4, None, group_size=16), set_lightweight, 81_920),
+        (QuantPlan(4, 4), rtn_quantize, 98_304),
         (QuantPlan(4, 4), lambda model: model, 0),
     ],
     ids=["lightweight W4A16g16", "rtn W4A4", "not frozen"],
 )
 def test_quantized_frozen_is_the_bytes_of_the_frozen_weights_held(plan, freeze, held):
-    """The default model: 2 blocks of attn_k, attn_o, mlp_up and mlp_down (and q, v under rtn), float64."""
+    """The default model: 2 blocks of attn_k, attn_o, mlp_up and mlp_down (and q, v under rtn), one uint8 code each."""
     model = freeze(build_model(ModelConfig(), plan, seed=0))
     frozen = [lin.w for _, lin in model.iter_attachments() if lin.att.pre_quantized]
     assert memory_report(model, ZoConfig())["quantized_frozen"] == sum(w.nbytes for w in frozen) == held

@@ -1,6 +1,7 @@
 import io
 import os
 import platform
+import struct
 import subprocess
 import sys
 import threading
@@ -319,3 +320,35 @@ class TestTensorContainer:
     def test_bad_magic_rejected(self):
         with pytest.raises(DataError, match="magic"):
             read_tensor(io.BytesIO(b"X" * 64))
+
+    @pytest.mark.parametrize("dtype, code", [(np.float64, 0), (np.uint8, 1), (np.int8, 2), (np.uint16, 3), (np.int16, 4)])
+    def test_each_dtype_round_trips_in_its_own_bytes(self, dtype, code):
+        info = np.finfo(dtype) if dtype == np.float64 else np.iinfo(dtype)
+        x = np.array([[info.min, 0, info.max], [1, 2, 3]], dtype=dtype)
+        buf = io.BytesIO()
+        write_tensor(buf, x)
+        raw = buf.getvalue()
+        assert struct.unpack("<II", raw[8:16]) == (1, code)
+        assert len(raw) == 16 + 8 + 2 * 8 + x.nbytes
+        back = read_tensor(io.BytesIO(raw))
+        assert back.dtype == dtype and back.shape == x.shape and back.tobytes() == x.tobytes()
+        back[0, 0] = 1  # writable, not a view of the file's bytes
+
+    def test_a_header_with_dtype_code_0_reads_as_float64(self):
+        """The layout of every file written before the dtype code existed, built by hand."""
+        values = [1.5, -0.0, 2.0**-1074]
+        raw = b"ZQLB-TNS" + struct.pack("<IIQQ", 1, 0, 1, 3) + struct.pack("<3d", *values)
+        back = read_tensor(io.BytesIO(raw))
+        assert back.dtype == np.float64 and back.tobytes() == np.array(values).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint32, np.bool_, np.complex128])
+    def test_any_other_dtype_is_refused_not_cast(self, dtype):
+        buf = io.BytesIO()
+        with pytest.raises(DataError, match="tensor container holds"):
+            write_tensor(buf, np.zeros(3, dtype=dtype))
+        assert buf.getvalue() == b""
+
+    def test_an_unknown_dtype_code_is_refused(self):
+        raw = b"ZQLB-TNS" + struct.pack("<IIQQ", 1, 5, 1, 1) + bytes(8)
+        with pytest.raises(DataError, match="dtype code 5"):
+            read_tensor(io.BytesIO(raw))

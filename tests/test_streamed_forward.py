@@ -7,6 +7,7 @@ matrices at once and runs each linear over all rows in one pass.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,6 +189,17 @@ def test_a_default_w4a4_forward_holds_only_live_activations(default_w4a4_peaks):
     assert default_w4a4_peaks[8] - default_w4a4_peaks[4] <= 4 * config.context * per_row + MIB // 8
 
 
-def test_forward_memory_model_is_within_2x_of_the_default_forward(default_w4a4_peaks):
-    modelled = transient_forward_bytes(CONFIGS["default"], 4)
-    assert modelled <= default_w4a4_peaks[4] <= 2 * modelled
+@pytest.mark.parametrize("d_model, plan", [(64, "W4A4"), (64, "light-W4A16g16"), (256, "W3A8g16")])
+def test_forward_memory_model_is_within_2x_of_the_default_forward(default_w4a4_peaks, d_model, plan):
+    """Lightweight: the frozen linears dequantize their codes into a float64 weight per call.
+
+    At d_model 256 the weight side sets the peak: W3A8g16 measures 13.9 MiB,
+    2.3x the model without the weight the GEMM reads and 1.7x with it.
+    """
+    config = replace(CONFIGS["default"], d_model=d_model)
+    if (d_model, plan) == (64, "W4A4"):
+        peak = default_w4a4_peaks[4]
+    else:
+        peak = forward_peak(build(config, plan), corpus(config)[:4])
+    modelled = transient_forward_bytes(config, 4)
+    assert modelled <= peak <= 2 * modelled
