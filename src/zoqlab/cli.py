@@ -39,23 +39,14 @@ from .model import (
     ModelGraph,
     QuantPlan,
     build_model,
-    dequantized_weight,
     holds_codes,
     set_lightweight,
-    weight_codes,
 )
 from .numerics import read_exact, read_tensor, uniforms_at, write_tensor
-from .zo import GROUP_ORDER, ZoConfig, zo_step
+from .zo import GROUP_ORDER, STEP_LIMIT, ZoConfig, zo_step
 
 _CKPT_MAGIC = b"ZQLB-CKP"
-# Version 2 dropped the per-layer "trainable" flag, and version 3 the flags
-# "quantized", "has_smoothing" and "has_state" and the "rng" entry, all of
-# which the config and the tensor list already state. Earlier readers require
-# them; one reader serves every version, since it reads none of them. Version
-# 4 stores a frozen layer's weight as its integer codes, where earlier
-# versions stored the float64 fake-quantized weight.
 _CKPT_VERSION = 4
-_CKPT_READABLE = (1, 2, 3, 4)
 
 # stream-id namespaces of the master seed; direction streams (step << 32) | i
 # stay below 2^62, since zo.direction_stream_id refuses steps of 2^30 or more
@@ -348,12 +339,12 @@ def save_checkpoint(path: str, cfg: RunConfig, model: ModelGraph, step: int) -> 
 
 
 def load_checkpoint(path: str):
-    """Returns (RunConfig, ModelGraph, step). Refuses version mismatches.
+    """Returns (RunConfig, ModelGraph, step) of a version 4 file; any other version is refused.
 
     A malformed file raises DataError: a truncated one, a manifest that does
-    not parse, a manifest config that fails validation, and a tensor list
-    that does not match, by name, shape and dtype, the slots the config
-    builds.
+    not parse, a manifest config that fails validation, a step that is not
+    an integer in [0, 2^30), and a tensor list that does not match, by name,
+    order, shape and dtype, the slots the config builds.
     """
     try:
         with open(path, "rb") as f:
@@ -361,36 +352,30 @@ def load_checkpoint(path: str):
             if len(header) != 16 or header[:8] != _CKPT_MAGIC:
                 raise DataError(f"{path} is not a checkpoint (bad magic)")
             version, _ = struct.unpack("<II", header[8:])
-            if version not in _CKPT_READABLE:
-                raise DataError(
-                    f"checkpoint version {version} unsupported "
-                    f"(expected {' or '.join(map(str, _CKPT_READABLE))}); refusing"
-                )
+            if version != _CKPT_VERSION:
+                raise DataError(f"checkpoint version {version} unsupported (expected {_CKPT_VERSION}); refusing")
             (mlen,) = struct.unpack("<Q", read_exact(f, 8))
             manifest = json.loads(read_exact(f, mlen).decode("utf-8"))
             tensors = {name: read_tensor(f) for name in manifest["tensors"]}
-        return _restore_model(path, version, manifest, tensors)
+        return _restore_model(path, manifest, tensors)
     except ZoqlabError:
         raise
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from e
 
 
-def _restore_model(path: str, version: int, manifest: dict, tensors: dict):
+def _restore_model(path: str, manifest: dict, tensors: dict):
     """Build the config's seed model, then assign the file's tensors to its slots.
 
-    One rule serves every version, reading no manifest flag but
-    pre_quantized: a layer whose file lists no state step gets a bare
-    attachment, since every layer with a weight quantizer holds a state and
-    the plan says which have smoothing. Each slot of model.tensors() must
-    then find a tensor of its name, shape and dtype, in any order, and no
-    other. Every slot is float64 but the weight of a frozen layer with a
-    weight quantizer (holds_codes): from version 4 on that holds the
-    spec's code_dtype, every code in [q_n, q_p]. Earlier versions stored it
-    as the float64 fake-quantized weight, which is on its state's grid, so
-    weight_codes turns it back into the codes exactly; a weight off the
-    grid is malformed. A version 1 or 2 file's extra flags and "rng" entry
-    are ignored.
+    The only per-layer flag read is pre_quantized: a layer whose file lists
+    no state step gets a bare attachment, since every layer with a weight
+    quantizer holds a state and the plan says which have smoothing. The
+    file's tensor list must then be the names of model.tensors(), in its
+    order, and each tensor must have its slot's shape and dtype. Every slot
+    is float64 but the weight of a frozen layer with a weight quantizer
+    (holds_codes), which holds the spec's code_dtype, every code in
+    [q_n, q_p]. The step must be an int in [0, 2^30), the steps a ZO
+    direction stream can name (zo.direction_stream_id).
     """
     try:
         cfg = RunConfig.from_dict(manifest["config"])
@@ -403,32 +388,29 @@ def _restore_model(path: str, version: int, manifest: dict, tensors: dict):
             lin.att = LayerAttachment()
         lin.att.pre_quantized = manifest["attachments"][layer_id]["pre_quantized"]
     slots = list(model.tensors())
-    if sorted(name for name, *_ in slots) != sorted(names):
+    if [name for name, *_ in slots] != names:
         raise ValueError("the tensor list does not match the config")
-    frozen = {f"{layer_id}.w": lin for layer_id, lin in model.iter_attachments() if holds_codes(lin)}
+    frozen = {f"{layer_id}.w": lin.att.weight_spec for layer_id, lin in model.iter_attachments() if holds_codes(lin)}
     for name, _, owner, attr in slots:
         tensor, want = tensors[name], getattr(owner, attr).shape
         if tensor.shape != want:
             raise DataError(f"{path}: malformed checkpoint ({name} has shape {tensor.shape}; the config builds {want})")
-        spec = frozen[name].att.weight_spec if name in frozen and version >= 4 else None
+        spec = frozen.get(name)
         dtype = spec.code_dtype if spec is not None else np.dtype(np.float64)
         if tensor.dtype != dtype:
             raise DataError(f"{path}: malformed checkpoint ({name} holds {tensor.dtype}; the config builds {dtype})")
         if spec is not None and not spec.q_n <= tensor.min() <= tensor.max() <= spec.q_p:
             raise DataError(f"{path}: malformed checkpoint ({name} holds a code outside [{spec.q_n}, {spec.q_p}])")
         setattr(owner, attr, tensor)
-    if version < 4:
-        for name, lin in frozen.items():
-            weight = lin.w
-            lin.w = weight_codes(weight, lin.att)
-            if not np.array_equal(dequantized_weight(lin), weight):
-                raise DataError(f"{path}: malformed checkpoint ({name} is off its quantization grid)")
     for layer_id, lin in model.iter_attachments():
         sm = lin.att.smoothing
         if sm is not None and not np.all(np.isfinite(sm.scale) & (sm.scale > 0)):
             raise DataError(f"{path}: {layer_id} smoothing scale is not finite and positive")
-    model.lightweight = manifest.get("lightweight", False)
-    return cfg, model, manifest["step"]
+    step = manifest["step"]
+    if type(step) is not int or not 0 <= step < STEP_LIMIT:
+        raise DataError(f"{path}: malformed checkpoint (step {step!r} is not an integer in [0, 2^30))")
+    model.lightweight = manifest["lightweight"]
+    return cfg, model, step
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +503,11 @@ def _initialize(cfg: RunConfig, train, lightweight: bool):
 def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = None) -> int:
     if resume is not None:
         cfg_loaded, model, start_step = load_checkpoint(resume)
+        if cfg.zo.steps < start_step:
+            raise UsageError(
+                f"--resume with --steps {cfg.zo.steps} would end before the checkpoint's step "
+                f"{start_step}; resume to at least {start_step} steps"
+            )
         if cfg_loaded.zo.lr_schedule != "constant" and cfg.zo.steps != cfg_loaded.zo.steps:
             # the first part decayed over the old horizon, so no straight run
             # of the new length passes through the checkpoint

@@ -4,13 +4,17 @@ Each snapshot (`track`) pairs the eval perplexity with the reconstruction
 loss of the probed layers, so a run's metrics show whether the two move
 together. The module returns records and their CSV rows; cli writes them.
 Memory is counted from the arrays the model holds, except the forward
-activations, which `transient_forward_bytes` bounds from below and
-`measured_peaks` measures. The forward streams its wide stages (attention
-one sequence at a time, activation scratch one row block at a time), so the
-bound counts one sequence's attention matrix, one row block and the float64
-weight a quantized or frozen mlp linear's GEMM reads. It stays within 1.6x
-of the measured peak at d_model 64 (the default) and 256. `peak_rss`
-reads the whole process, which tracemalloc cannot see.
+activations, which `transient_forward_bytes` models and `measured_peaks`
+measures. The forward streams its wide stages (attention one sequence at a
+time, activation scratch one row block at a time), so the model counts one
+sequence's attention matrix, one row block and the float64 weight a
+quantized or frozen mlp linear's GEMM reads. When the linears quantize or
+are frozen it is a lower bound within 2x of one forward's measured peak
+(tests/test_streamed_forward.py: W4A4 and lightweight W4A16g16 at d_model
+64, W3A8g16 at 256, batch 4). In full precision it is not a bound: the GEMM
+reads the held weight, and at d_model 256 one forward measures 6.21 MiB
+against 8.0 modelled. `peak_rss` reads the whole process, which
+tracemalloc cannot see.
 """
 
 from __future__ import annotations

@@ -431,17 +431,13 @@ def holds_codes(lin: Linear) -> bool:
     return lin.att.pre_quantized and lin.att.weight_spec is not None
 
 
-def weight_codes(w: Tensor, att: LayerAttachment) -> np.ndarray:
-    """The codes of w under att's weight quantizer and state, in the spec's code_dtype."""
-    return quant_codes(w, att.weight_spec, att.weight_state).astype(att.weight_spec.code_dtype)
-
-
 def freeze_linear(lin: Linear) -> None:
     """Fold the smoothing into (w, b), quantize the weight once, and freeze.
 
     With a weight quantizer, lin.w becomes the weight's integer codes
-    (weight_codes) in the smallest integer dtype that holds [q_n, q_p]:
-    uint8 or int8 up to 8 bits, 16-bit above. The weight state stays
+    (quant_codes under the weight state) in the spec's code_dtype, the
+    smallest integer dtype that holds [q_n, q_p]: uint8 or int8 up to 8
+    bits, 16-bit above. The weight state stays
     attached and supplies each group's step and zero point, and
     dequantized_weight gives the frozen weight back. Its values equal
     fake_quant's of the folded weight (np.array_equal); its bytes differ only
@@ -458,7 +454,7 @@ def freeze_linear(lin: Linear) -> None:
     if att.smoothing is not None:
         lin.w, lin.b = fold_smoothing(lin.w, lin.b, att.smoothing)
     if att.weight_spec is not None:
-        lin.w = weight_codes(lin.w, att)
+        lin.w = quant_codes(lin.w, att.weight_spec, att.weight_state).astype(att.weight_spec.code_dtype)
     att.pre_quantized = True
 
 

@@ -24,12 +24,12 @@ GROUP_ORDER = ("weights", "smoothing", "clipping", "quant_affine")
 _STEP_SHIFT = 32
 _MAX_DIRECTIONS = 1 << _STEP_SHIFT
 # below 2^30 steps, direction stream ids stay below the cli's namespaces at 2^62
-_STEP_LIMIT = 1 << 30
+STEP_LIMIT = 1 << 30
 
 
 def direction_stream_id(step: int, i: int) -> int:
     """Stream id of direction i at step `step` under the seed schedule."""
-    if not (0 <= step < _STEP_LIMIT and 0 <= i < _MAX_DIRECTIONS):
+    if not (0 <= step < STEP_LIMIT and 0 <= i < _MAX_DIRECTIONS):
         raise DataError(f"direction {i} of step {step} out of range: steps < 2^30, directions < 2^32")
     return (int(step) << _STEP_SHIFT) | int(i)
 

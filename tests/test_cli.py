@@ -13,17 +13,13 @@ from zoqlab import cli, diagnostics, theory
 from zoqlab.calibration import calibrate_model, capture_activations, rtn_quantize
 from zoqlab.errors import NumericError
 from zoqlab.model import (
-    LayerAttachment,
-    Linear,
     ModelConfig,
     QuantPlan,
     build_model,
     dequantized_weight,
-    holds_codes,
     set_lightweight,
 )
 from zoqlab.numerics import read_tensor, write_tensor
-from zoqlab.quantizer import QuantState
 from zoqlab.zo import ZoConfig, zo_step
 
 TINY_INI = """\
@@ -374,6 +370,11 @@ def edit_manifest(raw, edit):
     return raw[:16] + struct.pack("<Q", len(blob)) + blob + raw[end:]
 
 
+def swap(names, a, b):
+    i, j = names.index(a), names.index(b)
+    names[i], names[j] = b, a
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -385,6 +386,7 @@ def edit_manifest(raw, edit):
         lambda m: m["config"]["quant"].update(group_size=5),
         lambda m: m["tensors"].__setitem__(0, 7),
         lambda m: m["config"]["quant"].update(a_bits=16),
+        lambda m: swap(m["tensors"], "block0.ln1_gain", "block0.ln1_bias"),
     ],
     ids=[
         "missing tensor",
@@ -395,6 +397,7 @@ def edit_manifest(raw, edit):
         "group size does not divide d_model",
         "tensor name not a string",
         "smoothing the weight-only config does not build",
+        "tensor list in another order",
     ],
 )
 def test_checkpoint_with_a_bad_manifest_is_a_data_error(trained_checkpoint, tmp_path, capsys, edit):
@@ -413,6 +416,36 @@ def test_checkpoint_whose_manifest_is_not_json_is_a_data_error(trained_checkpoin
     with pytest.raises(cli.DataError, match="malformed checkpoint"):
         cli.load_checkpoint(str(path))
     assert_eval_refuses(path, capsys)
+
+
+@pytest.mark.parametrize("step", ["x", -1, 1.5, None, True, 2**30])
+@pytest.mark.parametrize("command", ["train --resume", "eval"])
+def test_a_checkpoint_step_that_is_not_an_int_in_range_is_malformed(
+    trained_checkpoint, tiny_config, tmp_path, capsys, command, step
+):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(edit_manifest(trained_checkpoint, lambda m: m.update(step=step)))
+    capsys.readouterr()
+    if command == "eval":
+        code = cli.main(["eval", str(path), "--metrics-dir", str(tmp_path / "metrics")])
+    else:
+        code = train(tiny_config, tmp_path, "--steps", "4", "--resume", str(path))
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"malformed checkpoint (step {step!r} " in err and "Traceback" not in err
+    assert not (tmp_path / "metrics").exists() and not (tmp_path / "ckpt").exists()
+
+
+def test_resume_to_fewer_steps_than_the_checkpoint_is_a_usage_error(trained_checkpoint, tiny_config, tmp_path, capsys):
+    path = tmp_path / "step2.ckpt"
+    path.write_bytes(trained_checkpoint)
+    assert cli.load_checkpoint(str(path))[2] == 2
+    capsys.readouterr()
+    assert train(tiny_config, tmp_path, "--steps", "1", "--resume", str(path)) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "before the checkpoint's step 2" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "metrics").exists() and not (tmp_path / "ckpt").exists()
 
 
 def test_checkpoint_with_output_paths_in_its_manifest_still_loads(
@@ -506,15 +539,16 @@ def test_run_config_maps_bits_to_a_plan_and_calibration_epochs(fields, plan, epo
     assert cfg.effective_calib_epochs() == epochs
 
 
-def test_checkpoint_of_another_version_is_refused(trained_checkpoint, tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2, 3, 5])
+def test_checkpoint_of_another_version_is_refused(trained_checkpoint, tmp_path, capsys, version):
     raw = trained_checkpoint
     assert struct.unpack("<II", raw[8:16]) == (4, 0)
-    path = tmp_path / "v5.ckpt"
-    path.write_bytes(raw[:8] + struct.pack("<II", 5, 0) + raw[16:])
+    path = tmp_path / f"v{version}.ckpt"
+    path.write_bytes(raw[:8] + struct.pack("<II", version, 0) + raw[16:])
     capsys.readouterr()
     assert cli.main(["eval", str(path)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert "unsupported" in err and "Traceback" not in err
+    assert f"checkpoint version {version} unsupported (expected 4)" in err and "Traceback" not in err
 
 
 def test_failed_verification_exits_4(tmp_path, monkeypatch, capsys):
@@ -529,35 +563,6 @@ def test_failed_verification_exits_4(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "verification.csv").is_file()
 
 
-def earlier_layout(raw):
-    """The checkpoint as earlier versions wrote it: format version 1.
-
-    Each block's ln2 tensors come right after its ln1 tensors, before the
-    linears, and every attachment carries "trainable" (not pre_quantized).
-    """
-    start, end = manifest_span(raw)
-    manifest = json.loads(raw[start:end])
-    body = io.BytesIO(raw[end:])
-    tensors = {name: read_tensor(body) for name in manifest["tensors"]}
-    order = []
-    for name in manifest["tensors"]:
-        if ".ln2_" not in name:
-            order.append(name)
-        if name.endswith(".ln1_bias"):
-            block = name.split(".")[0]
-            order += [f"{block}.ln2_gain", f"{block}.ln2_bias"]
-    assert sorted(order) == sorted(manifest["tensors"]) and order != manifest["tensors"]
-    manifest["tensors"] = order
-    for meta in manifest["attachments"].values():
-        meta["trainable"] = not meta["pre_quantized"]
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    out = io.BytesIO()
-    out.write(raw[:8] + struct.pack("<IIQ", 1, 0, len(blob)) + blob)
-    for name in order:
-        write_tensor(out, tensors[name])
-    return out.getvalue()
-
-
 def lightweight_checkpoint(tmp_path, config=ModelConfig(d_model=16, n_layers=2, n_heads=2, context=32), **fields):
     """(file bytes, model) of the lightweight model of RunConfig(**fields) at seed 3, saved at step 0."""
     cfg = cli.RunConfig(model=config, seed=3, **fields)
@@ -565,53 +570,6 @@ def lightweight_checkpoint(tmp_path, config=ModelConfig(d_model=16, n_layers=2, 
     path = tmp_path / "light.ckpt"
     cli.save_checkpoint(str(path), cfg, model, 0)
     return path.read_bytes(), model
-
-
-def attachment_flags(att):
-    return att.pre_quantized, att.weight_spec, att.act_spec, att.smoothing is None, att.weight_state is None
-
-
-WEIGHT_ONLY = {"a_bits": 16, "group_size": 16}
-LIGHTWEIGHT_PLANS = {"lightweight W4A16g16": WEIGHT_ONLY, "lightweight fp": {"w_bits": None, "a_bits": None}}
-
-
-@pytest.mark.parametrize("case", ["trained W4A4", *LIGHTWEIGHT_PLANS])
-def test_checkpoint_in_the_earlier_layout_loads_to_the_same_tensors(
-    trained_checkpoint, tmp_path, case
-):
-    if case in LIGHTWEIGHT_PLANS:
-        raw, _ = lightweight_checkpoint(tmp_path, **LIGHTWEIGHT_PLANS[case])
-    else:
-        raw = trained_checkpoint
-    (tmp_path / "new.ckpt").write_bytes(raw)
-    (tmp_path / "old.ckpt").write_bytes(earlier_layout(as_version_3(raw)))
-    new_cfg, new, new_step = cli.load_checkpoint(str(tmp_path / "new.ckpt"))
-    old_cfg, old, old_step = cli.load_checkpoint(str(tmp_path / "old.ckpt"))
-    assert (old_cfg, old_step, old.lightweight) == (new_cfg, new_step, new.lightweight)
-    got = {name: (label, getattr(owner, attr).tobytes()) for name, label, owner, attr in old.tensors()}
-    want = {name: (label, getattr(owner, attr).tobytes()) for name, label, owner, attr in new.tensors()}
-    assert got == want
-    for (layer_id, a), (_, b) in zip(old.iter_attachments(), new.iter_attachments()):
-        assert attachment_flags(a.att) == attachment_flags(b.att), layer_id
-
-
-def as_version_3(raw):
-    """raw, a version-4 checkpoint, as version 3 wrote it: each frozen weight as float64 values, not codes."""
-    start, end = manifest_span(raw)
-    manifest = json.loads(raw[start:end])
-    body = io.BytesIO(raw[end:])
-    tensors = {name: read_tensor(body) for name in manifest["tensors"]}
-    plan = cli.RunConfig.from_dict(manifest["config"]).quant_plan()
-    out = io.BytesIO()
-    out.write(raw[:8] + struct.pack("<II", 3, 0) + raw[16:end])
-    for name, tensor in tensors.items():
-        if tensor.dtype != np.float64:
-            layer = name.removesuffix(".w")
-            state = QuantState(*(tensors[f"{layer}.state.{part}"] for part in ("step", "zero_point", "clip_lo", "clip_hi")))
-            att = LayerAttachment(weight_spec=plan.weight_spec(), weight_state=state, pre_quantized=True)
-            tensor = dequantized_weight(Linear(tensor, tensors[f"{layer}.b"], att))
-        write_tensor(out, tensor)
-    return out.getvalue()
 
 
 def with_tensor(raw, name, array):
@@ -641,57 +599,39 @@ def out_of_range(codes, code):
     return bad
 
 
-MALFORMED = {  # case: (config fields, version 3 layout, tensor name, its replacement from the model)
-    "float64 codes": (WEIGHT_ONLY, False, "block0.attn_k.w", lambda lin, m: dequantized_weight(lin)),
-    "int8 codes for uint8": (WEIGHT_ONLY, False, "block0.attn_k.w", lambda lin, m: lin.w.astype(np.int8)),
-    "uint8 embed": (WEIGHT_ONLY, False, "embed", lambda lin, m: np.zeros(m.embed.shape, np.uint8)),
-    "code above q_p": (WEIGHT_ONLY, False, "block0.attn_k.w", lambda lin, m: out_of_range(lin.w, 16)),
-    "code below q_n": ({"scheme": "symmetric"}, False, "block1.mlp_up.w", lambda lin, m: out_of_range(lin.w, -9)),
-    "codes in version 3": (WEIGHT_ONLY, True, "block0.attn_k.w", lambda lin, m: lin.w),
-    "off the grid in version 3": (
-        WEIGHT_ONLY, True, "block0.attn_k.w", lambda lin, m: dequantized_weight(lin) + 1e-3
-    ),
+WEIGHT_ONLY = {"a_bits": 16, "group_size": 16}
+MALFORMED = {  # case: (config fields, tensor name, its replacement from the model)
+    "float64 codes": (WEIGHT_ONLY, "block0.attn_k.w", lambda lin, m: dequantized_weight(lin)),
+    "int8 codes for uint8": (WEIGHT_ONLY, "block0.attn_k.w", lambda lin, m: lin.w.astype(np.int8)),
+    "uint8 embed": (WEIGHT_ONLY, "embed", lambda lin, m: np.zeros(m.embed.shape, np.uint8)),
+    "code above q_p": (WEIGHT_ONLY, "block0.attn_k.w", lambda lin, m: out_of_range(lin.w, 16)),
+    "code below q_n": ({"scheme": "symmetric"}, "block1.mlp_up.w", lambda lin, m: out_of_range(lin.w, -9)),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_a_frozen_weight_of_the_wrong_dtype_or_off_its_grid_is_malformed(tmp_path, capsys, case):
-    fields, version_3, name, replacement = MALFORMED[case]
+    fields, name, replacement = MALFORMED[case]
     raw, model = lightweight_checkpoint(tmp_path, **fields)
     layer_id = name.removesuffix(".w")
     lin = dict(model.iter_attachments()).get(layer_id)
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(with_tensor(as_version_3(raw) if version_3 else raw, name, replacement(lin, model)))
+    path.write_bytes(with_tensor(raw, name, replacement(lin, model)))
     with pytest.raises(cli.DataError, match=rf"malformed checkpoint \({re.escape(name)} "):
         cli.load_checkpoint(str(path))
     assert_eval_refuses(path, capsys)
 
 
 def test_the_default_lightweight_checkpoint_stores_one_byte_per_frozen_weight(tmp_path):
-    """81,920 frozen W4A16g16 entries: 7 bytes fewer each than the version 3 file's float64."""
-    raw, model = lightweight_checkpoint(tmp_path, ModelConfig(), **WEIGHT_ONLY)
-    assert len(as_version_3(raw)) - len(raw) == 573_440
-    frozen = [lin.w for _, lin in model.iter_attachments() if holds_codes(lin)]
-    assert sum(w.nbytes for w in frozen) == 81_920
-
-
-def as_version_2(raw, cfg, model, step):
-    """raw, the version-3 file of (cfg, model, step), as version 2 wrote it.
-
-    Version 2 stored four flags per layer and an "rng" entry; version 3
-    keeps only pre_quantized.
-    """
+    """The file holds the 81,920 frozen W4A16g16 entries as one uint8 code each."""
+    raw, _ = lightweight_checkpoint(tmp_path, ModelConfig(), **WEIGHT_ONLY)
     start, end = manifest_span(raw)
-    manifest = json.loads(raw[start:end])
-    manifest["rng"] = {"seed": cfg.seed, "next_step": step}
-    for layer_id, lin in model.iter_attachments():
-        manifest["attachments"][layer_id].update(
-            has_smoothing=lin.att.smoothing is not None,
-            has_state=lin.att.weight_state is not None,
-            quantized=lin.att.weight_spec is not None,
-        )
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    return raw[:8] + struct.pack("<IIQ", 2, 0, len(blob)) + blob + raw[end:]
+    body = io.BytesIO(raw[end:])
+    stored = [read_tensor(body) for _ in json.loads(raw[start:end])["tensors"]]
+    assert body.read() == b""
+    frozen = [tensor for tensor in stored if tensor.dtype != np.float64]
+    assert {tensor.dtype for tensor in frozen} == {np.dtype(np.uint8)}
+    assert sum(tensor.nbytes for tensor in frozen) == 81_920
 
 
 def calibrated(model):
@@ -715,6 +655,10 @@ ROUND_TRIP_STAGES = {
 }
 
 
+def attachment_flags(att):
+    return att.pre_quantized, att.weight_spec, att.act_spec, att.smoothing is None, att.weight_state is None
+
+
 def saved_state(cfg, model, step):
     tensors = {name: (label, getattr(owner, attr).tobytes()) for name, label, owner, attr in model.tensors()}
     attachments = {layer_id: attachment_flags(lin.att) for layer_id, lin in model.iter_attachments()}
@@ -723,19 +667,15 @@ def saved_state(cfg, model, step):
 
 @pytest.mark.parametrize("stage", ROUND_TRIP_STAGES)
 @pytest.mark.parametrize("plan", ROUND_TRIP_PLANS)
-def test_a_checkpoint_in_either_version_loads_to_the_model_saved(tmp_path, plan, stage):
+def test_a_checkpoint_loads_to_the_model_saved(tmp_path, plan, stage):
     config = ModelConfig(d_model=16, n_layers=2, n_heads=2, context=32)
     cfg = cli.RunConfig(model=config, seed=3, **ROUND_TRIP_PLANS[plan])
     model = build_model(config, cfg.quant_plan(), cfg.seed)
     for apply in ROUND_TRIP_STAGES[stage]:
         apply(model)
-    path, v3, v2 = tmp_path / "v4.ckpt", tmp_path / "v3.ckpt", tmp_path / "v2.ckpt"
-    cli.save_checkpoint(str(path), cfg, model, 5)
-    v3.write_bytes(as_version_3(path.read_bytes()))
-    v2.write_bytes(as_version_2(v3.read_bytes(), cfg, model, 5))
-    saved = saved_state(cfg, model, 5)
-    for file in (path, v3, v2):
-        assert saved_state(*cli.load_checkpoint(str(file))) == saved, file.name
+    path = str(tmp_path / "saved.ckpt")
+    cli.save_checkpoint(path, cfg, model, 5)
+    assert saved_state(*cli.load_checkpoint(path)) == saved_state(cfg, model, 5)
 
 
 CALIBRATED_INI = TINY_INI.replace("eval_interval = 0", "eval_interval = 2").replace(
