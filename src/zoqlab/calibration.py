@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .model import ModelGraph, freeze_linear, regrid_weight_state
+from .model import ModelGraph, freeze_linear, holds_codes, regrid_weight_state
 from .quantizer import QuantSpec, QuantState, clamp_bounds, fake_quant, init_range, quant_codes, to_groups
 from .smoothing import SCALE_CEIL, SCALE_FLOOR, SmoothingParams, fold_smoothing, smooth_activation
 
@@ -258,11 +258,11 @@ class _BoundGrid:
         return beyond[m, c] * (_MOVES.sum(axis=1)[m, None] * self.step[k :: self.slots][c, None])
 
 
-def _search_bounds(obj, state, loss, resid=None, passes=_INNER_STEPS):
-    """Move each group's integer clamp bounds one code at a time; returns (state, loss).
+def _search_bounds(obj, state, loss, resid, passes):
+    """Move each group's integer clamp bounds one code at a time, up to passes passes; returns (state, loss).
 
     resid is y_fp minus the output at state, as the caller's last full
-    evaluation of state left it; it is computed when not given. Per pass,
+    evaluation of state left it (obj.scored). Per pass,
     slot by slot, every group of the slot takes its best move that lowers
     the loss. The groups of a slot sit in distinct output columns, so their
     changes add up; the moves update resid' xq through gram before the next
@@ -273,8 +273,6 @@ def _search_bounds(obj, state, loss, resid=None, passes=_INNER_STEPS):
     """
     spec = obj.wspec
     grid = _BoundGrid(obj, state)
-    if resid is None:
-        resid = obj.scored(state)[1]
     corr = resid.T @ obj.xq
     for _ in range(passes):
         lo, hi = clamp_bounds(spec, state)
@@ -305,7 +303,7 @@ def calibrate_model(model: ModelGraph, calib: CalibSet, epochs: int) -> list[dic
     rows = []
     for layer_id, lin in model.iter_attachments():
         att = lin.att
-        if att.weight_spec is None or att.pre_quantized:
+        if att.weight_spec is None or holds_codes(lin):
             continue
         result = reconstruct_layer(lin.w, lin.b, calib.captures[layer_id], att, epochs=epochs)
         att.smoothing = result.smoothing
@@ -326,12 +324,12 @@ def rtn_quantize(model: ModelGraph) -> ModelGraph:
     """Round-to-nearest baseline: range-init and pre-quantize every attached weight.
 
     Smoothing resets to identity, clipping stays inactive, and no
-    optimization happens. Idempotent: already pre-quantized layers are left
+    optimization happens. Idempotent: layers that already hold codes are left
     alone.
     """
     for _, lin in model.iter_attachments():
         att = lin.att
-        if att.weight_spec is None or att.pre_quantized:
+        if att.weight_spec is None or holds_codes(lin):
             continue
         if att.smoothing is not None:
             att.smoothing = SmoothingParams.identity(lin.w.shape[0])

@@ -39,7 +39,6 @@ from .model import (
     ModelGraph,
     QuantPlan,
     build_model,
-    holds_codes,
     set_lightweight,
 )
 from .numerics import read_exact, read_tensor, uniforms_at, write_tensor
@@ -304,20 +303,16 @@ def save_checkpoint(path: str, cfg: RunConfig, model: ModelGraph, step: int) -> 
 
     The tensors are those of model.tensors(), in its order and each in its
     own dtype, so a frozen layer's weight is stored as its codes; the manifest
-    records their names, the config, the step, the lightweight flag and each
-    layer's pre_quantized flag. Nothing else is stored: the rest of a layer's
-    structure follows from the config and the tensor list (_restore_model),
-    and the ZO streams from the config's seed and the step.
+    records their names, the config, the step and the lightweight flag.
+    Nothing else is stored: the rest of a layer's structure follows from the
+    config, the tensor list and each weight's dtype (_restore_model), and
+    the ZO streams from the config's seed and the step.
     """
     entries = [(name, getattr(owner, attr)) for name, _, owner, attr in model.tensors()]
     manifest = {
         "config": cfg.to_dict(),
         "step": step,
         "lightweight": model.lightweight,
-        "attachments": {
-            layer_id: {"pre_quantized": lin.att.pre_quantized}
-            for layer_id, lin in model.iter_attachments()
-        },
         "tensors": [name for name, _ in entries],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -343,8 +338,9 @@ def load_checkpoint(path: str):
 
     A malformed file raises DataError: a truncated one, a manifest that does
     not parse, a manifest config that fails validation, a step that is not
-    an integer in [0, 2^30), and a tensor list that does not match, by name,
-    order, shape and dtype, the slots the config builds.
+    an integer in [0, 2^30), a lightweight flag that is not a JSON bool, and
+    a tensor list that does not match, by name, order, shape and dtype, the
+    slots the config builds.
     """
     try:
         with open(path, "rb") as f:
@@ -367,15 +363,17 @@ def load_checkpoint(path: str):
 def _restore_model(path: str, manifest: dict, tensors: dict):
     """Build the config's seed model, then assign the file's tensors to its slots.
 
-    The only per-layer flag read is pre_quantized: a layer whose file lists
-    no state step gets a bare attachment, since every layer with a weight
-    quantizer holds a state and the plan says which have smoothing. The
-    file's tensor list must then be the names of model.tensors(), in its
-    order, and each tensor must have its slot's shape and dtype. Every slot
-    is float64 but the weight of a frozen layer with a weight quantizer
-    (holds_codes), which holds the spec's code_dtype, every code in
-    [q_n, q_p]. The step must be an int in [0, 2^30), the steps a ZO
-    direction stream can name (zo.direction_stream_id).
+    A layer whose file lists no state step gets a bare attachment, since
+    every layer with a weight quantizer holds a state and the plan says
+    which have smoothing. The file's tensor list must then be the names of
+    model.tensors(), in its order, and each tensor must have its slot's
+    shape and a dtype the slot takes. Every slot takes float64; the weight
+    of a layer with a weight quantizer also takes the spec's code_dtype,
+    every code in [q_n, q_p], and a layer whose weight is read as codes is
+    frozen (holds_codes). The step must be an int in [0, 2^30), the steps a
+    ZO direction stream can name (zo.direction_stream_id), and lightweight
+    true or false. Any other manifest key is ignored, such as the per-layer
+    "attachments" flags earlier version 4 files carry.
     """
     try:
         cfg = RunConfig.from_dict(manifest["config"])
@@ -386,20 +384,19 @@ def _restore_model(path: str, manifest: dict, tensors: dict):
     for layer_id, lin in model.iter_attachments():
         if f"{layer_id}.state.step" not in names:
             lin.att = LayerAttachment()
-        lin.att.pre_quantized = manifest["attachments"][layer_id]["pre_quantized"]
     slots = list(model.tensors())
     if [name for name, *_ in slots] != names:
         raise ValueError("the tensor list does not match the config")
-    frozen = {f"{layer_id}.w": lin.att.weight_spec for layer_id, lin in model.iter_attachments() if holds_codes(lin)}
     for name, _, owner, attr in slots:
         tensor, want = tensors[name], getattr(owner, attr).shape
         if tensor.shape != want:
             raise DataError(f"{path}: malformed checkpoint ({name} has shape {tensor.shape}; the config builds {want})")
-        spec = frozen.get(name)
-        dtype = spec.code_dtype if spec is not None else np.dtype(np.float64)
-        if tensor.dtype != dtype:
-            raise DataError(f"{path}: malformed checkpoint ({name} holds {tensor.dtype}; the config builds {dtype})")
-        if spec is not None and not spec.q_n <= tensor.min() <= tensor.max() <= spec.q_p:
+        spec = owner.att.weight_spec if attr == "w" else None  # attr "w" is a linear's weight
+        dtypes = [np.dtype(np.float64)] + ([spec.code_dtype] if spec is not None else [])
+        if tensor.dtype not in dtypes:
+            allowed = " or ".join(map(str, dtypes))
+            raise DataError(f"{path}: malformed checkpoint ({name} holds {tensor.dtype}; the config builds {allowed})")
+        if tensor.dtype != np.float64 and not spec.q_n <= tensor.min() <= tensor.max() <= spec.q_p:
             raise DataError(f"{path}: malformed checkpoint ({name} holds a code outside [{spec.q_n}, {spec.q_p}])")
         setattr(owner, attr, tensor)
     for layer_id, lin in model.iter_attachments():
@@ -410,6 +407,8 @@ def _restore_model(path: str, manifest: dict, tensors: dict):
     if type(step) is not int or not 0 <= step < STEP_LIMIT:
         raise DataError(f"{path}: malformed checkpoint (step {step!r} is not an integer in [0, 2^30))")
     model.lightweight = manifest["lightweight"]
+    if type(model.lightweight) is not bool:
+        raise DataError(f"{path}: malformed checkpoint (lightweight {model.lightweight!r} is not true or false)")
     return cfg, model, step
 
 
@@ -503,6 +502,8 @@ def _initialize(cfg: RunConfig, train, lightweight: bool):
 def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = None) -> int:
     if resume is not None:
         cfg_loaded, model, start_step = load_checkpoint(resume)
+        if lightweight and not model.lightweight:
+            raise UsageError("--resume --lightweight needs a lightweight checkpoint; this one trains the full model")
         if cfg.zo.steps < start_step:
             raise UsageError(
                 f"--resume with --steps {cfg.zo.steps} would end before the checkpoint's step "

@@ -180,8 +180,10 @@ def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
 
     parameters: the scalars zo_step trains under cfg, at 8 bytes (the
     quant-affine steps count only with cfg.train_quant_affine);
-    quantized_frozen: the nbytes of the pre-quantized weight matrices as
-    held, integer codes (freeze_linear);
+    quantized_frozen: the held nbytes of every linear weight that does not
+    train (model.tensors() leaves it unlabelled): a frozen layer's integer
+    codes (freeze_linear), and in lightweight mode a float64 weight with no
+    weight quantizer;
     optimizer_state: the ZO coefficients and stream cursors;
     transient_forward: transient_forward_bytes at cfg.batch_size, the only
     term that depends on it. At the default ModelConfig and batch 4 a
@@ -191,7 +193,8 @@ def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
     dominates.
     """
     params = model.trainable_parameters(include_quant_affine=cfg.train_quant_affine).size * 8
-    frozen = sum(lin.w.nbytes for _, lin in model.iter_attachments() if lin.att.pre_quantized)
+    held = (getattr(owner, attr) for _, label, owner, attr in model.tensors() if attr == "w" and label is None)
+    frozen = sum(w.nbytes for w in held)
     return {
         "parameters": params,
         "quantized_frozen": frozen,

@@ -92,17 +92,14 @@ class LayerAttachment:
     """Quantizer/smoothing attachment of one linear layer.
 
     Activation ranges are per-token and derived dynamically each forward.
-    pre_quantized means the layer is frozen (freeze_linear): its weight and
-    bias already include the smoothing, and with a weight quantizer the
-    weight is held as integer codes on weight_state's grid
-    (dequantized_weight reads it). A pre-quantized layer never trains.
+    Nothing here marks a layer as frozen: a layer is frozen when its weight
+    holds integer codes (holds_codes, freeze_linear).
     """
 
     weight_spec: QuantSpec | None = None
     weight_state: QuantState | None = None
     act_spec: QuantSpec | None = None
     smoothing: SmoothingParams | None = None
-    pre_quantized: bool = False
 
     @property
     def bypassed(self) -> bool:
@@ -231,8 +228,8 @@ class ModelGraph:
         This is the one statement of the model's tensor layout: the
         checkpoint saves and loads every entry by name, and
         trainable_parameters keeps the labelled ones. label is the tensor's
-        ZO group, or None for a tensor that does not train: pos, a
-        pre-quantized linear, and in lightweight mode everything but the
+        ZO group, or None for a tensor that does not train: pos, a frozen
+        linear (holds_codes), and in lightweight mode everything but the
         attention query/value weights.
         """
         light = self.lightweight
@@ -246,7 +243,7 @@ class ModelGraph:
                 lin = block.linears[name]
                 att = lin.att
                 base = f"block{bi}.{name}"
-                trains = not (light or att.pre_quantized)
+                trains = not (light or holds_codes(lin))
                 w_trains = name in LIGHTWEIGHT_TRAINABLE if light else trains
                 yield f"{base}.w", "weights" if w_trains else None, lin, "w"
                 yield f"{base}.b", "weights" if trains else None, lin, "b"
@@ -281,7 +278,7 @@ class ModelGraph:
         """Project learnable quantizer/smoothing state back into valid ranges."""
         for _, lin in self.iter_attachments():
             att = lin.att
-            if att.pre_quantized:
+            if holds_codes(lin):
                 continue
             if att.smoothing is not None:
                 np.clip(att.smoothing.scale, SCALE_FLOOR, SCALE_CEIL, out=att.smoothing.scale)
@@ -294,7 +291,7 @@ class ModelGraph:
         """Re-derive step/zero from the current (smoothed) weights, keeping clipping."""
         for _, lin in self.iter_attachments():
             att = lin.att
-            if att.weight_spec is None or att.pre_quantized:
+            if att.weight_spec is None or holds_codes(lin):
                 continue
             w_s = lin.w if att.smoothing is None else smooth_weight(lin.w, att.smoothing)
             att.weight_state = regrid_weight_state(w_s, att.weight_spec, att.weight_state)
@@ -311,8 +308,8 @@ def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
     """One attached linear layer; fp mode bypasses the attachment entirely.
 
     qat composes, in this order: smoothing, per-token activation
-    fake-quant, weight fake-quant, GEMM plus bias. A pre-quantized layer
-    already carries the weight side (freeze_linear): its weight is
+    fake-quant, weight fake-quant, GEMM plus bias. A frozen layer's codes
+    already carry the weight side (holds_codes, freeze_linear): they are
     dequantized (dequantized_weight), and only the activation side runs.
 
     The weight side (smoothing fold, weight fake-quant) is prepared once.
@@ -331,7 +328,7 @@ def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
     if mode != "qat":
         raise DataError(f"unknown forward mode {mode!r}")
     ws, bs = dequantized_weight(lin), lin.b
-    if not att.pre_quantized:
+    if not holds_codes(lin):
         if att.smoothing is not None:
             # the shape checks and the weight side; the activation side runs per block below
             _, ws, bs = apply_smoothing(x2d[:0], ws, bs, att.smoothing)
@@ -427,17 +424,18 @@ def regrid_weight_state(w_s: Tensor, spec: QuantSpec, state: QuantState | None) 
 
 
 def holds_codes(lin: Linear) -> bool:
-    """Whether lin.w holds integer codes: a frozen layer with a weight quantizer."""
-    return lin.att.pre_quantized and lin.att.weight_spec is not None
+    """Whether lin.w holds integer codes: the one mark of a frozen layer (freeze_linear), which never trains."""
+    return np.issubdtype(lin.w.dtype, np.integer)
 
 
 def freeze_linear(lin: Linear) -> None:
-    """Fold the smoothing into (w, b), quantize the weight once, and freeze.
+    """Fold the smoothing into (w, b) and replace the weight by its integer codes.
 
-    With a weight quantizer, lin.w becomes the weight's integer codes
-    (quant_codes under the weight state) in the spec's code_dtype, the
-    smallest integer dtype that holds [q_n, q_p]: uint8 or int8 up to 8
-    bits, 16-bit above. The weight state stays
+    The layer must have a weight quantizer. lin.w becomes the weight's
+    integer codes (quant_codes under the weight state) in the spec's
+    code_dtype, the smallest integer dtype that holds [q_n, q_p]: uint8 or
+    int8 up to 8 bits, 16-bit above. Holding codes is what makes the layer
+    frozen (holds_codes). The weight state stays
     attached and supplies each group's step and zero point, and
     dequantized_weight gives the frozen weight back. Its values equal
     fake_quant's of the folded weight (np.array_equal); its bytes differ only
@@ -453,9 +451,7 @@ def freeze_linear(lin: Linear) -> None:
     att = lin.att
     if att.smoothing is not None:
         lin.w, lin.b = fold_smoothing(lin.w, lin.b, att.smoothing)
-    if att.weight_spec is not None:
-        lin.w = quant_codes(lin.w, att.weight_spec, att.weight_state).astype(att.weight_spec.code_dtype)
-    att.pre_quantized = True
+    lin.w = quant_codes(lin.w, att.weight_spec, att.weight_state).astype(att.weight_spec.code_dtype)
 
 
 def dequantized_weight(lin: Linear) -> Tensor:
@@ -497,19 +493,16 @@ def _layer_norm(x, gain, bias):
     return xc
 
 
-def _softmax(x, keep=None):
+def _softmax(x, keep):
     """Softmax over the last axis, computed in x and returned.
 
-    keep, when given, is a boolean mask broadcasting against x whose False
-    entries hold -inf scores: those are not exponentiated but set to
-    exp(-inf) = 0.0, which is much cheaper and gives the same bytes.
+    keep is a boolean mask broadcasting against x whose False entries hold
+    -inf scores: those are not exponentiated but set to exp(-inf) = 0.0,
+    which is much cheaper and gives the same bytes.
     """
     x -= x.max(axis=-1, keepdims=True)
-    if keep is None:
-        np.exp(x, out=x)
-    else:
-        np.exp(x, out=x, where=keep)
-        np.copyto(x, 0.0, where=~keep)
+    np.exp(x, out=x, where=keep)
+    np.copyto(x, 0.0, where=~keep)
     x /= x.sum(axis=-1, keepdims=True)
     return x
 
@@ -612,7 +605,9 @@ def set_lightweight(model: ModelGraph) -> ModelGraph:
     query/value layer frozen before (rtn_quantize) trains from its
     dequantized weight. The others are frozen (freeze_linear): smoothing
     folded into (w, b) and the weight replaced by its integer codes,
-    dequantized at each use. Idempotent.
+    dequantized at each use. Without a weight quantizer there is nothing to
+    fold or quantize: such a layer keeps its float weight, and the
+    lightweight flag alone stops it training (tensors). Idempotent.
     """
     if model.lightweight:
         return model
@@ -622,7 +617,7 @@ def set_lightweight(model: ModelGraph) -> ModelGraph:
             if name in LIGHTWEIGHT_TRAINABLE:
                 lin.w = dequantized_weight(lin)
                 lin.att = LayerAttachment()
-            elif not lin.att.pre_quantized:
+            elif lin.att.weight_spec is not None and not holds_codes(lin):
                 freeze_linear(lin)
     model.lightweight = True
     return model

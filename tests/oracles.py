@@ -25,7 +25,14 @@ from numpy.random import Generator, Philox
 from scipy.special import erf, ndtri
 
 from zoqlab.calibration import _MOVES, _LayerObjective
-from zoqlab.model import LIGHTWEIGHT_TRAINABLE, LINEAR_NAMES, _applied_state, dequantized_weight, regrid_weight_state
+from zoqlab.model import (
+    LIGHTWEIGHT_TRAINABLE,
+    LINEAR_NAMES,
+    _applied_state,
+    dequantized_weight,
+    holds_codes,
+    regrid_weight_state,
+)
 from zoqlab.quantizer import clamp_bounds, fake_quant, to_groups
 from zoqlab.smoothing import SCALE_CEIL, SCALE_FLOOR, SmoothingParams, apply_smoothing, smooth_activation
 
@@ -169,32 +176,42 @@ def reference_transformer_logits(model, tokens):
     return logits
 
 
-def all_rows_linear(x2d, lin, mode):
+def coded_layers(model):
+    """The ids of the layers whose weight holds integer codes: the layers the model treats as frozen."""
+    return {layer_id for layer_id, lin in model.iter_attachments() if holds_codes(lin)}
+
+
+def all_rows_linear(x2d, lin, mode, frozen):
     """One linear as one pass over every row: smoothing, per-token fake-quant of the whole matrix, one GEMM.
 
     The composition of model.linear_forward before it streamed row blocks.
+    frozen says that the layer's weight and bias already carry its weight
+    side, smoothing folded and the weight quantized, so only the activation
+    side runs. The caller says so: a reference may freeze a layer that
+    holds a float weight.
     """
     att = lin.att
     if mode == "fp" or att.bypassed:
         return x2d @ dequantized_weight(lin) + lin.b
     xs, ws, bs = x2d, dequantized_weight(lin), lin.b
     if att.smoothing is not None:
-        if att.pre_quantized:
+        if frozen:
             xs = smooth_activation(x2d, att.smoothing)
         else:
             xs, ws, bs = apply_smoothing(x2d, lin.w, lin.b, att.smoothing)
     if att.act_spec is not None:
         xs = fake_quant(xs, att.act_spec)
-    if att.weight_spec is not None and not att.pre_quantized:
+    if att.weight_spec is not None and not frozen:
         ws = fake_quant(ws, att.weight_spec, _applied_state(att.weight_state))
     return xs @ ws + bs
 
 
-def batched_forward(model, tokens, mode="qat", capture=None):
+def batched_forward(model, tokens, mode="qat", capture=None, *, frozen):
     """(bsz, t, vocab) logits of (bsz, t) or (t,) tokens from the all-rows composition of the forward.
 
     Every sequence's (bsz, h, t, t) attention matrices are computed at once,
-    each linear is all_rows_linear over all bsz * t rows, and the elementwise
+    each linear is all_rows_linear over all bsz * t rows, frozen when its id
+    is in the set frozen (coded_layers gives the model's), and the elementwise
     helpers are the out-of-place formulas. capture, when given, collects
     each linear's input as ModelGraph.forward does: the array itself, one
     array for attn_q, attn_k and attn_v.
@@ -214,7 +231,7 @@ def batched_forward(model, tokens, mode="qat", capture=None):
         def linear(x2d, name):
             if capture is not None:
                 capture.setdefault(f"block{bi}.{name}", []).append(x2d)
-            return all_rows_linear(x2d, block.linears[name], mode)
+            return all_rows_linear(x2d, block.linears[name], mode, f"block{bi}.{name}" in frozen)
 
         a = out_of_place_layer_norm(x, block.ln1_gain, block.ln1_bias).reshape(bsz * t, d)
         q, k, v = (heads(linear(a, name)) for name in ("attn_q", "attn_k", "attn_v"))
@@ -233,7 +250,7 @@ def reference_trainable_entries(model, include_quant_affine):
     Weights first (embed; per block ln1, each trainable linear's w and b,
     ln2; the final norm), then per group every trainable linear's smoothing,
     clipping and quant-affine parts. In lightweight mode only the attention
-    query/value weights train. A pre-quantized linear never trains.
+    query/value weights train. A linear that holds codes never trains.
     """
     entries = []
     if model.lightweight:
@@ -247,7 +264,7 @@ def reference_trainable_entries(model, include_quant_affine):
         entries.append(("weights", block.ln1_bias))
         for name in LINEAR_NAMES:
             lin = block.linears[name]
-            if not lin.att.pre_quantized:
+            if not holds_codes(lin):
                 entries.append(("weights", lin.w))
                 entries.append(("weights", lin.b))
         entries.append(("weights", block.ln2_gain))
@@ -263,9 +280,10 @@ def reference_trainable_entries(model, include_quant_affine):
             continue
         for block in model.blocks:
             for name in LINEAR_NAMES:
-                att = block.linears[name].att
-                if att.pre_quantized:
+                lin = block.linears[name]
+                if holds_codes(lin):
                     continue
+                att = lin.att
                 holder = att.smoothing if label == "smoothing" else att.weight_state
                 if holder is None:
                     continue

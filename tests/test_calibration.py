@@ -124,8 +124,8 @@ def test_bound_moves_score_a_full_evaluation_per_move(plan):
 def test_bound_search_takes_the_moves_of_the_move_by_move_search(plan):
     moved = 0
     for layer_id, obj, state, _ in layer_points(plan):
-        loss = obj.eval(state)
-        got, got_loss = _search_bounds(obj, state.copy(), loss)
+        loss, resid = obj.scored(state)
+        got, got_loss = _search_bounds(obj, state.copy(), loss, resid, _INNER_STEPS)
         want, want_loss = greedy_bound_search(obj, state.copy(), loss, _INNER_STEPS)
         assert np.array_equal(got.clip_lo, want.clip_lo), layer_id
         assert np.array_equal(got.clip_hi, want.clip_hi), layer_id

@@ -16,7 +16,7 @@ from zoqlab.model import (
     ModelConfig,
     QuantPlan,
     build_model,
-    dequantized_weight,
+    holds_codes,
     set_lightweight,
 )
 from zoqlab.numerics import read_tensor, write_tensor
@@ -379,7 +379,6 @@ def swap(names, a, b):
     "edit",
     [
         lambda m: m["tensors"].remove("embed"),
-        lambda m: m.pop("attachments"),
         lambda m: m["config"]["model"].update(width=3),
         lambda m: m.update(tensors=7),
         lambda m: [m["tensors"].remove(f"block0.attn_k.smoothing.{part}") for part in ("scale", "shift")],
@@ -390,7 +389,6 @@ def swap(names, a, b):
     ],
     ids=[
         "missing tensor",
-        "missing attachments",
         "unknown config field",
         "tensors not a list",
         "quantized layer without its smoothing",
@@ -418,22 +416,57 @@ def test_checkpoint_whose_manifest_is_not_json_is_a_data_error(trained_checkpoin
     assert_eval_refuses(path, capsys)
 
 
-@pytest.mark.parametrize("step", ["x", -1, 1.5, None, True, 2**30])
-@pytest.mark.parametrize("command", ["train --resume", "eval"])
-def test_a_checkpoint_step_that_is_not_an_int_in_range_is_malformed(
-    trained_checkpoint, tiny_config, tmp_path, capsys, command, step
-):
+def refusal(trained_checkpoint, tiny_config, tmp_path, capsys, command, **field):
+    """What `command` prints for the trained checkpoint with field set in its manifest: it exits 2, writes nothing."""
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(edit_manifest(trained_checkpoint, lambda m: m.update(step=step)))
+    path.write_bytes(edit_manifest(trained_checkpoint, lambda m: m.update(field)))
     capsys.readouterr()
     if command == "eval":
         code = cli.main(["eval", str(path), "--metrics-dir", str(tmp_path / "metrics")])
     else:
         code = train(tiny_config, tmp_path, "--steps", "4", "--resume", str(path))
     assert code == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert f"malformed checkpoint (step {step!r} " in err and "Traceback" not in err
     assert not (tmp_path / "metrics").exists() and not (tmp_path / "ckpt").exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("step", ["x", -1, 1.5, None, True, 2**30])
+@pytest.mark.parametrize("command", ["train --resume", "eval"])
+def test_a_checkpoint_step_that_is_not_an_int_in_range_is_malformed(
+    trained_checkpoint, tiny_config, tmp_path, capsys, command, step
+):
+    err = refusal(trained_checkpoint, tiny_config, tmp_path, capsys, command, step=step)
+    assert f"malformed checkpoint (step {step!r} " in err
+
+
+@pytest.mark.parametrize("lightweight", ["no", 1, 0, None])
+@pytest.mark.parametrize("command", ["train --resume", "eval"])
+def test_a_checkpoint_lightweight_flag_that_is_not_a_bool_is_malformed(
+    trained_checkpoint, tiny_config, tmp_path, capsys, command, lightweight
+):
+    err = refusal(trained_checkpoint, tiny_config, tmp_path, capsys, command, lightweight=lightweight)
+    assert f"malformed checkpoint (lightweight {lightweight!r} " in err
+
+
+def test_resume_of_a_full_checkpoint_with_lightweight_is_a_usage_error(
+    trained_checkpoint, tiny_config, tmp_path, capsys
+):
+    path = tmp_path / "full.ckpt"
+    path.write_bytes(trained_checkpoint)
+    capsys.readouterr()
+    assert train(tiny_config, tmp_path / "refused", "--steps", "4", "--resume", str(path), "--lightweight") == (
+        cli.EXIT_USAGE
+    )
+    captured = capsys.readouterr()
+    assert "--resume --lightweight needs a lightweight checkpoint" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "refused").exists()
+    # a lightweight checkpoint resumes with or without the flag
+    assert train(tiny_config, tmp_path / "light", "--lightweight") == cli.EXIT_OK
+    light = str(tmp_path / "light" / "ckpt" / "final.ckpt")
+    assert train(tiny_config, tmp_path / "resumed", "--steps", "4", "--resume", light, "--lightweight") == cli.EXIT_OK
 
 
 def test_resume_to_fewer_steps_than_the_checkpoint_is_a_usage_error(trained_checkpoint, tiny_config, tmp_path, capsys):
@@ -601,7 +634,11 @@ def out_of_range(codes, code):
 
 WEIGHT_ONLY = {"a_bits": 16, "group_size": 16}
 MALFORMED = {  # case: (config fields, tensor name, its replacement from the model)
-    "float64 codes": (WEIGHT_ONLY, "block0.attn_k.w", lambda lin, m: dequantized_weight(lin)),
+    "uint8 codes in a layer with no weight quantizer": (
+        WEIGHT_ONLY,
+        "block0.attn_q.w",
+        lambda lin, m: np.zeros(lin.w.shape, np.uint8),
+    ),
     "int8 codes for uint8": (WEIGHT_ONLY, "block0.attn_k.w", lambda lin, m: lin.w.astype(np.int8)),
     "uint8 embed": (WEIGHT_ONLY, "embed", lambda lin, m: np.zeros(m.embed.shape, np.uint8)),
     "code above q_p": (WEIGHT_ONLY, "block0.attn_k.w", lambda lin, m: out_of_range(lin.w, 16)),
@@ -655,13 +692,14 @@ ROUND_TRIP_STAGES = {
 }
 
 
-def attachment_flags(att):
-    return att.pre_quantized, att.weight_spec, att.act_spec, att.smoothing is None, att.weight_state is None
+def attachment_flags(lin):
+    att = lin.att
+    return holds_codes(lin), att.weight_spec, att.act_spec, att.smoothing is None, att.weight_state is None
 
 
 def saved_state(cfg, model, step):
     tensors = {name: (label, getattr(owner, attr).tobytes()) for name, label, owner, attr in model.tensors()}
-    attachments = {layer_id: attachment_flags(lin.att) for layer_id, lin in model.iter_attachments()}
+    attachments = {layer_id: attachment_flags(lin) for layer_id, lin in model.iter_attachments()}
     return cfg, step, model.lightweight, tensors, attachments
 
 
@@ -676,6 +714,23 @@ def test_a_checkpoint_loads_to_the_model_saved(tmp_path, plan, stage):
     path = str(tmp_path / "saved.ckpt")
     cli.save_checkpoint(path, cfg, model, 5)
     assert saved_state(*cli.load_checkpoint(path)) == saved_state(cfg, model, 5)
+
+
+@pytest.mark.parametrize("fields", [{}, WEIGHT_ONLY, {"w_bits": None}], ids=["W4A4", "W4A16g16", "fp"])
+def test_a_manifest_still_carrying_per_layer_flags_loads_to_the_same_model(tmp_path, fields):
+    """Earlier version 4 files map each layer to a frozen flag under "attachments".
+
+    The loader reads nothing under that key, so a flag on every layer, q/v
+    included, changes nothing.
+    """
+    raw, model = lightweight_checkpoint(tmp_path, **fields)
+    start, end = manifest_span(raw)
+    assert json.loads(raw[start:end]).keys() == {"config", "step", "lightweight", "tensors"}
+    flags = {layer_id: {"frozen": True} for layer_id, _ in model.iter_attachments()}
+    flagged = tmp_path / "flagged.ckpt"
+    flagged.write_bytes(edit_manifest(raw, lambda m: m.update(attachments=flags)))
+    cfg, loaded, step = cli.load_checkpoint(str(flagged))
+    assert saved_state(cfg, loaded, step) == saved_state(cfg, model, 0)
 
 
 CALIBRATED_INI = TINY_INI.replace("eval_interval = 0", "eval_interval = 2").replace(
@@ -806,7 +861,7 @@ def test_quantize_writes_the_round_to_nearest_model_and_its_eval_ppl(tiny_config
     cfg, model, step = cli.load_checkpoint(str(tmp_path / "ckpt" / "rtn.ckpt"))
     assert step == 0
     want = rtn_quantize(build_model(cfg.model, cfg.quant_plan(), cfg.seed))
-    assert all(lin.att.pre_quantized for _, lin in model.iter_attachments())
+    assert all(holds_codes(lin) for _, lin in model.iter_attachments())
     for (name, _, *a), (_, _, *b) in zip(model.tensors(), want.tensors(), strict=True):
         assert getattr(*a).tobytes() == getattr(*b).tobytes(), name
     _, eval_batch = cli._prepare_data(cfg)

@@ -4,7 +4,8 @@ freeze_linear (through set_lightweight and rtn_quantize) stores each frozen
 weight's codes; dequantized_weight gives step * (code - rint(zero)) back.
 The reference here is the float path the codes replace: the same model
 with each frozen layer holding fake_quant's float64 output of its folded
-weight, and no weight quantizer of its own.
+weight, and no weight quantizer of its own. A float weight does not mark a
+layer as frozen, so the reference is told which layers are.
 """
 
 import copy
@@ -30,6 +31,8 @@ from zoqlab.quantizer import QuantSpec, fake_quant
 from zoqlab.smoothing import fold_smoothing
 from zoqlab.zo import ZoConfig, zo_step
 
+from oracles import all_rows_linear, batched_forward, coded_layers
+
 CONFIG = ModelConfig(d_model=32, n_layers=2, n_heads=2, context=32)
 PLANS = {
     "W4A16g16": QuantPlan(4, None, group_size=16),
@@ -53,16 +56,27 @@ def float_path(model, before):
     Each such layer's weight is fake_quant of `before`'s weight folded with
     the frozen layer's smoothing, under its weight state: what freeze_linear
     stored before it stored codes. The copy's frozen layers drop their
-    weight quantizer, so they read that float weight as it is.
+    weight quantizer, so they read that float weight as it is. The copy is
+    told which layers are frozen: its forward is oracles.batched_forward
+    with those layers frozen, and its tensors() leaves their tensors
+    unlabelled. Its clamp_parameters still visits their smoothing scales,
+    which lie inside the clamp range, so it leaves them as they are.
     """
     ref = copy.deepcopy(model)
-    for (_, lin), (_, pre) in zip(ref.iter_attachments(), before.iter_attachments()):
-        if not holds_codes(lin):
+    frozen = coded_layers(ref)
+    for (layer_id, lin), (_, pre) in zip(ref.iter_attachments(), before.iter_attachments()):
+        if layer_id not in frozen:
             continue
         att = lin.att
         w = pre.w if att.smoothing is None else fold_smoothing(pre.w, pre.b, att.smoothing)[0]
         lin.w = fake_quant(w, att.weight_spec, att.weight_state)
         att.weight_spec = att.weight_state = None
+    walk = ref.tensors
+    ref.forward = lambda tokens, mode="qat", capture=None: batched_forward(ref, tokens, mode, capture, frozen=frozen)
+    ref.tensors = lambda: (
+        (name, None if ".".join(name.split(".")[:2]) in frozen else label, owner, attr)
+        for name, label, owner, attr in walk()
+    )
     return ref
 
 
@@ -94,8 +108,9 @@ def test_codes_give_the_bytes_of_the_float_path(plan, freeze):
     probe = capture_activations(ref, train[2:4]).captures
     for (layer_id, lin), (_, ref_lin) in zip(model.iter_attachments(), ref.iter_attachments()):
         if holds_codes(lin):
-            got = layer_reconstruction_loss(lin, probe[layer_id])
-            assert got == layer_reconstruction_loss(ref_lin, probe[layer_id]), layer_id
+            x = probe[layer_id]
+            diff = x @ ref_lin.w + ref_lin.b - all_rows_linear(x, ref_lin, "qat", True)
+            assert layer_reconstruction_loss(lin, x) == float(np.mean(diff * diff)), layer_id
     assert trainable_bytes(model) == trainable_bytes(ref)
     for step in range(CFG.steps):
         batch = train[2 * step : 2 * step + 2]
@@ -162,7 +177,7 @@ def test_rtn_then_lightweight_trains_query_and_value_from_their_dequantized_weig
     trained = []
     for layer_id, lin in model.iter_attachments():
         if layer_id.split(".")[1] in LIGHTWEIGHT_TRAINABLE:
-            assert not lin.att.pre_quantized and lin.att.bypassed
+            assert not holds_codes(lin) and lin.att.bypassed
             assert lin.w.tobytes() == dequantized[layer_id].tobytes()
             trained.append(lin.w)
         else:

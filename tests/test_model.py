@@ -21,6 +21,7 @@ from zoqlab.model import (
     _softmax,
     build_model,
     cross_entropy,
+    holds_codes,
     linear_forward,
     set_lightweight,
 )
@@ -81,7 +82,7 @@ class TestQuantizedLinear:
         for (layer_id, lin), (_, live_lin) in pairs:
             if layer_id.split(".")[1] in LIGHTWEIGHT_TRAINABLE:
                 continue
-            assert lin.att.pre_quantized
+            assert holds_codes(lin)
             x = calib.captures[layer_id]
             assert np.array_equal(linear_forward(x, lin, "qat"), linear_forward(x, live_lin, "qat"))
             frozen += 1
@@ -195,8 +196,7 @@ class TestInPlaceHelpersMatchOutOfPlace:
     def test_softmax(self, name):
         x = INPUTS[name]
         want = out_of_place_softmax(x).tobytes()
-        assert _softmax(x.copy()).tobytes() == want
-        # masked: the -inf entries, as one matrix broadcast the way the forward passes it
+        # the mask of the -inf entries, as one matrix broadcast the way the forward passes it
         keep = x[(0,) * (x.ndim - 2)] != -np.inf
         assert np.array_equal(np.broadcast_to(keep, x.shape), x != -np.inf)
         assert _softmax(x.copy(), keep).tobytes() == want
@@ -330,13 +330,22 @@ def test_memory_report_counts_the_scalars_zo_step_trains(monkeypatch, train_quan
         (QuantPlan(4, None, group_size=16), set_lightweight, 81_920),
         (QuantPlan(4, 4), rtn_quantize, 98_304),
         (QuantPlan(4, 4), lambda model: model, 0),
+        (None, set_lightweight, 655_360),
     ],
-    ids=["lightweight W4A16g16", "rtn W4A4", "not frozen"],
+    ids=["lightweight W4A16g16", "rtn W4A4", "not frozen", "lightweight fp"],
 )
 def test_quantized_frozen_is_the_bytes_of_the_frozen_weights_held(plan, freeze, held):
-    """The default model: 2 blocks of attn_k, attn_o, mlp_up and mlp_down (and q, v under rtn), one uint8 code each."""
+    """The default model: 2 blocks of attn_k, attn_o, mlp_up and mlp_down (and q, v under rtn).
+
+    One uint8 code each where the layer has a weight quantizer; in
+    lightweight full precision those weights stay float64 and do not train.
+    """
     model = freeze(build_model(ModelConfig(), plan, seed=0))
-    frozen = [lin.w for _, lin in model.iter_attachments() if lin.att.pre_quantized]
+    frozen = [
+        lin.w
+        for layer_id, lin in model.iter_attachments()
+        if holds_codes(lin) or (model.lightweight and layer_id.split(".")[1] not in LIGHTWEIGHT_TRAINABLE)
+    ]
     assert memory_report(model, ZoConfig())["quantized_frozen"] == sum(w.nbytes for w in frozen) == held
     assert not hasattr(model, "frozen_quantized_scalars")
 

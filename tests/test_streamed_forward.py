@@ -22,13 +22,14 @@ from zoqlab.model import (
     QuantPlan,
     build_model,
     cross_entropy,
+    holds_codes,
     linear_forward,
     row_blocks,
     set_lightweight,
 )
 from zoqlab.quantizer import fake_quant
 
-from oracles import all_rows_linear, batched_forward
+from oracles import all_rows_linear, batched_forward, coded_layers
 
 CONFIGS = {
     "tiny": ModelConfig(vocab_size=128, d_model=16, n_layers=1, n_heads=2, context=16),
@@ -67,7 +68,7 @@ def models():
 
 def assert_forward_and_loss_match(model, seqs):
     for mode in ("qat", "fp"):
-        want = batched_forward(model, seqs, mode)
+        want = batched_forward(model, seqs, mode, frozen=coded_layers(model))
         assert model.forward(seqs, mode=mode).tobytes() == want.tobytes(), mode
         assert model.loss(seqs, mode=mode).hex() == cross_entropy(want[:, :-1], seqs[:, 1:]).hex(), mode
 
@@ -119,7 +120,8 @@ def test_linear_forward_is_the_bytes_of_one_pass_over_all_rows(monkeypatch, mode
         x = rng.normal(size=(n, width))
         x[-3:] = tail_rows(rng, 3, width)
         quantized.clear()
-        assert linear_forward(x, lin, "qat").tobytes() == all_rows_linear(x, lin, "qat").tobytes(), layer_id
+        want = all_rows_linear(x, lin, "qat", holds_codes(lin))
+        assert linear_forward(x, lin, "qat").tobytes() == want.tobytes(), layer_id
         if lin.att.act_spec is None:
             assert not quantized, layer_id
             continue
@@ -155,7 +157,11 @@ def test_calibration_keeps_its_bytes_under_the_batched_forward(monkeypatch):
 
     streamed = calibrated()
     monkeypatch.setattr(
-        ModelGraph, "forward", lambda self, tokens, mode="qat", capture=None: batched_forward(self, tokens, mode, capture)
+        ModelGraph,
+        "forward",
+        lambda self, tokens, mode="qat", capture=None: batched_forward(
+            self, tokens, mode, capture, frozen=coded_layers(self)
+        ),
     )
     assert calibrated() == streamed
 
