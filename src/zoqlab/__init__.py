@@ -21,9 +21,10 @@ Modules:
   theory        Monte-Carlo/quadrature verification of the estimator theory
   diagnostics   eval perplexity with per-layer reconstruction, memory
                 accounting; returns records and writes no file
-  cli           train / eval / verify / quantize / calibrate / diag, each
-                run by its subparser's `run` default, and the one CSV writer
-                of every metrics file, each row flushed as it is produced
+  cli           train / eval / verify / quantize / calibrate, each run by
+                its subparser's `run` default, and the one CSV writer of
+                every metrics file, each row flushed as it is produced; eval
+                is the one command that diagnoses a checkpoint
 """
 
 from .errors import (

@@ -149,15 +149,14 @@ def reconstruct_layer(w, b, x, attachment, epochs: int = 2) -> ReconstructionRes
     smoothing = attachment.smoothing.copy() if attachment.smoothing is not None else None
     obj = _LayerObjective(x, w, b, attachment.weight_spec, attachment.act_spec, smoothing)
     state = regrid_weight_state(obj.w_s, obj.wspec, attachment.weight_state)
-    loss_before, resid = obj.scored(state)
+    loss_before = obj.eval(state)
     if not np.isfinite(loss_before):
         raise NumericError("non-finite reconstruction loss at initialization")
     if epochs <= 0:
         return ReconstructionResult(smoothing, state, loss_before, loss_before)
-    loss = loss_before
     if smoothing is not None:
-        smoothing, state, loss, resid = _choose_smoothing(obj, smoothing, state, loss, resid)
-    state, loss = _search_bounds(obj, state, loss, resid, passes=epochs * _INNER_STEPS)
+        smoothing, state = _choose_smoothing(obj, smoothing, state, loss_before)
+    state, loss = _search_bounds(obj, state, passes=epochs * _INNER_STEPS)
     return ReconstructionResult(smoothing, state, loss_before, loss)
 
 
@@ -184,23 +183,24 @@ def _smoothing_candidates(x, w):
             yield SmoothingParams(scale, shift)
 
 
-def _choose_smoothing(obj, smoothing, state, loss, resid):
+def _choose_smoothing(obj, smoothing, state, loss):
     """The lowest-loss of the current smoothing and _smoothing_candidates; leaves it applied.
 
-    obj holds smoothing, and (state, loss, resid) are its weight grid, loss
-    and residual. Each candidate's grid is range-initialized on its smoothed
-    weight, with state's clipping coefficients. Returns (smoothing, state,
-    loss, resid) of the winner.
+    obj holds smoothing, and (state, loss) are its weight grid and loss.
+    Each candidate's grid is range-initialized on its smoothed weight, with
+    state's clipping coefficients. Returns (smoothing, state) of the winner.
+    Only losses are kept, not residuals: _search_bounds rebuilds the
+    winner's with one more evaluation.
     """
-    best = smoothing, state, loss, resid
+    best = smoothing, state, loss
     for cand in _smoothing_candidates(obj.x, obj.w):
         obj.set_smoothing(cand)
         cand_state = regrid_weight_state(obj.w_s, obj.wspec, state)
-        cand_loss, cand_resid = obj.scored(cand_state)
+        cand_loss = obj.eval(cand_state)
         if cand_loss < best[2]:
-            best = cand, cand_state, cand_loss, cand_resid
+            best = cand, cand_state, cand_loss
     obj.set_smoothing(best[0])
-    return best
+    return best[:2]
 
 
 def _rowdot(a, b):
@@ -258,11 +258,11 @@ class _BoundGrid:
         return beyond[m, c] * (_MOVES.sum(axis=1)[m, None] * self.step[k :: self.slots][c, None])
 
 
-def _search_bounds(obj, state, loss, resid, passes):
+def _search_bounds(obj, state, passes):
     """Move each group's integer clamp bounds one code at a time, up to passes passes; returns (state, loss).
 
-    resid is y_fp minus the output at state, as the caller's last full
-    evaluation of state left it (obj.scored). Per pass,
+    The search starts from a full evaluation of state (obj.scored), whose
+    residual y_fp - output is held only until resid' xq is built. Per pass,
     slot by slot, every group of the slot takes its best move that lowers
     the loss. The groups of a slot sit in distinct output columns, so their
     changes add up; the moves update resid' xq through gram before the next
@@ -272,8 +272,10 @@ def _search_bounds(obj, state, loss, resid, passes):
     collapsed group (lo == hi) would break clip_lo < clip_hi.
     """
     spec = obj.wspec
-    grid = _BoundGrid(obj, state)
+    loss, resid = obj.scored(state)
     corr = resid.T @ obj.xq
+    del resid
+    grid = _BoundGrid(obj, state)
     for _ in range(passes):
         lo, hi = clamp_bounds(spec, state)
         cand = state.copy()

@@ -1,4 +1,4 @@
-"""Command-line harness: train, eval, verify, quantize, calibrate, diag.
+"""Command-line harness: train, eval, verify, quantize, calibrate.
 
 Runs are fully determined by (config, seed, corpus): corpus splitting, batch
 sampling, weight init, and ZO perturbations all derive from named Philox
@@ -169,7 +169,7 @@ class RunConfig:
         if self.calib_epochs is not None:
             return self.calib_epochs
         plan = self.quant_plan()
-        return 2 if plan is not None and plan.mode == "weight_activation" else 4
+        return 2 if plan is not None and plan.a_bits is not None else 4
 
     def to_dict(self) -> dict:
         """The manifest's config: one dict per section, [run] keys at the top level."""
@@ -480,7 +480,8 @@ def _seed_model(cfg: RunConfig, train):
 
 
 def _probe(captures):
-    """The layer probe of train and eval: the first 4 linears' captures; diag probes all."""
+    """train's layer probe: the first 4 linears' captures, the only ones train holds
+    through its ZO loop. eval probes every captured layer."""
     return None if captures is None else dict(list(captures.items())[:4])
 
 
@@ -570,22 +571,25 @@ def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = No
     return EXIT_OK
 
 
-def _load_for_eval(checkpoint: str, corpus: str | None, metrics_dir: str | None):
-    """Shared start of eval and diag: the checkpoint with the overrides, its
-    eval batch, and the captures of _seed_model."""
+def cmd_eval(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> int:
+    """eval ppl and every captured layer's reconstruction loss, into
+    eval_diagnostics.csv; then the modelled and measured memory, printed."""
     cfg, model, step = load_checkpoint(checkpoint)
     cfg = replace(cfg, corpus=corpus or cfg.corpus, metrics_dir=metrics_dir or cfg.metrics_dir)
     train, eval_batch = _prepare_data(cfg)
-    _, captures = _seed_model(cfg, train)
-    return cfg, model, step, eval_batch, captures
-
-
-def cmd_eval(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> int:
-    cfg, model, step, eval_batch, captures = _load_for_eval(checkpoint, corpus, metrics_dir)
-    record = diagnostics.track(model, eval_batch, _probe(captures), step=step, cfg=cfg.zo)
+    record = diagnostics.track(model, eval_batch, _seed_model(cfg, train)[1], step=step, cfg=cfg.zo)
     path = os.path.join(cfg.metrics_dir, "eval_diagnostics.csv")
     _write_csv(path, diagnostics.DIAG_HEADER, record.csv_rows())
     print(f"eval ppl {record.eval_ppl!r}")
+    mem = diagnostics.memory_report(model, cfg.zo)
+    for key, val in mem.items():
+        print(f"  {key}: {val} bytes")
+    chunk = eval_batch[: cfg.zo.batch_size]
+    peaks = diagnostics.measured_peaks(model, chunk, cfg.zo)
+    print(f"measured, tracemalloc peak on one eval chunk of {chunk.shape[0]} sequences:")
+    print(f"  forward: {peaks['forward']} bytes (modelled transient_forward {mem['transient_forward']})")
+    print(f"  zo_step: {peaks['zo_step']} bytes (on a copy of the model)")
+    print(f"peak RSS: {diagnostics.peak_rss()} bytes (whole process, with the interpreter and imports tracemalloc cannot see)")
     return EXIT_OK
 
 
@@ -629,24 +633,6 @@ def cmd_calibrate(cfg: RunConfig) -> int:
             f"(delta_loss {r['delta_loss']:.4f})"
         )
     print(f"checkpoint {ckpt}")
-    return EXIT_OK
-
-
-def cmd_diag(checkpoint: str, corpus: str | None, metrics_dir: str | None) -> int:
-    cfg, model, step, eval_batch, captures = _load_for_eval(checkpoint, corpus, metrics_dir)
-    record = diagnostics.track(model, eval_batch, captures, step=step, cfg=cfg.zo)
-    path = os.path.join(cfg.metrics_dir, "diagnostics.csv")
-    _write_csv(path, diagnostics.DIAG_HEADER, record.csv_rows())
-    mem = diagnostics.memory_report(model, cfg.zo)
-    chunk = eval_batch[: cfg.zo.batch_size]
-    peaks = diagnostics.measured_peaks(model, chunk, cfg.zo)
-    print(f"eval ppl {record.eval_ppl:.4f}")
-    for key, val in mem.items():
-        print(f"  {key}: {val} bytes")
-    print(f"measured, tracemalloc peak on one eval chunk of {chunk.shape[0]} sequences:")
-    print(f"  forward: {peaks['forward']} bytes (modelled transient_forward {mem['transient_forward']})")
-    print(f"  zo_step: {peaks['zo_step']} bytes (on a copy of the model)")
-    print(f"peak RSS: {diagnostics.peak_rss()} bytes (whole process, with the interpreter and imports tracemalloc cannot see)")
     return EXIT_OK
 
 
@@ -700,11 +686,6 @@ def build_parser() -> _Parser:
     _add_config_flags(p_calib)
     p_calib.set_defaults(run=lambda a: cmd_calibrate(_config_from_args(a)))
 
-    p_diag = sub.add_parser("diag", help="diagnostics of a checkpoint")
-    p_diag.add_argument("checkpoint")
-    p_diag.add_argument("--corpus")
-    p_diag.add_argument("--metrics-dir")
-    p_diag.set_defaults(run=lambda a: cmd_diag(a.checkpoint, a.corpus, a.metrics_dir))
     return parser
 
 

@@ -78,8 +78,8 @@ def layer_reconstruction_loss(lin, x) -> float:
 
     x is the layer's (rows, d_in) captured input (CalibSet.captures). The
     full-precision reference uses the layer's current master weights, for a
-    frozen layer its dequantized codes (dequantized_weight); for a bypassed
-    attachment the gap is exactly zero.
+    frozen layer its dequantized codes (dequantized_weight); for a bare
+    attachment (LayerAttachment()) the gap is exactly zero.
     """
     x = np.asarray(x, dtype=np.float64)
     y_fp = x @ dequantized_weight(lin) + lin.b

@@ -2,8 +2,8 @@
 
 Every linear layer carries a LayerAttachment describing how its weights and
 input activations are fake-quantized and smoothed in qat mode; fp mode
-bypasses all attachments. The model exposes forward evaluation only -- there
-is deliberately no gradient entry point.
+runs every linear as if its attachment were bare. The model exposes
+forward evaluation only -- there is deliberately no gradient entry point.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ _INIT_STREAM = 0x494E4954  # weight initialization namespace
 _LN_EPS = 1e-5
 _STEP_FLOOR = 1e-8  # quantizer step projected here at application time
 # Row blocks of the activation side of a linear and of GELU's erf buffer
-# hold about this many floats. np.clip returns a different sign of zero for
-# 1 or 2 rows than for 3 or more, so a block of per-token quantization has
-# at least _MIN_BLOCK_ROWS rows and gives the bytes of the whole matrix.
+# hold about this many floats. A block has at least _MIN_BLOCK_ROWS rows,
+# for two reasons, each of which alone changes bytes: np.clip returns a
+# different sign of zero for 1 or 2 rows than for 3 or more, so per-token
+# quantization of a shorter block differs; and numpy runs a (1, k) @ (k, n)
+# product on another path than a taller one, so a 1-row GEMM block differs.
+# With 3 or more rows both give the bytes of the whole matrix.
 _BLOCK_FLOATS = 2**15
 _MIN_BLOCK_ROWS = 3
 
@@ -74,10 +77,6 @@ class QuantPlan:
     scheme: str = "asymmetric"
     group_size: int | None = None
 
-    @property
-    def mode(self) -> str:
-        return "weight_activation" if self.a_bits is not None else "weight_only"
-
     def weight_spec(self) -> QuantSpec:
         return QuantSpec(self.w_bits, self.scheme, "weight", self.group_size)
 
@@ -100,10 +99,6 @@ class LayerAttachment:
     weight_state: QuantState | None = None
     act_spec: QuantSpec | None = None
     smoothing: SmoothingParams | None = None
-
-    @property
-    def bypassed(self) -> bool:
-        return self.weight_spec is None and self.act_spec is None and self.smoothing is None
 
 
 @dataclass
@@ -305,7 +300,7 @@ class ModelGraph:
 
 
 def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
-    """One attached linear layer; fp mode bypasses the attachment entirely.
+    """One attached linear layer; fp mode runs it as if its attachment were bare.
 
     qat composes, in this order: smoothing, per-token activation
     fake-quant, weight fake-quant, GEMM plus bias. A frozen layer's codes
@@ -320,13 +315,9 @@ def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
     output row is the same GEMM row. A layer with no activation side runs
     one GEMM.
     """
-    att = lin.att
-    if mode == "fp" or att.bypassed:
-        out = x2d @ dequantized_weight(lin)
-        out += lin.b
-        return out
-    if mode != "qat":
+    if mode not in ("fp", "qat"):
         raise DataError(f"unknown forward mode {mode!r}")
+    att = lin.att if mode == "qat" else LayerAttachment()
     ws, bs = dequantized_weight(lin), lin.b
     if not holds_codes(lin):
         if att.smoothing is not None:
@@ -353,7 +344,9 @@ def row_blocks(n_rows: int, width: int) -> list[slice]:
     """Consecutive row slices covering n_rows rows, each about _BLOCK_FLOATS floats of width columns.
 
     No block has fewer than _MIN_BLOCK_ROWS rows, unless n_rows itself
-    does: a shorter tail joins the block before it.
+    does: a shorter tail joins the block before it. Shorter blocks would
+    change the bytes of per-token quantization (the sign of a clipped zero)
+    and of a 1-row GEMM (numpy's vector-matrix path).
     """
     size = max(_BLOCK_FLOATS // width, _MIN_BLOCK_ROWS)
     starts = list(range(0, n_rows, size)) or [0]
@@ -593,7 +586,7 @@ def _make_attachment(plan: QuantPlan | None, w: Tensor) -> LayerAttachment:
         weight_spec=wspec,
         weight_state=init_range(w, wspec),
         act_spec=plan.act_spec(),
-        smoothing=SmoothingParams.identity(w.shape[0]) if plan.mode == "weight_activation" else None,
+        smoothing=SmoothingParams.identity(w.shape[0]) if plan.a_bits is not None else None,
     )
     return att
 

@@ -216,9 +216,8 @@ class ZoConfig:
 
 @dataclass(frozen=True)
 class Direction:
-    """One direction's regenerable identity and finite-difference coefficient."""
+    """One direction, the stream (cfg.seed, stream_id) of its ZoConfig, and its finite-difference coefficient."""
 
-    seed: int
     stream_id: int
     coefficient: float
     loss_plus: float
@@ -235,7 +234,7 @@ class StepReport:
 
 
 def zo_gradient_scale(loss_fn, params: ParamView, cfg: ZoConfig, step: int) -> list[Direction]:
-    """Estimate the gradient as (seed, coefficient) pairs.
+    """Estimate the gradient as (stream id, coefficient) pairs.
 
     For each direction u_i ~ N(0, I): perturb in place by +eps u_i, evaluate,
     swing to -eps u_i, evaluate, restore; the coefficient is
@@ -258,7 +257,7 @@ def zo_gradient_scale(loss_fn, params: ParamView, cfg: ZoConfig, step: int) -> l
             raise NumericError(f"non-finite loss at -eps, step {step} direction {i}")
         params.add_direction(cfg.seed, sid, +eps, cfg.chunk_size)
         out.append(
-            Direction(cfg.seed, sid, (loss_plus - loss_minus) / (2 * eps), loss_plus, loss_minus)
+            Direction(sid, (loss_plus - loss_minus) / (2 * eps), loss_plus, loss_minus)
         )
     return out
 

@@ -191,7 +191,7 @@ def all_rows_linear(x2d, lin, mode, frozen):
     holds a float weight.
     """
     att = lin.att
-    if mode == "fp" or att.bypassed:
+    if mode == "fp":
         return x2d @ dequantized_weight(lin) + lin.b
     xs, ws, bs = x2d, dequantized_weight(lin), lin.b
     if att.smoothing is not None:

@@ -124,8 +124,8 @@ def test_bound_moves_score_a_full_evaluation_per_move(plan):
 def test_bound_search_takes_the_moves_of_the_move_by_move_search(plan):
     moved = 0
     for layer_id, obj, state, _ in layer_points(plan):
-        loss, resid = obj.scored(state)
-        got, got_loss = _search_bounds(obj, state.copy(), loss, resid, _INNER_STEPS)
+        loss = obj.eval(state)
+        got, got_loss = _search_bounds(obj, state.copy(), _INNER_STEPS)
         want, want_loss = greedy_bound_search(obj, state.copy(), loss, _INNER_STEPS)
         assert np.array_equal(got.clip_lo, want.clip_lo), layer_id
         assert np.array_equal(got.clip_hi, want.clip_hi), layer_id
@@ -312,8 +312,9 @@ def test_calib_w4a4_captures_hold_each_distinct_input_once():
 def test_calibrate_model_holds_one_layer_of_scratch():
     """tracemalloc peak of calibrate_model over what it holds at entry, on the calib_w4a4 set-up.
 
-    Measured at 3.34 MiB, in mlp_up's smoothing choice. It was 4.84 MiB
-    with a copy of each layer's input, x-sized range temporaries, the old
+    Measured at 2.42 MiB. It was 3.34 MiB while the smoothing choice held
+    the best candidate's residual next to the current one's; 4.84 MiB with
+    a copy of each layer's input, x-sized range temporaries, the old
     smoothed inputs held while the new ones were built, an out-of-place
     residual and all four moves' products held at once; 3.79 MiB with
     all of those but shared q/k/v captures.
@@ -327,7 +328,7 @@ def test_calibrate_model_holds_one_layer_of_scratch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - entry <= 3.6 * MIB
+    assert peak - entry <= 2.6 * MIB
 
 
 def test_candidate_ranges_equal_the_range_of_the_shifted_input():

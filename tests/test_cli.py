@@ -269,9 +269,7 @@ def test_checkpoint_bytes_do_not_depend_on_the_output_dirs(tiny_config, tmp_path
     assert a == (tmp_path / "elsewhere" / "b" / "ckpt" / "final.ckpt").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "command, written", [("eval", "eval_diagnostics.csv"), ("diag", "diagnostics.csv")]
-)
+@pytest.mark.parametrize("command, written", [("eval", "eval_diagnostics.csv")])
 def test_checkpoint_commands_create_a_new_metrics_dir(tiny_config, tmp_path, command, written):
     assert train(tiny_config, tmp_path / "run") == cli.EXIT_OK
     ckpt = str(tmp_path / "run" / "ckpt" / "final.ckpt")
@@ -280,12 +278,14 @@ def test_checkpoint_commands_create_a_new_metrics_dir(tiny_config, tmp_path, com
     assert (fresh / written).is_file()
 
 
-def test_diag_prints_measured_memory_next_to_the_model(trained_checkpoint, tmp_path, capsys):
+def test_eval_prints_measured_memory_next_to_the_model(trained_checkpoint, tmp_path, capsys):
     ckpt = tmp_path / "final.ckpt"
     ckpt.write_bytes(trained_checkpoint)
     capsys.readouterr()
-    assert cli.main(["diag", str(ckpt), "--metrics-dir", str(tmp_path / "m")]) == cli.EXIT_OK
+    assert cli.main(["eval", str(ckpt), "--metrics-dir", str(tmp_path / "m")]) == cli.EXIT_OK
     out = capsys.readouterr().out
+    # eval's own line first, then memory_report's entries
+    assert re.match(r"eval ppl \S+\n  parameters: \d+ bytes\n", out), out
     modelled = int(re.search(r"^  transient_forward: (\d+) bytes$", out, re.M).group(1))
     forward = re.search(r"^  forward: (\d+) bytes \(modelled transient_forward (\d+)\)$", out, re.M)
     step = re.search(r"^  zo_step: (\d+) bytes", out, re.M)
@@ -295,11 +295,11 @@ def test_diag_prints_measured_memory_next_to_the_model(trained_checkpoint, tmp_p
     assert modelled <= int(forward.group(1)) <= int(step.group(1))
 
 
-def test_diag_prints_the_peak_rss_after_the_tracemalloc_peaks(trained_checkpoint, tmp_path, capsys):
+def test_eval_prints_the_peak_rss_after_the_tracemalloc_peaks(trained_checkpoint, tmp_path, capsys):
     ckpt = tmp_path / "final.ckpt"
     ckpt.write_bytes(trained_checkpoint)
     capsys.readouterr()
-    assert cli.main(["diag", str(ckpt), "--metrics-dir", str(tmp_path / "m")]) == cli.EXIT_OK
+    assert cli.main(["eval", str(ckpt), "--metrics-dir", str(tmp_path / "m")]) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     rss = re.fullmatch(r"peak RSS: (\d+) bytes \(whole process, with the interpreter and imports .*\)", lines[-1])
     forward = re.fullmatch(r"  forward: (\d+) bytes .*", lines[-3])
@@ -787,8 +787,8 @@ FINAL_CHECKPOINT_CASES = {
 
 
 @pytest.mark.parametrize("case", FINAL_CHECKPOINT_CASES)
-def test_eval_and_diag_of_a_final_checkpoint_write_the_last_snapshot_rows(tmp_path, case):
-    """eval's rows are the run's last snapshot's but for train_loss; diag's hold them for every layer."""
+def test_eval_of_a_final_checkpoint_writes_every_layer_and_the_last_snapshot_rows(tmp_path, case):
+    """eval probes every layer; the layers train probes get its last snapshot's rows but for train_loss."""
     fields, lightweight = FINAL_CHECKPOINT_CASES[case]
     config = tmp_path / "calibrated.ini"
     config.write_text(CALIBRATED_INI)
@@ -803,7 +803,6 @@ def test_eval_and_diag_of_a_final_checkpoint_write_the_last_snapshot_rows(tmp_pa
     assert cli.cmd_train(cfg, lightweight) == cli.EXIT_OK
     ckpt = str(tmp_path / "ckpt" / "final.ckpt")
     assert cli.main(["eval", ckpt, "--metrics-dir", str(tmp_path / "eval")]) == cli.EXIT_OK
-    assert cli.main(["diag", ckpt, "--metrics-dir", str(tmp_path / "diag")]) == cli.EXIT_OK
 
     def rows(path):
         with open(path, newline="") as f:
@@ -811,12 +810,32 @@ def test_eval_and_diag_of_a_final_checkpoint_write_the_last_snapshot_rows(tmp_pa
 
     last = [row for row in rows(tmp_path / "metrics" / "diagnostics.csv") if row["step"] == "4"]
     evaluated = rows(tmp_path / "eval" / "eval_diagnostics.csv")
-    assert len(evaluated) == (1 if case == "full precision" else 4)
+    assert len(last) == (1 if case == "full precision" else 4)
+    assert len(evaluated) == (1 if case == "full precision" else 6)
     assert {row["train_loss"] for row in evaluated} == {"nan"} and last[0]["train_loss"] != "nan"
-    assert [{**row, "train_loss": "nan"} for row in last] == evaluated
-    diagnosed = rows(tmp_path / "diag" / "diagnostics.csv")
-    assert len(diagnosed) == (1 if case == "full precision" else 6)
-    assert [row for row in diagnosed if row["layer_id"] in {r["layer_id"] for r in evaluated}] == evaluated
+    probed = {row["layer_id"] for row in last}
+    assert [{**row, "train_loss": "nan"} for row in last] == [r for r in evaluated if r["layer_id"] in probed]
+
+
+def test_eval_into_the_run_metrics_dir_leaves_its_diagnostics_csv_alone(tmp_path):
+    config = tmp_path / "calibrated.ini"
+    config.write_text(CALIBRATED_INI)
+    assert run("train", str(config), tmp_path, "--steps", "4") == cli.EXIT_OK
+    metrics = tmp_path / "metrics"
+    written = (metrics / "diagnostics.csv").read_bytes()
+    assert cli.main(["eval", str(tmp_path / "ckpt" / "final.ckpt"), "--metrics-dir", str(metrics)]) == cli.EXIT_OK
+    assert (metrics / "diagnostics.csv").read_bytes() == written
+    with open(metrics / "eval_diagnostics.csv", newline="") as f:
+        assert len(list(csv.DictReader(f))) == 6  # one row per linear of the 1-layer model
+
+
+def test_diag_is_an_unknown_command(trained_checkpoint, tmp_path, capsys):
+    ckpt = tmp_path / "final.ckpt"
+    ckpt.write_bytes(trained_checkpoint)
+    capsys.readouterr()
+    assert cli.main(["diag", str(ckpt), "--metrics-dir", str(tmp_path / "m")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not (tmp_path / "m").exists()
 
 
 def test_a_diverging_run_exits_3_and_keeps_the_rows_written_before_it(tmp_path, capsys):

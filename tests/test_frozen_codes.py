@@ -20,6 +20,7 @@ from zoqlab.diagnostics import layer_reconstruction_loss, memory_report
 from zoqlab.errors import DataError
 from zoqlab.model import (
     LIGHTWEIGHT_TRAINABLE,
+    LayerAttachment,
     ModelConfig,
     QuantPlan,
     build_model,
@@ -177,7 +178,7 @@ def test_rtn_then_lightweight_trains_query_and_value_from_their_dequantized_weig
     trained = []
     for layer_id, lin in model.iter_attachments():
         if layer_id.split(".")[1] in LIGHTWEIGHT_TRAINABLE:
-            assert not holds_codes(lin) and lin.att.bypassed
+            assert not holds_codes(lin) and lin.att == LayerAttachment()
             assert lin.w.tobytes() == dequantized[layer_id].tobytes()
             trained.append(lin.w)
         else:
