@@ -40,40 +40,30 @@ _MOVES = np.array([[0, 1], [0, -1], [-1, 0], [1, 0]])
 
 @dataclass
 class CalibSet:
-    """Per-layer input activations recorded from full-precision forwards.
+    """Per-layer input activations recorded from one full-precision forward.
 
-    captures maps each attached linear's id to its (rows, d_in) inputs, the
-    sequences' rows in order. Layers that read one input share one array:
-    a block's attn_q, attn_k and attn_v entries are the same object.
+    captures maps each attached linear's id to its (rows, d_in) input, the
+    sequences' rows in order: the forward's own arrays (ModelGraph.forward's
+    capture). Layers that read one input share one array: a block's attn_q,
+    attn_k and attn_v entries are the same object.
     """
 
     captures: dict[str, np.ndarray]
 
 
 def capture_activations(model: ModelGraph, corpus_sample) -> CalibSet:
-    """Record each attached linear's full-precision inputs, one forward per sequence.
+    """Record each attached linear's full-precision inputs from one batched forward.
 
-    Each distinct input of the forward fills one preallocated (rows, d_in)
-    array, so a forward's own arrays are held only until they are copied in.
+    corpus_sample is a (sequences, t) token matrix. Its captures are byte for
+    byte those of one forward per sequence: the forward runs attention one
+    sequence at a time, and every other stage works row by row.
     """
     corpus_sample = np.asarray(corpus_sample)
     if corpus_sample.size == 0:
         raise DataError("empty calibration corpus")
-    if corpus_sample.ndim == 1:
-        corpus_sample = corpus_sample[None, :]
-    n, t = corpus_sample.shape
-    captures: dict[str, np.ndarray] = {}
-    for i, row in enumerate(corpus_sample):
-        seen: dict[str, list[np.ndarray]] = {}
-        model.forward(row, mode="fp", capture=seen)
-        first_reader: dict[int, str] = {}  # id of an input array -> the first layer that read it
-        for layer_id, (x,) in seen.items():
-            owner = first_reader.setdefault(id(x), layer_id)
-            if i == 0:
-                captures[layer_id] = np.empty((n * t, x.shape[1])) if owner == layer_id else captures[owner]
-            if owner == layer_id:
-                captures[layer_id][i * t : (i + 1) * t] = x
-    return CalibSet(captures=captures)
+    seen: dict[str, list[np.ndarray]] = {}
+    model.forward(corpus_sample, mode="fp", capture=seen)
+    return CalibSet({layer_id: x for layer_id, (x,) in seen.items()})
 
 
 @dataclass

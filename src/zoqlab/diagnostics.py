@@ -4,17 +4,9 @@ Each snapshot (`track`) pairs the eval perplexity with the reconstruction
 loss of the probed layers, so a run's metrics show whether the two move
 together. The module returns records and their CSV rows; cli writes them.
 Memory is counted from the arrays the model holds, except the forward
-activations, which `transient_forward_bytes` models and `measured_peaks`
-measures. The forward streams its wide stages (attention one sequence at a
-time, activation scratch one row block at a time), so the model counts one
-sequence's attention matrix, one row block and the float64 weight a
-quantized or frozen mlp linear's GEMM reads. When the linears quantize or
-are frozen it is a lower bound within 2x of one forward's measured peak
-(tests/test_streamed_forward.py: W4A4 and lightweight W4A16g16 at d_model
-64, W3A8g16 at 256, batch 4). In full precision it is not a bound: the GEMM
-reads the held weight, and at d_model 256 one forward measures 6.21 MiB
-against 8.0 modelled. `peak_rss` reads the whole process, which
-tracemalloc cannot see.
+activations, which `transient_forward_bytes` models (its docstring holds
+the measured peaks it is checked against) and `measured_peaks` measures.
+`peak_rss` reads the whole process, which tracemalloc cannot see.
 """
 
 from __future__ import annotations
@@ -98,14 +90,14 @@ def track(
 ) -> TrackRecord:
     """One instrumentation snapshot: eval perplexity plus per-layer reconstruction.
 
-    The eval set is scored cfg.batch_size sequences per qat forward (cfg
-    defaults to ZoConfig()), so no eval forward is larger than a training
-    one. The per-token losses of every chunk fill one (sequences, t - 1)
+    eval_set is a (sequences, t) token matrix, scored cfg.batch_size
+    sequences per qat forward (cfg defaults to ZoConfig()), so no eval
+    forward is larger than a training one. The per-token losses of every chunk fill one (sequences, t - 1)
     array whose single mean is eval_loss: the bytes of
     model.loss(eval_set, mode="qat").
     """
     cfg = cfg if cfg is not None else ZoConfig()
-    eval_set = np.atleast_2d(eval_set)
+    eval_set = np.asarray(eval_set)
     if eval_set.size == 0:
         raise DataError("empty eval set")
     if eval_set.shape[1] < 2:
@@ -152,15 +144,22 @@ def transient_forward_bytes(config, batch_size: int) -> int:
     one row block of scratch (model.row_blocks: GELU's erf buffer); the mlp
     hidden with its output and the float64 (4 d, d) weight the GEMM reads,
     which a quantized layer builds each call by fake-quantizing its weight
-    and a frozen one by dequantizing its codes; and the logits. The bound
-    is for a model whose linears quantize or are frozen; in full precision
-    the GEMM reads the held weight. Other temporaries are not counted: the
-    rest of fake_quant's scratch, mlp_down's activation quantizer block, the
-    layer norm's centred copy. At batch 4 the model gives 1.75 MiB for the
-    default ModelConfig, where the attention stage is the largest, and 8.0
-    MiB at d_model 256, where the weight stage is; one qat forward's
-    tracemalloc peak measured 2.66 and 11.28 MiB in W4A4, and 1.96 and
-    8.21 MiB in lightweight W4A16g16.
+    and a frozen one by dequantizing its codes; and the logits. Other
+    temporaries are not counted: the rest of fake_quant's scratch,
+    mlp_down's activation quantizer block, the layer norm's centred copy.
+
+    At batch 4 the model gives 1.75 MiB for the default ModelConfig, where
+    the attention stage is the largest, and 8.0 MiB at d_model 256, where
+    the weight stage is. One qat forward's tracemalloc peak measured 2.66
+    and 11.28 MiB in W4A4 (1.5x at the default), and 1.96 and 8.21 MiB in
+    lightweight W4A16g16 (1.1x). tests/test_streamed_forward.py holds the
+    peak within 2x of the model for those two at d_model 64 and for
+    W3A8g16 at 256. On the tiny config of the CLI tests (d_model 16, 1
+    layer, context 32) a W4A4 forward peaks at 3.1x, where the weight-side
+    quantizer scratch dominates. The bound is for a model whose linears
+    quantize or are frozen. In full precision the GEMM reads the held
+    weight, and at d_model 256 one forward measures 6.21 MiB, so there the
+    model is no bound.
     """
     t, d, h, v = config.context, config.d_model, config.n_heads, config.vocab_size
     n = batch_size * t
@@ -186,11 +185,8 @@ def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
     weight quantizer;
     optimizer_state: the ZO coefficients and stream cursors;
     transient_forward: transient_forward_bytes at cfg.batch_size, the only
-    term that depends on it. At the default ModelConfig and batch 4 a
-    measured forward peaks at 1.5x it in W4A4 and 1.1x in lightweight
-    W4A16g16; on the tiny config of the CLI tests (d_model 16, 1 layer,
-    context 32), at 3.1x in W4A4, where the weight-side quantizer scratch
-    dominates.
+    term that depends on it; its docstring gives the measured forward peaks
+    next to it.
     """
     params = model.trainable_parameters(include_quant_affine=cfg.train_quant_affine).size * 8
     held = (getattr(owner, attr) for _, label, owner, attr in model.tensors() if attr == "w" and label is None)

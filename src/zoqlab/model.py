@@ -132,7 +132,9 @@ class ModelGraph:
     # -- evaluation ---------------------------------------------------------
 
     def forward(self, tokens, mode: str = "qat", capture=None) -> Tensor:
-        """Causal forward pass; returns logits of shape tokens.shape + (vocab,).
+        """Causal forward pass of a (batch, t) token matrix; returns (batch, t, vocab) logits.
+
+        Any other rank is a DimensionError, and an empty matrix a DataError.
 
         capture, when given, is a dict of lists keyed by "block{i}.{name}":
         each linear appends the (bsz * t, d_in) input it read. These are the
@@ -150,13 +152,10 @@ class ModelGraph:
         for the batched form.
         """
         tokens = np.asarray(tokens)
-        squeeze = tokens.ndim == 1
-        if squeeze:
-            tokens = tokens[None, :]
         if tokens.ndim != 2:
-            raise DimensionError(f"tokens must be 1-D or 2-D, got shape {tokens.shape}")
-        if tokens.shape[1] < 1:
-            raise DataError("token sequences must have length >= 1")
+            raise DimensionError(f"tokens must be a (batch, t) matrix, got shape {tokens.shape}")
+        if tokens.size == 0:
+            raise DataError(f"empty batch: tokens have shape {tokens.shape}")
         if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:
             raise DataError(
                 f"token id out of range: min {tokens.min()}, max {tokens.max()}, "
@@ -194,8 +193,7 @@ class ModelGraph:
             x += self._linear(u, block, bi, "mlp_down", mode, capture).reshape(bsz, t, d)
             del u
         x = _layer_norm(x, self.ln_f_gain, self.ln_f_bias)
-        logits = x @ self.embed.T
-        return logits[0] if squeeze else logits
+        return x @ self.embed.T
 
     def _linear(self, x2d, block, block_idx, name, mode, capture):
         lin = block.linears[name]
@@ -206,11 +204,7 @@ class ModelGraph:
     def loss(self, batch, mode: str = "qat") -> float:
         """Mean next-token cross-entropy in nats over all predicted positions."""
         batch = np.asarray(batch)
-        if batch.ndim == 1:
-            batch = batch[None, :]
-        if batch.size == 0:
-            raise DataError("empty batch")
-        if batch.shape[1] < 2:
+        if batch.ndim == 2 and batch.shape[1] < 2:
             raise DataError("loss needs sequences of length >= 2")
         logits = self.forward(batch, mode=mode)
         return cross_entropy(logits[:, :-1, :], batch[:, 1:])
@@ -444,7 +438,7 @@ def freeze_linear(lin: Linear) -> None:
     att = lin.att
     if att.smoothing is not None:
         lin.w, lin.b = fold_smoothing(lin.w, lin.b, att.smoothing)
-    lin.w = quant_codes(lin.w, att.weight_spec, att.weight_state).astype(att.weight_spec.code_dtype)
+    lin.w = quant_codes(lin.w, att.weight_spec, att.weight_state)
 
 
 def dequantized_weight(lin: Linear) -> Tensor:

@@ -42,6 +42,7 @@ attention op.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import struct
 import sys
@@ -180,11 +181,17 @@ def write_tensor(f, x: Tensor) -> None:
 
 
 def read_exact(f, n: int) -> bytes:
-    """Exactly n bytes from f; a short read means the file is truncated."""
-    data = f.read(n)
-    if len(data) != n:
-        raise DataError(f"truncated file: wanted {n} bytes, got {len(data)}")
-    return data
+    """Exactly n bytes from the seekable f; fewer left means the file is truncated.
+
+    n comes from the file's own size fields, so it is checked against the
+    bytes left before anything is read or allocated.
+    """
+    here = f.tell()
+    left = f.seek(0, os.SEEK_END) - here
+    f.seek(here)
+    if n > left:
+        raise DataError(f"truncated file: wanted {n} bytes, {left} left")
+    return f.read(n)
 
 
 def read_tensor(f) -> Tensor:
@@ -200,7 +207,7 @@ def read_tensor(f) -> Tensor:
     dtype = np.dtype("<" + _TENSOR_DTYPES[code])
     (rank,) = struct.unpack("<Q", read_exact(f, 8))
     shape = tuple(struct.unpack("<Q", read_exact(f, 8))[0] for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
+    count = math.prod(shape)  # Python ints: a claimed size cannot wrap
     data = np.frombuffer(read_exact(f, dtype.itemsize * count), dtype=dtype, count=count)
     # a copy: frombuffer views are read-only, and loaded tensors get trained
     return data.reshape(shape).astype(dtype.newbyteorder("="))

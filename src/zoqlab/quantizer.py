@@ -286,10 +286,10 @@ def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState | None = None) -> T
 
 
 def quant_codes(x: Tensor, spec: QuantSpec, state: QuantState) -> np.ndarray:
-    """Integer codes produced by fake_quant, same shape as x (int64)."""
+    """Integer codes produced by fake_quant, same shape as x, in spec.code_dtype."""
     index, _, zero = _grid_index(x, spec, state)
     index += zero
-    return from_groups(index, np.shape(x), spec).astype(np.int64)
+    return from_groups(index, np.shape(x), spec).astype(spec.code_dtype)
 
 
 def quant_error(x: Tensor, spec: QuantSpec, state: QuantState) -> float:

@@ -240,6 +240,13 @@ def zo_gradient_scale(loss_fn, params: ParamView, cfg: ZoConfig, step: int) -> l
     swing to -eps u_i, evaluate, restore; the coefficient is
     (L+ - L-) / (2 eps). The implied estimate mean_i c_i u_i is never
     materialized here.
+
+    A non-finite loss raises NumericError after moving the parameters back,
+    which restores them only up to rounding; an exact restore would need a
+    copy of the trainable parameters. No caller needs one: train exits 3 and
+    discards the model, measured_peaks steps a copy, the theory suite never
+    sees a non-finite loss, and the one caller that trains on, perfbench's
+    ZO rep, counts the step as failed.
     """
     eps = cfg.epsilon
     out = []

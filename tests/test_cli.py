@@ -416,10 +416,10 @@ def test_checkpoint_whose_manifest_is_not_json_is_a_data_error(trained_checkpoin
     assert_eval_refuses(path, capsys)
 
 
-def refusal(trained_checkpoint, tiny_config, tmp_path, capsys, command, **field):
-    """What `command` prints for the trained checkpoint with field set in its manifest: it exits 2, writes nothing."""
+def refusal(raw, tiny_config, tmp_path, capsys, command):
+    """What `command` prints for the checkpoint bytes raw: it exits 2, writes nothing."""
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(edit_manifest(trained_checkpoint, lambda m: m.update(field)))
+    path.write_bytes(raw)
     capsys.readouterr()
     if command == "eval":
         code = cli.main(["eval", str(path), "--metrics-dir", str(tmp_path / "metrics")])
@@ -437,7 +437,8 @@ def refusal(trained_checkpoint, tiny_config, tmp_path, capsys, command, **field)
 def test_a_checkpoint_step_that_is_not_an_int_in_range_is_malformed(
     trained_checkpoint, tiny_config, tmp_path, capsys, command, step
 ):
-    err = refusal(trained_checkpoint, tiny_config, tmp_path, capsys, command, step=step)
+    raw = edit_manifest(trained_checkpoint, lambda m: m.update(step=step))
+    err = refusal(raw, tiny_config, tmp_path, capsys, command)
     assert f"malformed checkpoint (step {step!r} " in err
 
 
@@ -446,8 +447,26 @@ def test_a_checkpoint_step_that_is_not_an_int_in_range_is_malformed(
 def test_a_checkpoint_lightweight_flag_that_is_not_a_bool_is_malformed(
     trained_checkpoint, tiny_config, tmp_path, capsys, command, lightweight
 ):
-    err = refusal(trained_checkpoint, tiny_config, tmp_path, capsys, command, lightweight=lightweight)
+    raw = edit_manifest(trained_checkpoint, lambda m: m.update(lightweight=lightweight))
+    err = refusal(raw, tiny_config, tmp_path, capsys, command)
     assert f"malformed checkpoint (lightweight {lightweight!r} " in err
+
+
+@pytest.mark.parametrize("claim", ["manifest length 2^45", "shape (2^20, 2^20)", "shape (2^62, 4)"])
+@pytest.mark.parametrize("command", ["train --resume", "eval"])
+def test_a_size_field_beyond_the_file_is_a_truncated_file(
+    trained_checkpoint, tiny_config, tmp_path, capsys, command, claim
+):
+    """The reader checks a claimed size against the bytes left before it reads or allocates them."""
+    raw = trained_checkpoint
+    _, end = manifest_span(raw)
+    dims = end + 24  # the first tensor (embed, rank 2): 16-byte header, u64 rank, then its dims
+    crafted = {
+        "manifest length 2^45": raw[:16] + struct.pack("<Q", 2**45) + raw[24:],
+        "shape (2^20, 2^20)": raw[:dims] + struct.pack("<QQ", 2**20, 2**20) + raw[dims + 16 :],
+        "shape (2^62, 4)": raw[:dims] + struct.pack("<QQ", 2**62, 4) + raw[dims + 16 :],
+    }[claim]
+    assert "error: truncated file: wanted " in refusal(crafted, tiny_config, tmp_path, capsys, command)
 
 
 def test_resume_of_a_full_checkpoint_with_lightweight_is_a_usage_error(

@@ -9,6 +9,7 @@ import zoqlab.model
 from zoqlab.calibration import calibrate_model, capture_activations, rtn_quantize
 from zoqlab.cli import default_corpus_path, ingest_corpus
 from zoqlab.diagnostics import layer_reconstruction_loss, memory_report, track, transient_forward_bytes
+from zoqlab.errors import DataError, DimensionError
 from zoqlab.model import (
     LIGHTWEIGHT_TRAINABLE,
     LINEAR_NAMES,
@@ -130,7 +131,18 @@ def test_fp_forward_matches_reference_transformer():
     model = build_model(TINY, PLANS["W4A4"], seed=2)
     seq = tokens(1, length=6, seed=3)[0]
     want = reference_transformer_logits(model, seq.tolist())
-    np.testing.assert_allclose(model.forward(seq, mode="fp"), want, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(model.forward(seq[None], mode="fp")[0], want, rtol=1e-9, atol=1e-12)
+
+
+def test_forward_takes_only_a_nonempty_token_matrix():
+    model = build_model(TINY, PLANS["W4A4"], seed=2)
+    seq = tokens(1, length=6, seed=3)[0]
+    with pytest.raises(DimensionError):
+        model.forward(seq, mode="fp")
+    with pytest.raises(DimensionError):
+        model.loss(seq)
+    with pytest.raises(DataError, match="empty batch"):
+        model.forward(np.zeros((0, 6), dtype=np.int64))
 
 
 def test_cross_entropy_matches_hand_oracle():

@@ -348,6 +348,14 @@ class TestTensorContainer:
             write_tensor(buf, np.zeros(3, dtype=dtype))
         assert buf.getvalue() == b""
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2**20, 2**20), (2**62, 4)], ids=["3x3", "2^20x2^20", "2^62x4"])
+    def test_a_shape_beyond_the_bytes_left_is_a_truncated_file(self, shape):
+        """(2^62, 4) would wrap to 0 in a uint64 product; the bytes are counted in Python ints."""
+        raw = b"ZQLB-TNS" + struct.pack("<IIQQQ", 1, 0, 2, *shape) + bytes(64)
+        want = 8 * shape[0] * shape[1]
+        with pytest.raises(DataError, match=f"truncated file: wanted {want} bytes, 64 left"):
+            read_tensor(io.BytesIO(raw))
+
     def test_an_unknown_dtype_code_is_refused(self):
         raw = b"ZQLB-TNS" + struct.pack("<IIQQ", 1, 5, 1, 1) + bytes(8)
         with pytest.raises(DataError, match="dtype code 5"):

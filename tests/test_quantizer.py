@@ -287,6 +287,7 @@ class TestQuotientRoundedOntoHalf:
         xs = np.linspace(0.3 * (spec.q_n - 4), 0.3 * (spec.q_p + 4), 4001)
         codes = quant_codes(xs, spec, state)
         want = [nearest_code(x, 0.3, 1.0, spec.q_n, spec.q_p) for x in xs]
+        assert codes.dtype == spec.code_dtype == np.uint8
         assert codes.tolist() == want
         assert np.array_equal(0.3 * (codes - 1.0), fake_quant(xs, spec, state))
 
