@@ -19,7 +19,7 @@ import struct
 import sys
 import typing
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cache, reduce
 from importlib import resources
 
 import numpy as np
@@ -34,7 +34,6 @@ from .errors import (
     ZoqlabError,
 )
 from .model import (
-    LayerAttachment,
     ModelConfig,
     ModelGraph,
     QuantPlan,
@@ -152,6 +151,10 @@ class RunConfig:
             )
         if self.calib_samples < 1:
             raise UsageError(f"calibration samples must be >= 1, got {self.calib_samples}")
+        if self.calib_epochs is not None and self.calib_epochs < 0:
+            raise UsageError(f"calibration epochs must be >= 0, got {self.calib_epochs}")
+        if self.eval_interval < 0:
+            raise UsageError(f"eval interval must be >= 0, got {self.eval_interval}")
         _check_seed(self.seed)
         if self.zo.seed != self.seed:
             self.zo = replace(self.zo, seed=self.seed)
@@ -185,9 +188,12 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         """Inverse of to_dict; a field the dict leaves out keeps its default.
 
-        A field the schema lacks raises KeyError. Output paths, which older
-        manifests hold, are ignored.
+        A field the schema lacks raises KeyError, and a d that is not a dict
+        or a value that is not of its field's type (_checked) TypeError.
+        Output paths, which older manifests hold, are ignored.
         """
+        if not isinstance(d, dict):
+            raise TypeError(f"config {d!r} is not a JSON object")
         updates = {}
         for section, keys in d.items():
             if not isinstance(keys, dict):
@@ -195,7 +201,7 @@ class RunConfig:
             for key, value in keys.items():
                 attr = _SCHEMA[section][key]
                 if attr not in _OUTPUT_PATHS:
-                    updates[attr] = value
+                    updates[attr] = _checked(attr, value)
         return _updated(cls(), updates)
 
 
@@ -205,14 +211,32 @@ def _check_seed(seed: int) -> None:
         raise UsageError(f"seed must be in [0, 2^63), got {seed}")
 
 
-def _cast(attr: str, text: str):
-    """A config file value as the type its dataclass field declares."""
+@cache
+def _field_type(attr: str) -> tuple[type, bool]:
+    """(type, whether None is allowed) of the dataclass field a dotted RunConfig attribute names."""
     owner = RunConfig
     *heads, name = attr.split(".")
     for head in heads:
         owner = typing.get_type_hints(owner)[head]
     hint = typing.get_type_hints(owner)[name]
-    (kind,) = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
+    kinds = typing.get_args(hint) or (hint,)
+    (kind,) = [t for t in kinds if t is not type(None)]
+    return kind, type(None) in kinds
+
+
+def _checked(attr: str, value):
+    """A manifest config value of its field's type: no bool for a number, an int for a float, None if optional."""
+    kind, optional = _field_type(attr)
+    if value is None and optional:
+        return None
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise TypeError(f"config {attr} {value!r} is not of type {kind.__name__}")
+    return kind(value)
+
+
+def _cast(attr: str, text: str):
+    """A config file value as the type its dataclass field declares."""
+    kind, _ = _field_type(attr)
     if kind is bool:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     return kind(text)
@@ -304,9 +328,10 @@ def save_checkpoint(path: str, cfg: RunConfig, model: ModelGraph, step: int) -> 
     The tensors are those of model.tensors(), in its order and each in its
     own dtype, so a frozen layer's weight is stored as its codes; the manifest
     records their names, the config, the step and the lightweight flag.
-    Nothing else is stored: the rest of a layer's structure follows from the
-    config, the tensor list and each weight's dtype (_restore_model), and
-    the ZO streams from the config's seed and the step.
+    Nothing else is stored: the loader rebuilds the model's structure from
+    the config and the lightweight flag (_restore_model), a frozen layer
+    reads as one whose weight is codes, and the ZO streams follow from the
+    config's seed and the step.
     """
     entries = [(name, getattr(owner, attr)) for name, _, owner, attr in model.tensors()]
     manifest = {
@@ -336,11 +361,10 @@ def save_checkpoint(path: str, cfg: RunConfig, model: ModelGraph, step: int) -> 
 def load_checkpoint(path: str):
     """Returns (RunConfig, ModelGraph, step) of a version 4 file; any other version is refused.
 
-    A malformed file raises DataError: a truncated one, a manifest that does
-    not parse, a manifest config that fails validation, a step that is not
-    an integer in [0, 2^30), a lightweight flag that is not a JSON bool, and
-    a tensor list that does not match, by name, order, shape and dtype, the
-    slots the config builds.
+    The model is the run's build replayed, then filled from the file in one
+    slot pass (_restore_model). A malformed file raises DataError: a
+    truncated one, or a manifest that does not parse or whose step,
+    lightweight flag, config or tensor list _restore_model refuses.
     """
     try:
         with open(path, "rb") as f:
@@ -352,43 +376,43 @@ def load_checkpoint(path: str):
                 raise DataError(f"checkpoint version {version} unsupported (expected {_CKPT_VERSION}); refusing")
             (mlen,) = struct.unpack("<Q", read_exact(f, 8))
             manifest = json.loads(read_exact(f, mlen).decode("utf-8"))
-            tensors = {name: read_tensor(f) for name in manifest["tensors"]}
-        return _restore_model(path, manifest, tensors)
+            return _restore_model(path, manifest, f)
     except ZoqlabError:
         raise
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from e
 
 
-def _restore_model(path: str, manifest: dict, tensors: dict):
-    """Build the config's seed model, then assign the file's tensors to its slots.
+def _restore_model(path: str, manifest: dict, f):
+    """The config's seed model, made lightweight (set_lightweight) if the
+    manifest says so, with each tensor read from f straight into its slot.
 
-    A layer whose file lists no state step gets a bare attachment, since
-    every layer with a weight quantizer holds a state and the plan says
-    which have smoothing. The file's tensor list must then be the names of
-    model.tensors(), in its order, and each tensor must have its slot's
-    shape and a dtype the slot takes. Every slot takes float64; the weight
-    of a layer with a weight quantizer also takes the spec's code_dtype,
-    every code in [q_n, q_p], and a layer whose weight is read as codes is
-    frozen (holds_codes). The step must be an int in [0, 2^30), the steps a
-    ZO direction stream can name (zo.direction_stream_id), and lightweight
-    true or false. Any other manifest key is ignored, such as the per-layer
-    "attachments" flags earlier version 4 files carry.
+    The step must be an int in [0, 2^30), the steps a ZO direction stream
+    can name (zo.direction_stream_id), and lightweight true or false; both
+    are checked before anything is built. The tensor list must be the names
+    of model.tensors() in order. Each tensor must have its slot's shape and
+    be float64 or, as a quantized layer's weight, codes in the spec's
+    code_dtype within [q_n, q_p], which make the layer frozen (holds_codes).
+    A smoothing scale must be finite and positive. Other manifest keys, such
+    as the per-layer "attachments" of earlier version 4 files, are ignored.
     """
+    step, lightweight = manifest["step"], manifest["lightweight"]
+    if type(step) is not int or not 0 <= step < STEP_LIMIT:
+        raise DataError(f"{path}: malformed checkpoint (step {step!r} is not an integer in [0, 2^30))")
+    if type(lightweight) is not bool:
+        raise DataError(f"{path}: malformed checkpoint (lightweight {lightweight!r} is not true or false)")
     try:
         cfg = RunConfig.from_dict(manifest["config"])
     except UsageError as e:  # a bad config in a file is bad data, not bad usage
         raise DataError(f"{path}: malformed checkpoint ({e})") from e
     model = build_model(cfg.model, cfg.quant_plan(), cfg.seed)
-    names = manifest["tensors"]
-    for layer_id, lin in model.iter_attachments():
-        if f"{layer_id}.state.step" not in names:
-            lin.att = LayerAttachment()
+    if lightweight:
+        set_lightweight(model)
     slots = list(model.tensors())
-    if [name for name, *_ in slots] != names:
+    if [name for name, *_ in slots] != manifest["tensors"]:
         raise ValueError("the tensor list does not match the config")
     for name, _, owner, attr in slots:
-        tensor, want = tensors[name], getattr(owner, attr).shape
+        tensor, want = read_tensor(f), getattr(owner, attr).shape
         if tensor.shape != want:
             raise DataError(f"{path}: malformed checkpoint ({name} has shape {tensor.shape}; the config builds {want})")
         spec = owner.att.weight_spec if attr == "w" else None  # attr "w" is a linear's weight
@@ -398,17 +422,9 @@ def _restore_model(path: str, manifest: dict, tensors: dict):
             raise DataError(f"{path}: malformed checkpoint ({name} holds {tensor.dtype}; the config builds {allowed})")
         if tensor.dtype != np.float64 and not spec.q_n <= tensor.min() <= tensor.max() <= spec.q_p:
             raise DataError(f"{path}: malformed checkpoint ({name} holds a code outside [{spec.q_n}, {spec.q_p}])")
+        if name.endswith(".smoothing.scale") and not np.all(np.isfinite(tensor) & (tensor > 0)):
+            raise DataError(f"{path}: {name.removesuffix('.smoothing.scale')} smoothing scale is not finite and positive")
         setattr(owner, attr, tensor)
-    for layer_id, lin in model.iter_attachments():
-        sm = lin.att.smoothing
-        if sm is not None and not np.all(np.isfinite(sm.scale) & (sm.scale > 0)):
-            raise DataError(f"{path}: {layer_id} smoothing scale is not finite and positive")
-    step = manifest["step"]
-    if type(step) is not int or not 0 <= step < STEP_LIMIT:
-        raise DataError(f"{path}: malformed checkpoint (step {step!r} is not an integer in [0, 2^30))")
-    model.lightweight = manifest["lightweight"]
-    if type(model.lightweight) is not bool:
-        raise DataError(f"{path}: malformed checkpoint (lightweight {model.lightweight!r} is not true or false)")
     return cfg, model, step
 
 
@@ -500,11 +516,18 @@ def _initialize(cfg: RunConfig, train, lightweight: bool):
     return model, _probe(captures), calib_rows
 
 
-def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = None) -> int:
+def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = None,
+              seed: int | None = None, quant: str | None = None) -> int:
+    """seed and quant are the --seed and --quant flags, which a resumed checkpoint's config must agree with."""
     if resume is not None:
         cfg_loaded, model, start_step = load_checkpoint(resume)
         if lightweight and not model.lightweight:
             raise UsageError("--resume --lightweight needs a lightweight checkpoint; this one trains the full model")
+        if seed is not None and seed != cfg_loaded.seed:
+            raise UsageError(f"--resume trains the checkpoint's seed {cfg_loaded.seed}, not --seed {seed}")
+        if quant is not None and _updated(cfg_loaded, _notation_updates(quant)) != cfg_loaded:
+            held = ", ".join(f"{k} {getattr(cfg_loaded, k)}" for k in ("w_bits", "a_bits", "group_size"))
+            raise UsageError(f"--resume trains the checkpoint's quantization ({held}), not --quant {quant}")
         if cfg.zo.steps < start_step:
             raise UsageError(
                 f"--resume with --steps {cfg.zo.steps} would end before the checkpoint's step "
@@ -663,8 +686,9 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="calibrate + ZO-train + checkpoint")
     _add_config_flags(p_train)
     p_train.add_argument("--lightweight", action="store_true", help="freeze all but attention q/v")
-    p_train.add_argument("--resume", help="checkpoint to resume from")
-    p_train.set_defaults(run=lambda a: cmd_train(_config_from_args(a), a.lightweight, a.resume))
+    p_train.add_argument("--resume", help="checkpoint to resume from; its config is the run's config: only "
+                         "--steps, --corpus and the output dirs apply, and --seed, --quant and --lightweight must agree")
+    p_train.set_defaults(run=lambda a: cmd_train(_config_from_args(a), a.lightweight, a.resume, a.seed, a.quant))
 
     p_eval = sub.add_parser("eval", help="perplexity + diagnostics of a checkpoint")
     p_eval.add_argument("checkpoint")

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import struct
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -175,8 +176,11 @@ def test_bit_widths_are_range_checked_from_a_config_file_and_from_the_flag(tmp_p
         ("train", "steps = 2", "steps = 2\nbatch_size = -2", cli.EXIT_DATA, "batch_size must be >= 1, got -2"),
         ("train", "steps = 2", "steps = -1", cli.EXIT_DATA, "steps must be >= 0, got -1"),
         ("calibrate", "samples = 1", "samples = -3", cli.EXIT_USAGE, "calibration samples must be >= 1, got -3"),
+        ("calibrate", "epochs = 0", "epochs = -2", cli.EXIT_USAGE, "calibration epochs must be >= 0, got -2"),
+        ("calibrate", "eval_interval = 0", "eval_interval = -5", cli.EXIT_USAGE, "eval interval must be >= 0, got -5"),
     ],
-    ids=["batch size 0", "batch size -2", "steps -1", "calibration samples -3"],
+    ids=["batch size 0", "batch size -2", "steps -1", "calibration samples -3", "calibration epochs -2",
+         "eval interval -5"],
 )
 def test_out_of_range_run_sizes_exit_with_their_code(tmp_path, capsys, command, old, new, code, message):
     config = tmp_path / "sizes.ini"
@@ -375,6 +379,16 @@ def swap(names, a, b):
     names[i], names[j] = b, a
 
 
+CONFIG_OF_THE_WRONG_TYPE = {
+    "config a list": lambda m: m.update(config=[]),
+    "config a string": lambda m: m.update(config="x"),
+    "config a number": lambda m: m.update(config=5),
+    "n_heads 2.0": lambda m: m["config"]["model"].update(n_heads=2.0),
+    "n_heads true": lambda m: m["config"]["model"].update(n_heads=True),
+    "batch_size 2.5": lambda m: m["config"]["train"].update(batch_size=2.5),
+}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -386,6 +400,7 @@ def swap(names, a, b):
         lambda m: m["tensors"].__setitem__(0, 7),
         lambda m: m["config"]["quant"].update(a_bits=16),
         lambda m: swap(m["tensors"], "block0.ln1_gain", "block0.ln1_bias"),
+        *CONFIG_OF_THE_WRONG_TYPE.values(),
     ],
     ids=[
         "missing tensor",
@@ -396,6 +411,7 @@ def swap(names, a, b):
         "tensor name not a string",
         "smoothing the weight-only config does not build",
         "tensor list in another order",
+        *CONFIG_OF_THE_WRONG_TYPE,
     ],
 )
 def test_checkpoint_with_a_bad_manifest_is_a_data_error(trained_checkpoint, tmp_path, capsys, edit):
@@ -452,6 +468,64 @@ def test_a_checkpoint_lightweight_flag_that_is_not_a_bool_is_malformed(
     assert f"malformed checkpoint (lightweight {lightweight!r} " in err
 
 
+@pytest.mark.parametrize("case", CONFIG_OF_THE_WRONG_TYPE)
+@pytest.mark.parametrize("command", ["train --resume", "eval"])
+def test_a_checkpoint_config_of_the_wrong_type_is_malformed(
+    trained_checkpoint, tiny_config, tmp_path, capsys, command, case
+):
+    raw = edit_manifest(trained_checkpoint, CONFIG_OF_THE_WRONG_TYPE[case])
+    assert "malformed checkpoint (TypeError: config " in refusal(raw, tiny_config, tmp_path, capsys, command)
+
+
+def without_tensors(raw, dropped):
+    """raw with the tensors named in dropped taken out of the manifest's list and of the file."""
+    start, end = manifest_span(raw)
+    body, out = io.BytesIO(raw[end:]), io.BytesIO()
+    for listed in json.loads(raw[start:end])["tensors"]:
+        tensor = read_tensor(body)
+        if listed not in dropped:
+            write_tensor(out, tensor)
+    kept = edit_manifest(raw[:end], lambda m: m.update(tensors=[n for n in m["tensors"] if n not in dropped]))
+    return kept + out.getvalue()
+
+
+BARE_QUERY = [f"block0.attn_q.{part}" for part in
+              ("smoothing.scale", "smoothing.shift", "state.step", "state.zero_point", "state.clip_lo", "state.clip_hi")]
+
+
+@pytest.mark.parametrize("lightweight", [False, True], ids=["full", "lightweight"])
+@pytest.mark.parametrize("command", ["train --resume", "eval"])
+def test_a_quantized_layer_cut_to_a_bare_one_is_malformed(
+    trained_checkpoint, tiny_config, tmp_path, capsys, command, lightweight
+):
+    """A W4A4 file whose attn_q lost its smoothing and state, in the list and in the file.
+
+    No writer makes it: a full model keeps every attachment, and a
+    lightweight one also drops attn_v's and freezes the other linears.
+    """
+    raw = edit_manifest(without_tensors(trained_checkpoint, BARE_QUERY), lambda m: m.update(lightweight=lightweight))
+    assert "the tensor list does not match the config" in refusal(raw, tiny_config, tmp_path, capsys, command)
+
+
+def test_a_load_holds_the_model_and_one_tensor_in_flight(tmp_path):
+    """tracemalloc peak of one load of a seed-built d_model 256, 2-layer W4A4 checkpoint.
+
+    The model holds 12.5 MiB of floats; the largest tensor, an mlp weight,
+    is 2 MiB. Reading every tensor before assigning any held the model
+    twice (29.6 MiB).
+    """
+    cfg = cli.RunConfig(model=ModelConfig(d_model=256, n_layers=2, n_heads=4, context=128))
+    path = str(tmp_path / "d256.ckpt")
+    cli.save_checkpoint(path, cfg, build_model(cfg.model, cfg.quant_plan(), cfg.seed), 0)
+    tracemalloc.start()
+    try:
+        cli.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("claim", ["manifest length 2^45", "shape (2^20, 2^20)", "shape (2^62, 4)"])
 @pytest.mark.parametrize("command", ["train --resume", "eval"])
 def test_a_size_field_beyond_the_file_is_a_truncated_file(
@@ -486,6 +560,31 @@ def test_resume_of_a_full_checkpoint_with_lightweight_is_a_usage_error(
     assert train(tiny_config, tmp_path / "light", "--lightweight") == cli.EXIT_OK
     light = str(tmp_path / "light" / "ckpt" / "final.ckpt")
     assert train(tiny_config, tmp_path / "resumed", "--steps", "4", "--resume", light, "--lightweight") == cli.EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "flag, other, saved, message",
+    [
+        ("--seed", "7", "0", "the checkpoint's seed 0, not --seed 7"),
+        ("--quant", "W2A16g16", "W4A4", "(w_bits 4, a_bits 4, group_size None), not --quant W2A16g16"),
+    ],
+    ids=["seed", "quant"],
+)
+def test_resume_with_a_seed_or_quant_the_checkpoint_does_not_hold_is_a_usage_error(
+    trained_checkpoint, tiny_config, tmp_path, capsys, flag, other, saved, message
+):
+    path = tmp_path / "full.ckpt"
+    path.write_bytes(trained_checkpoint)
+    capsys.readouterr()
+    assert train(tiny_config, tmp_path / "refused", "--steps", "3", flag, other, "--resume", str(path)) == (
+        cli.EXIT_USAGE
+    )
+    captured = capsys.readouterr()
+    assert message in captured.err, captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "refused").exists()
+    # the checkpoint's own value resumes
+    assert train(tiny_config, tmp_path / "resumed", "--steps", "3", flag, saved, "--resume", str(path)) == cli.EXIT_OK
 
 
 def test_resume_to_fewer_steps_than_the_checkpoint_is_a_usage_error(trained_checkpoint, tiny_config, tmp_path, capsys):
