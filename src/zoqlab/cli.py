@@ -38,6 +38,7 @@ from .model import (
     ModelGraph,
     QuantPlan,
     build_model,
+    holds_codes,
     set_lightweight,
 )
 from .numerics import read_exact, read_tensor, uniforms_at, write_tensor
@@ -393,6 +394,9 @@ def _restore_model(path: str, manifest: dict, f):
     of model.tensors() in order. Each tensor must have its slot's shape and
     be float64 or, as a quantized layer's weight, codes in the spec's
     code_dtype within [q_n, q_p], which make the layer frozen (holds_codes).
+    A weight the replay froze takes only codes: a round-to-nearest file
+    (rtn_quantize) freezes layers the plain build holds in float64, but no
+    writer thaws a layer that set_lightweight froze.
     A smoothing scale must be finite and positive. Other manifest keys, such
     as the per-layer "attachments" of earlier version 4 files, are ignored.
     """
@@ -416,7 +420,8 @@ def _restore_model(path: str, manifest: dict, f):
         if tensor.shape != want:
             raise DataError(f"{path}: malformed checkpoint ({name} has shape {tensor.shape}; the config builds {want})")
         spec = owner.att.weight_spec if attr == "w" else None  # attr "w" is a linear's weight
-        dtypes = [np.dtype(np.float64)] + ([spec.code_dtype] if spec is not None else [])
+        frozen = spec is not None and holds_codes(owner)
+        dtypes = ([] if frozen else [np.dtype(np.float64)]) + ([spec.code_dtype] if spec is not None else [])
         if tensor.dtype not in dtypes:
             allowed = " or ".join(map(str, dtypes))
             raise DataError(f"{path}: malformed checkpoint ({name} holds {tensor.dtype}; the config builds {allowed})")

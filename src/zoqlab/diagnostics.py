@@ -129,7 +129,7 @@ def track(
     )
 
 
-def transient_forward_bytes(config, batch_size: int) -> int:
+def transient_forward_bytes(config, batch_size: int, *, quantized: bool = True) -> int:
     """Lower bound on the peak live activation bytes of one forward pass of batch_size sequences.
 
     At the training batch size this bounds every forward a run makes:
@@ -142,7 +142,8 @@ def transient_forward_bytes(config, batch_size: int) -> int:
     the normed input with q, k and v; q, k, v and the context with one
     sequence's (heads, t, t) attention matrix; the (n, 4 d) mlp hidden with
     one row block of scratch (model.row_blocks: GELU's erf buffer); the mlp
-    hidden with its output and the float64 (4 d, d) weight the GEMM reads,
+    hidden with its output and, where quantized is true (the linears
+    quantize or are frozen), the float64 (4 d, d) weight the GEMM reads,
     which a quantized layer builds each call by fake-quantizing its weight
     and a frozen one by dequantizing its codes; and the logits. Other
     temporaries are not counted: the rest of fake_quant's scratch,
@@ -156,10 +157,9 @@ def transient_forward_bytes(config, batch_size: int) -> int:
     peak within 2x of the model for those two at d_model 64 and for
     W3A8g16 at 256. On the tiny config of the CLI tests (d_model 16, 1
     layer, context 32) a W4A4 forward peaks at 3.1x, where the weight-side
-    quantizer scratch dominates. The bound is for a model whose linears
-    quantize or are frozen. In full precision the GEMM reads the held
-    weight, and at d_model 256 one forward measures 6.21 MiB, so there the
-    model is no bound.
+    quantizer scratch dominates. In full precision (quantized false) the
+    GEMM reads the held weight, and the model drops it: 6.0 MiB at d_model
+    256, where one forward measured 6.21 MiB.
     """
     t, d, h, v = config.context, config.d_model, config.n_heads, config.vocab_size
     n = batch_size * t
@@ -168,7 +168,7 @@ def transient_forward_bytes(config, batch_size: int) -> int:
         4 * n * d,  # normed input + q, k, v
         4 * n * d + h * t * t,  # q, k, v, context + one sequence's attention matrix
         4 * n * d + block,  # mlp hidden + one row block of scratch
-        5 * n * d + 4 * d * d,  # mlp hidden + its output + the weight the GEMM reads
+        5 * n * d + (4 * d * d if quantized else 0),  # mlp hidden + its output + the weight the GEMM reads
         n * v,  # logits
     )
     return 8 * (n * d + max(stages))
@@ -185,17 +185,18 @@ def memory_report(model: ModelGraph, cfg: ZoConfig) -> dict[str, int]:
     weight quantizer;
     optimizer_state: the ZO coefficients and stream cursors;
     transient_forward: transient_forward_bytes at cfg.batch_size, the only
-    term that depends on it; its docstring gives the measured forward peaks
-    next to it.
+    term that depends on it, quantized unless no linear has a weight
+    quantizer; its docstring gives the measured forward peaks next to it.
     """
     params = model.trainable_parameters(include_quant_affine=cfg.train_quant_affine).size * 8
     held = (getattr(owner, attr) for _, label, owner, attr in model.tensors() if attr == "w" and label is None)
     frozen = sum(w.nbytes for w in held)
+    quantized = any(lin.att.weight_spec is not None for _, lin in model.iter_attachments())
     return {
         "parameters": params,
         "quantized_frozen": frozen,
         "optimizer_state": optimizer_state_size(cfg),
-        "transient_forward": transient_forward_bytes(model.config, cfg.batch_size),
+        "transient_forward": transient_forward_bytes(model.config, cfg.batch_size, quantized=quantized),
     }
 
 

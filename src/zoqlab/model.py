@@ -20,6 +20,7 @@ from .smoothing import (
     SCALE_CEIL,
     SCALE_FLOOR,
     SmoothingParams,
+    applied_scale,
     apply_smoothing,
     fold_smoothing,
     smooth_activation,
@@ -34,12 +35,12 @@ _INIT_STREAM = 0x494E4954  # weight initialization namespace
 _LN_EPS = 1e-5
 _STEP_FLOOR = 1e-8  # quantizer step projected here at application time
 # Row blocks of the activation side of a linear and of GELU's erf buffer
-# hold about this many floats. A block has at least _MIN_BLOCK_ROWS rows,
-# for two reasons, each of which alone changes bytes: np.clip returns a
-# different sign of zero for 1 or 2 rows than for 3 or more, so per-token
-# quantization of a shorter block differs; and numpy runs a (1, k) @ (k, n)
-# product on another path than a taller one, so a 1-row GEMM block differs.
-# With 3 or more rows both give the bytes of the whole matrix.
+# hold about this many floats. A block has at least _MIN_BLOCK_ROWS rows:
+# numpy runs a (1, k) @ (k, n) product on another path than a taller one,
+# so a 1-row GEMM block changes bytes. Blocks of 2 to 4 rows matched the
+# whole product in random (512, k) @ (k, n) trials, k, n in {16, 64, 256};
+# 3 keeps a margin over that sample. Per-token quantization gives the bytes
+# of the whole matrix at any row count.
 _BLOCK_FLOATS = 2**15
 _MIN_BLOCK_ROWS = 3
 
@@ -270,7 +271,9 @@ class ModelGraph:
             if holds_codes(lin):
                 continue
             if att.smoothing is not None:
-                np.clip(att.smoothing.scale, SCALE_FLOOR, SCALE_CEIL, out=att.smoothing.scale)
+                scale = att.smoothing.scale
+                np.maximum(scale, SCALE_FLOOR, out=scale)
+                np.minimum(scale, SCALE_CEIL, out=scale)
             if att.weight_state is not None:
                 st = att.weight_state
                 np.maximum(st.step, _STEP_FLOOR, out=st.step)
@@ -312,21 +315,25 @@ def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
     if mode not in ("fp", "qat"):
         raise DataError(f"unknown forward mode {mode!r}")
     att = lin.att if mode == "qat" else LayerAttachment()
-    ws, bs = dequantized_weight(lin), lin.b
-    if not holds_codes(lin):
-        if att.smoothing is not None:
+    sm, bs = att.smoothing, lin.b
+    scale = None if sm is None else applied_scale(sm)  # one floor check for the weight side and every block
+    if holds_codes(lin):
+        ws = _dequantized_codes(lin)
+    else:
+        ws = lin.w
+        if sm is not None:
             # the shape checks and the weight side; the activation side runs per block below
-            _, ws, bs = apply_smoothing(x2d[:0], ws, bs, att.smoothing)
+            _, ws, bs = apply_smoothing(x2d[:0], ws, bs, sm, scale)
         if att.weight_spec is not None:
             ws = fake_quant(ws, att.weight_spec, _applied_state(att.weight_state))
-    if att.smoothing is None and att.act_spec is None:
+    if sm is None and att.act_spec is None:
         out = x2d @ ws
     else:
         out = np.empty((x2d.shape[0], ws.shape[1]))
         for rows in row_blocks(*x2d.shape):
             xs = x2d[rows]
-            if att.smoothing is not None:
-                xs = smooth_activation(xs, att.smoothing)
+            if sm is not None:
+                xs = smooth_activation(xs, sm, scale)
             if att.act_spec is not None:
                 xs = fake_quant(xs, att.act_spec)
             np.matmul(xs, ws, out=out[rows])
@@ -338,9 +345,8 @@ def row_blocks(n_rows: int, width: int) -> list[slice]:
     """Consecutive row slices covering n_rows rows, each about _BLOCK_FLOATS floats of width columns.
 
     No block has fewer than _MIN_BLOCK_ROWS rows, unless n_rows itself
-    does: a shorter tail joins the block before it. Shorter blocks would
-    change the bytes of per-token quantization (the sign of a clipped zero)
-    and of a 1-row GEMM (numpy's vector-matrix path).
+    does: a shorter tail joins the block before it, since a 1-row GEMM
+    block would change bytes (numpy's vector-matrix path).
     """
     size = max(_BLOCK_FLOATS // width, _MIN_BLOCK_ROWS)
     starts = list(range(0, n_rows, size)) or [0]
@@ -380,7 +386,9 @@ def _applied_state(state: QuantState) -> QuantState:
     continuous space during training; application floors it at a tiny
     positive value so transient perturbations cannot cross zero.
     """
-    if np.all(state.step >= _STEP_FLOOR) and np.all(state.clip_lo < state.clip_hi):
+    if np.logical_and.reduce(state.step >= _STEP_FLOOR, axis=None) and np.logical_and.reduce(
+        state.clip_lo < state.clip_hi, axis=None
+    ):
         return state
     guarded = state.copy()
     np.maximum(guarded.step, _STEP_FLOOR, out=guarded.step)
@@ -412,7 +420,7 @@ def regrid_weight_state(w_s: Tensor, spec: QuantSpec, state: QuantState | None) 
 
 def holds_codes(lin: Linear) -> bool:
     """Whether lin.w holds integer codes: the one mark of a frozen layer (freeze_linear), which never trains."""
-    return np.issubdtype(lin.w.dtype, np.integer)
+    return lin.w.dtype.kind in "iu"
 
 
 def freeze_linear(lin: Linear) -> None:
@@ -452,8 +460,11 @@ def dequantized_weight(lin: Linear) -> Tensor:
     nothing of the weight's size is transposed or copied. Any other layer's
     lin.w is returned as it is.
     """
-    if not holds_codes(lin):
-        return lin.w
+    return _dequantized_codes(lin) if holds_codes(lin) else lin.w
+
+
+def _dequantized_codes(lin: Linear) -> Tensor:
+    """dequantized_weight of a layer known to hold codes."""
     codes, state = lin.w, lin.att.weight_state
     d_in, d_out = codes.shape
     size = lin.att.weight_spec.group_size or d_in

@@ -55,14 +55,11 @@ class QuantSpec:
                 raise DataError("activation quantizers take no group_size: their groups are rows")
             if self.group_size < 1:
                 raise DataError(f"group_size must be >= 1, got {self.group_size}")
-
-    @property
-    def q_n(self) -> int:
-        return 0 if self.scheme == "asymmetric" else -(2 ** (self.bits - 1))
-
-    @property
-    def q_p(self) -> int:
-        return 2**self.bits - 1 if self.scheme == "asymmetric" else 2 ** (self.bits - 1) - 1
+        # the code range [q_n, q_p], which every quantizer call reads: plain
+        # attributes set once, not properties recomputed at each read
+        asym = self.scheme == "asymmetric"
+        object.__setattr__(self, "q_n", 0 if asym else -(2 ** (self.bits - 1)))
+        object.__setattr__(self, "q_p", 2**self.bits - 1 if asym else 2 ** (self.bits - 1) - 1)
 
     @property
     def code_dtype(self) -> np.dtype:
@@ -136,9 +133,10 @@ class QuantState:
         )
 
     def validate(self) -> None:
-        if np.any(self.step <= 0):
+        """Refuse a step <= 0 or clip_lo >= clip_hi in any group; a NaN compares false and passes."""
+        if np.logical_or.reduce(self.step <= 0, axis=None):
             raise InvalidStateError("quantizer step must be positive in every group")
-        if np.any(self.clip_lo >= self.clip_hi):
+        if np.logical_or.reduce(self.clip_lo >= self.clip_hi, axis=None):
             raise InvalidStateError("clip_lo must be strictly below clip_hi in every group")
 
 
@@ -160,20 +158,20 @@ def init_range(x: Tensor, spec: QuantSpec) -> QuantState:
 def _range_grid(g: Tensor, spec: QuantSpec) -> tuple[Tensor, Tensor]:
     """Range-init (step, zero point) of each row of the grouped matrix g; see init_range."""
     q_p = float(spec.q_p)
-    mins = g.min(axis=1)
-    maxs = g.max(axis=1)
+    mins = np.minimum.reduce(g, axis=1)
+    maxs = np.maximum.reduce(g, axis=1)
     if spec.scheme == "symmetric":
         step = np.maximum(np.abs(mins), np.abs(maxs))
         step /= q_p
-        zero = np.zeros_like(step)
+        zero = np.zeros(step.shape)
     else:
         step = maxs - mins
         step /= q_p
-        zero = np.divide(mins, step, out=np.zeros_like(step), where=step > 0)
+        zero = np.divide(mins, step, out=np.zeros(step.shape), where=step > 0)
         np.rint(zero, out=zero)
         np.negative(zero, out=zero)
     degenerate = step <= 0
-    if np.any(degenerate):
+    if np.logical_or.reduce(degenerate):
         step[degenerate] = 1.0
         # constant group: code 0 maps back to rint(constant)
         zero[degenerate] = -np.rint(maxs[degenerate])
@@ -187,9 +185,12 @@ def clamp_bounds(spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor]:
         lo = np.full(n, float(spec.q_n))
         hi = np.full(n, float(spec.q_p))
         return lo, hi
-    lo = np.clip(np.rint(state.clip_lo * spec.q_p), spec.q_n, spec.q_p)
-    hi = np.clip(np.rint(state.clip_hi * spec.q_p), spec.q_n, spec.q_p)
-    return lo, hi  # lo <= hi: rint and clip are monotone, and validate holds clip_lo < clip_hi
+    # np.maximum and np.minimum return their second argument where the two
+    # compare equal, so a rounded -0.0 at the bound 0 stays -0.0, as np.clip
+    # with scalar bounds leaves it
+    lo = np.minimum(spec.q_p, np.maximum(spec.q_n, np.rint(state.clip_lo * spec.q_p)))
+    hi = np.minimum(spec.q_p, np.maximum(spec.q_n, np.rint(state.clip_hi * spec.q_p)))
+    return lo, hi  # lo <= hi: rint and the clamp are monotone, and validate holds clip_lo < clip_hi
 
 
 def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor, Tensor]:
@@ -252,11 +253,12 @@ def _nearest_index(g: Tensor, step: Tensor, lo: Tensor, hi: Tensor) -> Tensor:
         s[~small] *= 0.5
         past = np.sign(rem - s) * np.sign(x)  # the sign of x - step * mid
         index[r, c] = np.where(past == 0, index[r, c], mid + 0.5 * past)
-    # Integer-valued floats, so clamping the index is exact. np.clip, not an
-    # in-place np.maximum and np.minimum: where a -0.0 index meets a +0.0
-    # bound, each returns either zero depending on the array's shape, and
-    # only the same call keeps every sign of zero.
-    np.clip(index, lo, hi, out=index)
+    # Integer-valued floats, so clamping the index is exact. Where an index
+    # equals its bound, np.maximum and np.minimum return the bound (their
+    # second argument) at every shape, so a -0.0 index at a +0.0 bound
+    # becomes +0.0 whatever the row count.
+    np.maximum(index, lo, out=index)
+    np.minimum(index, hi, out=index)
     return index
 
 
@@ -273,6 +275,7 @@ def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState | None = None) -> T
     that state. The dequantized values overwrite the index matrix, which
     from_groups then lays out in x's shape.
     """
+    x = np.asarray(x, dtype=np.float64)
     if state is None:
         g = to_groups(x, spec)
         step, zero = _range_grid(g, spec)
@@ -282,7 +285,7 @@ def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState | None = None) -> T
     else:
         index, step, _ = _grid_index(x, spec, state)
     index *= step
-    return from_groups(index, np.shape(x), spec)
+    return from_groups(index, x.shape, spec)
 
 
 def quant_codes(x: Tensor, spec: QuantSpec, state: QuantState) -> np.ndarray:

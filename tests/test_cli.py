@@ -17,6 +17,7 @@ from zoqlab.model import (
     ModelConfig,
     QuantPlan,
     build_model,
+    dequantized_weight,
     holds_codes,
     set_lightweight,
 )
@@ -761,6 +762,7 @@ MALFORMED = {  # case: (config fields, tensor name, its replacement from the mod
     "uint8 embed": (WEIGHT_ONLY, "embed", lambda lin, m: np.zeros(m.embed.shape, np.uint8)),
     "code above q_p": (WEIGHT_ONLY, "block0.attn_k.w", lambda lin, m: out_of_range(lin.w, 16)),
     "code below q_n": ({"scheme": "symmetric"}, "block1.mlp_up.w", lambda lin, m: out_of_range(lin.w, -9)),
+    "float64 weight in a frozen slot": (WEIGHT_ONLY, "block0.attn_k.w", lambda lin, m: dequantized_weight(lin)),
 }
 
 
@@ -775,6 +777,15 @@ def test_a_frozen_weight_of_the_wrong_dtype_or_off_its_grid_is_malformed(tmp_pat
     with pytest.raises(cli.DataError, match=rf"malformed checkpoint \({re.escape(name)} "):
         cli.load_checkpoint(str(path))
     assert_eval_refuses(path, capsys)
+
+
+@pytest.mark.parametrize("command", ["train --resume", "eval"])
+def test_a_float64_weight_in_a_slot_the_lightweight_replay_froze_is_malformed(tmp_path, tiny_config, capsys, command):
+    """The frozen attn_k's codes replaced by their dequantized weight: a layer set_lightweight never builds."""
+    raw, model = lightweight_checkpoint(tmp_path, **WEIGHT_ONLY)
+    lin = dict(model.iter_attachments())["block0.attn_k"]
+    err = refusal(with_tensor(raw, "block0.attn_k.w", dequantized_weight(lin)), tiny_config, tmp_path, capsys, command)
+    assert "malformed checkpoint (block0.attn_k.w holds float64; the config builds uint8)" in err
 
 
 def test_the_default_lightweight_checkpoint_stores_one_byte_per_frozen_weight(tmp_path):

@@ -15,6 +15,7 @@ from zoqlab.model import (
     LINEAR_NAMES,
     ModelConfig,
     QuantPlan,
+    _STEP_FLOOR,
     _applied_state,
     _below,
     _gelu,
@@ -27,8 +28,8 @@ from zoqlab.model import (
     set_lightweight,
 )
 from zoqlab.numerics import normals_at
-from zoqlab.quantizer import fake_quant, init_range
-from zoqlab.smoothing import SCALE_FLOOR, SmoothingParams, apply_smoothing, smooth_activation
+from zoqlab.quantizer import QuantState, fake_quant, init_range
+from zoqlab.smoothing import SCALE_FLOOR, SmoothingParams, applied_scale, apply_smoothing, smooth_activation
 from zoqlab.zo import ZoConfig, zo_step
 
 from oracles import (
@@ -273,6 +274,48 @@ def test_forward_writes_no_array_it_does_not_own(monkeypatch, mode, lightweight)
     for key, (first, second) in capture.items():
         assert first.tobytes() == captures_before[key][0].tobytes(), key
         assert second.tobytes() == seen[key].tobytes(), key
+
+
+class TestAppliedGuards:
+    """A perturbed step or scale is floored on a copy; the live array is left alone."""
+
+    def test_applied_state_floors_the_step_of_a_copy(self):
+        state = QuantState(step=[1.0, 1e-12, -0.5, -np.inf, np.nan], zero_point=np.zeros(5),
+                           clip_lo=np.zeros(5), clip_hi=np.ones(5))
+        before = state.copy()
+        got = _applied_state(state)
+        assert got is not state and got.step is not state.step
+        assert got.step[:4].tolist() == [1.0, _STEP_FLOOR, _STEP_FLOOR, _STEP_FLOOR]
+        assert np.isnan(got.step[4])
+        for part in ("step", "zero_point", "clip_lo", "clip_hi"):
+            assert getattr(state, part).tobytes() == getattr(before, part).tobytes(), part
+
+    @pytest.mark.parametrize("part", ["step", "clip_lo", "clip_hi"])
+    def test_a_nan_alone_makes_a_copy_that_keeps_it(self, part):
+        state = QuantState(step=np.ones(3), zero_point=np.zeros(3), clip_lo=np.zeros(3), clip_hi=np.ones(3))
+        getattr(state, part)[1] = np.nan
+        before = getattr(state, part).tobytes()
+        got = _applied_state(state)
+        assert got is not state and np.isnan(getattr(got, part)[1])
+        assert getattr(state, part).tobytes() == before
+
+    def test_a_valid_state_is_applied_as_it_is(self):
+        state = QuantState(step=[_STEP_FLOOR, 2.0], zero_point=[0.0, 1.0], clip_lo=[0.0, -np.inf], clip_hi=[1.0, 0.0])
+        assert _applied_state(state) is state
+
+    def test_applied_scale_floors_a_copy(self):
+        p = SmoothingParams(scale=[1.0, 1e-5, -2.0, -np.inf, np.nan], shift=np.zeros(5))
+        before = p.scale.tobytes()
+        got = applied_scale(p)
+        assert got is not p.scale
+        assert got[:4].tolist() == [1.0, SCALE_FLOOR, SCALE_FLOOR, SCALE_FLOOR] and np.isnan(got[4])
+        assert p.scale.tobytes() == before
+        nan_only = SmoothingParams(scale=[1.0, np.nan], shift=np.zeros(2))
+        assert applied_scale(nan_only) is not nan_only.scale and np.isnan(applied_scale(nan_only)[1])
+
+    def test_a_scale_at_or_above_the_floor_is_applied_as_it_is(self):
+        p = SmoothingParams(scale=[SCALE_FLOOR, 1.0, np.inf], shift=np.zeros(3))
+        assert applied_scale(p) is p.scale
 
 
 class TestClipBoundsAtLargeMagnitude:

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from zoqlab.errors import DataError, DimensionError, InvalidStateError
 from zoqlab.quantizer import (
+    SCHEMES,
     QuantSpec,
     QuantState,
     _nearest_index,
+    clamp_bounds,
     fake_quant,
     init_range,
     quant_codes,
@@ -182,19 +184,40 @@ class TestFakeQuant:
                 twice = fake_quant(once, spec, state)
                 assert np.array_equal(once, twice)
 
-    @pytest.mark.parametrize("n_rows", [1, 2, 3])
     @pytest.mark.parametrize("state", ["init_range", "none"])
-    def test_index_clamped_at_code_zero_keeps_the_np_clip_zero(self, state, n_rows):
-        # -1e-3 / step rounds to index -0.0, which meets the +0.0 bound of code 0;
-        # which zero comes out depends on the shape, and must be np.clip's
-        x = np.tile([[-1e-3, 1.0, -0.0, 0.5]], (n_rows, 1))
+    @pytest.mark.parametrize(
+        "row",
+        [
+            # -1e-3 / step rounds to index -0.0, which meets the +0.0 lower bound of code 0
+            [-1e-3, 1.0, -0.0, 0.5],
+            # all negative: the zero point is q_p, so the upper bound is q_p - q_p = +0.0,
+            # and the maximum -1e-3, within half a step below 0, rounds to index -0.0
+            [-1.0, -0.5, -1e-3, -0.25],
+        ],
+        ids=["lower", "upper"],
+    )
+    def test_an_index_clamped_to_a_zero_bound_gives_the_same_bytes_at_any_row_count(self, row, state):
+        # the clamp returns the bound's +0.0, as np.clip does from 3 rows up
         spec = QuantSpec(2, "asymmetric", "activation")
-        fresh = init_range(x, spec)
+        x8 = np.tile([row], (8, 1))
+        fresh = init_range(x8, spec)
         step, zero = fresh.step[:, None], fresh.zero_point[:, None]
-        assert np.all(zero == 0.0)
-        want = step * np.clip(np.rint(x / step), spec.q_n - zero, spec.q_p - zero)
-        got = fake_quant(x, spec, fresh if state == "init_range" else None)
-        assert got.tobytes() == want.tobytes()
+        want = step * np.clip(np.rint(x8 / step), spec.q_n - zero, spec.q_p - zero)
+        assert not np.signbit(want[want == 0]).any()
+        for n_rows in (1, 2, 3, 8):
+            x = x8[:n_rows]
+            got = fake_quant(x, spec, init_range(x, spec) if state == "init_range" else None)
+            assert got.tobytes() == want[:n_rows].tobytes(), n_rows
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_clamp_bounds_keep_the_np_clip_bytes(self, scheme):
+        # a coefficient just below 0 rounds to -0.0, which stays -0.0 at the asymmetric bound q_n = 0
+        spec = QuantSpec(4, scheme, "weight")
+        coeffs = np.array([-1e-5, -0.0, 0.0, 1e-5, -2.0, 0.5, 1.0, 2.0, np.nan, -np.inf, np.inf])
+        state = QuantState(step=np.ones(11), zero_point=np.zeros(11), clip_lo=coeffs, clip_hi=coeffs)
+        for got, clip in zip(clamp_bounds(spec, state), (state.clip_lo, state.clip_hi)):
+            assert got.tobytes() == np.clip(np.rint(clip * spec.q_p), spec.q_n, spec.q_p).tobytes()
+            assert np.signbit(got[0])
 
     def test_fractional_zero_point_rounded_at_use(self):
         spec = spec_pt(4, "asymmetric")
@@ -202,6 +225,50 @@ class TestFakeQuant:
         base = QuantState(step=[0.1], zero_point=[7.0], clip_lo=[0.0], clip_hi=[1.0])
         drifted = QuantState(step=[0.1], zero_point=[7.2], clip_lo=[0.0], clip_hi=[1.0])
         assert np.array_equal(fake_quant(x, spec, base), fake_quant(x, spec, drifted))
+
+
+class TestStateGuards:
+    """The checks every quantizer call runs, at zero, equal bounds, NaN and +-inf."""
+
+    @staticmethod
+    def state(step=1.0, clip_lo=0.0, clip_hi=1.0):
+        """Three groups; the middle one takes the given values."""
+        return QuantState(step=[1.0, step, 1.0], zero_point=np.zeros(3), clip_lo=[0.0, clip_lo, 0.0],
+                          clip_hi=[1.0, clip_hi, 1.0])
+
+    @pytest.mark.parametrize("step", [0.0, -0.0, -1.0, -np.inf])
+    def test_validate_refuses_a_step_at_or_below_zero(self, step):
+        with pytest.raises(InvalidStateError, match="step must be positive"):
+            self.state(step=step).validate()
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 0.5), (-0.0, 0.0), (1.0, 0.5), (np.inf, np.inf), (0.0, -np.inf)])
+    def test_validate_refuses_clip_lo_at_or_above_clip_hi(self, lo, hi):
+        with pytest.raises(InvalidStateError, match="clip_lo must be strictly below clip_hi"):
+            self.state(clip_lo=lo, clip_hi=hi).validate()
+
+    @pytest.mark.parametrize(
+        "values", [{"step": np.nan}, {"step": np.inf}, {"clip_lo": np.nan}, {"clip_hi": np.nan}, {"clip_lo": -np.inf}]
+    )
+    def test_validate_lets_nan_and_inf_through_where_they_compare_false(self, values):
+        self.state(**values).validate()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_constant_group_gets_step_one(self, scheme):
+        x = np.array([[2.3] * 4, [-7.6] * 4, [0.0] * 4, [-1.0, 0.5, 2.0, 3.0]])
+        spec = QuantSpec(4, scheme, "activation")
+        state = init_range(x, spec)
+        constant = [0, 1, 2] if scheme == "asymmetric" else [2]  # a symmetric range is |x|, 0 only at 0
+        assert np.all(state.step[constant] == 1.0)
+        assert np.all(state.zero_point[constant] == -np.rint(x[constant, 0]))
+        assert np.all(state.step[3:] != 1.0)
+        if scheme == "asymmetric":  # code 0 gives the constant's nearest integer back
+            assert fake_quant(x, spec)[:3].tolist() == [[2.0] * 4, [-8.0] * 4, [0.0] * 4]
+
+    def test_a_nan_group_keeps_a_nan_step(self):
+        x = np.array([[np.nan, 1.0, 2.0], [np.inf, np.inf, np.inf], [0.0, 1.0, 3.0]])
+        with np.errstate(invalid="ignore"):
+            state = init_range(x, QuantSpec(4, "asymmetric", "activation"))
+        assert np.isnan(state.step[:2]).all() and state.step[2] == 0.2
 
 
 class TestQuantError:

@@ -1,3 +1,4 @@
+import sys
 from statistics import NormalDist
 
 import numpy as np
@@ -238,6 +239,31 @@ def test_directions_across_steps_have_zero_mean_and_identity_covariance():
     mean = deviations.mean(axis=0)
     se = deviations.std(axis=0, ddof=1) / np.sqrt(steps)
     assert np.all(np.abs(mean) <= z * se), np.abs(mean) / se
+
+
+def test_a_default_w4a4_zo_step_makes_at_most_2000_python_calls():
+    """Python-level calls ("call" events of sys.setprofile) of one zo_step at batch 4.
+
+    Two forwards and the update; the per-layer checks run as direct ufunc
+    calls, which make no Python-level call. 1,373 calls measured; through
+    numpy's Python wrappers (np.any, np.clip, ...) they were 3,629.
+    """
+    model = build_model(ModelConfig(), QuantPlan(4, 4), seed=0)
+    batch = np.random.default_rng(0).integers(0, 128, size=(4, 128))
+    cfg = ZoConfig(steps=10)
+    zo_step(model, batch, cfg, 0)  # warm-up: first-call caches
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        zo_step(model, batch, cfg, 1)
+    finally:
+        sys.setprofile(None)
+    assert calls <= 2000, calls
 
 
 class TestRoundTripDrift:
