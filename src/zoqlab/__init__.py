@@ -4,9 +4,9 @@ Modules:
   numerics      tensors, typed tensor files (float64 and 8/16-bit integer
                 codes), and the one stream reader: every draw is
                 normals_at/uniforms_at(seed, stream, position, n)
-  quantizer     uniform fake-quantization with learnable clipping; a
-                quantizer's tiling follows from its role: activations per
-                token, weights per output channel or in groups of input rows
+  quantizer     uniform fake-quantization with learnable clipping, each tensor
+                in its own layout; group_view and per_group state its groups:
+                per token, per output channel or in blocks of input rows
   smoothing     channel-wise scale/shift outlier migration: the activation
                 side and the weight-side fold, each written once
   model         toy decoder-only transformer with attachments; linear_forward

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .model import ModelGraph, freeze_linear, holds_codes, regrid_weight_state
-from .quantizer import QuantSpec, QuantState, clamp_bounds, fake_quant, init_range, quant_codes, to_groups
+from .quantizer import QuantSpec, QuantState, clamp_bounds, fake_quant, group_view, init_range, per_group, quant_codes
 from .smoothing import SCALE_CEIL, SCALE_FLOOR, SmoothingParams, fold_smoothing, smooth_activation
 
 # bound-search passes per epoch
@@ -200,27 +200,30 @@ def _rowdot(a, b):
 class _BoundGrid:
     """The weight groups as the bound search moves them, and the exact score of a move.
 
-    Group g is output column g // slots over the input rows of slot g % slots:
-    per output channel one slot spans every row, with a group_size each slot
-    is one block of group_size rows (QuantSpec's weight tiling). codes are
-    the smoothed weight's codes clamped only to [q_n, q_p], which no bound
-    move changes; gram is xq' xq.
+    groups is the group view (quantizer.group_view) of the smoothed weight's
+    codes clamped only to [q_n, q_p], which no bound move changes; slot k,
+    groups[k], is a block of size input rows, one group per output column.
+    codes[k] is its (columns, size) float64 transpose, in which moves are
+    scored. gram is xq' xq.
     """
 
     def __init__(self, obj, state):
         spec = self.spec = obj.wspec
-        d_in, d_out = obj.w_s.shape
-        self.size = spec.group_size or d_in
-        self.slots = d_in // self.size
-        n = d_out * self.slots
+        n = state.n_groups
         full = QuantState(state.step, state.zero_point, np.full(n, spec.q_n / spec.q_p), np.ones(n))
-        self.codes = to_groups(quant_codes(obj.w_s, spec, full), spec)
-        self.step, self.gram = state.step, obj.xq.T @ obj.xq
+        self.groups = group_view(quant_codes(obj.w_s, spec, full), spec)
+        self.codes = np.ascontiguousarray(self.groups.transpose(0, 2, 1), dtype=np.float64)
+        self.slots, self.size = self.groups.shape[:2]
+        self.step, self.gram = self.per_slot(state.step), obj.xq.T @ obj.xq
+
+    def per_slot(self, v):
+        """A per-group vector as its (slots, columns) view, written through: [k, c] is column c's group in slot k."""
+        return per_group(v, self.groups)[:, 0]
 
     def changes(self, lo, hi, corr, k):
         """Summed squared-residual change of every move of slot k's groups, and which weights each moves.
 
-        lo and hi are every group's clamp bounds, corr is resid' xq at them.
+        lo and hi are every group's clamp bounds (per_slot views), corr is resid' xq at them.
         Move m of column c's group shifts the weights at or beyond the moved
         bound by one step, dw = weight_change(beyond, m, c, k), so over the
         slot's rows the change is dw' gram dw - 2 corr[c] dw. A move that
@@ -230,7 +233,7 @@ class _BoundGrid:
         one move's products are held.
         """
         r = slice(k * self.size, (k + 1) * self.size)
-        codes, lo, hi = self.codes[k :: self.slots], lo[k :: self.slots, None], hi[k :: self.slots, None]
+        codes, lo, hi = self.codes[k], lo[k, :, None], hi[k, :, None]
         beyond = np.stack([codes > hi, codes >= hi, codes < lo, codes <= lo])
         new_lo, new_hi = lo.T + _MOVES[:, :1], hi.T + _MOVES[:, 1:]
         feasible = (new_lo >= self.spec.q_n) & (new_hi <= self.spec.q_p) & (new_lo < new_hi)
@@ -245,7 +248,7 @@ class _BoundGrid:
 
     def weight_change(self, beyond, m, c, k):
         """(len(c), size) weight change of move m (one, or one per column) of slot k's column-c groups."""
-        return beyond[m, c] * (_MOVES.sum(axis=1)[m, None] * self.step[k :: self.slots][c, None])
+        return beyond[m, c] * (_MOVES.sum(axis=1)[m, None] * self.step[k][c, None])
 
 
 def _search_bounds(obj, state, passes):
@@ -267,15 +270,14 @@ def _search_bounds(obj, state, passes):
     del resid
     grid = _BoundGrid(obj, state)
     for _ in range(passes):
-        lo, hi = clamp_bounds(spec, state)
+        lo, hi = map(grid.per_slot, clamp_bounds(spec, state))
         cand = state.copy()
         for k in range(grid.slots):
             change, beyond = grid.changes(lo, hi, corr, k)
             best = np.argmin(change, axis=0)
             cols = np.nonzero(change[best, np.arange(best.shape[0])] < 0)[0]
-            g, move = cols * grid.slots + k, _MOVES[best[cols]]
-            cand.clip_lo[g] = (lo[g] + move[:, 0]) / spec.q_p
-            cand.clip_hi[g] = (hi[g] + move[:, 1]) / spec.q_p
+            grid.per_slot(cand.clip_lo)[k, cols] = (lo[k, cols] + _MOVES[best[cols], 0]) / spec.q_p
+            grid.per_slot(cand.clip_hi)[k, cols] = (hi[k, cols] + _MOVES[best[cols], 1]) / spec.q_p
             dw = grid.weight_change(beyond, best[cols], cols, k)
             corr[cols] -= dw @ grid.gram[k * grid.size : (k + 1) * grid.size]
         cand_loss = obj.eval(cand)

@@ -243,8 +243,8 @@ def _cast(attr: str, text: str):
     return kind(text)
 
 
-def load_config_file(path: str) -> RunConfig:
-    """Flat key = value sections: [model] [quant] [train] [calib] [paths] [run].
+def config_file_updates(path: str) -> dict:
+    """A config file's values, by dotted RunConfig attribute. Sections: [model] [quant] [train] [calib] [paths] [run].
 
     The keys are those of _SCHEMA, plus [quant] notation = W4A4 / W2A16g128,
     which the other [quant] keys override. An unknown section or key, or a
@@ -273,7 +273,12 @@ def load_config_file(path: str) -> RunConfig:
                 updates[attr] = _cast(attr, text)
             except (KeyError, ValueError):
                 raise UsageError(f"{path}: bad value {text!r} for [{section}] {key}") from None
-    return _updated(RunConfig(), updates)
+    return updates
+
+
+def load_config_file(path: str) -> RunConfig:
+    """The RunConfig a config file describes: its updates (config_file_updates) over the defaults."""
+    return _updated(RunConfig(), config_file_updates(path))
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +527,15 @@ def _initialize(cfg: RunConfig, train, lightweight: bool):
 
 
 def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = None,
-              seed: int | None = None, quant: str | None = None) -> int:
-    """seed and quant are the --seed and --quant flags, which a resumed checkpoint's config must agree with."""
+              seed: int | None = None, quant: str | None = None, config: str | None = None) -> int:
+    """seed, quant and config: the --seed, --quant and --config flags, which a resumed checkpoint must agree with."""
     if resume is not None:
         cfg_loaded, model, start_step = load_checkpoint(resume)
+        for attr, value in (config_file_updates(config) if config else {}).items():
+            held = reduce(getattr, attr.split("."), cfg_loaded)
+            if attr not in ("zo.steps", *_SCHEMA["paths"].values()) and value != held:
+                key = next(f"[{sec}] {k}" for sec, keys in _SCHEMA.items() for k, a in keys.items() if a == attr)
+                raise UsageError(f"--resume trains the checkpoint's {key} {held!r}, not {value!r} from {config}")
         if lightweight and not model.lightweight:
             raise UsageError("--resume --lightweight needs a lightweight checkpoint; this one trains the full model")
         if seed is not None and seed != cfg_loaded.seed:
@@ -691,9 +701,10 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="calibrate + ZO-train + checkpoint")
     _add_config_flags(p_train)
     p_train.add_argument("--lightweight", action="store_true", help="freeze all but attention q/v")
-    p_train.add_argument("--resume", help="checkpoint to resume from; its config is the run's config: only "
-                         "--steps, --corpus and the output dirs apply, and --seed, --quant and --lightweight must agree")
-    p_train.set_defaults(run=lambda a: cmd_train(_config_from_args(a), a.lightweight, a.resume, a.seed, a.quant))
+    p_train.add_argument("--resume", help="checkpoint to resume from; its config is the run's config: only --steps, "
+                         "--corpus and the output dirs apply; --seed, --quant, --lightweight and --config must agree")
+    p_train.set_defaults(run=lambda a: cmd_train(
+        _config_from_args(a), a.lightweight, a.resume, a.seed, a.quant, a.config))
 
     p_eval = sub.add_parser("eval", help="perplexity + diagnostics of a checkpoint")
     p_eval.add_argument("checkpoint")

@@ -15,7 +15,7 @@ from scipy.special import erf
 
 from .errors import DataError, DimensionError
 from .numerics import Tensor, normals_at
-from .quantizer import QuantSpec, QuantState, fake_quant, init_range, quant_codes
+from .quantizer import QuantSpec, QuantState, fake_quant, group_view, init_range, per_group, quant_codes
 from .smoothing import (
     SCALE_CEIL,
     SCALE_FLOOR,
@@ -453,27 +453,20 @@ def dequantized_weight(lin: Linear) -> Tensor:
     """The layer's float64 (d_in, d_out) weight: lin.w, or a frozen layer's codes dequantized.
 
     Every reader of a frozen weight calls this. For a layer that holds codes
-    (holds_codes) it returns step * (code - rint(zero)) of each code's
-    group, in the codes' own (d_in, d_out) layout and in two passes: the
-    subtraction, which converts the codes, and the scaling in place. The
-    groups' step and zero tables are laid out to broadcast over it, so
-    nothing of the weight's size is transposed or copied. Any other layer's
-    lin.w is returned as it is.
+    (holds_codes) it returns step * (code - rint(zero)) of each code's group
+    (_dequantized_codes). Any other layer's lin.w is returned as it is.
     """
     return _dequantized_codes(lin) if holds_codes(lin) else lin.w
 
 
 def _dequantized_codes(lin: Linear) -> Tensor:
-    """dequantized_weight of a layer known to hold codes."""
+    """dequantized_weight of a layer known to hold codes: two passes over their group view
+    (quantizer.group_view, free), the subtraction, which converts them, and the scaling in place."""
     codes, state = lin.w, lin.att.weight_state
-    d_in, d_out = codes.shape
-    size = lin.att.weight_spec.group_size or d_in
-    # group g covers rows [r * size, (r + 1) * size) of column c, g = c * (d_in // size) + r
-    grid = (d_in // size, 1, d_out)
-    zero = np.rint(state.zero_point).reshape(d_out, -1).T.reshape(grid)
-    w = np.subtract(codes.reshape(d_in // size, size, d_out), zero)
-    w *= state.step.reshape(d_out, -1).T.reshape(grid)
-    return w.reshape(d_in, d_out)
+    g = group_view(codes, lin.att.weight_spec)
+    w = np.subtract(g, per_group(np.rint(state.zero_point), g))
+    w *= per_group(state.step, g)
+    return w.reshape(codes.shape)
 
 
 def _layer_norm(x, gain, bias):

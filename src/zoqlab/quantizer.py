@@ -13,6 +13,10 @@ Weight quantizers additionally honor per-group clipping coefficients
 (clip_lo, clip_hi) that scale the positive clamp level, so the integer clamp
 range becomes [round(clip_lo * q_p), round(clip_hi * q_p)] intersected with
 the natural code range.
+Only this module knows how a tensor is cut into groups: a tensor is
+quantized in its own layout, reduced over axis 1 of its group view
+(group_view), and a QuantState's per-group vectors, kept in group order,
+broadcast against that view through per_group.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ ROLES = ("weight", "activation")
 class QuantSpec:
     """Static configuration of one quantizer: bit width, scheme, role, weight group size.
 
-    The role fixes the tiling. An activation quantizer has one group per
-    row of a (..., features) input. A weight quantizer takes a 2-D
-    (d_in, d_out) weight and cuts each output column into groups of
-    group_size consecutive input rows; None means one group per column.
+    The role fixes the tiling, which group_view states: an activation
+    quantizer has one group per row of a (..., features) input; a weight
+    quantizer cuts each output column of a 2-D (d_in, d_out) weight into
+    groups of group_size consecutive input rows, None meaning one per column.
     """
 
     bits: int
@@ -71,13 +75,15 @@ class QuantSpec:
         raise DataError(f"{self.bits}-bit codes fit no 8- or 16-bit integer")
 
 
-def to_groups(x: Tensor, spec: QuantSpec) -> Tensor:
-    """x as the (n_groups, group) matrix of spec's tiling; from_groups inverts it.
+def group_view(x: Tensor, spec: QuantSpec) -> Tensor:
+    """x reshaped so that each quantizer group lies along axis 1: free for a C-contiguous x, in x's dtype.
 
-    Activation groups are the rows of x. Weight groups run column by column,
-    each column's groups in row order: w.T.reshape(-1, size).
+    An activation is viewed as (rows, features), group g being row g. A
+    (d_in, d_out) weight is viewed as (d_in // size, size, d_out): group
+    g = c * (d_in // size) + r, rows [r * size, (r + 1) * size) of output
+    column c, is [r, :, c].
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.size == 0:
         raise DataError("cannot group an empty tensor")
     if spec.role == "activation":
@@ -87,19 +93,16 @@ def to_groups(x: Tensor, spec: QuantSpec) -> Tensor:
     size = spec.group_size or x.shape[0]
     if x.shape[0] % size:
         raise DimensionError(f"group size {size} does not divide d_in {x.shape[0]}")
-    return x.T.reshape(-1, size)
+    return x.reshape(-1, size, x.shape[1])
 
 
-def from_groups(g: Tensor, shape: tuple[int, ...], spec: QuantSpec) -> Tensor:
-    """The C-contiguous tensor of the given shape whose to_groups matrix is g.
+def per_group(v: Tensor, g: Tensor) -> Tensor:
+    """A vector v in group order as a view of g's shape with axis 1 set to 1, writing through to a contiguous v.
 
-    For a C-contiguous weight quantized whole per column, fake_quant's g
-    keeps the weight's transposed layout, so the transpose back is already
-    C-contiguous and is not copied; a g of smaller groups is copied once.
+    Group order, kept by QuantState and the checkpoint, runs over g's other
+    axes in Fortran order: g = c * (d_in // size) + r is [r, 0, c].
     """
-    if spec.role == "activation":
-        return g.reshape(shape)
-    return np.ascontiguousarray(g.reshape(shape[::-1]).T)
+    return v.reshape((g.shape[0], 1) + g.shape[2:], order="F")
 
 
 @dataclass
@@ -148,30 +151,26 @@ def init_range(x: Tensor, spec: QuantSpec) -> QuantState:
     (clip_lo = q_n / q_p, clip_hi = 1). A constant group gets step = 1 and a
     zero point that round-trips the constant's nearest integer.
     """
-    step, zero = _range_grid(to_groups(x, spec), spec)  # to_groups rejects an empty x
-    n = step.shape[0]
-    clip_lo = np.full(n, spec.q_n / spec.q_p)
-    clip_hi = np.ones(n)
-    return QuantState(step=step, zero_point=zero, clip_lo=clip_lo, clip_hi=clip_hi)
+    g = group_view(np.asarray(x, dtype=np.float64), spec)
+    n = g.size // g.shape[1]
+    state = QuantState(np.empty(n), np.empty(n), np.full(n, spec.q_n / spec.q_p), np.ones(n))
+    per_group(state.step, g)[...], per_group(state.zero_point, g)[...] = _range_grid(g, spec)
+    return state
 
 
 def _range_grid(g: Tensor, spec: QuantSpec) -> tuple[Tensor, Tensor]:
-    """Range-init (step, zero point) of each row of the grouped matrix g; see init_range."""
+    """Range-init (step, zero point) of each group of the group view g, in per_group's shape; see init_range."""
     q_p = float(spec.q_p)
-    mins = np.minimum.reduce(g, axis=1)
-    maxs = np.maximum.reduce(g, axis=1)
+    mins = np.minimum.reduce(g, axis=1, keepdims=True)
+    maxs = np.maximum.reduce(g, axis=1, keepdims=True)
     if spec.scheme == "symmetric":
-        step = np.maximum(np.abs(mins), np.abs(maxs))
-        step /= q_p
+        step = np.maximum(np.abs(mins), np.abs(maxs)) / q_p
         zero = np.zeros(step.shape)
     else:
-        step = maxs - mins
-        step /= q_p
-        zero = np.divide(mins, step, out=np.zeros(step.shape), where=step > 0)
-        np.rint(zero, out=zero)
-        np.negative(zero, out=zero)
+        step = (maxs - mins) / q_p
+        zero = -np.rint(np.divide(mins, step, out=np.zeros(step.shape), where=step > 0))
     degenerate = step <= 0
-    if np.logical_or.reduce(degenerate):
+    if np.logical_or.reduce(degenerate, axis=None):
         step[degenerate] = 1.0
         # constant group: code 0 maps back to rint(constant)
         zero[degenerate] = -np.rint(maxs[degenerate])
@@ -180,11 +179,8 @@ def _range_grid(g: Tensor, spec: QuantSpec) -> tuple[Tensor, Tensor]:
 
 def clamp_bounds(spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor]:
     """Integer clamp bounds per group; clipping applies to weights only."""
-    n = state.n_groups
     if spec.role == "activation":
-        lo = np.full(n, float(spec.q_n))
-        hi = np.full(n, float(spec.q_p))
-        return lo, hi
+        return np.full(state.n_groups, float(spec.q_n)), np.full(state.n_groups, float(spec.q_p))
     # np.maximum and np.minimum return their second argument where the two
     # compare equal, so a rounded -0.0 at the bound 0 stays -0.0, as np.clip
     # with scalar bounds leaves it
@@ -193,29 +189,33 @@ def clamp_bounds(spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor]:
     return lo, hi  # lo <= hi: rint and the clamp are monotone, and validate holds clip_lo < clip_hi
 
 
-def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState) -> tuple[Tensor, Tensor, Tensor]:
-    """Clamped grid indices (code - zero) of x under `state`; see _nearest_index.
+def _grid_index(x: Tensor, spec: QuantSpec, state: QuantState | None) -> tuple[Tensor, Tensor]:
+    """Clamped grid indices (code - zero) of x under `state`, in x's group view; see _nearest_index.
 
-    Returns (index, step, zero), the last two as (n_groups, 1) columns.
+    Returns (index, step), step broadcasting against the index. With no
+    state, each group's range comes from x itself (see fake_quant).
     """
+    g = group_view(np.asarray(x, dtype=np.float64), spec)
+    if state is None:
+        step, zero = _range_grid(g, spec)
+        # a fresh state's clamp bounds are the whole code range in either role
+        return _nearest_index(g, step, spec.q_n - zero, spec.q_p - zero), step
     state.validate()
-    g = to_groups(x, spec)
-    if state.n_groups != g.shape[0]:
+    if state.n_groups * g.shape[1] != g.size:
         raise DimensionError(
             f"state has {state.n_groups} groups but the {spec.role} tiling of shape "
-            f"{np.shape(x)} needs {g.shape[0]}"
+            f"{np.shape(x)} needs {g.size // g.shape[1]}"
         )
-    step = state.step[:, None]
-    zero = np.rint(state.zero_point)[:, None]
     lo, hi = clamp_bounds(spec, state)
-    index = _nearest_index(g, step, lo[:, None] - zero, hi[:, None] - zero)
-    return index, step, zero
+    zero = np.rint(state.zero_point)
+    step = per_group(state.step, g)
+    return _nearest_index(g, step, per_group(lo - zero, g), per_group(hi - zero, g)), step
 
 
 def _nearest_index(g: Tensor, step: Tensor, lo: Tensor, hi: Tensor) -> Tensor:
-    """Clamped grid indices of the grouped matrix g, as a new matrix of its shape.
+    """Clamped grid indices of the group view g, as a new array of its shape.
 
-    step, lo and hi are (n_groups, 1) columns; lo and hi bound the index
+    step, lo and hi have g's shape with axis 1 set to 1 (per_group); lo and hi bound the index
     (code - zero). Each index is that of the grid value nearest to x, an
     exact tie going to the even index. rint of the float quotient x / step
     gets this right except where the quotient has rounded onto a half
@@ -244,15 +244,15 @@ def _nearest_index(g: Tensor, step: Tensor, lo: Tensor, hi: Tensor) -> Tensor:
     with np.errstate(invalid="ignore"):  # inf - inf for an infinite x
         np.subtract(frac, index, out=frac)
     if np.fmax.reduce(frac, axis=None) == 0.5 or np.fmin.reduce(frac, axis=None) == -0.5:
-        r, c = np.nonzero(np.abs(frac) == 0.5)
-        x, s = g[r, c], step[r, 0]  # fancy indexing: fresh copies
+        at = np.nonzero(np.abs(frac) == 0.5)
+        x, s = g[at], step[(at[0], 0, *at[2:])]  # fancy indexing: fresh copies; step's axis 1 has length 1
         mid = x / s  # exactly k + 1/2
         rem = np.abs(np.fmod(x, s))
         small = s < 1.0
         rem[small] *= 2.0
         s[~small] *= 0.5
         past = np.sign(rem - s) * np.sign(x)  # the sign of x - step * mid
-        index[r, c] = np.where(past == 0, index[r, c], mid + 0.5 * past)
+        index[at] = np.where(past == 0, index[at], mid + 0.5 * past)
     # Integer-valued floats, so clamping the index is exact. Where an index
     # equals its bound, np.maximum and np.minimum return the bound (their
     # second argument) at every shape, so a -0.0 index at a +0.0 bound
@@ -272,27 +272,20 @@ def fake_quant(x: Tensor, spec: QuantSpec, state: QuantState | None = None) -> T
 
     With no state, each group's range comes from x itself: the result is
     fake_quant(x, spec, init_range(x, spec)) bit for bit, without building
-    that state. The dequantized values overwrite the index matrix, which
-    from_groups then lays out in x's shape.
+    that state. The dequantized values overwrite the index array, which is
+    in x's own layout (group_view), so nothing is transposed or copied back.
     """
     x = np.asarray(x, dtype=np.float64)
-    if state is None:
-        g = to_groups(x, spec)
-        step, zero = _range_grid(g, spec)
-        step, zero = step[:, None], zero[:, None]
-        # a fresh state's clamp bounds are the whole code range in either role
-        index = _nearest_index(g, step, spec.q_n - zero, spec.q_p - zero)
-    else:
-        index, step, _ = _grid_index(x, spec, state)
+    index, step = _grid_index(x, spec, state)
     index *= step
-    return from_groups(index, x.shape, spec)
+    return index.reshape(x.shape)
 
 
 def quant_codes(x: Tensor, spec: QuantSpec, state: QuantState) -> np.ndarray:
-    """Integer codes produced by fake_quant, same shape as x, in spec.code_dtype."""
-    index, _, zero = _grid_index(x, spec, state)
-    index += zero
-    return from_groups(index, np.shape(x), spec).astype(spec.code_dtype)
+    """Integer codes produced by fake_quant, in x's shape and spec.code_dtype, computed in x's group view like it."""
+    index, _ = _grid_index(x, spec, state)
+    index += per_group(np.rint(state.zero_point), index)
+    return index.reshape(np.shape(x)).astype(spec.code_dtype)
 
 
 def quant_error(x: Tensor, spec: QuantSpec, state: QuantState) -> float:

@@ -11,7 +11,8 @@ are written out of place, one new array per operation. The batched forward
 is the all-rows composition: every sequence's attention matrices at once
 and one pass of each linear over every row.
 The order of the ZO view is a walk over the model written out by hand.
-The per-group (min, max, absmax) reduction lives here too: only tests use it.
+The per-group (min, max, absmax) reduction lives here too: only tests use
+it, and it slices each group out by hand in group order.
 The Monte-Carlo theory oracle is here as it was before it reduced in blocks:
 one (m, d) array per chunk of samples.
 """
@@ -33,7 +34,7 @@ from zoqlab.model import (
     holds_codes,
     regrid_weight_state,
 )
-from zoqlab.quantizer import clamp_bounds, fake_quant, to_groups
+from zoqlab.quantizer import clamp_bounds, fake_quant
 from zoqlab.smoothing import SCALE_CEIL, SCALE_FLOOR, SmoothingParams, apply_smoothing, smooth_activation
 
 
@@ -90,12 +91,13 @@ def nearest_index_by_fractions(g, step, lo, hi):
     index = np.rint(frac)
     with np.errstate(invalid="ignore"):  # inf - inf for an infinite x
         np.subtract(frac, index, out=frac)
-    for r, c in zip(*np.nonzero(np.abs(frac) == 0.5)):
-        x_rc, step_r = g[r, c], step[r, 0]
-        mid = x_rc / step_r
-        past = Fraction(x_rc) - Fraction(step_r) * Fraction(mid)
+    steps = np.broadcast_to(step, g.shape)
+    for at in zip(*np.nonzero(np.abs(frac) == 0.5)):
+        x_at, step_at = g[at], steps[at]
+        mid = x_at / step_at
+        past = Fraction(x_at) - Fraction(step_at) * Fraction(mid)
         if past:
-            index[r, c] = mid + 0.5 if past > 0 else mid - 0.5
+            index[at] = mid + 0.5 if past > 0 else mid - 0.5
     np.clip(index, lo, hi, out=index)
     return index
 
@@ -336,7 +338,7 @@ def out_of_place_cross_entropy(logits, targets):
 
 @dataclass
 class GroupStats:
-    """(min, max, absmax) per group, ordered the way to_groups orders them."""
+    """(min, max, absmax) per group, in group order."""
 
     mins: np.ndarray
     maxs: np.ndarray
@@ -346,12 +348,74 @@ class GroupStats:
         return iter(zip(self.mins, self.maxs, self.absmaxs))
 
 
+def weight_group_slices(d_in, d_out, size):
+    """The (rows, column) index of every group of a (d_in, d_out) weight, in group order.
+
+    Group g = c * (d_in // size) + r is rows [r * size, (r + 1) * size) of
+    output column c; size None is the whole column.
+    """
+    size = size or d_in
+    assert d_in % size == 0
+    return [(slice(r * size, (r + 1) * size), c) for c in range(d_out) for r in range(d_in // size)]
+
+
 def reduce_stats(x, spec):
-    """Per-group (min, max, absmax) under the spec's tiling."""
-    g = to_groups(x, spec)
-    mins = g.min(axis=1)
-    maxs = g.max(axis=1)
+    """Per-group (min, max, absmax) under the spec's tiling, each group sliced out by hand.
+
+    An activation's group g is row g of its (rows, features) matrix; a
+    weight's groups are weight_group_slices.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if spec.role == "activation":
+        groups = [x.reshape(-1, x.shape[-1])[i] for i in range(x.size // x.shape[-1])]
+    else:
+        groups = [x[index] for index in weight_group_slices(*x.shape, spec.group_size)]
+    mins = np.array([min(g) for g in groups])
+    maxs = np.array([max(g) for g in groups])
     return GroupStats(mins=mins, maxs=maxs, absmaxs=np.maximum(np.abs(mins), np.abs(maxs)))
+
+
+def per_group_weight_quant(w, spec, clip_lo=None, clip_hi=None):
+    """init_range's (step, zero), quant_codes and fake_quant of a weight, one hand-sliced group at a time.
+
+    Groups are weight_group_slices, numbered in group order. A group's step
+    and zero follow init_range's formulas on its own min and max (a
+    constant group takes step 1 and zero -rint(value)). Its clamp codes are
+    rint(clip * q_p) within [q_n, q_p], from clip_lo[g] and clip_hi[g], or
+    the whole code range when they are None. Each code is nearest_code's
+    exhaustive search, and each value step * (code - rint(zero)). A value
+    of 0 carries the sign fake_quant gives it: that of code - rint(zero) at
+    a clamp bound, else that of x, whose quotient rint rounds to a signed
+    zero. (A negative x whose quotient rounds onto -1/2 without lying on the
+    midpoint would get +0; the callers' weights hold none.)
+
+    Returns (step, zero, codes, values): two group-order vectors and two
+    arrays of w's shape.
+    """
+    q_n, q_p = spec.q_n, spec.q_p
+    slices = weight_group_slices(*w.shape, spec.group_size)
+    step, zero = np.empty(len(slices)), np.empty(len(slices))
+    codes, values = np.empty(w.shape, dtype=np.int64), np.empty(w.shape)
+    for g, index in enumerate(slices):
+        v = w[index]
+        lo_v, hi_v = v.min(), v.max()
+        if spec.scheme == "symmetric":
+            step[g], zero[g] = max(abs(lo_v), abs(hi_v)) / q_p, 0.0
+        else:
+            step[g] = (hi_v - lo_v) / q_p
+            zero[g] = -np.rint(lo_v / step[g]) if step[g] > 0 else 0.0
+        if step[g] <= 0:
+            step[g], zero[g] = 1.0, -np.rint(hi_v)
+        lo = q_n if clip_lo is None else min(q_p, max(q_n, round(clip_lo[g] * q_p)))
+        hi = q_p if clip_hi is None else min(q_p, max(q_n, round(clip_hi[g] * q_p)))
+        z = float(np.rint(zero[g]))
+        for i, x in enumerate(v):
+            code = nearest_code(x, step[g], z, lo, hi)
+            k = float(code) - z
+            if k == 0 and code not in (lo, hi):
+                k = math.copysign(0.0, x)
+            codes[index][i], values[index][i] = code, step[g] * k
+    return step, zero, codes, values
 
 
 def philox_normals_reference(seed, stream_id, position, n):

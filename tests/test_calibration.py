@@ -94,7 +94,7 @@ def base_bound_changes(obj, state):
     """Every group's move changes as the search scores them, all from the residual at state."""
     grid = _BoundGrid(obj, state)
     resid = obj.scored(state)[1]
-    lo, hi = clamp_bounds(obj.wspec, state)
+    lo, hi = map(grid.per_slot, clamp_bounds(obj.wspec, state))
     change = np.empty((4, state.n_groups))
     for k in range(grid.slots):
         change[:, k :: grid.slots] = grid.changes(lo, hi, resid.T @ obj.xq, k)[0]

@@ -588,6 +588,33 @@ def test_resume_with_a_seed_or_quant_the_checkpoint_does_not_hold_is_a_usage_err
     assert train(tiny_config, tmp_path / "resumed", "--steps", "3", flag, saved, "--resume", str(path)) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("lr_weights = 1e-5", "lr_weights = 2e-5", "[train] lr_weights 1e-05, not 2e-05"),
+        ("eval_interval = 0", "eval_interval = 1", "[train] eval_interval 0, not 1"),
+    ],
+    ids=["lr_weights", "eval_interval"],
+)
+def test_resume_with_a_config_file_value_the_checkpoint_does_not_hold_is_a_usage_error(
+    trained_checkpoint, tmp_path, capsys, old, new, named
+):
+    path = tmp_path / "full.ckpt"
+    path.write_bytes(trained_checkpoint)
+    config = tmp_path / "other.ini"
+    config.write_text(TINY_INI.replace(old, new))
+    capsys.readouterr()
+    assert train(str(config), tmp_path / "refused", "--steps", "3", "--resume", str(path)) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert named in captured.err and str(config) in captured.err, captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "refused").exists()
+    # a file that leaves the key out resumes, and [train] steps and [paths] still apply
+    config.write_text(f"[train]\nsteps = 3\n[paths]\ncorpus = {cli.default_corpus_path()}\n")
+    assert train(str(config), tmp_path / "resumed", "--resume", str(path)) == cli.EXIT_OK
+    assert cli.load_checkpoint(str(tmp_path / "resumed" / "ckpt" / "final.ckpt"))[2] == 3
+
+
 def test_resume_to_fewer_steps_than_the_checkpoint_is_a_usage_error(trained_checkpoint, tiny_config, tmp_path, capsys):
     path = tmp_path / "step2.ckpt"
     path.write_bytes(trained_checkpoint)

@@ -14,9 +14,9 @@ import zoqlab
 from zoqlab import numerics
 from zoqlab.errors import DataError, DimensionError
 from zoqlab.numerics import normals_at, read_tensor, write_tensor
-from zoqlab.quantizer import QuantSpec, from_groups, to_groups
+from zoqlab.quantizer import QuantSpec, group_view, per_group
 
-from oracles import naive_matmul, philox_normals_reference, reduce_stats
+from oracles import naive_matmul, philox_normals_reference, reduce_stats, weight_group_slices
 
 
 class TestMatmul:
@@ -269,9 +269,11 @@ class TestReduceStats:
         stats = reduce_stats(np.array([[1.0, -2.0], [5.0, 0.0]]), ROWS)
         assert list(stats) == [(-2.0, 1.0, 2.0), (0.0, 5.0, 5.0)]
 
+
+class TestGroupView:
     def test_ragged_groups_rejected(self):
         with pytest.raises(DimensionError, match="does not divide"):
-            reduce_stats(np.arange(6, dtype=np.float64).reshape(6, 1), column_groups(4))
+            group_view(np.arange(6, dtype=np.float64).reshape(6, 1), column_groups(4))
 
     @pytest.mark.parametrize(
         "shape,spec",
@@ -285,19 +287,34 @@ class TestReduceStats:
         ],
         ids=["one-row", "rows", "rows-3d", "columns", "column-groups", "whole-column-groups"],
     )
-    def test_groups_partition_tensor(self, shape, spec):
+    def test_group_view_is_a_free_reshape_with_each_group_on_axis_1(self, shape, spec):
         x = np.random.default_rng(len(shape)).normal(size=shape)
-        groups = to_groups(x, spec)
-        assert groups.size == x.size
-        back = from_groups(groups, x.shape, spec)
-        assert np.array_equal(back, x)
-        assert back.flags.c_contiguous
+        g = group_view(x, spec)
+        assert np.shares_memory(g, x) and g.size == x.size
+        assert np.array_equal(g.reshape(x.shape), x)
+        stats = reduce_stats(x, spec)
+        for name, reduce in (("mins", np.min), ("maxs", np.max)):
+            view = per_group(getattr(stats, name), g)
+            assert view.shape == g.shape[:1] + (1,) + g.shape[2:]
+            assert np.array_equal(view, reduce(g, axis=1, keepdims=True)), name
 
     def test_weight_groups_are_column_slices_in_row_order(self):
         w = np.arange(24, dtype=np.float64).reshape(6, 4)
-        want = [w[r : r + 2, c] for c in range(4) for r in range(0, 6, 2)]
-        assert np.array_equal(to_groups(w, column_groups(2)), want)
-        assert np.array_equal(to_groups(w, COLUMNS), w.T)
+        for spec, size in ((column_groups(2), 2), (COLUMNS, 6)):
+            g = group_view(w, spec)
+            order = np.arange(g.size // size, dtype=np.float64)
+            where = per_group(order, g)
+            for number, (rows, c) in enumerate(weight_group_slices(6, 4, size)):
+                r = rows.start // size
+                assert np.array_equal(g[r, :, c], w[rows, c])
+                assert where[r, 0, c] == number
+
+    def test_per_group_view_writes_through(self):
+        spec = column_groups(2)
+        g = group_view(np.zeros((6, 4)), spec)
+        v = np.zeros(12)
+        per_group(v, g)[1, 0, 2] = 7.0  # rows 2..3 of column 2: group 2 * 3 + 1
+        assert np.flatnonzero(v).tolist() == [7] and v[7] == 7.0
 
 
 class TestTensorContainer:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,13 @@ from zoqlab.quantizer import (
     tighten_state,
 )
 
-from oracles import nearest_code, nearest_code_dequant, nearest_index_by_fractions, scalar_range_init
+from oracles import (
+    nearest_code,
+    nearest_code_dequant,
+    nearest_index_by_fractions,
+    per_group_weight_quant,
+    scalar_range_init,
+)
 
 
 def spec_pt(bits, scheme, role="weight"):
@@ -584,3 +591,61 @@ class TestRangeFromX:
     def test_empty_tensor_rejected(self):
         with pytest.raises(DataError):
             fake_quant(np.zeros((0, 4)), QuantSpec(4, "asymmetric", "activation"))
+
+
+def tie_weight(spec, rng, shape=(32, 24)):
+    """Halves on a step-1 grid: every 16-row block of every column holds the range ends that give step 1.
+
+    Symmetric: the absmax is q_p. Asymmetric: the ends are -q_p / 2 and
+    q_p / 2. Every value is a multiple of 1/2 within them, so each odd
+    multiple lies exactly on a midpoint, at every group size.
+    """
+    top = spec.q_p if spec.scheme == "symmetric" else spec.q_p / 2
+    w = rng.integers(-round(2 * top), round(2 * top) + 1, size=shape) / 2.0
+    w[0::16] = top
+    if spec.scheme == "asymmetric":
+        w[1::16] = -top
+    return w
+
+
+class TestWeightGroups:
+    """A weight is quantized in its own layout; each group equals that group quantized alone."""
+
+    @pytest.mark.parametrize("scheme, bits", [("asymmetric", 4), ("symmetric", 3)])
+    @pytest.mark.parametrize("group_size", [None, 1, 16, 32], ids=lambda size: f"g{size}")
+    @pytest.mark.parametrize("kind", ["normal", "ties"])
+    def test_equals_the_per_group_oracle_by_bytes(self, kind, group_size, scheme, bits):
+        spec = QuantSpec(bits, scheme, "weight", group_size)
+        rng = np.random.default_rng(31)
+        w = rng.normal(size=(32, 24)) if kind == "normal" else tie_weight(spec, rng)
+        state = init_range(w, spec)
+        step, zero, codes, values = per_group_weight_quant(w, spec)
+        if kind == "ties" and not (scheme == "symmetric" and group_size == 1):
+            # a symmetric one-value group's step |x| / q_p puts x itself on its grid
+            assert np.all(step == 1.0) and exact_tie_count(w, 1.0) > 0
+        assert state.step.tobytes() == step.tobytes()
+        assert state.zero_point.tobytes() == zero.tobytes()
+        assert quant_codes(w, spec, state).tobytes() == codes.astype(spec.code_dtype).tobytes()
+        assert fake_quant(w, spec, state).tobytes() == values.tobytes()
+        assert fake_quant(w, spec).tobytes() == values.tobytes()
+        # each group's clamp codes come from its own clip coefficients
+        n = state.n_groups
+        lo_range = (0.0, 0.3) if scheme == "asymmetric" else (spec.q_n / spec.q_p, -0.2)
+        clipped = tighten_state(state, clip_lo=rng.uniform(*lo_range, n), clip_hi=rng.uniform(0.6, 1.0, n))
+        _, _, codes, values = per_group_weight_quant(w, spec, clipped.clip_lo, clipped.clip_hi)
+        assert quant_codes(w, spec, clipped).tobytes() == codes.astype(spec.code_dtype).tobytes()
+        assert fake_quant(w, spec, clipped).tobytes() == values.tobytes()
+
+    def test_a_grouped_fake_quant_peaks_at_most_2_5x_the_weight(self):
+        """A (1024, 256) weight at group size 16 peaks at 2.3x: the quotient and the index, no copy of the weight."""
+        w = np.random.default_rng(0).normal(size=(1024, 256))
+        spec = QuantSpec(4, "asymmetric", "weight", 16)
+        state = init_range(w, spec)
+        fake_quant(w, spec, state)
+        tracemalloc.start()
+        try:
+            fake_quant(w, spec, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * w.nbytes, f"{peak / w.nbytes:.2f}x"
