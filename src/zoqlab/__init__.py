@@ -3,7 +3,8 @@
 Modules:
   numerics      tensors, typed tensor files (float64 and 8/16-bit integer
                 codes), and the one stream reader: every draw is
-                normals_at/uniforms_at(seed, stream, position, n)
+                normals_at/uniforms_at(seed, stream, position, n), where
+                stream is one id or a sequence of ids, drawn in one call
   quantizer     uniform fake-quantization with learnable clipping, each tensor
                 in its own layout; group_view and per_group state its groups:
                 per token, per output channel or in blocks of input rows
@@ -16,8 +17,9 @@ Modules:
                 ModelGraph.tensors the one tensor layout, walked by the
                 checkpoint and the ZO view
   calibration   layer-wise reconstruction init and the RTN baseline
-  zo            two-point zeroth-order estimator and ZO-SGD; GROUP_ORDER
-                is the one list of trainable groups
+  zo            two-point zeroth-order estimator and ZO-SGD; ParamView draws
+                a step's directions in one call when they fit its chunk
+                cache; GROUP_ORDER is the one list of trainable groups
   theory        Monte-Carlo/quadrature verification of the estimator theory
   diagnostics   eval perplexity with per-layer reconstruction, memory
                 accounting; returns records and writes no file

@@ -155,7 +155,7 @@ def transient_forward_bytes(config, batch_size: int, *, quantized: bool = True) 
     and 11.28 MiB in W4A4 (1.5x at the default), and 1.96 and 8.21 MiB in
     lightweight W4A16g16 (1.1x). tests/test_streamed_forward.py holds the
     peak within 2x of the model for those two at d_model 64 and for W3A8g16
-    at 256 (11.83 MiB, 1.48x). On the tiny config of the CLI tests (d_model
+    at 256 (11.58 MiB, 1.45x). On the tiny config of the CLI tests (d_model
     16, 1 layer, context 32) a W4A4 forward peaks at 3.1x, where the
     weight-side quantizer scratch dominates. In full precision (quantized
     false) the GEMM reads the held weight, and the model drops it: 6.0 MiB

@@ -12,14 +12,22 @@ zeroth-order optimizer state O(1) in the model size.
 
 The Philox counter counts blocks of four 64-bit draws, so draw ``position``
 lives in block ``position // 4``. Every read re-keys one module-level Philox
-generator: it writes the block into the counter array and (seed, stream_id)
-into the key array of one module-level state dict, then hands that dict to
+generator: it writes the block into the counter list and (seed, stream_id)
+into the key list of one module-level state dict, then hands that dict to
 the generator. One dict serves every read because building one per read
 would cost most of a short read, and a fresh generator per read costs
 several times more, because its constructor first seeds itself from OS
-entropy. A lock holds the writes, the re-key and the read together, so
-threads that draw at once cannot clobber each other's counter, key or
-generator state.
+entropy. The lists hold Python ints, which the generator's state setter
+reads in 0.4 us against 0.9 us from uint64 arrays. A lock holds the writes,
+the re-key and the read together, so threads that draw at once cannot
+clobber each other's counter, key or generator state.
+
+A read may name a sequence of stream ids instead of one. It re-keys the
+generator once per id under the lock, then maps all the rows to floats in
+one pass, so row i holds the bytes of a read of id i alone. The zeroth-order
+estimator draws a step's q directions of a small view this way
+(zo.ParamView.prefetch): on a 2-CPU VM, 16 streams of 4 normals take about
+25 us in one call against 4.7 us per one-stream call.
 
 Importing the package pins glibc's two heap thresholds at glibc's own
 ceiling (`pin_heap_thresholds`): blocks of 32 MiB or more come from mmap,
@@ -64,15 +72,15 @@ _PHILOX_BLOCK = 4
 # the one state dict a re-key writes into and hands to it; see the module
 # docstring. The dict is the state Philox(key=[seed, stream_id]).advance(block)
 # would reach: counter at `block`, block buffer empty so the next read
-# computes it. A re-key writes only the counter and key arrays.
+# computes it. A re-key writes only the counter and key lists.
 _PHILOX = Philox(0)
 _PHILOX_LOCK = threading.Lock()
-_COUNTER = np.zeros(4, dtype=np.uint64)
-_KEY = np.zeros(2, dtype=np.uint64)
+_COUNTER = [0, 0, 0, 0]
+_KEY = [0, 0]
 _STATE = {
     "bit_generator": "Philox",
     "state": {"counter": _COUNTER, "key": _KEY},
-    "buffer": np.zeros(_PHILOX_BLOCK, dtype=np.uint64),
+    "buffer": [0] * _PHILOX_BLOCK,
     "buffer_pos": _PHILOX_BLOCK,
     "has_uint32": 0,
     "uinteger": 0,
@@ -122,21 +130,33 @@ pin_heap_thresholds()
 # Counter-based Gaussian streams
 # ---------------------------------------------------------------------------
 
-def uniforms_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
+def uniforms_at(seed: int, stream_id, position: int, n: int) -> Tensor:
     """Uniform(0, 1) draws; one 64-bit draw per value, endpoints excluded.
 
-    The top 53 bits k of a draw map to (k + 1/2) * 2^-53. For k = 2^53 - 1
-    (draws from 2^64 - 2^11 up) the sum rounds to 2^53, so that value is
-    clamped to the largest float below 1 and ndtri stays finite. Every
-    other k maps to at most 1 - 2^-52, which the clamp leaves as it is.
+    stream_id is one id, giving n values, or a sequence of ids, giving a
+    (len(stream_id), n) array whose row i is the draw of stream_id[i]; see
+    the module docstring. The top 53 bits k of a draw map to
+    (k + 1/2) * 2^-53. For k = 2^53 - 1 (draws from 2^64 - 2^11 up) the sum
+    rounds to 2^53, so that value is clamped to the largest float below 1
+    and ndtri stays finite. Every other k maps to at most 1 - 2^-52, which
+    the clamp leaves as it is.
     """
     block, offset = divmod(int(position), _PHILOX_BLOCK)
+    stop = offset + int(n)
     with _PHILOX_LOCK:
         _COUNTER[0] = block
         _KEY[0] = seed
-        _KEY[1] = stream_id
-        _PHILOX.state = _STATE
-        raw = _PHILOX.random_raw(offset + int(n))[offset:]
+        if isinstance(stream_id, (int, np.integer)):
+            _KEY[1] = stream_id
+            _PHILOX.state = _STATE
+            raw = _PHILOX.random_raw(stop)[offset:]
+        else:
+            raw = np.empty((len(stream_id), stop), dtype=np.uint64)
+            for i, sid in enumerate(stream_id):
+                _KEY[1] = sid
+                _PHILOX.state = _STATE
+                raw[i] = _PHILOX.random_raw(stop)
+            raw = raw[:, offset:]
     # top 53 bits, centered into the open interval so ndtri stays finite
     u = (raw >> _SHIFT).astype(np.float64)
     u += _HALF
@@ -144,11 +164,12 @@ def uniforms_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def normals_at(seed: int, stream_id: int, position: int, n: int) -> Tensor:
+def normals_at(seed: int, stream_id, position: int, n: int) -> Tensor:
     """Standard normal draws [position, position + n) via inverse CDF.
 
     The inverse-CDF map consumes exactly one 64-bit draw per normal, which
-    keeps position accounting exact under chunked regeneration.
+    keeps position accounting exact under chunked regeneration. A sequence
+    of stream ids gives one row per id, as uniforms_at does.
     """
     u = uniforms_at(seed, stream_id, position, n)
     return ndtri(u, out=u)

@@ -1,7 +1,8 @@
 """Two-point zeroth-order gradient estimation and the ZO-SGD step.
 
 Perturbation directions are never stored: each direction i of step t is the
-Gaussian stream (seed, (t << 32) | i), regenerated chunk-wise on demand. One
+Gaussian stream (seed, (t << 32) | i), regenerated chunk-wise on demand, or
+for all q at once when they fit the view's chunk cache together. One
 step therefore costs 2q forward evaluations plus one streamed update pass,
 and the persistent optimizer state is q scalar coefficients plus stream
 cursors, independent of the parameter count.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,10 +58,15 @@ class ParamView:
     chunk is the one used last walks the chunks backwards, so each pass
     starts on the chunks the previous one ended on. The +eps, -2eps, +eps
     passes and a q=1 update therefore draw each chunk once in a view of one
-    or two chunks, and 4n - 6 chunks in an n-chunk view with n >= 3. When
-    the q directions of a step fit in the cache together, as in the theory
-    suite's small views, each is drawn once per step however often it is
-    used.
+    or two chunks, and 4n - 6 chunks in an n-chunk view with n >= 3.
+
+    zo_gradient_scale hands the view its step's q stream ids before the
+    passes (prefetch). When q >= 2 and the q streams fit in the cache
+    together (q * size <= 2 * chunk_size, so the view is one chunk), as in
+    the theory suite's small views, the chunk is drawn for all q in one
+    normals_at call, and each direction is drawn once per step however
+    often it is used. Otherwise the passes draw on demand as above, so a
+    q = 1 step, as train's default, draws exactly as it would alone.
     """
 
     def __init__(self, entries):
@@ -103,6 +110,26 @@ class ParamView:
         if len(plan) > 1 and self._chunks and next(reversed(self._chunks))[2:] == plan[-1][:2]:
             return plan[::-1]
         return plan
+
+    def prefetch(self, seed: int, stream_ids, chunk_size: int) -> None:
+        """Draw each chunk of a step's streams for all of them in one normals_at call, when they fit in the cache together.
+
+        They fit when there are two or more streams and len(stream_ids) *
+        size <= 2 * chunk_size floats, which leaves the view one chunk. The
+        cache is emptied and then holds every chunk of the streams, so their
+        passes draw nothing more. Otherwise this draws nothing, and the
+        passes draw on demand.
+        """
+        q = len(stream_ids)
+        if q < 2 or q * self.size > 2 * chunk_size:
+            return
+        chunks = self._chunks
+        chunks.clear()
+        self._chunks_step = (seed, stream_ids[0] >> _STEP_SHIFT)
+        self._chunks_floats = q * self.size
+        for lo, hi, _ in self._walk(chunk_size):
+            for sid, row in zip(stream_ids, normals_at(seed, stream_ids, lo, hi - lo)):
+                chunks[(seed, sid, lo, hi)] = row
 
     def _direction(self, seed: int, stream_id: int, lo: int, hi: int, chunk_size: int) -> np.ndarray:
         """u[lo:hi] of the stream, drawn only when the cache does not hold it."""
@@ -214,9 +241,12 @@ class ZoConfig:
         return base
 
 
-@dataclass(frozen=True)
-class Direction:
-    """One direction, the stream (cfg.seed, stream_id) of its ZoConfig, and its finite-difference coefficient."""
+class Direction(NamedTuple):
+    """One direction, the stream (cfg.seed, stream_id) of its ZoConfig, and its finite-difference coefficient.
+
+    A named tuple, not a frozen dataclass, whose construction costs twice as
+    much: the theory suite builds one per estimate.
+    """
 
     stream_id: int
     coefficient: float
@@ -239,7 +269,8 @@ def zo_gradient_scale(loss_fn, params: ParamView, cfg: ZoConfig, step: int) -> l
     For each direction u_i ~ N(0, I): perturb in place by +eps u_i, evaluate,
     swing to -eps u_i, evaluate, restore; the coefficient is
     (L+ - L-) / (2 eps). The implied estimate mean_i c_i u_i is never
-    materialized here.
+    materialized here. The step's stream ids go to params.prefetch first,
+    which draws all q directions in one call when they fit its cache.
 
     A non-finite loss raises NumericError after moving the parameters back,
     which restores them only up to rounding; an exact restore would need a
@@ -249,23 +280,24 @@ def zo_gradient_scale(loss_fn, params: ParamView, cfg: ZoConfig, step: int) -> l
     ZO rep, counts the step as failed.
     """
     eps = cfg.epsilon
+    seed, chunk_size = cfg.seed, cfg.chunk_size
+    sids = [direction_stream_id(step, i) for i in range(cfg.directions)]
+    params.prefetch(seed, sids, chunk_size)
+    add_direction = params.add_direction
     out = []
-    for i in range(cfg.directions):
-        sid = direction_stream_id(step, i)
-        params.add_direction(cfg.seed, sid, +eps, cfg.chunk_size)
+    for i, sid in enumerate(sids):
+        add_direction(seed, sid, +eps, chunk_size)
         loss_plus = float(loss_fn())
         if not math.isfinite(loss_plus):
-            params.add_direction(cfg.seed, sid, -eps, cfg.chunk_size)
+            add_direction(seed, sid, -eps, chunk_size)
             raise NumericError(f"non-finite loss at +eps, step {step} direction {i}")
-        params.add_direction(cfg.seed, sid, -2 * eps, cfg.chunk_size)
+        add_direction(seed, sid, -2 * eps, chunk_size)
         loss_minus = float(loss_fn())
         if not math.isfinite(loss_minus):
-            params.add_direction(cfg.seed, sid, +eps, cfg.chunk_size)
+            add_direction(seed, sid, +eps, chunk_size)
             raise NumericError(f"non-finite loss at -eps, step {step} direction {i}")
-        params.add_direction(cfg.seed, sid, +eps, cfg.chunk_size)
-        out.append(
-            Direction(sid, (loss_plus - loss_minus) / (2 * eps), loss_plus, loss_minus)
-        )
+        add_direction(seed, sid, +eps, chunk_size)
+        out.append(Direction(sid, (loss_plus - loss_minus) / (2 * eps), loss_plus, loss_minus))
     return out
 
 

@@ -155,12 +155,35 @@ class TestStreamsMatchFreshGenerator:
         got = normals_at(seed, stream_id, position, n)
         assert got.tobytes() == philox_normals_reference(seed, stream_id, position, n).tobytes()
 
+    @pytest.mark.parametrize("count", [1, 2, 16])
+    @pytest.mark.parametrize("position, n", [(0, 4), (6, 5), (2**40 + 3, 9)])
+    @pytest.mark.parametrize("as_list", [True, False], ids=["list", "range"])
+    def test_a_multi_stream_draw_is_the_stacked_one_stream_draws(self, count, position, n, as_list):
+        """Row i of a draw over a sequence of ids is the draw of id i, also at an offset within a Philox block."""
+        first = (5 << 32) | 3
+        ids = range(first, first + count)
+        ids = list(ids) if as_list else ids
+        for draw in (numerics.uniforms_at, normals_at):
+            got = draw(77, ids, position, n)
+            want = np.stack([draw(77, sid, position, n) for sid in ids])
+            assert got.shape == (count, n) and got.tobytes() == want.tobytes()
+        last = philox_normals_reference(77, ids[-1], position, n)
+        assert normals_at(77, ids, position, n)[-1].tobytes() == last.tobytes()
+
     def test_two_threads_get_the_bytes_of_serial_draws(self):
-        """Each read writes counter and key into one shared state dict; the lock keeps reads apart."""
+        """Each read writes counter and key into one shared state dict; the lock keeps reads apart.
+
+        Thread 2 draws three streams per read, so its reads re-key three times under the lock.
+        """
         rng = np.random.default_rng(31)
         jobs = {
             t: [
-                (int(rng.integers(0, 2**63)), (t << 32) | i, int(rng.integers(0, 10**6)), int(rng.integers(1, 50)))
+                (
+                    int(rng.integers(0, 2**63)),
+                    (t << 32) | i if t == 1 else [(t << 32) | i, i, (t << 40) | i],
+                    int(rng.integers(0, 10**6)),
+                    int(rng.integers(1, 50)),
+                )
                 for i in range(3000)
             ]
             for t in (1, 2)

@@ -636,8 +636,14 @@ class TestWeightGroups:
         assert quant_codes(w, spec, clipped).tobytes() == codes.astype(spec.code_dtype).tobytes()
         assert fake_quant(w, spec, clipped).tobytes() == values.tobytes()
 
-    def test_a_grouped_fake_quant_peaks_at_most_2_5x_the_weight(self):
-        """A (1024, 256) weight at group size 16 peaks at 2.3x: the quotient and the index, no copy of the weight."""
+    def test_a_grouped_fake_quant_peaks_at_most_2_25x_the_weight(self):
+        """A (1024, 256) weight at group size 16 peaks at 2.22x: the quotient and the index, no copy of the weight.
+
+        Beside them live three contiguous per-group vectors of 1/16 the
+        weight each (step and the two index bounds); a fourth, the rounded
+        zero points kept alive, makes 2.28x. Five, the bounds before and
+        after subtracting the zero points and the zero points, made 2.35x.
+        """
         w = np.random.default_rng(0).normal(size=(1024, 256))
         spec = QuantSpec(4, "asymmetric", "weight", 16)
         state = init_range(w, spec)
@@ -648,4 +654,4 @@ class TestWeightGroups:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * w.nbytes, f"{peak / w.nbytes:.2f}x"
+        assert peak <= 2.25 * w.nbytes, f"{peak / w.nbytes:.2f}x"

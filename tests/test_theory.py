@@ -3,7 +3,9 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 import zoqlab.zo
 from zoqlab import cli, theory
 from zoqlab.numerics import normals_at
+from zoqlab.zo import direction_stream_id
 
 from oracles import whole_chunk_oracle
 
@@ -288,6 +291,7 @@ def test_an_oracle_call_holds_a_bounded_block(dim, samples):
 
 
 def test_mse_bound_draws_each_direction_once(monkeypatch):
+    """Each of the q streams of every trial is drawn once, at (0, d), all q in one call per trial."""
     calls = []
 
     def counting(*args):
@@ -298,8 +302,14 @@ def test_mse_bound_draws_each_direction_once(monkeypatch):
     obj = theory.SmoothedObjective("linear", dim=1, epsilon=1e-2)
     q = 16
     theory.check_mse_bound(obj, [0.2], q, QUICK_TRIALS, 1000, seed=3)
-    assert len(calls) == q * QUICK_TRIALS
-    assert len(set(calls)) == len(calls)
+    draws = [
+        (seed, sid, position, n)
+        for seed, ids, position, n in calls
+        for sid in ([ids] if isinstance(ids, int) else ids)
+    ]
+    want = {(3, direction_stream_id(j, i), 0, 1) for j in range(QUICK_TRIALS) for i in range(q)}
+    assert len(draws) == len(want) and set(draws) == want
+    assert len(calls) == QUICK_TRIALS
 
 
 @pytest.mark.parametrize("kind", ["linear", "quadratic"])
@@ -322,6 +332,18 @@ def quick_report():
 
 def test_every_row_of_verify_quick_passes(quick_report):
     assert quick_report.rows and quick_report.passed, [r.line() for r in quick_report.rows if not r.passed]
+
+
+def test_verify_quick_keeps_the_bytes_of_its_csv(quick_report):
+    """sha256 of verification.csv of `verify --quick --seed 0`, as cli's csv writer writes it.
+
+    Recorded before a step's directions were drawn in one call; a faster
+    estimator or oracle path must keep every row's bytes.
+    """
+    text = io.StringIO()
+    csv.writer(text).writerows(quick_report.csv_rows())
+    digest = hashlib.sha256(text.getvalue().encode()).hexdigest()
+    assert digest == "b863373e7bbd00df00e41340776b1aac934e455b4b0edcbba5ca8baeeedd15ea"
 
 
 def test_verify_writes_its_report_and_exits_0_when_every_row_passes(quick_report, tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ from zoqlab import cli
 from zoqlab.errors import DataError, NumericError
 from zoqlab.model import ModelConfig, QuantPlan, build_model
 from zoqlab.numerics import normals_at
+from zoqlab.theory import SmoothedObjective
 from zoqlab.zo import (
     ParamView,
     ZoConfig,
@@ -111,6 +112,39 @@ class TestWholeViewEquivalence:
         (d,) = zo_gradient_scale(lambda: 0.5, view, cfg, step=3)
         view.apply_directions(SEED, [d.stream_id], [0.25], LRS, cfg.chunk_size)
         assert calls == [(SEED, d.stream_id, 0, VIEW_SIZE)]
+
+    @pytest.mark.parametrize("chunk_size, batched", [(VIEW_SIZE * 3 // 2, True), (VIEW_SIZE, False)])
+    def test_a_step_whose_streams_fit_the_cache_draws_them_in_one_call(self, monkeypatch, chunk_size, batched):
+        """3 streams of 74 scalars fit within 2 * 111 floats, not within 2 * 74; the bytes do not depend on it."""
+        cfg = ZoConfig(directions=3, seed=SEED, chunk_size=chunk_size)
+
+        def step(arrays, view):
+            def loss():
+                return float(sum(np.sum(a * a) for _, a in arrays))
+
+            directions = zo_gradient_scale(loss, view, cfg, step=3)
+            view.apply_directions(SEED, [d.stream_id for d in directions], [0.25] * 3, LRS, chunk_size)
+            return directions
+
+        ref = entries()
+        on_demand = ParamView(ref)
+        monkeypatch.setattr(on_demand, "prefetch", lambda *args: None)
+        want = step(ref, on_demand)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return normals_at(*args)
+
+        monkeypatch.setattr(zoqlab.zo, "normals_at", counting)
+        mine = entries()
+        assert step(mine, ParamView(mine)) == want
+        assert_same(mine, ref)
+        sids = [direction_stream_id(3, i) for i in range(3)]
+        if batched:  # the estimate and the update draw nothing more
+            assert [(list(ids), pos, n) for _, ids, pos, n in calls] == [(sids, 0, VIEW_SIZE)]
+        else:  # on demand, one stream per call; the update draws again what the cache dropped
+            assert [(sid, pos, n) for _, sid, pos, n in calls[:3]] == [(sid, 0, VIEW_SIZE) for sid in sids]
 
     def test_two_chunk_view_reuses_the_chunk_drawn_last(self, monkeypatch):
         """Passes alternate direction, so each starts on the two chunks the last one ended on."""
@@ -241,17 +275,8 @@ def test_directions_across_steps_have_zero_mean_and_identity_covariance():
     assert np.all(np.abs(mean) <= z * se), np.abs(mean) / se
 
 
-def test_a_default_w4a4_zo_step_makes_at_most_2000_python_calls():
-    """Python-level calls ("call" events of sys.setprofile) of one zo_step at batch 4.
-
-    Two forwards and the update; the per-layer checks run as direct ufunc
-    calls, which make no Python-level call. 1,373 calls measured; through
-    numpy's Python wrappers (np.any, np.clip, ...) they were 3,629.
-    """
-    model = build_model(ModelConfig(), QuantPlan(4, 4), seed=0)
-    batch = np.random.default_rng(0).integers(0, 128, size=(4, 128))
-    cfg = ZoConfig(steps=10)
-    zo_step(model, batch, cfg, 0)  # warm-up: first-call caches
+def python_calls(run) -> int:
+    """Python-level calls ("call" events of sys.setprofile) that run() makes."""
     calls = 0
 
     def count(frame, event, arg):
@@ -260,10 +285,41 @@ def test_a_default_w4a4_zo_step_makes_at_most_2000_python_calls():
 
     sys.setprofile(count)
     try:
-        zo_step(model, batch, cfg, 1)
+        run()
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def test_a_default_w4a4_zo_step_makes_at_most_2000_python_calls():
+    """Python-level calls of one zo_step at batch 4.
+
+    Two forwards and the update; the per-layer checks run as direct ufunc
+    calls, which make no Python-level call. 1,400 calls measured; through
+    numpy's Python wrappers (np.any, np.clip, ...) they were 3,629.
+    """
+    model = build_model(ModelConfig(), QuantPlan(4, 4), seed=0)
+    batch = np.random.default_rng(0).integers(0, 128, size=(4, 128))
+    cfg = ZoConfig(steps=10)
+    zo_step(model, batch, cfg, 0)  # warm-up: first-call caches
+    calls = python_calls(lambda: zo_step(model, batch, cfg, 1))
     assert calls <= 2000, calls
+
+
+def test_a_q16_estimate_on_a_4_scalar_view_makes_at_most_22_python_calls_per_direction():
+    """Python-level calls of one zo_gradient_scale as the theory suite's MSE rows make it.
+
+    The step's 16 streams are drawn in one normals_at call; the ±eps passes,
+    the two losses and the Direction take the rest. 343 calls measured; with
+    one draw per stream they were 370.
+    """
+    obj = SmoothedObjective("linear", dim=4, epsilon=1e-2)
+    theta = np.linspace(0.05, 0.35, 4)
+    view = ParamView([("weights", theta)])
+    cfg = ZoConfig(epsilon=1e-2, directions=16, seed=SEED, lr_weights=0.0)
+    zo_gradient_scale(lambda: obj.loss(theta), view, cfg, 0)  # warm-up: first-call caches
+    calls = python_calls(lambda: zo_gradient_scale(lambda: obj.loss(theta), view, cfg, 1))
+    assert calls <= 22 * cfg.directions, calls
 
 
 class TestRoundTripDrift:
