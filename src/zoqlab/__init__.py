@@ -17,9 +17,9 @@ Modules:
                 ModelGraph.tensors the one tensor layout, walked by the
                 checkpoint and the ZO view
   calibration   layer-wise reconstruction init and the RTN baseline
-  zo            two-point zeroth-order estimator and ZO-SGD; ParamView draws
-                a step's directions in one call when they fit its chunk
-                cache; GROUP_ORDER is the one list of trainable groups
+  zo            two-point zeroth-order estimator and ZO-SGD; GROUP_ORDER is
+                the one list of trainable groups, ParamView groups its
+                entries by it, and its begin_step opens a step's chunk cache
   theory        Monte-Carlo/quadrature verification of the estimator theory
   diagnostics   eval perplexity with per-layer reconstruction, memory
                 accounting; returns records and writes no file

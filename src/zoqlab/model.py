@@ -26,7 +26,7 @@ from .smoothing import (
     smooth_activation,
     smooth_weight,
 )
-from .zo import GROUP_ORDER, ParamView
+from .zo import ParamView
 
 LINEAR_NAMES = ("attn_q", "attn_k", "attn_v", "attn_o", "mlp_up", "mlp_down")
 LIGHTWEIGHT_TRAINABLE = ("attn_q", "attn_v")
@@ -253,16 +253,14 @@ class ModelGraph:
     def trainable_parameters(self, include_quant_affine: bool = True) -> ParamView:
         """Flat labeled view over exactly the trainable scalars.
 
-        The labelled tensors in walk order, stable-sorted into the group
-        order weights, smoothing, clipping, quant_affine.
+        The labelled tensors in walk order; the view groups them into the
+        group order weights, smoothing, clipping, quant_affine.
         """
-        entries = [
+        return ParamView([
             (label, getattr(owner, attr))
             for _, label, owner, attr in self.tensors()
             if label is not None and (include_quant_affine or label != "quant_affine")
-        ]
-        entries.sort(key=lambda e: GROUP_ORDER.index(e[0]))
-        return ParamView(entries)
+        ])
 
     def clamp_parameters(self) -> None:
         """Project learnable quantizer/smoothing state back into valid ranges."""

@@ -26,7 +26,7 @@ A read may name a sequence of stream ids instead of one. It re-keys the
 generator once per id under the lock, then maps all the rows to floats in
 one pass, so row i holds the bytes of a read of id i alone. The zeroth-order
 estimator draws a step's q directions of a small view this way
-(zo.ParamView.prefetch): on a 2-CPU VM, 16 streams of 4 normals take about
+(zo.ParamView.begin_step): on a 2-CPU VM, 16 streams of 4 normals take about
 25 us in one call against 4.7 us per one-stream call.
 
 Importing the package pins glibc's two heap thresholds at glibc's own

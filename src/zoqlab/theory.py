@@ -160,7 +160,7 @@ class SmoothedObjective:
 
     def base_loss_batch(self, z):
         if self.kind == "linear":
-            return self.lipschitz * z[..., 0]
+            return self.lipschitz * z.T[0]  # a scalar for a 1-D point, where z[..., 0] is a 0-d array
         return 0.5 * np.add.reduce(z * z, axis=-1)  # np.sum's reduction without its Python wrapper
 
     def loss_batch(self, points):
@@ -288,7 +288,7 @@ def zo_formula_gap(obj: SmoothedObjective, w, estimates: int, seed: int = 0) -> 
     gap = 0.0
     for j in range(estimates):
         (direction,) = zo_gradient_scale(lambda: obj.loss(theta), view, cfg, step=j)
-        u = view.direction(cfg.seed, direction.stream_id, cfg.chunk_size)
+        u = view.direction(direction.stream_id)
         direct = (obj.loss(w0 + obj.epsilon * u) - obj.loss(w0 - obj.epsilon * u)) / (
             2 * obj.epsilon
         )
@@ -358,7 +358,7 @@ def check_mse_bound(
         directions = zo_gradient_scale(lambda: obj.loss(theta), view, cfg, step=j)
         g = np.zeros(d)
         for direction in directions:
-            u = view.direction(cfg.seed, direction.stream_id, cfg.chunk_size)
+            u = view.direction(direction.stream_id)
             u *= direction.coefficient
             g += u
         g /= q

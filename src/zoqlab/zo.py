@@ -1,11 +1,11 @@
 """Two-point zeroth-order gradient estimation and the ZO-SGD step.
 
 Perturbation directions are never stored: each direction i of step t is the
-Gaussian stream (seed, (t << 32) | i), regenerated chunk-wise on demand, or
-for all q at once when they fit the view's chunk cache together. One
-step therefore costs 2q forward evaluations plus one streamed update pass,
-and the persistent optimizer state is q scalar coefficients plus stream
-cursors, independent of the parameter count.
+Gaussian stream (seed, (t << 32) | i), regenerated chunk-wise within the step
+that ParamView.begin_step opens, or for all q at once when they fit the
+view's chunk cache together. One step therefore costs 2q forward evaluations
+plus one streamed update pass, and the persistent optimizer state is q scalar
+coefficients plus stream cursors, independent of the parameter count.
 """
 
 from __future__ import annotations
@@ -39,64 +39,60 @@ def direction_stream_id(step: int, i: int) -> int:
 class ParamView:
     """Flat read/write view over the trainable arrays of a model.
 
-    Entries are (label, array) pairs in group order; the arrays are the live
-    model arrays and are mutated in place. Flat index = concatenation order,
-    which fixes the meaning of a perturbation stream position.
+    Entries are (label, array) pairs; the arrays are the live model arrays
+    and are mutated in place. The view groups them in GROUP_ORDER, keeping
+    their order within a group. Flat index = that concatenation order, which
+    fixes the meaning of a perturbation stream position.
 
-    Directions are regenerated one flat chunk at a time, with one
-    `normals_at` call per chunk. Each segment is cut into pieces every
-    `chunk_size` elements from its own start; a chunk is a run of consecutive
-    pieces whose total stays within `chunk_size`, so it can span segments.
-    The pieces, and the order in which update norms sum over them, are those
-    of a walk segment by segment.
+    A step opens with begin_step, which binds its seed and chunk size; the
+    other methods draw the streams of that step. Directions are regenerated
+    one flat chunk at a time, with one `normals_at` call per chunk. Each
+    segment is cut into pieces every `chunk_size` elements from its own
+    start; a chunk is a run of consecutive pieces whose total stays within
+    `chunk_size`, so it can span segments. The pieces, and the order in
+    which update norms sum over them, are those of a walk segment by segment.
 
-    The view caches the chunks drawn for the current step, keyed by (seed,
-    stream_id, lo, hi). Drawing a stream of another step (another seed, or
-    another stream_id >> 32) empties the cache first, and once it holds
-    more than 2 * chunk_size floats the least recently used chunk is
-    dropped, so it never holds more than two full chunks. A pass whose last
-    chunk is the one used last walks the chunks backwards, so each pass
-    starts on the chunks the previous one ended on. The +eps, -2eps, +eps
-    passes and a q=1 update therefore draw each chunk once in a view of one
-    or two chunks, and 4n - 6 chunks in an n-chunk view with n >= 3.
-
-    zo_gradient_scale hands the view its step's q stream ids before the
-    passes (prefetch). When q >= 2 and the q streams fit in the cache
-    together (q * size <= 2 * chunk_size, so the view is one chunk), as in
-    the theory suite's small views, the chunk is drawn for all q in one
-    normals_at call, and each direction is drawn once per step however
-    often it is used. Otherwise the passes draw on demand as above, so a
-    q = 1 step, as train's default, draws exactly as it would alone.
+    The view caches the chunks drawn in the current step, keyed by
+    (stream_id, lo); begin_step empties it. Once it holds more than
+    2 * chunk_size floats the least recently used chunk is dropped, so it
+    never holds more than two full chunks. A pass whose last chunk is the
+    one used last walks the chunks backwards, so each pass starts on the
+    chunks the previous one ended on. The +eps, -2eps, +eps passes and a
+    q=1 update therefore draw each chunk once in a view of one or two
+    chunks, and 4n - 6 chunks in an n-chunk view with n >= 3.
     """
 
     def __init__(self, entries):
-        self._segments = []  # (label, 1-D live view, start, stop)
-        pos = 0
-        self.labels = []  # the groups present, in GROUP_ORDER
+        groups = {label: [] for label in GROUP_ORDER}
         for label, arr in entries:
-            if label not in GROUP_ORDER:
+            if label not in groups:
                 raise DataError(f"unknown parameter group label {label!r}")
             if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"]:
                 raise DataError(f"trainable array for {label!r} must be contiguous float64")
-            flat = arr.reshape(-1)
-            self._segments.append((label, flat, pos, pos + flat.shape[0]))
-            pos += flat.shape[0]
-            if not self.labels or self.labels[-1] != label:
-                self.labels.append(label)
-        order = [GROUP_ORDER.index(l) for l in self.labels]
-        if order != sorted(order) or len(set(self.labels)) != len(self.labels):
-            raise DataError(f"parameter groups out of order: {self.labels}")
+            groups[label].append(arr.reshape(-1))
+        self.labels = [label for label in GROUP_ORDER if groups[label]]  # the groups present, in order
+        self._segments, pos = [], 0  # (label, 1-D live view, start, stop)
+        for label in self.labels:
+            for flat in groups[label]:
+                self._segments.append((label, flat, pos, pos + flat.shape[0]))
+                pos += flat.shape[0]
         self.size = pos
-        self._plans = {}  # chunk_size -> [(lo, hi, [(label, live piece, chunk slice)])]
-        self._chunks = {}  # (seed, stream_id, lo, hi) -> drawn chunk, least recently used first
-        self._chunks_step = None  # (seed, stream_id >> _STEP_SHIFT) of the cached chunks
+        self._seed = self._chunk_size = self._plan = None  # bound by begin_step
+        self._chunks = {}  # (stream_id, lo) -> drawn chunk, least recently used first
         self._chunks_floats = 0
 
-    def _walk(self, chunk_size: int):
-        """The chunks in order, or backwards when the last one is the chunk used last."""
-        plan = self._plans.get(chunk_size)
-        if plan is None:
-            plan, pieces, lo = [], [], 0
+    def begin_step(self, seed: int, stream_ids, chunk_size: int) -> None:
+        """Open a step: bind its seed and chunk size and empty the chunk cache.
+
+        When the step has two or more streams and len(stream_ids) * size <=
+        2 * chunk_size floats, which leaves the view one chunk, each chunk is
+        drawn for all the streams in one normals_at call, and their passes
+        draw nothing more. Otherwise the passes draw on demand, so a q = 1
+        step, as train's default, draws exactly as it would alone.
+        """
+        self._seed = seed
+        if chunk_size != self._chunk_size:
+            plan, pieces, lo = [], [], 0  # [(lo, hi, [(label, live piece, chunk slice)])]
             for label, flat, a, b in self._segments:
                 for s in range(0, b - a, chunk_size):
                     e = min(s + chunk_size, b - a)
@@ -106,84 +102,70 @@ class ParamView:
                     pieces.append((label, flat[s:e], slice(a + s - lo, a + e - lo)))
             if pieces:
                 plan.append((lo, self.size, pieces))
-            self._plans[chunk_size] = plan
-        if len(plan) > 1 and self._chunks and next(reversed(self._chunks))[2:] == plan[-1][:2]:
-            return plan[::-1]
-        return plan
-
-    def prefetch(self, seed: int, stream_ids, chunk_size: int) -> None:
-        """Draw each chunk of a step's streams for all of them in one normals_at call, when they fit in the cache together.
-
-        They fit when there are two or more streams and len(stream_ids) *
-        size <= 2 * chunk_size floats, which leaves the view one chunk. The
-        cache is emptied and then holds every chunk of the streams, so their
-        passes draw nothing more. Otherwise this draws nothing, and the
-        passes draw on demand.
-        """
+            self._chunk_size, self._plan = chunk_size, plan
+        self._chunks.clear()
+        self._chunks_floats = 0
         q = len(stream_ids)
         if q < 2 or q * self.size > 2 * chunk_size:
             return
-        chunks = self._chunks
-        chunks.clear()
-        self._chunks_step = (seed, stream_ids[0] >> _STEP_SHIFT)
         self._chunks_floats = q * self.size
-        for lo, hi, _ in self._walk(chunk_size):
+        for lo, hi, _ in self._plan:
             for sid, row in zip(stream_ids, normals_at(seed, stream_ids, lo, hi - lo)):
-                chunks[(seed, sid, lo, hi)] = row
+                self._chunks[(sid, lo)] = row
 
-    def _direction(self, seed: int, stream_id: int, lo: int, hi: int, chunk_size: int) -> np.ndarray:
+    def _walk(self):
+        """The chunks in order, or backwards when the last one is the chunk used last."""
+        plan = self._plan
+        if len(plan) > 1 and self._chunks and next(reversed(self._chunks))[1] == plan[-1][0]:
+            return plan[::-1]
+        return plan
+
+    def _direction(self, stream_id: int, lo: int, hi: int) -> np.ndarray:
         """u[lo:hi] of the stream, drawn only when the cache does not hold it."""
-        key = (seed, stream_id, lo, hi)
+        key = (stream_id, lo)
         chunks = self._chunks
         drawn = chunks.pop(key, None)
         if drawn is None:
-            step = (seed, stream_id >> _STEP_SHIFT)
-            if step != self._chunks_step:
-                chunks.clear()
-                self._chunks_step, self._chunks_floats = step, 0
-            drawn = normals_at(seed, stream_id, lo, hi - lo)
+            drawn = normals_at(self._seed, stream_id, lo, hi - lo)
             self._chunks_floats += hi - lo
-            while self._chunks_floats > 2 * chunk_size:
+            while self._chunks_floats > 2 * self._chunk_size:
                 self._chunks_floats -= chunks.pop(next(iter(chunks))).shape[0]
         chunks[key] = drawn
         return drawn
 
-    def direction(self, seed: int, stream_id: int, chunk_size: int) -> np.ndarray:
+    def direction(self, stream_id: int) -> np.ndarray:
         """A copy of the whole flat u of the stream; cached chunks are not drawn again."""
         u = np.empty(self.size)
-        for lo, hi, _ in self._walk(chunk_size):
-            u[lo:hi] = self._direction(seed, stream_id, lo, hi, chunk_size)
+        for lo, hi, _ in self._walk():
+            u[lo:hi] = self._direction(stream_id, lo, hi)
         return u
 
-    def add_direction(self, seed: int, stream_id: int, scale: float, chunk_size: int) -> None:
+    def add_direction(self, stream_id: int, scale: float) -> None:
         """In place: params += scale * u, u regenerated chunk-wise from the stream."""
-        for lo, hi, pieces in self._walk(chunk_size):
-            u = self._direction(seed, stream_id, lo, hi, chunk_size)
+        for lo, hi, pieces in self._walk():
+            u = self._direction(stream_id, lo, hi)
             for _, live, sl in pieces:
                 live += scale * u[sl]
 
-    def apply_directions(
-        self, seed: int, stream_ids, coefficients, lr_by_label, chunk_size: int
-    ) -> dict[str, float]:
+    def apply_directions(self, stream_ids, coefficients, lr_by_label) -> dict[str, float]:
         """In place: params -= sum_i lr * c_i * u_i; returns per-group update norms.
 
-        The chunks may be walked backwards, but each group's squared norm
-        sums its pieces in forward order, so the norms do not depend on the
-        walk.
+        With no nonzero coefficient nothing moves and every norm is 0.0. The
+        chunks may be walked backwards, but each group's squared norm sums
+        its pieces in forward order, so the norms do not depend on the walk.
         """
         terms = [(sid, c) for sid, c in zip(stream_ids, coefficients) if c != 0.0]
+        if not terms:
+            return dict.fromkeys(self.labels, 0.0)
         piece_sq = {}  # chunk start -> (label, squared norm) of each of its pieces
-        for lo, hi, pieces in self._walk(chunk_size):
+        for lo, hi, pieces in self._walk():
             delta = np.zeros(hi - lo)
             for sid, c in terms:
-                delta += c * self._direction(seed, sid, lo, hi, chunk_size)
+                delta += c * self._direction(sid, lo, hi)
             chunk_sq = []
             for label, live, sl in pieces:
-                lr = lr_by_label[label]
-                if lr == 0.0 and not terms:
-                    continue
                 piece = delta[sl]
-                piece *= -lr
+                piece *= -lr_by_label[label]
                 live += piece
                 chunk_sq.append((label, float(piece @ piece)))
             piece_sq[lo] = chunk_sq
@@ -269,8 +251,9 @@ def zo_gradient_scale(loss_fn, params: ParamView, cfg: ZoConfig, step: int) -> l
     For each direction u_i ~ N(0, I): perturb in place by +eps u_i, evaluate,
     swing to -eps u_i, evaluate, restore; the coefficient is
     (L+ - L-) / (2 eps). The implied estimate mean_i c_i u_i is never
-    materialized here. The step's stream ids go to params.prefetch first,
-    which draws all q directions in one call when they fit its cache.
+    materialized here. The estimate opens the step on the view first
+    (params.begin_step), which draws all q directions in one call when they
+    fit its cache.
 
     A non-finite loss raises NumericError after moving the parameters back,
     which restores them only up to rounding; an exact restore would need a
@@ -280,23 +263,22 @@ def zo_gradient_scale(loss_fn, params: ParamView, cfg: ZoConfig, step: int) -> l
     ZO rep, counts the step as failed.
     """
     eps = cfg.epsilon
-    seed, chunk_size = cfg.seed, cfg.chunk_size
     sids = [direction_stream_id(step, i) for i in range(cfg.directions)]
-    params.prefetch(seed, sids, chunk_size)
+    params.begin_step(cfg.seed, sids, cfg.chunk_size)
     add_direction = params.add_direction
     out = []
     for i, sid in enumerate(sids):
-        add_direction(seed, sid, +eps, chunk_size)
+        add_direction(sid, +eps)
         loss_plus = float(loss_fn())
         if not math.isfinite(loss_plus):
-            add_direction(seed, sid, -eps, chunk_size)
+            add_direction(sid, -eps)
             raise NumericError(f"non-finite loss at +eps, step {step} direction {i}")
-        add_direction(seed, sid, -2 * eps, chunk_size)
+        add_direction(sid, -2 * eps)
         loss_minus = float(loss_fn())
         if not math.isfinite(loss_minus):
-            add_direction(seed, sid, +eps, chunk_size)
+            add_direction(sid, +eps)
             raise NumericError(f"non-finite loss at -eps, step {step} direction {i}")
-        add_direction(seed, sid, +eps, chunk_size)
+        add_direction(sid, +eps)
         out.append(Direction(sid, (loss_plus - loss_minus) / (2 * eps), loss_plus, loss_minus))
     return out
 
@@ -314,11 +296,7 @@ def zo_step(model, batch, cfg: ZoConfig, step: int) -> StepReport:
     q = len(directions)
     lr_by_label = {label: cfg.lr_for(label, step) for label in view.labels}
     norms = view.apply_directions(
-        cfg.seed,
-        [d.stream_id for d in directions],
-        [d.coefficient / q for d in directions],
-        lr_by_label,
-        cfg.chunk_size,
+        [d.stream_id for d in directions], [d.coefficient / q for d in directions], lr_by_label
     )
     model.clamp_parameters()
     if not cfg.train_quant_affine:

@@ -81,8 +81,9 @@ def test_zoqlab_modules_bind_every_name_the_benchmark_tracer_patches():
     """Each (owner, name) the tracer patches exists on its owner.
 
     Owners are the zoqlab modules the tracer imports and the classes it
-    imports from them. Tracer._patch reads each name with getattr, so a
-    binding that a refactor drops would crash the traced benchmark run.
+    imports from them. Tracer._patch reads a module's name with getattr and
+    a class's from the class's own __dict__, so a binding that a refactor
+    drops, or moves to a base class, would crash the traced benchmark run.
     """
     tracer = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text())
     owners = {}  # an owner's source text in the tracer -> the object
@@ -107,7 +108,9 @@ def test_zoqlab_modules_bind_every_name_the_benchmark_tracer_patches():
     ]
     assert {owner for owner, _ in patched} == set(owners)
     for owner, attr in patched:
-        assert callable(getattr(owners[owner], attr, None)), f"{owner}.{attr}"
+        obj = owners[owner]
+        bound = vars(obj).get(attr) if isinstance(obj, type) else getattr(obj, attr, None)
+        assert callable(bound), f"{owner}.{attr}"
 
 
 def test_estimator_driven_rows_keep_their_bytes():
