@@ -251,16 +251,13 @@ class ModelGraph:
         yield "ln_f_bias", full, self, "ln_f_bias"
 
     def trainable_parameters(self, include_quant_affine: bool = True) -> ParamView:
-        """Flat labeled view over exactly the trainable scalars.
-
-        The labelled tensors in walk order; the view groups them into the
-        group order weights, smoothing, clipping, quant_affine.
-        """
-        return ParamView([
+        """Flat labeled view over exactly the trainable scalars; ParamView groups them in GROUP_ORDER."""
+        entries = [
             (label, getattr(owner, attr))
             for _, label, owner, attr in self.tensors()
             if label is not None and (include_quant_affine or label != "quant_affine")
-        ])
+        ]
+        return ParamView(entries)
 
     def clamp_parameters(self) -> None:
         """Project learnable quantizer/smoothing state back into valid ranges."""

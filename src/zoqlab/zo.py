@@ -71,13 +71,16 @@ class ParamView:
                 raise DataError(f"trainable array for {label!r} must be contiguous float64")
             groups[label].append(arr.reshape(-1))
         self.labels = [label for label in GROUP_ORDER if groups[label]]  # the groups present, in order
-        self._segments, pos = [], 0  # (label, 1-D live view, start, stop)
+        self._segments = []  # (label, 1-D live view, start, stop)
+        pos = 0
         for label in self.labels:
             for flat in groups[label]:
                 self._segments.append((label, flat, pos, pos + flat.shape[0]))
                 pos += flat.shape[0]
         self.size = pos
-        self._seed = self._chunk_size = self._plan = None  # bound by begin_step
+        self._seed = None  # the seed, chunk size and chunk plan bound by begin_step
+        self._chunk_size = None
+        self._plan = None
         self._chunks = {}  # (stream_id, lo) -> drawn chunk, least recently used first
         self._chunks_floats = 0
 
@@ -251,9 +254,8 @@ def zo_gradient_scale(loss_fn, params: ParamView, cfg: ZoConfig, step: int) -> l
     For each direction u_i ~ N(0, I): perturb in place by +eps u_i, evaluate,
     swing to -eps u_i, evaluate, restore; the coefficient is
     (L+ - L-) / (2 eps). The implied estimate mean_i c_i u_i is never
-    materialized here. The estimate opens the step on the view first
-    (params.begin_step), which draws all q directions in one call when they
-    fit its cache.
+    materialized here. It opens the step with params.begin_step, which
+    draws all q directions in one call when they fit the view's cache.
 
     A non-finite loss raises NumericError after moving the parameters back,
     which restores them only up to rounding; an exact restore would need a
@@ -296,7 +298,9 @@ def zo_step(model, batch, cfg: ZoConfig, step: int) -> StepReport:
     q = len(directions)
     lr_by_label = {label: cfg.lr_for(label, step) for label in view.labels}
     norms = view.apply_directions(
-        [d.stream_id for d in directions], [d.coefficient / q for d in directions], lr_by_label
+        [d.stream_id for d in directions],
+        [d.coefficient / q for d in directions],
+        lr_by_label,
     )
     model.clamp_parameters()
     if not cfg.train_quant_affine:

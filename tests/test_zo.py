@@ -226,18 +226,49 @@ class TestWholeViewEquivalence:
         assert view.direction(d.stream_id).tobytes() == whole.tobytes()
 
     def test_cache_holds_only_the_chunks_of_the_current_step(self):
-        """Room for hundreds of one-chunk directions; a new step or seed still empties it."""
+        """Room for hundreds of one-chunk directions; a new step or seed still empties it.
+
+        The keys hold no seed, so the cached bytes are checked against each
+        stream's draw under the step's seed.
+        """
         view = ParamView(entries())
 
         def held():
-            return sorted((view._seed, sid) for sid, _ in view._chunks)
+            return sorted((sid, lo, u.tobytes()) for (sid, lo), u in view._chunks.items())
+
+        def drawn(seed, sids):
+            return sorted((sid, 0, normals_at(seed, sid, 0, VIEW_SIZE).tobytes()) for sid in sids)
 
         zo_gradient_scale(lambda: 0.5, view, ZoConfig(directions=3, seed=SEED), step=3)
-        assert held() == [(SEED, direction_stream_id(3, i)) for i in range(3)]
+        assert held() == drawn(SEED, [direction_stream_id(3, i) for i in range(3)])
         zo_gradient_scale(lambda: 0.5, view, ZoConfig(directions=1, seed=SEED), step=4)
-        assert held() == [(SEED, direction_stream_id(4, 0))]
+        assert held() == drawn(SEED, [direction_stream_id(4, 0)])
         zo_gradient_scale(lambda: 0.5, view, ZoConfig(directions=1, seed=SEED + 1), step=4)
-        assert held() == [(SEED + 1, direction_stream_id(4, 0))]
+        assert held() == drawn(SEED + 1, [direction_stream_id(4, 0)])
+        assert held() != drawn(SEED, [direction_stream_id(4, 0)])
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_a_step_under_a_new_seed_is_the_step_of_a_fresh_view(self, q):
+        """The same step under SEED then SEED + 1 on one view: the second is byte for byte a fresh view's."""
+
+        def step(arrays, view, seed):
+            def loss():
+                return float(sum(np.sum(a * a) for _, a in arrays))
+
+            cfg = ZoConfig(directions=q, seed=seed, chunk_size=40)
+            directions = zo_gradient_scale(loss, view, cfg, step=4)
+            norms = view.apply_directions([d.stream_id for d in directions], [0.25] * q, LRS)
+            return directions, norms
+
+        ref = entries()
+        want = step(ref, ParamView(ref), SEED + 1)
+        mine = entries()
+        view = ParamView(mine)
+        step(mine, view, SEED)
+        for (_, a), (_, b) in zip(mine, entries()):
+            np.copyto(a, b)  # back to the start, in place: the view holds the live arrays
+        assert step(mine, view, SEED + 1) == want
+        assert_same(mine, ref)
 
     @pytest.mark.parametrize("chunk_size, n_chunks", [(VIEW_SIZE, 1), (40, 2), (30, 3)])
     @pytest.mark.parametrize("q", [1, 4])
