@@ -526,49 +526,33 @@ def _initialize(cfg: RunConfig, train, lightweight: bool):
     return model, _probe(captures), calib_rows
 
 
-def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = None,
-              seed: int | None = None, quant: str | None = None, config: str | None = None) -> int:
-    """seed, quant and config: the --seed, --quant and --config flags, which a resumed checkpoint must agree with."""
+def cmd_train(cfg: RunConfig, lightweight: bool = False, resume: str | None = None, command_line=()) -> int:
+    """Train command_line's values (_command_line) over cfg; or, given resume, continue that checkpoint's
+    run over its config. A resumed run takes the command line's zo.steps and [paths] values, keeps the
+    checkpoint's for any the command line omits, and refuses any other value but the checkpoint's (_merged)."""
+    base, model, start_step = load_checkpoint(resume) if resume is not None else (cfg, None, 0)
+    cfg = _merged(base, command_line, resumed=resume is not None)
     if resume is not None:
-        cfg_loaded, model, start_step = load_checkpoint(resume)
-        for attr, value in (config_file_updates(config) if config else {}).items():
-            held = reduce(getattr, attr.split("."), cfg_loaded)
-            if attr not in ("zo.steps", *_SCHEMA["paths"].values()) and value != held:
-                key = next(f"[{sec}] {k}" for sec, keys in _SCHEMA.items() for k, a in keys.items() if a == attr)
-                raise UsageError(f"--resume trains the checkpoint's {key} {held!r}, not {value!r} from {config}")
         if lightweight and not model.lightweight:
             raise UsageError("--resume --lightweight needs a lightweight checkpoint; this one trains the full model")
-        if seed is not None and seed != cfg_loaded.seed:
-            raise UsageError(f"--resume trains the checkpoint's seed {cfg_loaded.seed}, not --seed {seed}")
-        if quant is not None and _updated(cfg_loaded, _notation_updates(quant)) != cfg_loaded:
-            held = ", ".join(f"{k} {getattr(cfg_loaded, k)}" for k in ("w_bits", "a_bits", "group_size"))
-            raise UsageError(f"--resume trains the checkpoint's quantization ({held}), not --quant {quant}")
         if cfg.zo.steps < start_step:
             raise UsageError(
                 f"--resume with --steps {cfg.zo.steps} would end before the checkpoint's step "
                 f"{start_step}; resume to at least {start_step} steps"
             )
-        if cfg_loaded.zo.lr_schedule != "constant" and cfg.zo.steps != cfg_loaded.zo.steps:
+        if base.zo.lr_schedule != "constant" and cfg.zo.steps != base.zo.steps:
             # the first part decayed over the old horizon, so no straight run
             # of the new length passes through the checkpoint
             raise UsageError(
-                f"--resume with --steps {cfg.zo.steps} would move the {cfg_loaded.zo.lr_schedule} "
-                f"schedule's horizon from {cfg_loaded.zo.steps} steps; only a run trained "
+                f"--resume with --steps {cfg.zo.steps} would move the {base.zo.lr_schedule} "
+                f"schedule's horizon from {base.zo.steps} steps; only a run trained "
                 "with lr_schedule = constant can be resumed to a new step count"
             )
-        cfg = replace(
-            cfg_loaded,
-            zo=replace(cfg_loaded.zo, steps=cfg.zo.steps),
-            metrics_dir=cfg.metrics_dir,
-            checkpoint_dir=cfg.checkpoint_dir,
-            corpus=cfg.corpus,
-        )
     train, eval_batch = _prepare_data(cfg)
     if resume is not None:
         probe = _probe(_seed_model(cfg, train)[1])
     else:
         model, probe, calib_rows = _initialize(cfg, train, lightweight)
-        start_step = 0
         if calib_rows:
             _write_calibration_csv(cfg.metrics_dir, calib_rows)
     with (
@@ -701,10 +685,9 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="calibrate + ZO-train + checkpoint")
     _add_config_flags(p_train)
     p_train.add_argument("--lightweight", action="store_true", help="freeze all but attention q/v")
-    p_train.add_argument("--resume", help="checkpoint to resume from; its config is the run's config: only --steps, "
-                         "--corpus and the output dirs apply; --seed, --quant, --lightweight and --config must agree")
-    p_train.set_defaults(run=lambda a: cmd_train(
-        _config_from_args(a), a.lightweight, a.resume, a.seed, a.quant, a.config))
+    p_train.add_argument("--resume", help="checkpoint to resume from; the run trains its config, where only --steps, "
+                         "--corpus and the output dirs apply and an omitted one is the checkpoint's; others must agree")
+    p_train.set_defaults(run=lambda a: cmd_train(RunConfig(), a.lightweight, a.resume, _command_line(a)))
 
     p_eval = sub.add_parser("eval", help="perplexity + diagnostics of a checkpoint")
     p_eval.add_argument("checkpoint")
@@ -720,23 +703,37 @@ def build_parser() -> _Parser:
 
     p_quant = sub.add_parser("quantize", help="round-to-nearest baseline checkpoint")
     _add_config_flags(p_quant)
-    p_quant.set_defaults(run=lambda a: cmd_quantize(_config_from_args(a)))
+    p_quant.set_defaults(run=lambda a: cmd_quantize(_merged(RunConfig(), _command_line(a))))
 
     p_calib = sub.add_parser("calibrate", help="reconstruction init only")
     _add_config_flags(p_calib)
-    p_calib.set_defaults(run=lambda a: cmd_calibrate(_config_from_args(a)))
+    p_calib.set_defaults(run=lambda a: cmd_calibrate(_merged(RunConfig(), _command_line(a))))
 
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = load_config_file(args.config) if args.config else RunConfig()
-    updates = _notation_updates(args.quant) if args.quant else {}
-    for attr in ("corpus", "checkpoint_dir", "metrics_dir", "seed"):
-        if getattr(args, attr) is not None:
-            updates[attr] = getattr(args, attr)
-    if args.steps is not None:
-        updates["zo.steps"] = args.steps
+def _command_line(args) -> list:
+    """The command line's (source, updates) pairs, in the order they apply: the --config file, --quant, each flag."""
+    pairs = [(args.config, config_file_updates(args.config))] if args.config else []
+    if args.quant:
+        pairs.append(("--quant", _notation_updates(args.quant)))
+    flags = {"seed": "seed", "steps": "zo.steps", **{dest: dest for dest in _SCHEMA["paths"]}}
+    pairs += [(f"--{dest.replace('_', '-')}", {attr: getattr(args, dest)})
+              for dest, attr in flags.items() if getattr(args, dest) is not None]
+    return pairs
+
+
+def _merged(cfg: RunConfig, command_line, resumed: bool = False) -> RunConfig:
+    """cfg with command_line's (source, updates) pairs set over it in order. A resumed run, whose cfg is its
+    checkpoint's, takes only zo.steps and the [paths] values; any other that differs from cfg's is a usage error."""
+    updates = {}
+    for source, given in command_line:
+        for attr, value in given.items():
+            held = reduce(getattr, attr.split("."), cfg)
+            if resumed and attr not in ("zo.steps", *_SCHEMA["paths"].values()) and value != held:
+                key = next(f"[{sec}] {k}" for sec, keys in _SCHEMA.items() for k, a in keys.items() if a == attr)
+                raise UsageError(f"--resume trains the checkpoint's {key} {held!r}, not {value!r} from {source}")
+            updates[attr] = value
     return _updated(cfg, updates)
 
 

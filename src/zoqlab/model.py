@@ -313,7 +313,7 @@ def linear_forward(x2d: Tensor, lin: Linear, mode: str) -> Tensor:
     sm, bs = att.smoothing, lin.b
     scale = None if sm is None else applied_scale(sm)  # one floor check for the weight side and every block
     if holds_codes(lin):
-        ws = _dequantized_codes(lin)
+        ws = dequantized_weight(lin)
     else:
         ws = lin.w
         if sm is not None:
@@ -447,20 +447,16 @@ def freeze_linear(lin: Linear) -> None:
 def dequantized_weight(lin: Linear) -> Tensor:
     """The layer's float64 (d_in, d_out) weight: lin.w, or a frozen layer's codes dequantized.
 
-    Every reader of a frozen weight calls this. For a layer that holds codes
-    (holds_codes) it returns step * (code - rint(zero)) of each code's group
-    (_dequantized_codes). Any other layer's lin.w is returned as it is.
+    Every reader of a frozen weight calls this, linear_forward too. A layer
+    that does not hold codes (holds_codes) returns lin.w as it is. Codes give
+    step * (code - rint(zero)) of each code's group in two passes over their
+    group view (quantizer.group_view, free): the subtraction, which converts
+    them, and the scaling in place. The zero points and steps are broadcast
+    from C-contiguous copies of their per_group views, which numpy reads
+    about 2x faster than the strided views.
     """
-    return _dequantized_codes(lin) if holds_codes(lin) else lin.w
-
-
-def _dequantized_codes(lin: Linear) -> Tensor:
-    """dequantized_weight of a layer known to hold codes: two passes over their group view
-    (quantizer.group_view, free), the subtraction, which converts them, and the scaling in place.
-
-    The zero points and steps are broadcast from C-contiguous copies of their
-    per_group views, which numpy reads about 2x faster than the strided views.
-    """
+    if not holds_codes(lin):
+        return lin.w
     codes, state = lin.w, lin.att.weight_state
     g = group_view(codes, lin.att.weight_spec)
     w = np.subtract(g, np.ascontiguousarray(per_group(np.rint(state.zero_point), g)))

@@ -566,8 +566,8 @@ def test_resume_of_a_full_checkpoint_with_lightweight_is_a_usage_error(
 @pytest.mark.parametrize(
     "flag, other, saved, message",
     [
-        ("--seed", "7", "0", "the checkpoint's seed 0, not --seed 7"),
-        ("--quant", "W2A16g16", "W4A4", "(w_bits 4, a_bits 4, group_size None), not --quant W2A16g16"),
+        ("--seed", "7", "0", "the checkpoint's [run] seed 0, not 7 from --seed"),
+        ("--quant", "W2A16g16", "W4A4", "the checkpoint's [quant] w_bits 4, not 2 from --quant"),
     ],
     ids=["seed", "quant"],
 )
@@ -613,6 +613,163 @@ def test_resume_with_a_config_file_value_the_checkpoint_does_not_hold_is_a_usage
     config.write_text(f"[train]\nsteps = 3\n[paths]\ncorpus = {cli.default_corpus_path()}\n")
     assert train(str(config), tmp_path / "resumed", "--resume", str(path)) == cli.EXIT_OK
     assert cli.load_checkpoint(str(tmp_path / "resumed" / "ckpt" / "final.ckpt"))[2] == 3
+
+
+def tensor_bytes(path):
+    """The bytes of every model.tensors() entry of the checkpoint at path, by name."""
+    _, model, _ = cli.load_checkpoint(str(path))
+    return {name: getattr(owner, attr).tobytes() for name, _, owner, attr in model.tensors()}
+
+
+def test_a_resume_without_corpus_trains_on_the_checkpoints_corpus(tiny_config, tmp_path):
+    corpus = tmp_path / "mine.txt"
+    corpus.write_text("".join(f"line {i} of a corpus of my own, {i * i % 97} squared mod 97.\n" for i in range(300)))
+    mine = ["--corpus", str(corpus)]
+    assert train(tiny_config, tmp_path / "straight", "--steps", "4", *mine) == cli.EXIT_OK
+    assert train(tiny_config, tmp_path / "first", "--steps", "2", *mine) == cli.EXIT_OK
+    first = str(tmp_path / "first" / "ckpt" / "final.ckpt")
+    assert train(tiny_config, tmp_path / "resumed", "--steps", "4", "--resume", first) == cli.EXIT_OK
+    resumed = tmp_path / "resumed" / "ckpt" / "final.ckpt"
+    cfg, _, step = cli.load_checkpoint(str(resumed))
+    assert (cfg.corpus, step) == (str(corpus), 4)
+    assert tensor_bytes(resumed) == tensor_bytes(tmp_path / "straight" / "ckpt" / "final.ckpt")
+
+
+@pytest.mark.parametrize("schedule", ["constant", "linear_decay"])
+def test_a_resume_without_steps_trains_to_the_checkpoints_horizon(tmp_path, schedule):
+    """A calibrated checkpoint (step 0 of 4) resumed with no --steps, and no --config, is the 4-step run."""
+    config = tmp_path / "run.ini"
+    config.write_text(TINY_INI.replace("steps = 2", "steps = 4").replace("= constant", f"= {schedule}"))
+    assert run("calibrate", str(config), tmp_path / "calibrate") == cli.EXIT_OK
+    assert run("train", str(config), tmp_path / "straight") == cli.EXIT_OK
+    start = str(tmp_path / "calibrate" / "ckpt" / "calibrated.ckpt")
+    assert run("train", None, tmp_path / "resumed", "--resume", start) == cli.EXIT_OK
+    with open(tmp_path / "resumed" / "metrics" / "train.csv") as f:
+        assert [row["step"] for row in csv.DictReader(f)] == ["0", "1", "2", "3"]
+    final = (tmp_path / "straight" / "ckpt" / "final.ckpt").read_bytes()
+    assert (tmp_path / "resumed" / "ckpt" / "final.ckpt").read_bytes() == final
+
+
+# a value of each config file key other than the one the checkpoint below holds
+OTHER_VALUES = {
+    ("model", "vocab_size"): "120",
+    ("model", "d_model"): "24",
+    ("model", "n_layers"): "2",
+    ("model", "n_heads"): "4",
+    ("model", "context"): "16",
+    ("quant", "w_bits"): "3",
+    ("quant", "a_bits"): "4",
+    ("quant", "group_size"): "4",
+    ("quant", "scheme"): "symmetric",
+    ("quant", "notation"): "W4A4g8",
+    ("train", "eval_interval"): "1",
+    ("train", "batch_size"): "2",
+    ("train", "epsilon"): "2e-3",
+    ("train", "directions"): "2",
+    ("train", "lr_weights"): "2e-5",
+    ("train", "lr_smoothing"): "0",
+    ("train", "lr_clipping"): "2e-5",
+    ("train", "lr_quant_affine"): "2e-5",
+    ("train", "lr_schedule"): "constant",
+    ("train", "train_quant_affine"): "false",
+    ("calib", "epochs"): "1",
+    ("calib", "samples"): "2",
+    ("run", "seed"): "7",
+}
+COMPARED_KEYS = [
+    (section, key) for section, keys in cli._SCHEMA.items() for key in keys
+    if section != "paths" and (section, key) != ("train", "steps")
+] + [("quant", "notation")]
+
+
+@pytest.fixture(scope="module")
+def decaying_checkpoint(tmp_path_factory):
+    """A calibrated W4A8g8 checkpoint, step 0 of a 2-step linear_decay horizon."""
+    run_dir = tmp_path_factory.mktemp("decaying")
+    config = run_dir / "decay.ini"
+    config.write_text(TINY_INI.replace("= constant", "= linear_decay") + "\n[quant]\nnotation = W4A8g8\n")
+    assert run("calibrate", str(config), run_dir) == cli.EXIT_OK
+    return str(run_dir / "ckpt" / "calibrated.ckpt")
+
+
+@pytest.mark.parametrize("section, key", COMPARED_KEYS, ids=[key for _, key in COMPARED_KEYS])
+def test_a_resume_refuses_each_config_file_value_but_the_checkpoints(
+    decaying_checkpoint, tmp_path, capsys, section, key
+):
+    saved = cli.load_checkpoint(decaying_checkpoint)[0].to_dict()
+    held = "W4A8g8" if key == "notation" else saved[key] if section == "run" else saved[section][key]
+    assert str(held).lower() != OTHER_VALUES[section, key].lower()
+    config = tmp_path / "other.ini"
+    config.write_text(f"[{section}]\n{key} = {OTHER_VALUES[section, key]}\n")
+    capsys.readouterr()
+    assert run("train", str(config), tmp_path / "refused", "--resume", decaying_checkpoint) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    named = "[quant] a_bits" if key == "notation" else f"[{section}] {key}"
+    assert f"the checkpoint's {named} " in captured.err and str(config) in captured.err, captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "refused").exists()
+    # the checkpoint's own value resumes, to the checkpoint's horizon
+    config.write_text(f"[{section}]\n{key} = {str(held).lower() if type(held) is bool else held}\n")
+    assert run("train", str(config), tmp_path / "resumed", "--resume", decaying_checkpoint) == cli.EXIT_OK
+    assert cli.load_checkpoint(str(tmp_path / "resumed" / "ckpt" / "final.ckpt"))[2] == 2
+
+
+@pytest.mark.parametrize(
+    "flags, code, message",
+    [
+        (["--quant", "W4X4"], cli.EXIT_USAGE, "bad quantization notation 'W4X4'"),
+        (["--config", "no/such.ini"], cli.EXIT_DATA, "cannot read config file no/such.ini"),
+    ],
+    ids=["bad notation", "missing config file"],
+)
+def test_a_bad_quant_notation_or_config_path_exits_with_its_code(tiny_config, tmp_path, capsys, flags, code, message):
+    capsys.readouterr()
+    assert train(tiny_config, tmp_path / "run", *flags) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"", "empty corpus file"),
+        (b"abc\xff" * 40, "is not UTF-8 at byte offset 3"),
+        (b"a" * 31, "corpus too small: 31 bytes yields no chunk of 32"),
+        (b"a" * 32, "too small for a train/eval split"),
+        ("caf\u00e9 ".encode() * 40, "corpus token 195 exceeds model vocab 128"),
+    ],
+    ids=["empty", "not UTF-8", "shorter than a context", "one context", "byte beyond the vocab"],
+)
+def test_a_corpus_train_cannot_split_or_read_exits_2(tiny_config, tmp_path, capsys, data, message):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(data)
+    capsys.readouterr()
+    assert train(tiny_config, tmp_path / "run", "--corpus", str(corpus)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_checkpoint_write_that_fails_part_way_keeps_the_earlier_file(tiny_config, tmp_path, monkeypatch, capsys):
+    assert train(tiny_config, tmp_path) == cli.EXIT_OK
+    saved = (tmp_path / "ckpt" / "final.ckpt").read_bytes()
+    written = []
+
+    def failing(f, arr):
+        if len(written) == 3:
+            raise OSError("No space left on device")
+        written.append(arr)
+        write_tensor(f, arr)
+
+    monkeypatch.setattr(cli, "write_tensor", failing)
+    capsys.readouterr()
+    assert train(tiny_config, tmp_path, "--steps", "3") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and "Traceback" not in err, err
+    assert len(written) == 3
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["final.ckpt"]
+    assert (tmp_path / "ckpt" / "final.ckpt").read_bytes() == saved
 
 
 def test_resume_to_fewer_steps_than_the_checkpoint_is_a_usage_error(trained_checkpoint, tiny_config, tmp_path, capsys):

@@ -203,6 +203,25 @@ class TestWholeViewEquivalence:
         want = [(0, 30), (30, 29), (59, 15), (0, 30), (59, 15), (0, 30)]
         assert [(pos, n) for _, _, pos, n in calls] == want
 
+    def test_a_short_chunk_between_long_ones_draws_fewer_than_4n_minus_6(self, monkeypatch):
+        """Chunks of 7, 7, 2, 7 and 7 floats at chunk_size 8: the 16-float cache keeps three, 7 + 2 + 7."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return normals_at(*args)
+
+        monkeypatch.setattr(zoqlab.zo, "normals_at", counting)
+        view = ParamView([("weights", np.zeros(n)) for n in (7, 7, 2, 7, 7)])
+        cfg = ZoConfig(directions=1, seed=SEED, chunk_size=8)
+        (d,) = zo_gradient_scale(lambda: 0.5, view, cfg, step=3)
+        view.apply_directions([d.stream_id], [0.25], LRS)
+        first = [(0, 7), (7, 7), (14, 2), (16, 7), (23, 7)]
+        # each later pass starts on the three chunks the previous one ended on
+        want = first + [(7, 7), (0, 7)] + [(16, 7), (23, 7)] + [(7, 7), (0, 7)]
+        assert [(pos, n) for _, _, pos, n in calls] == want
+        assert len(want) == 11 < 4 * len(first) - 6
+
     @pytest.mark.parametrize("chunk_size, redrawn", [(VIEW_SIZE, 0), (40, 0), (1, VIEW_SIZE - 2)])
     def test_direction_is_the_whole_view_draw_without_the_last_chunk_again(
         self, monkeypatch, chunk_size, redrawn
