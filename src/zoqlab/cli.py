@@ -276,11 +276,6 @@ def config_file_updates(path: str) -> dict:
     return updates
 
 
-def load_config_file(path: str) -> RunConfig:
-    """The RunConfig a config file describes: its updates (config_file_updates) over the defaults."""
-    return _updated(RunConfig(), config_file_updates(path))
-
-
 # ---------------------------------------------------------------------------
 # Corpus ingestion
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ is the all-rows composition: every sequence's attention matrices at once
 and one pass of each linear over every row.
 The order of the ZO view is a walk over the model written out by hand.
 The per-group (min, max, absmax) reduction lives here too: only tests use
-it, and it slices each group out by hand in group order.
+it, and it slices each group out by hand in group order. So does the check
+that lets a state-free quantizer skip its clamp, evaluated per row in
+Python floats.
 The Monte-Carlo theory oracle is here as it was before it reduced in blocks:
 one (m, d) array per chunk of samples.
 """
@@ -117,6 +119,27 @@ def scalar_range_init(values, bits, scheme):
         step = 1.0
         zero = -round(float(values.max()))
     return step, zero, q_n, q_p
+
+
+def clamp_skip_holds(row, spec):
+    """Whether quantizer._grid_index may skip the range-init clamp of one activation row, by hand in Python floats.
+
+    step and zero are scalar_range_init's, and the bounds are
+    lo = q_n - zero and hi = q_p - zero. The skip needs
+    round(min / step) >= lo, round(max / step) <= hi, neither quotient
+    exactly a half, and no bound 0. A NaN or an infinity in the row, or a
+    step that overflows, fails it.
+    """
+    values = [float(v) for v in row]
+    if not all(math.isfinite(v) for v in values):
+        return False
+    step, zero, q_n, q_p = scalar_range_init(values, spec.bits, spec.scheme)
+    if not math.isfinite(step):
+        return False
+    lo, hi = q_n - zero, q_p - zero
+    q_lo, q_hi = min(values) / step, max(values) / step
+    no_half = abs(q_lo - round(q_lo)) != 0.5 and abs(q_hi - round(q_hi)) != 0.5
+    return round(q_lo) >= lo and round(q_hi) <= hi and no_half and lo != 0 and hi != 0
 
 
 def reference_transformer_logits(model, tokens):

@@ -84,13 +84,18 @@ def test_resume_to_a_new_horizon_under_linear_decay_is_a_usage_error(tmp_path, c
     assert not (tmp_path / "resumed" / "ckpt").exists()
 
 
+def file_config(path):
+    """The RunConfig of a fresh command given `--config path` alone: the file's updates merged over the defaults."""
+    return cli._merged(cli.RunConfig(), [(str(path), cli.config_file_updates(str(path)))])
+
+
 def test_lr_weights_defaults_to_the_zo_config_default(tmp_path):
     assert ZoConfig().lr_weights == 1e-5
     assert cli.RunConfig.from_dict({}).zo.lr_weights == ZoConfig().lr_weights
     config = tmp_path / "no_lr.ini"
     config.write_text(TINY_INI.replace("lr_weights = 1e-5\n", ""))
     assert "lr_weights" not in config.read_text()
-    assert cli.load_config_file(str(config)).zo.lr_weights == ZoConfig().lr_weights
+    assert file_config(config).zo.lr_weights == ZoConfig().lr_weights
 
 
 def test_run_config_round_trips_through_the_manifest_dict():
@@ -141,7 +146,7 @@ def test_unknown_or_unparsable_config_entries_are_usage_errors(tmp_path, capsys,
     config = tmp_path / "bad.ini"
     config.write_text(TINY_INI.replace(old, new))
     with pytest.raises(cli.UsageError):
-        cli.load_config_file(str(config))
+        cli.config_file_updates(str(config))
     capsys.readouterr()
     assert train(str(config), tmp_path / "run") == cli.EXIT_USAGE
     err = capsys.readouterr().err
@@ -258,7 +263,7 @@ def test_config_file_keys_reach_their_fields(tmp_path):
     config = tmp_path / "full.ini"
     extra = "[quant]\nnotation = W2A16g8\nw_bits = 3\n\n[run]\nseed = 7\n"
     config.write_text(TINY_INI.replace("steps = 2", "steps = 2\ntrain_quant_affine = no") + extra)
-    cfg = cli.load_config_file(str(config))
+    cfg = file_config(config)
     assert cfg.model == ModelConfig(d_model=16, n_layers=1, n_heads=2, context=32)
     assert (cfg.w_bits, cfg.a_bits, cfg.group_size) == (3, 16, 8)
     assert (cfg.zo.steps, cfg.eval_interval, cfg.zo.lr_schedule) == (2, 0, "constant")
@@ -1105,7 +1110,7 @@ def test_eval_of_a_final_checkpoint_writes_every_layer_and_the_last_snapshot_row
     fields, lightweight = FINAL_CHECKPOINT_CASES[case]
     config = tmp_path / "calibrated.ini"
     config.write_text(CALIBRATED_INI)
-    cfg = cli.load_config_file(str(config))
+    cfg = file_config(config)
     cfg = replace(
         cfg,
         **fields,

@@ -177,21 +177,28 @@ class TestSmoothingScaleFloor:
 def helper_inputs():
     """Named float arrays the forward's helpers must treat exactly as the oracles do.
 
-    Random scores under the causal mask (rows with -inf entries), values of
-    magnitude up to 1e8, values offset by 1e6, exact zeros, and the logits
-    of a W4A4 qat forward.
+    Random scores under the causal mask (rows with -inf entries), for
+    sequences of 16 and of 1, 2 and 3 positions and with one NaN score,
+    values of magnitude up to 1e8, values offset by 1e6, exact zeros, and
+    the logits of a W4A4 qat forward.
     """
     rng = np.random.default_rng(6)
-    t = 16
-    causal = np.triu(np.full((t, t), -np.inf), k=1)
+
+    def masked_scores(t):
+        return rng.normal(scale=4.0, size=(3, 2, t, t)) + np.triu(np.full((t, t), -np.inf), k=1)
+
     model = build_model(TINY, PLANS["W4A4"], seed=3)
-    return {
-        "masked scores": rng.normal(scale=4.0, size=(3, 2, t, t)) + causal,
+    inputs = {
+        "masked scores": masked_scores(16),
         "large": rng.normal(size=(5, 40)) * np.logspace(-3, 8, 40),
         "offset": 1e6 + rng.normal(size=(6, 33)),
         "with zeros": np.where(rng.random((7, 12)) < 0.3, 0.0, rng.normal(size=(7, 12))),
         "qat logits": model.forward(tokens(3, seed=7), mode="qat"),
     }
+    inputs.update({f"length-{t} scores": masked_scores(t) for t in (1, 2, 3)})
+    inputs["NaN score"] = masked_scores(16)
+    inputs["NaN score"][1, 0, 9, 4] = np.nan  # below the diagonal: a kept score
+    return inputs
 
 
 INPUTS = helper_inputs()
@@ -239,7 +246,7 @@ class TestInPlaceHelpersMatchOutOfPlace:
     def test_cross_entropy(self, name):
         x = INPUTS[name]
         targets = np.random.default_rng(10).integers(0, x.shape[-1], size=x.shape[:-1])
-        assert cross_entropy(x, targets) == out_of_place_cross_entropy(x, targets)
+        assert cross_entropy(x, targets).hex() == out_of_place_cross_entropy(x, targets).hex()  # NaN equals NaN
 
 
 @pytest.mark.parametrize("mode", ["qat", "fp"])

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from zoqlab import quantizer
+from zoqlab.cli import default_corpus_path, ingest_corpus
 from zoqlab.errors import DataError, DimensionError, InvalidStateError
+from zoqlab.model import ModelConfig, QuantPlan, build_model
 from zoqlab.quantizer import (
     SCHEMES,
     QuantSpec,
@@ -22,6 +25,7 @@ from zoqlab.quantizer import (
 )
 
 from oracles import (
+    clamp_skip_holds,
     nearest_code,
     nearest_code_dequant,
     nearest_index_by_fractions,
@@ -555,22 +559,99 @@ def non_finite_rows(width, rng):
     return rows
 
 
+def searched_end_rows(spec, width, rng, kind):
+    """Six rows whose range-init ends are drawn near grid midpoints and kept where `kind` holds.
+
+    Each kind fails one condition of _grid_index's clamp skip and meets the
+    others: no bound is 0, and in min half and max half the max's index is
+    at most hi. min half, max half: the min's, or the max's, quotient is
+    exactly a half and the other's is not. above hi: no half, and the max's
+    quotient rounds one code above hi; symmetric range init cannot do that
+    (its step is absmax / q_p), so there it rounds onto hi. The rest of a
+    row lies between its ends.
+    """
+    q_p, tries = spec.q_p, 1 << 12
+    s = rng.uniform(0.01, 3.0, tries)
+    a = s * (rng.integers(-q_p, q_p, tries) + 0.5)
+    a += rng.integers(-2, 3, tries) * np.spacing(a)
+    if spec.scheme == "asymmetric":
+        b = a + s * q_p
+        b += rng.integers(-2, 3, tries) * np.spacing(b)
+    else:
+        b = s * q_p * rng.choice([-1.0, 1.0], tries)
+    ends = np.sort(np.stack([a, b], axis=1), axis=1)
+    state = init_range(ends, spec)
+    q = ends / state.step[:, None]
+    k = np.rint(q)
+    half = np.abs(q - k) == 0.5
+    lo, hi = spec.q_n - state.zero_point, spec.q_p - state.zero_point
+    top = k[:, 1] > hi if spec.scheme == "asymmetric" else k[:, 1] == hi
+    kept = {
+        "min half": half[:, 0] & ~half[:, 1] & (k[:, 1] <= hi),
+        "max half": half[:, 1] & ~half[:, 0] & (k[:, 1] <= hi),
+        "above hi": top & ~half[:, 0] & ~half[:, 1],
+    }[kind]
+    ends = ends[kept & (lo != 0) & (hi != 0)][:6]
+    assert len(ends) == 6
+    inner = rng.uniform(ends[:, :1], ends[:, 1:], size=(6, width - 2))
+    return np.concatenate([ends, inner], axis=1)
+
+
+def zero_lo_rows(width, rng):
+    """Rows from a small negative min up to a positive max, holding -0.0 and values that index to -0.0.
+
+    Under the asymmetric scheme the min's quotient rounds to -0.0, so
+    lo = 0 and the clamp turns those -0.0 indices into +0.0.
+    """
+    rows = rng.uniform(0.0, 3.0, size=(6, width))
+    rows[:, 0] = -1e-3 * rows[:, 1]
+    rows[:, 2:5] = [-0.0, -1e-300, -1e-5]
+    return rows
+
+
+def all_negative_rows(width, rng):
+    """Rows below 0 whose max lies closer to 0 than half a step: hi = 0 under the asymmetric scheme."""
+    rows = rng.uniform(-3.0, -1.0, size=(6, width))
+    rows[:, 0] = -1e-6
+    return rows
+
+
+ROW_KINDS = ["constant", "halves", "non-finite", "min half", "max half", "above hi", "zero lo", "all negative"]
+
+# the row kinds that fail the clamp skip's check in every row, by scheme:
+# symmetric range init fixes the bounds at q_n < 0 < q_p and rounds no
+# quotient past them
+CLAMPED_KINDS = {
+    "symmetric": ["non-finite", "min half", "max half"],
+    "asymmetric": ["non-finite", "min half", "max half", "above hi", "zero lo", "all negative"],
+}
+
+
+def range_test_rows(kind, spec):
+    """The rows of one kind for a state-free activation quantizer of spec, 3 * 2**bits + 8 wide."""
+    rng = np.random.default_rng(spec.bits)
+    width = 3 * 2**spec.bits + 8
+    if kind in ("min half", "max half", "above hi"):
+        return searched_end_rows(spec, width, rng, kind)
+    return {
+        "constant": lambda: constant_rows(width),
+        "halves": lambda: half_rows(spec, width, rng),
+        "non-finite": lambda: non_finite_rows(width, rng),
+        "zero lo": lambda: zero_lo_rows(width, rng),
+        "all negative": lambda: all_negative_rows(width, rng),
+    }[kind]()
+
+
 class TestRangeFromX:
     """fake_quant with no state is fake_quant under init_range(x) of the same x, byte for byte."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("rows", ["constant", "halves", "non-finite"])
+    @pytest.mark.parametrize("rows", ROW_KINDS)
     @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_equals_the_range_init_state(self, bits, scheme, rows):
         spec = QuantSpec(bits, scheme, "activation")
-        rng = np.random.default_rng(bits)
-        width = 3 * 2**bits + 8
-        x = {
-            "constant": lambda: constant_rows(width),
-            "halves": lambda: half_rows(spec, width, rng),
-            "non-finite": lambda: non_finite_rows(width, rng),
-        }[rows]()
+        x = range_test_rows(rows, spec)
         if rows == "halves":
             step = init_range(x, spec).step[:, None]
             quotient = x / step
@@ -579,6 +660,35 @@ class TestRangeFromX:
         want = fake_quant(x, spec, init_range(x, spec))
         assert fake_quant(x, spec).tobytes() == want.tobytes()
         assert fake_quant(x, spec, None).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_only_rows_that_pass_the_check_skip_the_clamp(self, monkeypatch):
+        # Every activation block of a default W4A4 forward skips the clamp;
+        # a constructed row skips it exactly where the hand-evaluated check
+        # holds, and never in a kind CLAMPED_KINDS names.
+        calls = []
+
+        def recording(g, step, lo, hi):
+            calls.append((g.ndim, lo is None, hi is None))
+            return _nearest_index(g, step, lo, hi)
+
+        monkeypatch.setattr(quantizer, "_nearest_index", recording)
+        config = ModelConfig()
+        train, _ = ingest_corpus(default_corpus_path(), config.context, 0)
+        build_model(config, QuantPlan(4, 4), seed=0).loss(train[:4])
+        blocks = [(dims, lo, hi) for dims, lo, hi in calls if dims == 2]  # a weight's group view is 3-D
+        # 9 row blocks per layer: one for each d_model-wide input, 4 for mlp_down's
+        assert blocks == [(2, True, True)] * 18
+        for scheme in SCHEMES:
+            for bits in (2, 4, 8):
+                spec = QuantSpec(bits, scheme, "activation")
+                for kind in ROW_KINDS:
+                    for row in range_test_rows(kind, spec):
+                        calls.clear()
+                        fake_quant(row[None, :], spec)
+                        [(_, lo_none, hi_none)] = calls
+                        assert lo_none == hi_none == clamp_skip_holds(row, spec), (kind, spec, row)
+                        assert not (lo_none and kind in CLAMPED_KINDS[scheme]), (kind, spec, row)
 
     @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("group_size", [None, 4], ids=["per_channel", "per_group"])

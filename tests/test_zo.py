@@ -393,21 +393,23 @@ def python_calls(run) -> int:
     return calls
 
 
-def test_a_default_w4a4_zo_step_makes_at_most_1350_python_calls():
+def test_a_default_w4a4_zo_step_makes_at_most_1200_python_calls():
     """Python-level calls of one zo_step at batch 4.
 
     Two forwards and the update; the per-layer checks run as direct ufunc
     calls, which make no Python-level call, and the view groups its entries
-    without a sort key call per tensor. 1,294 calls measured; with the key
-    sort they were 1,400, and through numpy's Python wrappers (np.any,
-    np.clip, ...) 3,629.
+    without a sort key call per tensor. Every activation block skips the
+    clamp and its np.errstate, and the softmax reduces its rows without
+    x.max and x.sum. 1,154 calls measured; with the errstate on every block
+    and the two wrappers 1,294, with the key sort 1,400, and through numpy's
+    Python wrappers (np.any, np.clip, ...) 3,629.
     """
     model = build_model(ModelConfig(), QuantPlan(4, 4), seed=0)
     batch = np.random.default_rng(0).integers(0, 128, size=(4, 128))
     cfg = ZoConfig(steps=10)
     zo_step(model, batch, cfg, 0)  # warm-up: first-call caches
     calls = python_calls(lambda: zo_step(model, batch, cfg, 1))
-    assert calls <= 1350, calls
+    assert calls <= 1200, calls
 
 
 def test_a_q16_estimate_on_a_4_scalar_view_makes_at_most_22_python_calls_per_direction():
