@@ -10,11 +10,12 @@ Modules:
                 per token, per output channel or in blocks of input rows
   smoothing     channel-wise scale/shift outlier migration: the activation
                 side and the weight-side fold, each written once
-  model         toy decoder-only transformer with attachments; linear_forward
-                is the one smoothed, quantized linear, freeze_linear the one
-                fold-and-freeze path (a frozen weight is held as integer
-                codes, read through dequantized_weight), and
-                ModelGraph.tensors the one tensor layout, walked by the
+  model         toy decoder-only transformer with attachments; its forward is
+                the one composition of three stages (embed_tokens, run_blocks,
+                head), linear_forward the one smoothed, quantized linear,
+                freeze_linear the one fold-and-freeze path (a frozen weight
+                is held as integer codes, read through dequantized_weight),
+                and ModelGraph.tensors the one tensor layout, walked by the
                 checkpoint and the ZO view
   calibration   layer-wise reconstruction init and the RTN baseline
   zo            two-point zeroth-order estimator and ZO-SGD; GROUP_ORDER is

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DimensionError
 from .model import ModelGraph, dequantized_weight, linear_forward, row_blocks, token_cross_entropy
 from .zo import ZoConfig, optimizer_state_size, zo_step
 
@@ -90,7 +90,8 @@ def track(
 ) -> TrackRecord:
     """One instrumentation snapshot: eval perplexity plus per-layer reconstruction.
 
-    eval_set is a (sequences, t) token matrix, scored cfg.batch_size
+    eval_set is a (sequences, t) token matrix, any other rank a
+    DimensionError as in ModelGraph.forward. It is scored cfg.batch_size
     sequences per qat forward (cfg defaults to ZoConfig()), so no eval
     forward is larger than a training one. The per-token losses of every chunk fill one (sequences, t - 1)
     array whose single mean is eval_loss: the bytes of
@@ -98,6 +99,8 @@ def track(
     """
     cfg = cfg if cfg is not None else ZoConfig()
     eval_set = np.asarray(eval_set)
+    if eval_set.ndim != 2:
+        raise DimensionError(f"eval set must be a (sequences, t) matrix, got shape {eval_set.shape}")
     if eval_set.size == 0:
         raise DataError("empty eval set")
     if eval_set.shape[1] < 2:

@@ -133,24 +133,20 @@ class ModelGraph:
     # -- evaluation ---------------------------------------------------------
 
     def forward(self, tokens, mode: str = "qat", capture=None) -> Tensor:
-        """Causal forward pass of a (batch, t) token matrix; returns (batch, t, vocab) logits.
+        """Causal forward pass: head(run_blocks(embed_tokens(tokens), mode, capture)).
 
-        Any other rank is a DimensionError, and an empty matrix a DataError.
+        Returns the (batch, t, vocab) logits of a (batch, t) token matrix
+        (embed_tokens). capture, when given, collects each linear's input
+        (run_blocks). This is the one composition of the three stages.
+        """
+        return self.head(self.run_blocks(self.embed_tokens(tokens), mode, capture))
 
-        capture, when given, is a dict of lists keyed by "block{i}.{name}":
-        each linear appends the (bsz * t, d_in) input it read. These are the
-        forward's own arrays, not copies; the forward never writes one after
-        its linear reads it. attn_q, attn_k and attn_v read one normed input,
-        so their lists get the same array.
+    def embed_tokens(self, tokens) -> Tensor:
+        """The (batch, t, d) residual stream of a (batch, t) token matrix: embedding plus position.
 
-        The forward holds only live activations: each is dropped after its
-        last reader, attention runs one sequence at a time (_attention), and
-        the linears' activation side and GELU's erf buffer run over row
-        blocks (row_blocks). Each linear is still called once with all
-        bsz * t rows. The bytes are those of the all-rows composition:
-        per-token quantization, softmax and GELU work row by row, and each
-        sequence's matmuls are the 2-D (sequence, head) products numpy runs
-        for the batched form.
+        Any other rank is a DimensionError; an empty matrix, an id outside
+        the vocabulary or a sequence longer than the context a DataError.
+        The result is a new array the caller owns.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
@@ -166,15 +162,36 @@ class ModelGraph:
             raise DataError(
                 f"sequence length {tokens.shape[1]} exceeds context {self.config.context}"
             )
-        bsz, t = tokens.shape
-        d = self.config.d_model
-        h = self.config.n_heads
-
-        # Elementwise work runs in place on arrays this call allocated (the
-        # residual stream, the scores, the linears' outputs); model arrays,
-        # the tokens and captured activations are never written.
         x = self.embed[tokens]
-        x += self.pos[:t]
+        x += self.pos[: tokens.shape[1]]
+        return x
+
+    def run_blocks(self, x, mode: str, capture) -> Tensor:
+        """Every transformer block over the (batch, t, d) residual stream x; returns x.
+
+        x is written in place, so it must be an array the caller owns (as
+        embed_tokens' output is); a caller that keeps an input for later
+        passes a copy. Model arrays and captured activations are never
+        written: elementwise work runs in place only on x and on arrays this
+        call allocated (the scores, the linears' outputs).
+
+        capture, unless None, is a dict of lists keyed by "block{i}.{name}":
+        each linear appends the (bsz * t, d_in) input it read. These are the
+        call's own arrays, not copies; it never writes one after its linear
+        reads it. attn_q, attn_k and attn_v read one normed input, so their
+        lists get the same array.
+
+        Only live activations are held: each is dropped after its last
+        reader, attention runs one sequence at a time (_attention), and the
+        linears' activation side and GELU's erf buffer run over row blocks
+        (row_blocks). Each linear is still called once with all bsz * t
+        rows. The bytes are those of the all-rows composition: per-token
+        quantization, softmax and GELU work row by row, and each sequence's
+        matmuls are the 2-D (sequence, head) products numpy runs for the
+        batched form.
+        """
+        bsz, t, d = x.shape
+        h = self.config.n_heads
         keep = np.tri(t, dtype=bool)  # the causal mask: position i sees positions <= i
         causal = np.where(keep, 0.0, -np.inf)
         for bi, block in enumerate(self.blocks):
@@ -193,8 +210,11 @@ class ModelGraph:
             u = _gelu(u)
             x += self._linear(u, block, bi, "mlp_down", mode, capture).reshape(bsz, t, d)
             del u
-        x = _layer_norm(x, self.ln_f_gain, self.ln_f_bias)
-        return x @ self.embed.T
+        return x
+
+    def head(self, x) -> Tensor:
+        """The (..., vocab) logits of residual stream x: final layer norm, then the tied embedding."""
+        return _layer_norm(x, self.ln_f_gain, self.ln_f_bias) @ self.embed.T
 
     def _linear(self, x2d, block, block_idx, name, mode, capture):
         lin = block.linears[name]
@@ -467,11 +487,13 @@ def dequantized_weight(lin: Linear) -> Tensor:
 def _layer_norm(x, gain, bias):
     """(x - mean) / sqrt(var + eps) * gain + bias over the last axis; x is not written.
 
-    The variance is the mean of the squared centred values, the reductions
-    np.var makes, so the result equals the np.mean/np.var formula bit for bit.
+    Each mean is np.add.reduce over the row divided by its length, the ufuncs
+    np.mean runs in that order, and the variance is the mean of the squared
+    centred values, the reductions np.var makes: the result equals the
+    np.mean/np.var formula bit for bit, with no Python-level wrapper call.
     """
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = np.square(xc).mean(axis=-1, keepdims=True)
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+    var = np.add.reduce(np.square(xc), axis=-1, keepdims=True) / x.shape[-1]
     var += _LN_EPS
     xc /= np.sqrt(var)
     xc *= gain

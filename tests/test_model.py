@@ -139,11 +139,17 @@ def test_forward_takes_only_a_nonempty_token_matrix():
     model = build_model(TINY, PLANS["W4A4"], seed=2)
     seq = tokens(1, length=6, seed=3)[0]
     with pytest.raises(DimensionError):
-        model.forward(seq, mode="fp")
-    with pytest.raises(DimensionError):
         model.loss(seq)
-    with pytest.raises(DataError, match="empty batch"):
-        model.forward(np.zeros((0, 6), dtype=np.int64))
+    refused = {
+        "wrong rank": (seq, DimensionError, "matrix"),
+        "empty batch": (np.zeros((0, 6), dtype=np.int64), DataError, "empty batch"),
+        "out-of-range id": (np.array([[0, TINY.vocab_size]]), DataError, "out of range"),
+        "longer than the context": (tokens(1, length=TINY.context + 1), DataError, "exceeds context"),
+    }
+    for bad, error, message in refused.values():
+        for stage in (lambda t: model.forward(t, mode="fp"), model.embed_tokens):
+            with pytest.raises(error, match=message):
+                stage(bad)
 
 
 def test_cross_entropy_matches_hand_oracle():
@@ -274,13 +280,31 @@ def test_forward_writes_no_array_it_does_not_own(monkeypatch, mode, lightweight)
 
     monkeypatch.setattr(zoqlab.model, "linear_forward", recording)
     model.forward(seqs, mode=mode, capture=capture)
-    for (name, before), (_, _, owner, attr) in zip(arrays_before, model.tensors()):
-        assert getattr(owner, attr).tobytes() == before.tobytes(), name
-    assert seqs.tobytes() == tokens_before.tobytes()
+
+    def assert_unwritten():
+        for (name, before), (_, _, owner, attr) in zip(arrays_before, model.tensors()):
+            assert getattr(owner, attr).tobytes() == before.tobytes(), name
+        assert seqs.tobytes() == tokens_before.tobytes()
+        for key, caps in capture.items():
+            assert caps[0].tobytes() == captures_before[key][0].tobytes(), key
+            assert caps[1].tobytes() == seen[key].tobytes(), key
+
+    assert_unwritten()
     assert capture.keys() == seen.keys() == dict(model.iter_attachments()).keys()
-    for key, (first, second) in capture.items():
-        assert first.tobytes() == captures_before[key][0].tobytes(), key
-        assert second.tobytes() == seen[key].tobytes(), key
+    # the block stage writes only the residual stream it is handed
+    x = model.embed_tokens(seqs)
+    assert model.run_blocks(x, mode, capture) is x
+    assert_unwritten()
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (7,)], ids=["3-D", "2-D"])
+def test_head_is_the_final_norm_then_the_tied_embedding(shape):
+    model = build_model(TINY, PLANS["W4A4"], seed=4)
+    rng = np.random.default_rng(12)
+    model.ln_f_gain, model.ln_f_bias = rng.normal(size=(2, TINY.d_model))
+    x = rng.normal(scale=3.0, size=shape + (TINY.d_model,))
+    want = out_of_place_layer_norm(x, model.ln_f_gain, model.ln_f_bias) @ model.embed.T
+    assert model.head(x).tobytes() == want.tobytes()
 
 
 class TestAppliedGuards:
@@ -469,6 +493,13 @@ def test_chunked_eval_loss_is_the_bytes_of_one_forward(eval_models, plan, n_seqs
     for batch_size in (4, 3, 1):
         got = track(model, seqs, None, cfg=ZoConfig(batch_size=batch_size)).eval_loss
         assert got.hex() == whole.hex(), batch_size
+
+
+def test_an_eval_set_that_is_not_a_token_matrix_is_refused():
+    model = build_model(TINY, PLANS["W4A4"], seed=0)
+    for bad in (np.arange(10), tokens(2)[None]):
+        with pytest.raises(DimensionError, match="matrix"):
+            track(model, bad, None)
 
 
 @pytest.mark.parametrize("plan", [None, QuantPlan(4, 4)], ids=["fp", "W4A4"])
