@@ -20,7 +20,8 @@ Modules:
   calibration   layer-wise reconstruction init and the RTN baseline
   zo            two-point zeroth-order estimator and ZO-SGD; GROUP_ORDER is
                 the one list of trainable groups, ParamView groups its
-                entries by it, and its begin_step opens a step's chunk cache
+                entries by it and regenerates directions over flat windows
+                of chunk_size positions, keeping the two it drew last
   theory        Monte-Carlo/quadrature verification of the estimator theory
   diagnostics   eval perplexity with per-layer reconstruction, memory
                 accounting; returns records and writes no file

@@ -207,7 +207,12 @@ class RunConfig:
 
 
 def _check_seed(seed: int) -> None:
-    """Seeds lie in [0, 2^63): Philox keys are uint64, and the theory suite adds up to 303 to its seed."""
+    """Seeds lie in [0, 2^63): Philox keys and PCG64 seeds are uint64, and the theory suite adds to its seed.
+
+    Its Philox streams reach seed + 415 (mse_q_scaling_slope runs at +303 and
+    adds 7q for q = 16); the MSE oracle's PCG64 seeds add 901 on top, up to
+    seed + 1,316.
+    """
     if not 0 <= seed < 1 << 63:
         raise UsageError(f"seed must be in [0, 2^63), got {seed}")
 

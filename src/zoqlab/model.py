@@ -144,13 +144,16 @@ class ModelGraph:
     def embed_tokens(self, tokens) -> Tensor:
         """The (batch, t, d) residual stream of a (batch, t) token matrix: embedding plus position.
 
-        Any other rank is a DimensionError; an empty matrix, an id outside
-        the vocabulary or a sequence longer than the context a DataError.
-        The result is a new array the caller owns.
+        Any other rank is a DimensionError; a dtype other than signed or
+        unsigned integer, an empty matrix, an id outside the vocabulary or a
+        sequence longer than the context a DataError. The result is a new
+        array the caller owns.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise DimensionError(f"tokens must be a (batch, t) matrix, got shape {tokens.shape}")
+        if tokens.dtype.kind not in "iu":
+            raise DataError(f"tokens must be integer ids, got dtype {tokens.dtype}")
         if tokens.size == 0:
             raise DataError(f"empty batch: tokens have shape {tokens.shape}")
         if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:

@@ -25,7 +25,8 @@ oracle) took 25 ms, and 355 ms with its estimates drawn 16 directions to a
 zo_gradient_scale step (470 ms at one direction per step; 2-CPU VM, 1 BLAS
 thread). They reach the production estimator by composition (ESTIMATOR_LINK):
 the zo_matches_two_point_formula row pins zo_gradient_scale's coefficient
-to that formula on the production draws, and tier-1 tests pin the draws:
+to that formula on the production streams, each drawn again from its stream
+id rather than read back from the view, and tier-1 tests pin the draws:
 normals_at's moments and streams, and ParamView.direction's zero mean and
 identity covariance across steps.
 
@@ -47,7 +48,7 @@ import numpy as np
 from scipy.special import erfc, erfcinv
 
 from .errors import DataError
-from .numerics import normals_at  # noqa: F401  kept bound: perfbench/tracer.py patches it
+from .numerics import normals_at
 from .zo import ParamView, ZoConfig, zo_gradient_scale
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -279,7 +280,10 @@ def zo_formula_gap(obj: SmoothedObjective, w, estimates: int, seed: int = 0) -> 
     """Max |zo coefficient - directly recomputed coefficient| over shared streams.
 
     Pins the production estimator to the two-point formula on identical
-    perturbation draws; zero up to float round-off when correct.
+    perturbation draws; zero up to float round-off when correct. u is drawn
+    here from the stream id the estimate names, not read back from the view
+    that perturbed the parameters, so a view that draws the wrong stream
+    shows a gap.
     """
     theta = np.asarray(w, dtype=np.float64).copy()
     view = ParamView([("weights", theta)])
@@ -288,7 +292,7 @@ def zo_formula_gap(obj: SmoothedObjective, w, estimates: int, seed: int = 0) -> 
     gap = 0.0
     for j in range(estimates):
         (direction,) = zo_gradient_scale(lambda: obj.loss(theta), view, cfg, step=j)
-        u = view.direction(direction.stream_id)
+        u = normals_at(seed, direction.stream_id, 0, obj.dim)
         direct = (obj.loss(w0 + obj.epsilon * u) - obj.loss(w0 - obj.epsilon * u)) / (
             2 * obj.epsilon
         )

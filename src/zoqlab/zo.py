@@ -1,11 +1,12 @@
 """Two-point zeroth-order gradient estimation and the ZO-SGD step.
 
 Perturbation directions are never stored: each direction i of step t is the
-Gaussian stream (seed, (t << 32) | i), regenerated chunk-wise within the step
-that ParamView.begin_step opens, or for all q at once when they fit the
-view's chunk cache together. One step therefore costs 2q forward evaluations
-plus one streamed update pass, and the persistent optimizer state is q scalar
-coefficients plus stream cursors, independent of the parameter count.
+Gaussian stream (seed, (t << 32) | i), regenerated one flat window of the
+parameter view at a time within the step that ParamView.begin_step opens, or
+for all q at once when they fit the view's window cache together. One step
+therefore costs 2q forward evaluations plus one streamed update pass, and the
+persistent optimizer state is q scalar coefficients plus stream cursors,
+independent of the parameter count.
 """
 
 from __future__ import annotations
@@ -46,23 +47,20 @@ class ParamView:
 
     A step opens with begin_step, which binds its seed and chunk size; the
     other methods draw the streams of that step. Directions are regenerated
-    one flat chunk at a time, with one `normals_at` call per chunk. Each
-    segment is cut into pieces every `chunk_size` elements from its own
-    start; a chunk is a run of consecutive pieces whose total stays within
-    `chunk_size`, so it can span segments. The pieces, and the order in
-    which update norms sum over them, are those of a walk segment by segment.
+    one flat window at a time, with one `normals_at` call per window. Window
+    k holds view positions [k * chunk_size, (k + 1) * chunk_size), cut at
+    the view's size, and its pieces are each segment's part of it, in flat
+    order; update norms sum over those pieces.
 
-    The view caches the chunks drawn in the current step, keyed by
+    The view caches the windows drawn in the current step, keyed by
     (stream_id, lo); begin_step empties it. Once it holds more than
-    2 * chunk_size floats the least recently used chunk is dropped, so it
-    never holds more than two full chunks. A pass whose last chunk is the
-    one used last walks the chunks backwards, so each pass starts on the
-    chunks the previous one ended on. The +eps, -2eps, +eps passes and a
-    q=1 update therefore draw each chunk once in a view of one or two
-    chunks, and at most 4n - 6 chunks in an n-chunk view with n >= 3:
-    fewer where short chunks let the cache keep three. The d_model 256
-    W4A4 view, whose 37 chunks include ones of 256, 1,024 and 1,280 floats
-    beside 65,536-float ones, draws 141 per step, not 142.
+    2 * chunk_size floats the least recently used window is dropped, so it
+    never holds more than two full windows. A pass whose last window is the
+    one used last walks the windows backwards, so each pass starts on the
+    two windows the previous one ended on. The +eps, -2eps, +eps passes and a
+    q=1 update therefore draw a one-window view once and exactly 4n - 6
+    windows of an n-window view with n >= 2: the first pass draws all n,
+    and each later pass all but the two it starts on.
     """
 
     def __init__(self, entries):
@@ -81,33 +79,30 @@ class ParamView:
                 self._segments.append((label, flat, pos, pos + flat.shape[0]))
                 pos += flat.shape[0]
         self.size = pos
-        self._seed = None  # the seed, chunk size and chunk plan bound by begin_step
+        self._seed = None  # the seed, chunk size and window plan bound by begin_step
         self._chunk_size = None
         self._plan = None
-        self._chunks = {}  # (stream_id, lo) -> drawn chunk, least recently used first
+        self._chunks = {}  # (stream_id, lo) -> drawn window, least recently used first
         self._chunks_floats = 0
 
     def begin_step(self, seed: int, stream_ids, chunk_size: int) -> None:
-        """Open a step: bind its seed and chunk size and empty the chunk cache.
+        """Open a step: bind its seed and chunk size and empty the window cache.
 
-        When the step has two or more streams and len(stream_ids) * size <=
-        2 * chunk_size floats, which leaves the view one chunk, each chunk is
-        drawn for all the streams in one normals_at call, and their passes
-        draw nothing more. Otherwise the passes draw on demand, so a q = 1
-        step, as train's default, draws exactly as it would alone.
+        A new chunk size rebuilds the window plan. When the step has two or
+        more streams and len(stream_ids) * size <= 2 * chunk_size floats,
+        which leaves the view one window, that window is drawn for all the
+        streams in one normals_at call, and their passes draw nothing more.
+        Otherwise the passes draw on demand, so a q = 1 step, as train's
+        default, draws exactly as it would alone.
         """
         self._seed = seed
         if chunk_size != self._chunk_size:
-            plan, pieces, lo = [], [], 0  # [(lo, hi, [(label, live piece, chunk slice)])]
+            # [(lo, hi, [(label, live piece, window slice)])], window k at lo = k * chunk_size
+            plan = [(lo, min(lo + chunk_size, self.size), []) for lo in range(0, self.size, chunk_size)]
             for label, flat, a, b in self._segments:
-                for s in range(0, b - a, chunk_size):
-                    e = min(s + chunk_size, b - a)
-                    if pieces and a + e - lo > chunk_size:
-                        plan.append((lo, a + s, pieces))
-                        pieces, lo = [], a + s
-                    pieces.append((label, flat[s:e], slice(a + s - lo, a + e - lo)))
-            if pieces:
-                plan.append((lo, self.size, pieces))
+                for lo, hi, pieces in plan[a // chunk_size : -(-b // chunk_size)]:  # the windows it meets
+                    s, e = max(a, lo), min(b, hi)
+                    pieces.append((label, flat[s - a : e - a], slice(s - lo, e - lo)))
             self._chunk_size, self._plan = chunk_size, plan
         self._chunks.clear()
         self._chunks_floats = 0
@@ -120,7 +115,7 @@ class ParamView:
                 self._chunks[(sid, lo)] = row
 
     def _walk(self):
-        """The chunks in order, or backwards when the last one is the chunk used last."""
+        """The windows in order, or backwards when the last one is the window used last."""
         plan = self._plan
         if len(plan) > 1 and self._chunks and next(reversed(self._chunks))[1] == plan[-1][0]:
             return plan[::-1]
@@ -140,14 +135,14 @@ class ParamView:
         return drawn
 
     def direction(self, stream_id: int) -> np.ndarray:
-        """A copy of the whole flat u of the stream; cached chunks are not drawn again."""
+        """A copy of the whole flat u of the stream; cached windows are not drawn again."""
         u = np.empty(self.size)
         for lo, hi, _ in self._walk():
             u[lo:hi] = self._direction(stream_id, lo, hi)
         return u
 
     def add_direction(self, stream_id: int, scale: float) -> None:
-        """In place: params += scale * u, u regenerated chunk-wise from the stream."""
+        """In place: params += scale * u, u regenerated window by window from the stream."""
         for lo, hi, pieces in self._walk():
             u = self._direction(stream_id, lo, hi)
             for _, live, sl in pieces:
@@ -157,13 +152,13 @@ class ParamView:
         """In place: params -= sum_i lr * c_i * u_i; returns per-group update norms.
 
         With no nonzero coefficient nothing moves and every norm is 0.0. The
-        chunks may be walked backwards, but each group's squared norm sums
-        its pieces in forward order, so the norms do not depend on the walk.
+        windows may be walked backwards, but each group's squared norm sums
+        its pieces in flat order, so the norms do not depend on the walk.
         """
         terms = [(sid, c) for sid, c in zip(stream_ids, coefficients) if c != 0.0]
         if not terms:
             return dict.fromkeys(self.labels, 0.0)
-        piece_sq = {}  # chunk start -> (label, squared norm) of each of its pieces
+        piece_sq = {}  # window start -> (label, squared norm) of each of its pieces
         for lo, hi, pieces in self._walk():
             delta = np.zeros(hi - lo)
             for sid, c in terms:

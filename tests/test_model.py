@@ -145,6 +145,9 @@ def test_forward_takes_only_a_nonempty_token_matrix():
         "empty batch": (np.zeros((0, 6), dtype=np.int64), DataError, "empty batch"),
         "out-of-range id": (np.array([[0, TINY.vocab_size]]), DataError, "out of range"),
         "longer than the context": (tokens(1, length=TINY.context + 1), DataError, "exceeds context"),
+        "float ids": (np.zeros((1, 6)), DataError, "integer ids"),
+        "boolean ids": (np.zeros((1, 6), dtype=bool), DataError, "integer ids"),
+        "string ids": (np.array([["a", "b"]]), DataError, "integer ids"),
     }
     for bad, error, message in refused.values():
         for stage in (lambda t: model.forward(t, mode="fp"), model.embed_tokens):

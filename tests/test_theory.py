@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -136,6 +137,14 @@ def test_estimator_driven_rows_keep_their_bytes():
         ("d=4 q=16 step=0", "0.28774629039453803"),
         ("d=2 q=1 step=0.1 eps=0.001", "2098.63156899008"),
     ]
+
+
+def test_a_view_that_draws_the_wrong_stream_fails_the_formula_row(monkeypatch):
+    """The row draws u from the estimate's stream id itself, so a view perturbing along stream id ^ 1 shows a gap."""
+    monkeypatch.setattr(zoqlab.zo, "normals_at", lambda seed, sid, lo, n: normals_at(seed, sid ^ 1, lo, n))
+    obj0 = theory.SmoothedObjective("quadratic", dim=8, epsilon=1e-2, quant_step=0.1, lipschitz=4.0)
+    row = theory.zo_formula_gap(obj0, theory._W8, estimates=256, seed=0)
+    assert not row.passed and row.measured > 1.0, row.line()
 
 
 def test_tail_identity_rows_keep_their_bytes():
@@ -335,6 +344,18 @@ def quick_report():
 
 def test_every_row_of_verify_quick_passes(quick_report):
     assert quick_report.rows and quick_report.passed, [r.line() for r in quick_report.rows if not r.passed]
+
+
+def test_the_family_size_counts_every_standard_error_comparison_of_the_suite(quick_report):
+    """One comparison per component of a zo_unbiasedness or oracle_self_consistency row, one per other alpha row."""
+    per_component = ("zo_unbiasedness", "oracle_self_consistency")
+    count = 0
+    for row in quick_report.rows:
+        if row.name in per_component:
+            count += int(re.search(r"\bd=(\d+)", row.config).group(1))
+        elif "alpha=" in row.config:
+            count += 1
+    assert count == theory.FAMILY_SIZE == 4 * 8 + 4 + 3 + 1 + 2
 
 
 def test_verify_quick_keeps_the_bytes_of_its_csv(quick_report):

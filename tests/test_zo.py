@@ -1,16 +1,22 @@
 import sys
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zoqlab.zo
 from zoqlab import cli
 from zoqlab.errors import DataError, NumericError
-from zoqlab.model import ModelConfig, QuantPlan, build_model
+from zoqlab.model import ModelConfig, QuantPlan, build_model, set_lightweight
 from zoqlab.numerics import normals_at
+from zoqlab.quantizer import init_range
+from zoqlab.smoothing import smooth_weight
 from zoqlab.theory import SmoothedObjective
 from zoqlab.zo import (
+    GROUP_ORDER,
     ParamView,
     ZoConfig,
     direction_stream_id,
@@ -54,8 +60,9 @@ def dense_add(arrays, stream_id, scale):
 def dense_apply(arrays, stream_ids, coefficients, chunk_size):
     """params -= lr * sum_i c_i u_i over the whole view; norms summed over pieces.
 
-    A piece is `chunk_size` elements of one array, cut from the array's start;
-    each group's squared norm adds the pieces' dot products in flat order.
+    A piece is one array's part of one window [k * chunk_size, (k + 1) *
+    chunk_size) of the view; each group's squared norm adds the pieces' dot
+    products in flat order.
     """
     delta = np.zeros(VIEW_SIZE)
     for sid, c in zip(stream_ids, coefficients):
@@ -66,8 +73,8 @@ def dense_apply(arrays, stream_ids, coefficients, chunk_size):
         flat = arr.reshape(-1)
         step = delta[pos : pos + flat.size] * -LRS[label]
         flat += step
-        for lo in range(0, flat.size, chunk_size):
-            piece = step[lo : lo + chunk_size]
+        for lo in range(-(pos % chunk_size), flat.size, chunk_size):  # window starts, from the array's start
+            piece = step[max(lo, 0) : lo + chunk_size]
             sq[label] += float(piece @ piece)
         pos += flat.size
     return {label: float(np.sqrt(v)) for label, v in sq.items()}
@@ -183,8 +190,8 @@ class TestWholeViewEquivalence:
         cfg = ZoConfig(directions=1, seed=SEED, chunk_size=40)
         (d,) = zo_gradient_scale(lambda: 0.5, view, cfg, step=3)
         view.apply_directions([d.stream_id], [0.25], LRS)
-        # chunks (0, 35) and (35, 74): the first pass draws both, the view keeps both
-        assert [(pos, n) for _, _, pos, n in calls] == [(0, 35), (35, 39)]
+        # windows (0, 40) and (40, 74): the first pass draws both, the view keeps both
+        assert [(pos, n) for _, _, pos, n in calls] == [(0, 40), (40, 34)]
 
     def test_three_chunk_view_draws_six_chunks_per_step(self, monkeypatch):
         """4n - 6 draws for n = 3: each later pass starts on the two chunks kept."""
@@ -199,28 +206,9 @@ class TestWholeViewEquivalence:
         cfg = ZoConfig(directions=1, seed=SEED, chunk_size=30)
         (d,) = zo_gradient_scale(lambda: 0.5, view, cfg, step=3)
         view.apply_directions([d.stream_id], [0.25], LRS)
-        # chunks (0, 30), (30, 59) and (59, 74)
-        want = [(0, 30), (30, 29), (59, 15), (0, 30), (59, 15), (0, 30)]
+        # windows (0, 30), (30, 60) and (60, 74)
+        want = [(0, 30), (30, 30), (60, 14), (0, 30), (60, 14), (0, 30)]
         assert [(pos, n) for _, _, pos, n in calls] == want
-
-    def test_a_short_chunk_between_long_ones_draws_fewer_than_4n_minus_6(self, monkeypatch):
-        """Chunks of 7, 7, 2, 7 and 7 floats at chunk_size 8: the 16-float cache keeps three, 7 + 2 + 7."""
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return normals_at(*args)
-
-        monkeypatch.setattr(zoqlab.zo, "normals_at", counting)
-        view = ParamView([("weights", np.zeros(n)) for n in (7, 7, 2, 7, 7)])
-        cfg = ZoConfig(directions=1, seed=SEED, chunk_size=8)
-        (d,) = zo_gradient_scale(lambda: 0.5, view, cfg, step=3)
-        view.apply_directions([d.stream_id], [0.25], LRS)
-        first = [(0, 7), (7, 7), (14, 2), (16, 7), (23, 7)]
-        # each later pass starts on the three chunks the previous one ended on
-        want = first + [(7, 7), (0, 7)] + [(16, 7), (23, 7)] + [(7, 7), (0, 7)]
-        assert [(pos, n) for _, _, pos, n in calls] == want
-        assert len(want) == 11 < 4 * len(first) - 6
 
     @pytest.mark.parametrize("chunk_size, redrawn", [(VIEW_SIZE, 0), (40, 0), (1, VIEW_SIZE - 2)])
     def test_direction_is_the_whole_view_draw_without_the_last_chunk_again(
@@ -335,28 +323,85 @@ class TestWholeViewEquivalence:
         assert step(mine, ParamView(shuffled)) == want
         assert_same(mine, ref)
 
-    def test_chunks_pack_pieces_across_segments(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("chunk_size", [1, 7, 30, 40, VIEW_SIZE, 1000])
+    def test_window_k_holds_view_positions_k_c_to_k_plus_1_c(self, chunk_size):
+        """Window k's pieces are each segment's part of [k * C, (k + 1) * C), in flat order."""
+        arrays, spans, pos = entries(), [], 0
+        for label, arr in arrays:  # each scalar holds its view position
+            arr.reshape(-1)[:] = np.arange(pos, pos + arr.size)
+            spans.append((label, pos, pos + arr.size))
+            pos += arr.size
+        view = ParamView(arrays)
+        view.begin_step(SEED, [], chunk_size)
+        plan = view._walk()
+        starts = range(0, VIEW_SIZE, chunk_size)
+        assert [(lo, hi) for lo, hi, _ in plan] == [(lo, min(lo + chunk_size, VIEW_SIZE)) for lo in starts]
+        for lo, hi, pieces in plan:
+            parts = [(label, max(a, lo), min(b, hi)) for label, a, b in spans if a < hi and b > lo]
+            assert [(label, sl.start + lo, sl.stop + lo) for label, _, sl in pieces] == parts
+            assert [live.tolist() for _, live, _ in pieces] == [list(range(a, b)) for _, a, b in parts]
 
-        def counting(*args):
-            calls.append(args)
-            return normals_at(*args)
 
-        monkeypatch.setattr(zoqlab.zo, "normals_at", counting)
-        view = ParamView(entries())
-        view.begin_step(SEED, [1], 40)
-        view.add_direction(1, EPS)
-        # segments of 35, 11, 1, 12, 9 and 6 packed into chunks of at most 40
-        assert [(pos, n) for _, _, pos, n in calls] == [(0, 35), (35, 39)]
+@given(
+    segments=st.lists(st.tuples(st.sampled_from(GROUP_ORDER), st.integers(1, 40)), min_size=1, max_size=8),
+    chunk_size=st.integers(1, 120),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_q1_step_draws_a_one_window_view_once_and_4n_minus_6_windows_of_n(segments, chunk_size):
+    """+eps, -2eps, +eps and the update: the first pass draws every window, each later pass all but two."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return normals_at(*args)
+
+    view = ParamView([(label, np.zeros(n)) for label, n in segments])
+    n = -(-view.size // chunk_size)
+    cfg = ZoConfig(directions=1, seed=SEED, chunk_size=chunk_size)
+    with mock.patch.object(zoqlab.zo, "normals_at", counting):
+        (d,) = zo_gradient_scale(lambda: 0.5, view, cfg, step=3)
+        view.apply_directions([d.stream_id], [0.25], LRS)
+    assert len(calls) == (1 if n == 1 else 4 * n - 6)
+    assert all(pos % chunk_size == 0 and k == min(chunk_size, view.size - pos) for _, _, pos, k in calls)
+
+
+@pytest.mark.parametrize(
+    "config, plan, lightweight, windows, draws, values",
+    [
+        (ModelConfig(), QuantPlan(4, 4), False, 2, 2, 115_200),
+        (ModelConfig(), QuantPlan(4, None, group_size=16), True, 1, 1, 16_384),
+        (ModelConfig(d_model=256), QuantPlan(4, 4), False, 26, 98, 6_295_552),
+    ],
+    ids=["d64-W4A4", "d64-light-W4A16g16", "d256-W4A4"],
+)
+def test_a_default_zo_step_draws_its_view_windows(monkeypatch, config, plan, lightweight, windows, draws, values):
+    """normals_at calls and values drawn by one q = 1 zo_step at the default chunk size."""
+    model = build_model(config, plan, seed=0)
+    if lightweight:
+        set_lightweight(model)
+    cfg = ZoConfig(steps=10)
+    view = model.trainable_parameters()
+    view.begin_step(cfg.seed, [], cfg.chunk_size)
+    assert len(view._walk()) == windows
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return normals_at(*args)
+
+    monkeypatch.setattr(zoqlab.zo, "normals_at", counting)
+    zo_step(model, np.random.default_rng(0).integers(0, 128, size=(1, 8)), cfg, 0)
+    assert (len(calls), sum(k for _, _, _, k in calls)) == (draws, values)
 
 
 def test_directions_across_steps_have_zero_mean_and_identity_covariance():
     """The draws the production view hands out over many steps are N(0, I) within Z SE.
 
-    A three-chunk view over two groups, so the cache and the segment packing
-    are in the path. With the theory suite's zo_matches_two_point_formula
-    row, which pins the production coefficient to the two-point formula on
-    these draws, this is what ties the zo_unbiasedness rows to zo_step.
+    A three-window view over two groups, so the window cache and the
+    alternating walk are in the path. With the theory suite's
+    zo_matches_two_point_formula row, which pins the production coefficient
+    to the two-point formula on these draws, this is what ties the
+    zo_unbiasedness rows to zo_step.
     """
     view = ParamView([("weights", np.zeros((2, 2))), ("clipping", np.zeros(2))])
     steps, d = 8000, view.size
@@ -489,6 +534,26 @@ class TestLrSchedule:
     def test_constant(self):
         cfg = ZoConfig(steps=10, lr_clipping=3e-5, lr_schedule="constant")
         assert [cfg.lr_for("clipping", s) for s in (0, 5, 10, 20)] == [3e-5] * 4
+
+
+def test_a_step_without_quant_affine_re_derives_each_step_and_zero_point_from_the_moved_weights():
+    """train_quant_affine = False: the view leaves quant_affine out, and zo_step range-inits it again."""
+    model = build_model(TINY, QuantPlan(4, 4), 0)
+    view = model.trainable_parameters(include_quant_affine=False)
+    assert (view.size, model.trainable_parameters().size) == (5_936, 6_224)
+    assert view.labels == ["weights", "smoothing", "clipping"]
+    before = {name: (lin.w.copy(), lin.att.weight_state.clip_lo.copy()) for name, lin in model.iter_attachments()}
+    cfg = ZoConfig(steps=3, seed=0, lr_weights=1e-2, lr_clipping=1e-1, train_quant_affine=False)
+    rng = np.random.default_rng(0)
+    for step in range(3):
+        zo_step(model, rng.integers(0, 128, size=(4, TINY.context)), cfg, step)
+    for name, lin in model.iter_attachments():
+        w0, clip_lo0 = before[name]
+        state = lin.att.weight_state
+        fresh = init_range(smooth_weight(lin.w, lin.att.smoothing), lin.att.weight_spec)
+        assert state.step.tobytes() == fresh.step.tobytes(), name
+        assert state.zero_point.tobytes() == fresh.zero_point.tobytes(), name
+        assert not np.array_equal(lin.w, w0) and not np.array_equal(state.clip_lo, clip_lo0), name
 
 
 class TestValidation:
